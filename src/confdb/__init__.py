@@ -9,6 +9,7 @@ from .alias import (
     AliasTree,
     MapAlias,
     ObjectAlias,
+    edit_alias_tree,
     load_alias_tree,
     new_alias_tree,
     save_alias_tree,
@@ -75,6 +76,7 @@ __all__ = [
     "configure_run",
     "decode_payload",
     "diff_alias_vs_numeric",
+    "edit_alias_tree",
     "encode_payload",
     "fetch_manifest",
     "fetch_object",

@@ -243,6 +243,19 @@ def load_alias_tree(store: Store, alias_name: str) -> AliasTree:
     return trees[alias_name]
 
 
+def edit_alias_tree(store: Store, alias_name: str, edit):
+    """Load, ``edit(tree)`` and save one alias tree under one lock.
+
+    Concurrent operators should edit through this: a separate load and
+    save lets another handle's save land in between and be overwritten.
+    Nothing is saved if ``edit`` raises.
+    """
+    with store.alias_lock():
+        tree = load_alias_tree(store, alias_name)
+        edit(tree)
+        save_alias_tree(store, tree)
+
+
 def new_alias_tree(alias_name: str, root_class: str) -> AliasTree:
     """Fresh tree with an empty root placeholder."""
     return AliasTree(alias_name, root_class)

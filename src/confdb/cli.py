@@ -21,6 +21,7 @@ creation timestamps so scripted builds produce byte-identical logs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import shlex
 import sys
@@ -54,30 +55,11 @@ class Session:
         self.txn = None
 
 
-class _Scope:
+def _scope(session: Session):
     """Run a mutator in the block transaction or a fresh one."""
-
-    def __init__(self, session: Session):
-        self.session = session
-        self.txn = None
-        self._own = False
-
-    def __enter__(self):
-        if self.session.txn is not None:
-            self.txn = self.session.txn
-        else:
-            self.txn = self.session.store.begin()
-            self._own = True
-        return self.txn
-
-    def __exit__(self, exc_type, exc, tb):
-        if not self._own:
-            return False
-        if exc_type is None:
-            self.txn.commit()
-        elif self.txn.state == "open":
-            self.txn.abort()
-        return False
+    if session.txn is not None:
+        return contextlib.nullcontext(session.txn)
+    return session.store.transaction()
 
 
 def _parse_class_spec(text: str) -> tuple[str, str | None]:
@@ -145,7 +127,7 @@ def _cmd_new_object(session: Session, args: list[str]) -> str:
         payload = decode_payload(f.read())
     if payload.kind != KIND_LEAF:
         raise ParseError(f"new-object takes a leaf payload, got kind={payload.kind}")
-    with _Scope(session) as txn:
+    with _scope(session) as txn:
         identity = txn.create_object(class_name, secondary, payload)
     return f"created {format_identity(identity)}\n"
 
@@ -183,9 +165,7 @@ def _cmd_new_alias(session: Session, args: list[str]) -> str:
 
 
 def _with_alias(session: Session, name: str, edit) -> str:
-    tree = alias_mod.load_alias_tree(session.store, name)
-    edit(tree)
-    alias_mod.save_alias_tree(session.store, tree)
+    alias_mod.edit_alias_tree(session.store, name, edit)
     return ""
 
 
@@ -228,14 +208,10 @@ def _cmd_commit_alias(session: Session, args: list[str]) -> str:
     (name,) = _expect(args, 1, "commit-alias <alias> [--bind <rt>[,rt...]]")
     run_types = [validate_name(rt, "run type") for rt in bind.split(",")] if bind else []
     tree = alias_mod.load_alias_tree(session.store, name)
-    if session.txn is not None:
-        before = len(session.txn.pending)
-        root = commitproc.commit_alias_tree_in(session.store, session.txn, tree, run_types)
-        created = len(session.txn.pending) - before
-    else:
-        before = session.store.object_count()
-        root = commitproc.commit_alias_tree(session.store, tree, run_types)
-        created = session.store.object_count() - before
+    with _scope(session) as txn:
+        before = len(txn.pending)
+        root = commitproc.commit_alias_tree_in(session.store, txn, tree, run_types)
+        created = len(txn.pending) - before
     if created == 0:
         return "fixed point: 0 objects created\n"
     return f"committed root {format_identity(root)}: {created} objects created\n"
@@ -244,7 +220,7 @@ def _cmd_commit_alias(session: Session, args: list[str]) -> str:
 def _cmd_activate(session: Session, args: list[str]) -> str:
     (spec,) = _expect(args, 1, "activate <rt>=<identity>[,...]")
     bindings = _parse_bindings(spec)
-    with _Scope(session) as txn:
+    with _scope(session) as txn:
         identity = activate(session.store, txn, bindings)
     return f"activated {format_identity(identity)}\n"
 

@@ -34,8 +34,8 @@ from .model import (
     display_path,
     format_identity,
 )
-from .store import RUNTYPES_CLASS, Store, StoredObject, WriteTransaction
-from .tree import activate
+from .store import Store, WriteTransaction
+from .tree import activate, active_trees
 
 STATUS_UNCHANGED = "unchanged"
 STATUS_CHANGED = "changed"
@@ -50,20 +50,6 @@ INTERIOR_MAP_CLASS = "Map"
 
 def _interior_secondary(segments: tuple) -> str:
     return ".".join(segments)
-
-
-def _get(store: Store, txn: WriteTransaction | None, identity: ObjectIdentity) -> StoredObject:
-    if txn is not None:
-        staged = txn.get_pending(identity)
-        if staged is not None:
-            return staged
-    return store.get_object(identity)
-
-
-def _has(store: Store, txn: WriteTransaction | None, identity: ObjectIdentity) -> bool:
-    if txn is not None and txn.get_pending(identity) is not None:
-        return True
-    return store.has_object(identity)
 
 
 @dataclass
@@ -108,10 +94,10 @@ class ChangeSet:
         return "\n".join(entry.to_line() for entry in self.entries) + "\n"
 
 
-def _numeric_links(store, txn, identity: ObjectIdentity | None) -> dict:
+def _numeric_links(view: Store | WriteTransaction, identity: ObjectIdentity | None) -> dict:
     if identity is None:
         return {}
-    obj = _get(store, txn, identity)
+    obj = view.get_object(identity)
     if obj.kind != KIND_MAP:
         raise NotAMapError(
             f"{format_identity(identity)} is not a map", detail=format_identity(identity)
@@ -120,20 +106,19 @@ def _numeric_links(store, txn, identity: ObjectIdentity | None) -> dict:
 
 
 def _analyze(
-    store: Store,
-    txn: WriteTransaction | None,
+    view: Store | WriteTransaction,
     node: MapAlias,
     numeric: ObjectIdentity | None,
     segments: tuple,
 ) -> _MapPlan:
     """Recursive name-keyed comparison of a map alias against a numeric map."""
-    links = _numeric_links(store, txn, numeric)
+    links = _numeric_links(view, numeric)
     children: dict = {}
     all_unchanged = True
     for name, child in node.sorted_items():
         old = links.get(name)
         if isinstance(child, ObjectAlias):
-            if not _has(store, txn, child.target):
+            if not view.has_object(child.target):
                 raise DanglingAliasTargetError(
                     f"alias at {display_path(segments + (name,))!r} pins missing object"
                     f" {format_identity(child.target)}",
@@ -149,8 +134,8 @@ def _analyze(
         else:
             # A numeric leaf under this name is a kind flip: compare the
             # placeholder against nothing and report the name as changed.
-            old_is_map = old is not None and _get(store, txn, old).kind == KIND_MAP
-            sub = _analyze(store, txn, child, old if old_is_map else None, segments + (name,))
+            old_is_map = old is not None and view.get_object(old).kind == KIND_MAP
+            sub = _analyze(view, child, old if old_is_map else None, segments + (name,))
             if old is None:
                 sub.status = STATUS_ADDED
             elif not old_is_map:
@@ -202,14 +187,13 @@ def diff_alias_vs_numeric(
     bootstrap case).  The commit itself recomputes the comparison under
     the write lock.
     """
-    plan = _analyze(store, None, tree.root, numeric_root, ())
+    plan = _analyze(store, tree.root, numeric_root, ())
     entries: list[ChangeEntry] = []
     _flatten(plan, (), entries)
     return ChangeSet(tuple(entries))
 
 
 def _materialize(
-    store: Store,
     txn: WriteTransaction,
     node: MapAlias,
     plan: _MapPlan,
@@ -225,10 +209,10 @@ def _materialize(
         if isinstance(child_plan, _LinkPlan):
             links[name] = child_plan.target
         else:
-            links[name] = _materialize(store, txn, child, child_plan, root_class, segments + (name,))
+            links[name] = _materialize(txn, child, child_plan, root_class, segments + (name,))
     payload = Payload.map(links)
     counterpart = plan.counterpart
-    if counterpart is not None and _get(store, txn, counterpart).payload == payload:
+    if counterpart is not None and txn.get_object(counterpart).payload == payload:
         return counterpart
     if segments:
         return txn.create_object(INTERIOR_MAP_CLASS, _interior_secondary(segments), payload)
@@ -243,15 +227,8 @@ def commit_alias_tree(store: Store, tree: AliasTree, bind_run_types=()) -> Objec
     new or reused root identity; a true fixed point creates no records
     at all.  On any error nothing is committed.
     """
-    txn = store.begin()
-    try:
-        root_id = commit_alias_tree_in(store, txn, tree, bind_run_types)
-    except BaseException:
-        if txn.state == "open":
-            txn.abort()
-        raise
-    txn.commit()
-    return root_id
+    with store.transaction() as txn:
+        return commit_alias_tree_in(store, txn, tree, bind_run_types)
 
 
 def commit_alias_tree_in(
@@ -259,10 +236,10 @@ def commit_alias_tree_in(
 ) -> ObjectIdentity:
     """The commit procedure staged into an already-open transaction."""
     bind_run_types = list(bind_run_types)
-    current = _bindings_in(store, txn)
+    current = active_trees(txn)
     baseline = current.get(bind_run_types[0]) if bind_run_types else None
-    plan = _analyze(store, txn, tree.root, baseline, ())
-    root_id = _materialize(store, txn, tree.root, plan, tree.root_class, ())
+    plan = _analyze(txn, tree.root, baseline, ())
+    root_id = _materialize(txn, tree.root, plan, tree.root_class, ())
     if bind_run_types:
         rebound = dict(current)
         for run_type in bind_run_types:
@@ -270,11 +247,3 @@ def commit_alias_tree_in(
         if rebound != current:
             activate(store, txn, rebound)
     return root_id
-
-
-def _bindings_in(store: Store, txn: WriteTransaction) -> dict:
-    """Active run-type bindings as seen inside the transaction."""
-    high = txn.highest_key(RUNTYPES_CLASS, None)
-    if high == 0:
-        return {}
-    return _get(store, txn, ObjectIdentity(RUNTYPES_CLASS, None, high)).payload.bindings

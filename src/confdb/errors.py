@@ -1,8 +1,10 @@
 """Exception hierarchy shared by all confdb layers.
 
 Every error carries a stable kebab-case ``code`` that survives the wire
-protocol: the server reports ``ERR <status> <code> [<detail>]`` and the
-client re-raises the matching exception class on its side.
+protocol, and the HTTP-like ``status`` the server reports it with: the
+server sends ``ERR <status> <code> [<detail>]`` and the client re-raises
+the matching exception class on its side.  Every error class derives
+directly from ``ConfdbError``, which is how ``ERROR_BY_CODE`` finds it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ class ConfdbError(Exception):
     """Base class for all confdb errors."""
 
     code = "error"
+    status = 404  # the wire status; lookups that fail are the common case
 
     def __init__(self, message: str = "", detail: str | None = None):
         super().__init__(message or self.code)
@@ -20,14 +23,17 @@ class ConfdbError(Exception):
 
 class MalformedIdentityError(ConfdbError):
     code = "malformed-identity"
+    status = 400
 
 
 class MalformedPayloadError(ConfdbError):
     code = "malformed-payload"
+    status = 400
 
 
 class InvalidNameError(ConfdbError):
     code = "invalid-name"
+    status = 400
 
 
 class InvalidPayloadError(ConfdbError):
@@ -36,6 +42,7 @@ class InvalidPayloadError(ConfdbError):
 
 class CorruptLogError(ConfdbError):
     code = "corrupt-log"
+    status = 500
 
 
 class DanglingLinkError(ConfdbError):
@@ -112,36 +119,10 @@ class ConnectionFailureError(ConfdbError):
 
 class ParseError(ConfdbError):
     code = "parse-error"
+    status = 400
 
 
-_ALL_ERRORS = [
-    MalformedIdentityError,
-    MalformedPayloadError,
-    InvalidNameError,
-    InvalidPayloadError,
-    CorruptLogError,
-    DanglingLinkError,
-    TransactionClosedError,
-    NotFoundError,
-    NoSuchLinkError,
-    NotAMapError,
-    DepthExceededError,
-    NoActiveMapError,
-    UnknownRunTypeError,
-    NoSuchNodeError,
-    DuplicateNameError,
-    NotAMapAliasError,
-    NameIsMapAliasError,
-    CannotRemoveRootError,
-    NoSuchAliasError,
-    DanglingAliasTargetError,
-    DuplicateRegistrationError,
-    NoProxyError,
-    ConnectionFailureError,
-    ParseError,
-]
-
-ERROR_BY_CODE = {cls.code: cls for cls in _ALL_ERRORS}
+ERROR_BY_CODE = {cls.code: cls for cls in ConfdbError.__subclasses__()}
 
 
 def error_for_code(code: str, message: str = "") -> ConfdbError:

@@ -9,8 +9,11 @@ per request line; multi-line bodies end with a lone ``.`` line::
     MANIFEST <identity>      -> OK <count> + manifest lines + .
     RUNTYPES                 -> OK <count> + <runtype>TAB<identity> lines + .
 
-Errors are ``ERR <status> <code> [<detail>]`` (400 for malformed
-requests, 404 for lookups that fail) and never drop the connection.
+Errors are ``ERR <status> <code> [<detail>]`` and never drop the
+connection.  The status is 400 for a malformed request, 404 for a
+lookup that fails and 500 for a damaged store or an internal fault;
+each error class carries its own as ``status``.
+
 The server performs no writes; activations land through the CLI or
 library on the store host and become visible here immediately, while
 clients already holding a resolved identity are untouched (immutability
@@ -29,14 +32,6 @@ from .tree import active_trees, lookup_path, resolve_run_type, walk_tree
 
 DEFAULT_ENDPOINT = "127.0.0.1:7401"
 
-_STATUS_400 = {
-    "malformed-identity",
-    "malformed-payload",
-    "invalid-name",
-    "parse-error",
-}
-_STATUS_500 = {"corrupt-log"}
-
 
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
@@ -46,14 +41,8 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def _err(exc: ConfdbError) -> str:
-    if exc.code in _STATUS_400:
-        status = 400
-    elif exc.code in _STATUS_500:
-        status = 500
-    else:
-        status = 404
     detail = f" {exc.detail}" if exc.detail else ""
-    return f"ERR {status} {exc.code}{detail}\n"
+    return f"ERR {exc.status} {exc.code}{detail}\n"
 
 
 def _split_identity_arg(rest: str):

@@ -50,7 +50,6 @@ from .model import (
     encode_payload,
     format_identity,
     parse_identity,
-    payload_digest,
     validate_name,
 )
 
@@ -73,7 +72,6 @@ class StoredObject:
     identity: ObjectIdentity
     payload: Payload
     created_at: int
-    digest: bytes
 
     @property
     def kind(self) -> str:
@@ -113,7 +111,7 @@ def _decode_object_body(body: bytes, offset: int) -> StoredObject:
         payload = decode_payload(payload_bytes)
     except Exception as exc:
         raise CorruptLogError(f"undecodable object record at offset {offset}: {exc}") from exc
-    return StoredObject(identity, payload, created_at, payload_digest(payload))
+    return StoredObject(identity, payload, created_at)
 
 
 def _scan_log(buf: bytes):
@@ -171,7 +169,9 @@ class WriteTransaction:
     """A batch of pending creations, invisible until :meth:`commit`.
 
     Confined to the thread that called ``Store.begin()``; the store-wide
-    writer lock is held for the transaction's whole lifetime.
+    writer lock is held for the transaction's whole lifetime.  It reads
+    like a ``Store`` (``get_object``, ``has_object``, ``highest_key``)
+    that also sees its own staged creations.
     """
 
     def __init__(self, store: "Store"):
@@ -185,14 +185,21 @@ class WriteTransaction:
         if self.state != "open":
             raise TransactionClosedError(f"transaction is {self.state}")
 
-    def get_pending(self, identity: ObjectIdentity) -> StoredObject | None:
-        return self._by_identity.get(identity)
+    def get_object(self, identity: ObjectIdentity) -> StoredObject:
+        """The staged object if there is one, else the committed one."""
+        staged = self._by_identity.get(identity)
+        if staged is not None:
+            return staged
+        return self._store.get_object(identity)
+
+    def has_object(self, identity: ObjectIdentity) -> bool:
+        return identity in self._by_identity or self._store.has_object(identity)
 
     def highest_key(self, class_name: str, secondary_key: str | None = None) -> int:
         """Highest config key for a pair, counting staged creations."""
-        pair = (class_name, secondary_key)
         return max(
-            self._store._snapshot.highs.get(pair, 0), self._local_highs.get(pair, 0)
+            self._store.highest_key(class_name, secondary_key),
+            self._local_highs.get((class_name, secondary_key), 0),
         )
 
     def create_object(
@@ -215,20 +222,19 @@ class WriteTransaction:
 
         if payload.kind == KIND_MAP:
             for name, target in payload.entries:
-                if not self._resolvable(target):
+                if not self.has_object(target):
                     raise DanglingLinkError(
                         f"link {name!r} targets missing object {format_identity(target)}",
                         detail=format_identity(target),
                     )
         elif payload.kind == KIND_RUNTYPES:
             for run_type, target in payload.entries:
-                bound = self._resolvable(target)
-                if bound is None:
+                if not self.has_object(target):
                     raise DanglingLinkError(
                         f"run type {run_type!r} binds missing object {format_identity(target)}",
                         detail=format_identity(target),
                     )
-                if bound.kind != KIND_MAP:
+                if self.get_object(target).kind != KIND_MAP:
                     raise NotAMapError(
                         f"run type {run_type!r} must bind a map, got {format_identity(target)}",
                         detail=format_identity(target),
@@ -238,19 +244,11 @@ class WriteTransaction:
         identity = ObjectIdentity(
             class_name, secondary_key, self.highest_key(class_name, secondary_key) + 1
         )
-        obj = StoredObject(
-            identity, payload, int(self._store._clock()), payload_digest(payload)
-        )
+        obj = StoredObject(identity, payload, int(self._store._clock()))
         self.pending.append(obj)
         self._by_identity[identity] = obj
         self._local_highs[pair] = identity.config_key
         return identity
-
-    def _resolvable(self, identity: ObjectIdentity) -> StoredObject | None:
-        staged = self._by_identity.get(identity)
-        if staged is not None:
-            return staged
-        return self._store._snapshot.objects.get(identity)
 
     def commit(self):
         """Make all pending creations durable and visible atomically."""
@@ -274,12 +272,11 @@ class WriteTransaction:
 class Store:
     """Handle on one store directory; shareable across reader threads."""
 
-    def __init__(self, directory: str, *, verify_reads: bool = False, clock=time.time):
+    def __init__(self, directory: str, *, clock=time.time):
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._log_path = os.path.join(self.directory, LOG_NAME)
         self._alias_path = os.path.join(self.directory, ALIAS_NAME)
-        self._verify_reads = verify_reads
         self._clock = clock
         self._writer_lock = threading.RLock()
         self._apply_lock = threading.Lock()
@@ -438,17 +435,18 @@ class Store:
                 f"no such object: {format_identity(identity)}",
                 detail=format_identity(identity),
             )
-        if self._verify_reads and payload_digest(obj.payload) != obj.digest:
-            raise CorruptLogError(f"digest mismatch reading {format_identity(identity)}")
         return obj
 
     def has_object(self, identity: ObjectIdentity) -> bool:
         return identity in self._snapshot.objects
 
+    def highest_key(self, class_name: str, secondary_key: str | None = None) -> int:
+        """Highest committed config key for a pair; 0 if unknown."""
+        return self._snapshot.highs.get((class_name, secondary_key), 0)
+
     def list_versions(self, class_name: str, secondary_key: str | None = None) -> list[int]:
         """Dense ascending config keys for one pair; `[]` if unknown."""
-        high = self._snapshot.highs.get((class_name, secondary_key), 0)
-        return list(range(1, high + 1))
+        return list(range(1, self.highest_key(class_name, secondary_key) + 1))
 
     def object_count(self) -> int:
         return len(self._snapshot.objects)
@@ -501,6 +499,6 @@ class Store:
         self.close()
 
 
-def open_store(directory: str, *, verify_reads: bool = False, clock=time.time) -> Store:
+def open_store(directory: str, *, clock=time.time) -> Store:
     """Open (or create) a store directory, replaying and repairing the log."""
-    return Store(directory, verify_reads=verify_reads, clock=clock)
+    return Store(directory, clock=clock)

@@ -112,16 +112,19 @@ def activate(store: Store, txn: WriteTransaction, bindings: dict) -> ObjectIdent
     return txn.create_object(RUNTYPES_CLASS, None, payload)
 
 
-def _active_runtype_map(store: Store) -> StoredObject | None:
-    keys = store.list_versions(RUNTYPES_CLASS, None)
-    if not keys:
+def _active_runtype_map(view: Store | WriteTransaction) -> StoredObject | None:
+    high = view.highest_key(RUNTYPES_CLASS)
+    if high == 0:
         return None
-    return store.get_object(ObjectIdentity(RUNTYPES_CLASS, None, keys[-1]))
+    return view.get_object(ObjectIdentity(RUNTYPES_CLASS, None, high))
 
 
-def active_trees(store: Store) -> dict:
-    """Bindings of the highest-key run-type map; empty when none exists."""
-    active = _active_runtype_map(store)
+def active_trees(view: Store | WriteTransaction) -> dict:
+    """Bindings of the highest-key run-type map; empty when none exists.
+
+    Given an open transaction, run-type maps it has staged count too.
+    """
+    active = _active_runtype_map(view)
     if active is None:
         return {}
     return active.payload.bindings

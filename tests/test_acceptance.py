@@ -314,7 +314,7 @@ def test_criterion_6_crash_atomicity(tmp_path):
         workdir = tmp_path / f"trial{trial}"
         shutil.copytree(pristine, workdir)
         returncode = run_trial(workdir, budget)
-        reopened = open_store(workdir, verify_reads=True, clock=lambda: 0)
+        reopened = open_store(workdir, clock=lambda: 0)
         crash_versions = reopened.list_versions("Crash")
         assert reopened.list_versions("Base") == base_versions
         if returncode == 0:

@@ -1,12 +1,14 @@
 """Alias tree editing, serialization, and the mutable side region."""
 
 import random
+import threading
 
 import pytest
 
 from confdb.alias import (
     MapAlias,
     ObjectAlias,
+    edit_alias_tree,
     load_alias_tree,
     new_alias_tree,
     parse_alias_region,
@@ -196,6 +198,36 @@ def test_alias_edits_never_touch_the_log(store):
     save_alias_tree(store, tree)
     load_alias_tree(store, "golden")
     assert store.log_size() == size
+
+
+def test_concurrent_edits_from_two_handles_are_both_kept(tmp_path):
+    a = open_store(tmp_path / "db", clock=lambda: 0)
+    b = open_store(tmp_path / "db", clock=lambda: 0)
+    save_alias_tree(a, new_alias_tree("golden", "TopMap"))
+    b_done = threading.Event()
+    b_blocked = []
+
+    def edit_on_b():
+        edit_alias_tree(b, "golden", lambda tree: tree.add_map_alias("/", "emc"))
+        b_done.set()
+
+    other = threading.Thread(target=edit_on_b)
+
+    def edit_on_a(tree):
+        other.start()
+        b_blocked.append(not b_done.wait(timeout=0.2))
+        tree.add_map_alias("/", "dch")
+
+    try:
+        edit_alias_tree(a, "golden", edit_on_a)
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert b_blocked == [True]
+        assert set(load_alias_tree(a, "golden").root.children) == {"dch", "emc"}
+        assert set(load_alias_tree(b, "golden").root.children) == {"dch", "emc"}
+    finally:
+        a.close()
+        b.close()
 
 
 def test_region_parse_errors():

@@ -1,0 +1,292 @@
+"""Model-based check of the store, alias trees, commits and the service.
+
+A hypothesis state machine creates leaves, edits and saves an alias
+tree, commits it with run-type binding, activates bindings, reopens the
+store and lets a second handle catch up.  After every step the real
+store is compared with a plain in-memory model of what it must hold:
+dense keys per pair, the RESOLVE frame of every run type, the manifest
+under every root ever bound, and an untouched log after a commit that
+changes nothing.
+"""
+
+import copy
+import os
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from confdb.alias import ObjectAlias, load_alias_tree, new_alias_tree, save_alias_tree
+from confdb.commitproc import commit_alias_tree
+from confdb.errors import DuplicateNameError, NameIsMapAliasError
+from confdb.model import ObjectIdentity, Payload, format_identity
+from confdb.service import handle_request
+from confdb.store import open_store
+from confdb.tree import activate, walk_tree
+
+ALIAS = "golden"
+ROOT_CLASS = "Top"
+LEAF_PAIRS = [("A", None), ("B", None), ("A", "s1")]
+NAMES = ["a", "b", "c"]
+RUN_TYPES = ["PHYSICS", "COSMICS"]
+BINDS = [["PHYSICS"], ["COSMICS"], ["PHYSICS", "COSMICS"], ["COSMICS", "PHYSICS"]]
+RUNTYPES_PAIR = ("@runtypes", None)
+MAX_PARENT_DEPTH = 2
+
+
+def _alias_as_dict(node) -> dict:
+    """An alias map node as nested dicts: name -> identity or dict."""
+    return {
+        name: child.target if isinstance(child, ObjectAlias) else _alias_as_dict(child)
+        for name, child in node.children.items()
+    }
+
+
+def _map_paths(node: dict, segments=()):
+    yield segments
+    for name, child in node.items():
+        if isinstance(child, dict):
+            yield from _map_paths(child, segments + (name,))
+
+
+def _node_paths(node: dict, segments=()):
+    for name, child in node.items():
+        yield segments + (name,)
+        if isinstance(child, dict):
+            yield from _node_paths(child, segments + (name,))
+
+
+def _node_at(node: dict, segments) -> dict:
+    for segment in segments:
+        node = node[segment]
+    return node
+
+
+def _path(segments) -> str:
+    return "/".join(segments) or "/"
+
+
+class StoreMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="confdb-model-")
+        self.store = open_store(self.directory, clock=lambda: 0)
+        self.peer = open_store(self.directory, clock=lambda: 0)
+        self.tree = new_alias_tree(ALIAS, ROOT_CLASS)
+        save_alias_tree(self.store, self.tree)
+        # The model: what the store and the alias region must hold.
+        self.highs = {}  # (class, secondary) -> highest config key
+        self.payloads = {}  # identity -> payload it was created with
+        self.leaves = []
+        self.work = {}  # the alias tree being edited
+        self.saved = {}  # the alias tree last saved
+        self.bindings = None  # active run-type bindings; None before any
+        self.manifests = {}  # every root ever bound -> its manifest entries
+
+    def teardown(self):
+        self.store.close()
+        self.peer.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # -- the model's own bookkeeping -----------------------------------------
+
+    def _mint(self, pair, payload) -> ObjectIdentity:
+        self.highs[pair] = self.highs.get(pair, 0) + 1
+        identity = ObjectIdentity(pair[0], pair[1], self.highs[pair])
+        self.payloads[identity] = payload
+        return identity
+
+    def _manifest(self, root) -> tuple:
+        entries = []
+
+        def visit(identity, segments):
+            entries.append(("/".join(segments), identity))
+            payload = self.payloads[identity]
+            if payload.kind == "map":
+                for name, target in sorted(payload.links.items()):
+                    visit(target, segments + (name,))
+
+        visit(root, ())
+        return tuple(entries)
+
+    def _activate(self, bindings) -> ObjectIdentity:
+        for root in bindings.values():
+            self.manifests.setdefault(root, self._manifest(root))
+        self.bindings = dict(bindings)
+        return self._mint(RUNTYPES_PAIR, Payload.runtypes(bindings))
+
+    def _rebuild(self, node: dict, counterpart, segments) -> ObjectIdentity:
+        """Minimal rebuild: a map keeps its identity while its links match."""
+        old = self.payloads[counterpart].links if counterpart is not None else {}
+        links = {}
+        for name, child in node.items():
+            if isinstance(child, dict):
+                sub = old.get(name)
+                if sub is not None and self.payloads[sub].kind != "map":
+                    sub = None
+                links[name] = self._rebuild(child, sub, segments + (name,))
+            else:
+                links[name] = child
+        if counterpart is not None and old == links:
+            return counterpart
+        pair = ("Map", ".".join(segments)) if segments else (ROOT_CLASS, None)
+        return self._mint(pair, Payload.map(links))
+
+    def _commit(self, binds) -> ObjectIdentity:
+        current = dict(self.bindings or {})
+        root = self._rebuild(self.work, current.get(binds[0]), ())
+        rebound = dict(current)
+        for run_type in binds:
+            rebound[run_type] = root
+        if rebound != current:
+            self._activate(rebound)
+        return root
+
+    def _expected_resolve(self, run_type) -> str:
+        if self.bindings is None:
+            return "ERR 404 no-active-map\n"
+        if run_type not in self.bindings:
+            return f"ERR 404 unknown-run-type {run_type}\n"
+        return f"OK {format_identity(self.bindings[run_type])}\n"
+
+    def _log_bytes(self) -> bytes:
+        with open(os.path.join(self.directory, "objects.log"), "rb") as f:
+            return f.read()
+
+    def _check_versions(self, store):
+        for pair, high in self.highs.items():
+            assert store.list_versions(*pair) == list(range(1, high + 1)), pair
+            for key in range(1, high + 1):
+                assert store.has_object(ObjectIdentity(pair[0], pair[1], key))
+        assert store.object_count() == len(self.payloads)
+
+    # -- rules ---------------------------------------------------------------
+
+    @rule(pairs=st.lists(st.sampled_from(LEAF_PAIRS), min_size=1, max_size=3))
+    def create_leaves(self, pairs):
+        start = len(self.payloads)
+        payloads = [Payload.leaf({"n": start + i}) for i in range(len(pairs))]
+        with self.store.transaction() as txn:
+            created = [
+                txn.create_object(cls, sec, p) for (cls, sec), p in zip(pairs, payloads)
+            ]
+        assert created == [self._mint(pair, p) for pair, p in zip(pairs, payloads)]
+        self.leaves.extend(created)
+
+    @precondition(lambda self: self.leaves)
+    @rule(data=st.data())
+    def alias_set(self, data):
+        parents = [p for p in _map_paths(self.work) if len(p) <= MAX_PARENT_DEPTH]
+        parent = data.draw(st.sampled_from(parents))
+        name = data.draw(st.sampled_from(NAMES))
+        target = data.draw(st.sampled_from(self.leaves))
+        node = _node_at(self.work, parent)
+        if isinstance(node.get(name), dict):
+            with pytest.raises(NameIsMapAliasError):
+                self.tree.set_object_alias(_path(parent), name, target)
+            return
+        self.tree.set_object_alias(_path(parent), name, target)
+        node[name] = target
+
+    @rule(data=st.data())
+    def alias_map(self, data):
+        parents = [p for p in _map_paths(self.work) if len(p) <= MAX_PARENT_DEPTH]
+        parent = data.draw(st.sampled_from(parents))
+        name = data.draw(st.sampled_from(NAMES))
+        node = _node_at(self.work, parent)
+        if name in node:
+            with pytest.raises(DuplicateNameError):
+                self.tree.add_map_alias(_path(parent), name)
+            return
+        self.tree.add_map_alias(_path(parent), name)
+        node[name] = {}
+
+    @precondition(lambda self: self.work)
+    @rule(data=st.data())
+    def alias_remove(self, data):
+        path = data.draw(st.sampled_from(list(_node_paths(self.work))))
+        self.tree.remove_node(_path(path))
+        del _node_at(self.work, path[:-1])[path[-1]]
+
+    @rule()
+    def save(self):
+        save_alias_tree(self.store, self.tree)
+        self.saved = copy.deepcopy(self.work)
+
+    @rule(binds=st.sampled_from(BINDS))
+    def commit(self, binds):
+        before_count = len(self.payloads)
+        before_log = self._log_bytes()
+        root = commit_alias_tree(self.store, self.tree, binds)
+        assert root == self._commit(binds)
+        if len(self.payloads) == before_count:
+            assert self._log_bytes() == before_log
+        # Committing the same tree again is a zero-edit commit.
+        before_log = self._log_bytes()
+        assert commit_alias_tree(self.store, self.tree, binds) == root
+        assert self._commit(binds) == root
+        assert self._log_bytes() == before_log
+
+    @precondition(lambda self: self.manifests)
+    @rule(data=st.data())
+    def activate_bindings(self, data):
+        roots = list(self.manifests)
+        bindings = data.draw(
+            st.dictionaries(st.sampled_from(RUN_TYPES), st.sampled_from(roots), max_size=2)
+        )
+        with self.store.transaction() as txn:
+            identity = activate(self.store, txn, bindings)
+        assert identity == self._activate(bindings)
+
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store = open_store(self.directory, clock=lambda: 0)
+        self.tree = load_alias_tree(self.store, ALIAS)
+        self.work = copy.deepcopy(self.saved)
+        for identity, payload in self.payloads.items():
+            assert self.store.get_object(identity).payload == payload
+
+    @rule()
+    def refresh_peer(self):
+        self.peer.refresh()
+        self._check_versions(self.peer)
+        for run_type in RUN_TYPES:
+            frame = handle_request(self.peer, f"RESOLVE {run_type}\n")
+            assert frame == self._expected_resolve(run_type)
+
+    # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def alias_tree_matches(self):
+        assert _alias_as_dict(self.tree.root) == self.work
+
+    @invariant()
+    def keys_stay_dense(self):
+        self._check_versions(self.store)
+
+    @invariant()
+    def resolve_matches(self):
+        for run_type in RUN_TYPES:
+            frame = handle_request(self.store, f"RESOLVE {run_type}\n")
+            assert frame == self._expected_resolve(run_type)
+
+    @invariant()
+    def bound_roots_walk_to_their_manifests(self):
+        for key in range(1, self.highs.get(RUNTYPES_PAIR, 0) + 1):
+            identity = ObjectIdentity(*RUNTYPES_PAIR, key)
+            assert self.store.get_object(identity).payload == self.payloads[identity]
+        for root, manifest in self.manifests.items():
+            assert walk_tree(self.store, root).entries == manifest
+
+
+StoreMachine.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_store_matches_model = StoreMachine.TestCase
