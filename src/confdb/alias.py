@@ -125,36 +125,35 @@ class AliasTree:
 
     def audit(self):
         """Verify strict-tree shape and name validity at every node."""
-        seen = set()
+        _audit_node(self.root, set())
 
-        def check(node):
-            if id(node) in seen:
-                raise AssertionError("alias node shared between two parents")
-            seen.add(id(node))
-            if isinstance(node, MapAlias):
-                for name, child in node.children.items():
-                    validate_name(name, "link name")
-                    check(child)
-            else:
-                assert isinstance(node, ObjectAlias)
 
-        check(self.root)
+def _audit_node(node, seen: set):
+    if id(node) in seen:
+        raise AssertionError("alias node shared between two parents")
+    seen.add(id(node))
+    if isinstance(node, MapAlias):
+        for name, child in node.children.items():
+            validate_name(name, "link name")
+            _audit_node(child, seen)
+    else:
+        assert isinstance(node, ObjectAlias)
+
+
+def _emit(node: MapAlias, depth: int, lines: list):
+    indent = "  " * depth
+    for name, child in node.sorted_items():
+        if isinstance(child, MapAlias):
+            lines.append(f"{indent}map {name}")
+            _emit(child, depth + 1, lines)
+        else:
+            lines.append(f"{indent}obj {name} = {format_identity(child.target)}")
 
 
 def serialize_alias_tree(tree: AliasTree) -> str:
     """Canonical text form, children in byte-lexicographic order."""
     lines = [f"alias {tree.alias_name} root_class {tree.root_class}"]
-
-    def emit(node: MapAlias, depth: int):
-        indent = "  " * depth
-        for name, child in node.sorted_items():
-            if isinstance(child, MapAlias):
-                lines.append(f"{indent}map {name}")
-                emit(child, depth + 1)
-            else:
-                lines.append(f"{indent}obj {name} = {format_identity(child.target)}")
-
-    emit(tree.root, 0)
+    _emit(tree.root, 0, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -226,21 +225,54 @@ def serialize_alias_region(trees: dict) -> str:
     return "".join(parts)
 
 
+def _clone_node(node):
+    if isinstance(node, ObjectAlias):
+        return ObjectAlias(node.target)  # identities are immutable: share them
+    return MapAlias({name: _clone_node(child) for name, child in node.children.items()})
+
+
+def _clone_tree(tree: AliasTree) -> AliasTree:
+    clone = AliasTree(tree.alias_name, tree.root_class)
+    clone.root = _clone_node(tree.root)
+    return clone
+
+
+def _read_region(store: Store) -> dict:
+    """The side region's trees, parsed only when its text has changed.
+
+    ``store._alias_parsed`` holds the last text read and its parse as one
+    tuple, replaced whole and never mutated, so a reader without the lock
+    never sees a text paired with another text's trees.  Callers must not
+    mutate the returned trees.
+    """
+    text = store.read_alias_region()
+    cached_text, trees = store._alias_parsed
+    if text != cached_text:
+        trees = parse_alias_region(text)
+        store._alias_parsed = (text, trees)
+    return trees
+
+
 def save_alias_tree(store: Store, tree: AliasTree):
     """Persist the tree's latest state; last save wins, the log is untouched."""
     with store.alias_lock():
-        trees = parse_alias_region(store.read_alias_region())
-        trees[tree.alias_name] = tree
-        store.write_alias_region(serialize_alias_region(trees))
+        trees = dict(_read_region(store))
+        trees[tree.alias_name] = _clone_tree(tree)
+        text = serialize_alias_region(trees)
+        store.write_alias_region(text)
+        store._alias_parsed = (text, trees)
 
 
 def load_alias_tree(store: Store, alias_name: str) -> AliasTree:
-    """Return the most recently saved state of one alias tree."""
-    with store.alias_lock():
-        trees = parse_alias_region(store.read_alias_region())
+    """Return the most recently saved state of one alias tree.
+
+    Takes no lock: the region is replaced by atomic rename, so a read
+    sees either the whole old file or the whole new one.
+    """
+    trees = _read_region(store)
     if alias_name not in trees:
         raise NoSuchAliasError(f"no alias tree named {alias_name!r}")
-    return trees[alias_name]
+    return _clone_tree(trees[alias_name])
 
 
 def edit_alias_tree(store: Store, alias_name: str, edit):

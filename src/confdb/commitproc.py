@@ -14,11 +14,14 @@ the maps on a root-to-change path:
   remove-plus-add, reported as changed;
 * with no baseline everything is added (bootstrap).
 
-Rebuilt candidate maps are deduplicated against their current numeric
-counterpart: identical content reuses the existing identity instead of
-minting a new version, which makes a zero-edit commit a byte-level
-no-op.  Unchanged sub-trees are reused by identity, never copied, so
-history stays cheap and every old root remains exactly reconstructible.
+Unchanged sub-trees are reused by identity, never copied: the
+comparison marks them unchanged and the rebuild returns their numeric
+counterpart as is.  A zero-edit commit therefore leaves the root
+unchanged and writes nothing, history stays cheap, and every old root
+remains exactly reconstructible.  An object alias that pins the very
+identity its numeric map links under the same name is unchanged without
+a store lookup: that link was checked when the map was created, and
+objects are never deleted.  Every added or retargeted pin is looked up.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class _MapPlan:
     counterpart: ObjectIdentity | None  # numeric object under the same name, any kind
     children: dict
     removed: dict
+    numeric_entries: tuple  # the numeric map's (name, identity) pairs; () without one
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,15 @@ class ChangeSet:
         return "\n".join(entry.to_line() for entry in self.entries) + "\n"
 
 
-def _numeric_links(view: Store | WriteTransaction, identity: ObjectIdentity | None) -> dict:
+def _numeric_entries(view: Store | WriteTransaction, identity: ObjectIdentity | None) -> tuple:
     if identity is None:
-        return {}
+        return ()
     obj = view.get_object(identity)
     if obj.kind != KIND_MAP:
         raise NotAMapError(
             f"{format_identity(identity)} is not a map", detail=format_identity(identity)
         )
-    return obj.payload.links
+    return obj.payload.entries
 
 
 def _analyze(
@@ -112,20 +116,21 @@ def _analyze(
     segments: tuple,
 ) -> _MapPlan:
     """Recursive name-keyed comparison of a map alias against a numeric map."""
-    links = _numeric_links(view, numeric)
+    numeric_entries = _numeric_entries(view, numeric)
+    links = dict(numeric_entries)
     children: dict = {}
     all_unchanged = True
     for name, child in node.sorted_items():
         old = links.get(name)
         if isinstance(child, ObjectAlias):
-            if not view.has_object(child.target):
+            if old == child.target:
+                status = STATUS_UNCHANGED
+            elif not view.has_object(child.target):
                 raise DanglingAliasTargetError(
                     f"alias at {display_path(segments + (name,))!r} pins missing object"
                     f" {format_identity(child.target)}",
                     detail=format_identity(child.target),
                 )
-            if old == child.target:
-                status = STATUS_UNCHANGED
             elif old is None:
                 status = STATUS_ADDED
             else:
@@ -152,7 +157,7 @@ def _analyze(
         status = STATUS_UNCHANGED
     else:
         status = STATUS_CHANGED
-    return _MapPlan(status, numeric, children, removed)
+    return _MapPlan(status, numeric, children, removed, numeric_entries)
 
 
 def _flatten(plan: _MapPlan, segments: tuple, entries: list):
@@ -200,20 +205,24 @@ def _materialize(
     root_class: str,
     segments: tuple,
 ) -> ObjectIdentity:
-    """Bottom-up rebuild of changed/added maps with content dedup."""
+    """Bottom-up rebuild of the changed and added maps.
+
+    A link the rebuild keeps reuses the numeric map's (name, identity)
+    pair, so a new map version holds new pairs only for what changed.
+    """
     if plan.status == STATUS_UNCHANGED:
         return plan.counterpart
-    links = {}
+    kept = {pair[0]: pair for pair in plan.numeric_entries}
+    entries = []
     for name, child in node.sorted_items():
         child_plan = plan.children[name]
         if isinstance(child_plan, _LinkPlan):
-            links[name] = child_plan.target
+            target = child_plan.target
         else:
-            links[name] = _materialize(txn, child, child_plan, root_class, segments + (name,))
-    payload = Payload.map(links)
-    counterpart = plan.counterpart
-    if counterpart is not None and txn.get_object(counterpart).payload == payload:
-        return counterpart
+            target = _materialize(txn, child, child_plan, root_class, segments + (name,))
+        pair = kept.get(name)
+        entries.append(pair if pair is not None and pair[1] == target else (name, target))
+    payload = Payload.map(entries)
     if segments:
         return txn.create_object(INTERIOR_MAP_CLASS, _interior_secondary(segments), payload)
     return txn.create_object(root_class, None, payload)

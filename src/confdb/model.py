@@ -47,7 +47,7 @@ def is_valid_name(name: str) -> bool:
     """True if ``name`` is usable as a class/secondary/link/run-type name."""
     if not isinstance(name, str) or not name:
         return False
-    return all(c.isprintable() and c not in RESERVED_NAME_CHARS for c in name)
+    return name.isprintable() and RESERVED_NAME_CHARS.isdisjoint(name)
 
 
 def validate_name(name: str, what: str = "name") -> str:
@@ -60,7 +60,7 @@ def _name_key(name: str) -> bytes:
     return name.encode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectIdentity:
     """The universal handle: (class name, optional secondary key, config key)."""
 
@@ -112,7 +112,7 @@ def parse_identity(text: str) -> ObjectIdentity:
     return ObjectIdentity(name_part, None, key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Array:
     """Homogeneous, non-empty, non-nested array of leaf scalars.
 
@@ -166,7 +166,7 @@ def _scalar_tag(value) -> str:
     raise MalformedPayloadError(f"unsupported leaf value: {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Payload:
     """Immutable payload: kind plus entries sorted by UTF-8 name bytes.
 
@@ -181,7 +181,9 @@ class Payload:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MalformedPayloadError(f"unknown payload kind: {self.kind!r}")
-        items = [(name, value) for name, value in self.entries]
+        # Entries that already are tuples are kept, not copied, so payloads
+        # built from another payload's entries share their pairs.
+        items = [entry if type(entry) is tuple else tuple(entry) for entry in self.entries]
         seen = set()
         for name, value in items:
             validate_name(name, f"{self.kind} entry name")

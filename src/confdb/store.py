@@ -18,9 +18,13 @@ On disk a store is one directory:
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
-consume keys.  Readers are lock-free: committed state is published as a
-whole-snapshot swap, so any reader sees a prefix of committed
-transactions.
+consume keys.  Readers are lock-free.  Committed state is published in
+place, in a fixed order: a batch is first checked for duplicate
+identities (so a corrupt log leaves nothing half-applied), then every
+object is inserted, then the per-pair highest keys are raised, then the
+applied log length.  Keys are only ever raised and objects never
+removed, so anything a reader reaches through a highest key, such as the
+active run-type map and every tree it binds, is already present.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ _HEADER_LEN = 6  # magic + type + 4-byte length
 RUNTYPES_CLASS = "@runtypes"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredObject:
     """A committed object: identity plus payload plus bookkeeping."""
 
@@ -76,16 +80,6 @@ class StoredObject:
     @property
     def kind(self) -> str:
         return self.payload.kind
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    objects: dict
-    highs: dict  # (class_name, secondary_key) -> highest config key
-
-    @staticmethod
-    def empty() -> "_Snapshot":
-        return _Snapshot({}, {})
 
 
 def _encode_record(rtype: int, body: bytes) -> bytes:
@@ -282,7 +276,10 @@ class Store:
         self._apply_lock = threading.Lock()
         self._flock_depth = 0
         self._active_txn: WriteTransaction | None = None
-        self._snapshot = _Snapshot.empty()
+        self._objects: dict[ObjectIdentity, StoredObject] = {}
+        self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
+        # Owned by alias.py: the last alias region text read and its parse.
+        self._alias_parsed = ("", {})
         self._applied_len = 0
         self._lock_fd = None
         self._log_fd = None
@@ -322,18 +319,20 @@ class Store:
     # -- recovery and catch-up ----------------------------------------
 
     def _apply_transactions(self, transactions, new_applied_len: int):
-        objects = dict(self._snapshot.objects)
-        highs = dict(self._snapshot.highs)
-        for txn_records in transactions:
-            for obj in txn_records:
-                if obj.identity in objects:
-                    raise CorruptLogError(
-                        f"duplicate identity in log: {format_identity(obj.identity)}"
-                    )
-                objects[obj.identity] = obj
-                pair = (obj.identity.class_name, obj.identity.secondary_key)
-                highs[pair] = max(highs.get(pair, 0), obj.identity.config_key)
-        self._snapshot = _Snapshot(objects, highs)
+        batch = [obj for txn_records in transactions for obj in txn_records]
+        seen = set()
+        for obj in batch:
+            if obj.identity in self._objects or obj.identity in seen:
+                raise CorruptLogError(
+                    f"duplicate identity in log: {format_identity(obj.identity)}"
+                )
+            seen.add(obj.identity)
+        for obj in batch:
+            self._objects[obj.identity] = obj
+        for obj in batch:
+            pair = (obj.identity.class_name, obj.identity.secondary_key)
+            if obj.identity.config_key > self._highs.get(pair, 0):
+                self._highs[pair] = obj.identity.config_key
         self._applied_len = max(self._applied_len, new_applied_len)
 
     def _recover(self, truncate: bool):
@@ -429,7 +428,7 @@ class Store:
 
     def get_object(self, identity: ObjectIdentity) -> StoredObject:
         """Return the committed object; repeated reads are byte-identical."""
-        obj = self._snapshot.objects.get(identity)
+        obj = self._objects.get(identity)
         if obj is None:
             raise NotFoundError(
                 f"no such object: {format_identity(identity)}",
@@ -438,18 +437,18 @@ class Store:
         return obj
 
     def has_object(self, identity: ObjectIdentity) -> bool:
-        return identity in self._snapshot.objects
+        return identity in self._objects
 
     def highest_key(self, class_name: str, secondary_key: str | None = None) -> int:
         """Highest committed config key for a pair; 0 if unknown."""
-        return self._snapshot.highs.get((class_name, secondary_key), 0)
+        return self._highs.get((class_name, secondary_key), 0)
 
     def list_versions(self, class_name: str, secondary_key: str | None = None) -> list[int]:
         """Dense ascending config keys for one pair; `[]` if unknown."""
         return list(range(1, self.highest_key(class_name, secondary_key) + 1))
 
     def object_count(self) -> int:
-        return len(self._snapshot.objects)
+        return len(self._objects)
 
     def log_size(self) -> int:
         return os.path.getsize(self._log_path)

@@ -78,27 +78,32 @@ class TreeManifest:
         return "\n".join(lines) + "\n"
 
 
+def _visit(store: Store, identity: ObjectIdentity, segments: tuple, depth: int, entries: list):
+    if depth > MAX_TREE_DEPTH:
+        raise DepthExceededError(
+            f"tree deeper than {MAX_TREE_DEPTH} at {display_path(segments)!r}"
+        )
+    obj = store.get_object(identity)
+    entries.append((path_text(segments), identity))
+    if obj.kind == KIND_MAP:
+        for name, target in obj.payload.entries:
+            _visit(store, target, segments + (name,), depth + 1, entries)
+
+
 def walk_tree(store: Store, root: ObjectIdentity) -> TreeManifest:
-    """Expand the whole tree under ``root`` into a manifest."""
-    entries = []
+    """Expand the whole tree under ``root`` into a manifest.
 
-    def visit(identity: ObjectIdentity, segments: tuple, depth: int):
-        if depth > MAX_TREE_DEPTH:
-            raise DepthExceededError(
-                f"tree deeper than {MAX_TREE_DEPTH} at {display_path(segments)!r}"
-            )
-        obj = store.get_object(identity)
-        entries.append((path_text(segments), identity))
-        if obj.kind == KIND_MAP:
-            for name, target in obj.payload.entries:
-                visit(target, segments + (name,), depth + 1)
-
+    The recursion is a module-level function, not a closure: a nested
+    function that calls itself is a reference cycle, which would keep the
+    store and the entries alive until the cyclic collector ran.
+    """
     root_obj = store.get_object(root)
     if root_obj.kind != KIND_MAP:
         raise NotAMapError(
             f"{format_identity(root)} is not a map", detail=format_identity(root)
         )
-    visit(root, (), 0)
+    entries = []
+    _visit(store, root, (), 0, entries)
     return TreeManifest(root, tuple(entries))
 
 

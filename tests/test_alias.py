@@ -230,6 +230,73 @@ def test_concurrent_edits_from_two_handles_are_both_kept(tmp_path):
         b.close()
 
 
+def test_save_on_one_handle_is_seen_by_the_next_load_on_another(tmp_path):
+    a = open_store(tmp_path / "db", clock=lambda: 0)
+    b = open_store(tmp_path / "db", clock=lambda: 0)
+    try:
+        save_alias_tree(a, new_alias_tree("golden", "TopMap"))
+        assert load_alias_tree(a, "golden").root.children == {}
+        tree = load_alias_tree(b, "golden")
+        tree.set_object_alias("/", "hv", HV3)
+        save_alias_tree(b, tree)
+        assert load_alias_tree(a, "golden").node_at("hv").target == HV3
+    finally:
+        a.close()
+        b.close()
+
+
+def test_loaded_and_saved_trees_are_copies(store):
+    tree = new_alias_tree("golden", "TopMap")
+    tree.add_map_alias("/", "dch")
+    save_alias_tree(store, tree)
+    tree.set_object_alias("dch", "hv", HV3)  # edited after the save
+    loaded = load_alias_tree(store, "golden")
+    assert loaded.node_at("dch").children == {}
+    loaded.set_object_alias("dch", "hv", HV4)
+    loaded.remove_node("dch")
+    again = load_alias_tree(store, "golden")
+    assert again is not loaded
+    assert set(again.root.children) == {"dch"}
+    assert again.node_at("dch").children == {}
+
+
+def test_hand_rewritten_region_is_reparsed(store):
+    save_alias_tree(store, new_alias_tree("golden", "TopMap"))
+    assert load_alias_tree(store, "golden").root.children == {}
+    region = store.directory + "/aliases.dat"
+    with open(region, "w", encoding="utf-8") as f:
+        f.write("alias golden root_class TopMap\nobj hv = DchHV:sector3[4]\n")
+    assert load_alias_tree(store, "golden").node_at("hv").target == HV4
+    with open(region, "w", encoding="utf-8") as f:
+        f.write("alias golden root_class TopMap\n    map toodeep\n")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            load_alias_tree(store, "golden")
+
+
+def test_load_takes_no_lock(store):
+    save_alias_tree(store, new_alias_tree("golden", "TopMap"))
+    held = threading.Event()
+    release = threading.Event()
+    released_in_time = []
+
+    def hold_lock():
+        with store.alias_lock():
+            held.set()
+            released_in_time.append(release.wait(timeout=5))
+
+    holder = threading.Thread(target=hold_lock)
+    holder.start()
+    try:
+        assert held.wait(timeout=5)
+        assert load_alias_tree(store, "golden").alias_name == "golden"
+    finally:
+        release.set()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
+    assert released_in_time == [True]
+
+
 def test_region_parse_errors():
     with pytest.raises(ParseError):
         parse_alias_region("map orphan\n")

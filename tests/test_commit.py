@@ -1,6 +1,9 @@
 """Commit procedure tests: diff, minimal rebuild, dedup, oracle equivalence."""
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -8,10 +11,11 @@ from confdb.alias import new_alias_tree
 from confdb.commitproc import (
     ChangeSet,
     commit_alias_tree,
+    commit_alias_tree_in,
     diff_alias_vs_numeric,
 )
 from confdb.errors import DanglingAliasTargetError
-from confdb.model import ObjectIdentity
+from confdb.model import ObjectIdentity, Payload
 from confdb.store import open_store
 from confdb.tree import active_trees, lookup_path, resolve_run_type, walk_tree
 from helpers import (
@@ -132,6 +136,23 @@ def test_commit_single_retarget_rebuilds_exactly_the_path(store):
     assert after_manifest["dch"] != before_manifest["dch"]
     assert root2 != root
     assert resolve_run_type(store, "PHYSICS") == root2
+
+
+def test_rebuilt_maps_share_the_pairs_of_links_they_keep(store):
+    tree, _ = build_figure1(store)
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    tree.set_object_alias("dch", "hv", make_leaf(store, "DchHV", "sector3", hv=1900.0))
+    root2 = commit_alias_tree(store, tree, ["PHYSICS"])
+
+    def pairs(identity, path=""):
+        return {pair[0]: pair for pair in lookup_path(store, identity, path).payload.entries}
+
+    old_top, new_top = pairs(root), pairs(root2)
+    old_dch, new_dch = pairs(root, "dch"), pairs(root2, "dch")
+    assert new_top["emc"] is old_top["emc"]
+    assert new_dch["fee"] is old_dch["fee"]
+    assert new_top["dch"] is not old_top["dch"] and new_top["dch"][1] != old_top["dch"][1]
+    assert new_dch["hv"] is not old_dch["hv"] and new_dch["hv"][1] != old_dch["hv"][1]
 
 
 def test_commit_zero_edits_is_a_fixed_point(store):
@@ -302,3 +323,61 @@ def test_oracle_equivalence_on_random_edit_scripts(tmp_path):
                 random_edit(rng, trial_store, tree, tag)
             tree.audit()
             _assert_matches_oracle(trial_store, tmp_path, f"{trial}b", tree, ["PHYSICS"])
+
+
+class _YieldingDict(dict):
+    """A dict that lets other threads run after every insert."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        time.sleep(0.0001)
+
+
+def test_readers_walk_only_committed_trees_while_commits_land(store):
+    tree = new_alias_tree("golden", "TopMap")
+    paths = [(f"m{i}", f"l{j}") for i in range(4) for j in range(5)]
+
+    def edit_and_commit(round_no):
+        with store.transaction() as txn:
+            for crate, leaf in paths:
+                target = txn.create_object("Leaf", f"{crate}.{leaf}", Payload.leaf({"r": round_no}))
+                tree.set_object_alias(crate, leaf, target)
+            root = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+        manifests[root] = walk_tree(store, root).entries
+
+    manifests = {}
+    for i in range(4):
+        tree.add_map_alias("/", f"m{i}")
+    edit_and_commit(0)
+    # Publishing then pauses after each insert, so the reader runs between
+    # any two steps of it.
+    store._objects = _YieldingDict(store._objects)
+    store._highs = _YieldingDict(store._highs)
+    stop = threading.Event()
+    walks = []
+    errors = []
+
+    def read():
+        try:
+            while not stop.is_set():
+                root = resolve_run_type(store, "PHYSICS")
+                walks.append((root, walk_tree(store, root).entries))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter back soon after each pause
+    reader.start()
+    try:
+        for round_no in range(1, 31):
+            edit_and_commit(round_no)
+    finally:
+        stop.set()
+        reader.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert errors == []
+    assert len({root for root, _ in walks}) > 1
+    for root, entries in walks:
+        assert entries == manifests[root]

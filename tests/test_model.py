@@ -318,23 +318,50 @@ identities = st.builds(
 _scalars = {
     "i": st.integers(min_value=-(2**63), max_value=2**63 - 1),
     "f": st.floats(allow_nan=True, allow_infinity=True, width=64),
-    "s": st.text(max_size=20),
-    "x": st.binary(max_size=20),
+    # characters() covers the same code points as text()'s default alphabet
+    # (all but surrogates); that default first builds a UTF-8 codec table,
+    # about 2 s on the first draw without a warm .hypothesis directory,
+    # which failed the too_slow health check.
+    "s": st.text(st.characters(), max_size=8),
+    "x": st.binary(max_size=8),
 }
 
 
 def _array_strategy(tag):
-    return st.lists(_scalars[tag], min_size=1, max_size=5).map(lambda v: Array(tag, tuple(v)))
+    return st.lists(_scalars[tag], min_size=1, max_size=3).map(lambda v: Array(tag, tuple(v)))
 
 
 values = st.one_of(
     *_scalars.values(), *(_array_strategy(tag) for tag in _scalars)
 )
 
-leaf_payloads = st.dictionaries(names, values, max_size=6).map(Payload.leaf)
-map_payloads = st.dictionaries(names, identities, max_size=6).map(Payload.map)
-runtype_payloads = st.dictionaries(names, identities, max_size=6).map(Payload.runtypes)
+# Small collections keep each payload cheap to draw; every kind, scalar
+# tag, array tag and special float stays reachable.
+leaf_payloads = st.dictionaries(names, values, max_size=4).map(Payload.leaf)
+map_payloads = st.dictionaries(names, identities, max_size=4).map(Payload.map)
+runtype_payloads = st.dictionaries(names, identities, max_size=4).map(Payload.runtypes)
 payloads = st.one_of(leaf_payloads, map_payloads, runtype_payloads)
+
+
+def _is_valid_name_per_character(name) -> bool:
+    """Reference definition: a non-empty str of printable, unreserved characters."""
+    if not isinstance(name, str) or not name:
+        return False
+    return all(c.isprintable() and c not in ":[]/=\t\n" for c in name)
+
+
+@settings(max_examples=500)
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from(":[]/=\t\n\x00\x1f\x7f\x85\xa0\u2028\u200b\ufeff aZ9é星"),
+            st.characters(),
+        ),
+        max_size=10,
+    )
+)
+def test_is_valid_name_matches_per_character_definition(name):
+    assert is_valid_name(name) == _is_valid_name_per_character(name)
 
 
 @given(identities)

@@ -2,11 +2,12 @@
 
 A hypothesis state machine creates leaves, edits and saves an alias
 tree, commits it with run-type binding, activates bindings, reopens the
-store and lets a second handle catch up.  After every step the real
-store is compared with a plain in-memory model of what it must hold:
-dense keys per pair, the RESOLVE frame of every run type, the manifest
-under every root ever bound, and an untouched log after a commit that
-changes nothing.
+store and lets a second handle catch up.  The second handle also edits,
+saves and commits the alias tree between this handle's load and its
+commit.  After every step the real store is compared with a plain
+in-memory model of what it must hold: dense keys per pair, the RESOLVE
+frame of every run type, the manifest under every root ever bound, and
+an untouched log after a commit that changes nothing.
 """
 
 import copy
@@ -135,9 +136,9 @@ class StoreMachine(RuleBasedStateMachine):
         pair = ("Map", ".".join(segments)) if segments else (ROOT_CLASS, None)
         return self._mint(pair, Payload.map(links))
 
-    def _commit(self, binds) -> ObjectIdentity:
+    def _commit(self, binds, work=None) -> ObjectIdentity:
         current = dict(self.bindings or {})
-        root = self._rebuild(self.work, current.get(binds[0]), ())
+        root = self._rebuild(self.work if work is None else work, current.get(binds[0]), ())
         rebound = dict(current)
         for run_type in binds:
             rebound[run_type] = root
@@ -229,6 +230,32 @@ class StoreMachine(RuleBasedStateMachine):
         assert commit_alias_tree(self.store, self.tree, binds) == root
         assert self._commit(binds) == root
         assert self._log_bytes() == before_log
+
+    @precondition(lambda self: self.leaves)
+    @rule(data=st.data(), peer_binds=st.sampled_from(BINDS), binds=st.sampled_from(BINDS))
+    def peer_commits_between_load_and_commit(self, data, peer_binds, binds):
+        self.tree = load_alias_tree(self.store, ALIAS)
+        self.work = copy.deepcopy(self.saved)
+        # The second handle edits the saved tree, saves and commits it.
+        peer_tree = load_alias_tree(self.peer, ALIAS)
+        peer_work = copy.deepcopy(self.saved)
+        name = data.draw(st.sampled_from(NAMES))
+        if isinstance(peer_work.get(name), dict):
+            peer_tree.remove_node(name)
+            del peer_work[name]
+        else:
+            target = data.draw(st.sampled_from(self.leaves))
+            peer_tree.set_object_alias("/", name, target)
+            peer_work[name] = target
+        save_alias_tree(self.peer, peer_tree)
+        self.saved = peer_work
+        assert commit_alias_tree(self.peer, peer_tree, peer_binds) == self._commit(
+            peer_binds, peer_work
+        )
+        # This handle's commit of its earlier load diffs against the
+        # second handle's root, and its next load sees that handle's save.
+        assert commit_alias_tree(self.store, self.tree, binds) == self._commit(binds)
+        assert _alias_as_dict(load_alias_tree(self.store, ALIAS).root) == self.saved
 
     @precondition(lambda self: self.manifests)
     @rule(data=st.data())

@@ -292,3 +292,34 @@ def test_uncommitted_trailing_transaction_dropped(tmp_path):
     assert s2.list_versions("A") == [1]
     assert s2.log_size() == len(committed)  # tail physically truncated
     s2.close()
+
+
+def test_duplicate_identity_in_log_refuses_and_applies_nothing(tmp_path):
+    # Another directory makes one transaction of B[1] then A[1]; appended
+    # here, its A[1] repeats an identity this log already holds.
+    other = open_store(tmp_path / "other", clock=lambda: 0)
+    with other.transaction() as txn:
+        txn.create_object("B", None, Payload.leaf({"v": 1}))
+        txn.create_object("A", None, Payload.leaf({"v": 2}))
+    other.close()
+    b_then_a = (tmp_path / "other" / "objects.log").read_bytes()
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 0)
+    reader = open_store(path, clock=lambda: 0)
+    try:
+        make_leaf(s, "A", None, v=1)
+        reader.refresh()
+        just_a = (path / "objects.log").read_bytes()
+        with open(path / "objects.log", "ab") as f:
+            f.write(b_then_a)
+        with pytest.raises(CorruptLogError, match="duplicate identity"):
+            reader.refresh()
+        assert not reader.has_object(ObjectIdentity("B", None, 1))
+        assert reader.object_count() == 1
+    finally:
+        s.close()
+        reader.close()
+    # Within one batch too: a log holding the same transaction twice.
+    (path / "objects.log").write_bytes(just_a + just_a)
+    with pytest.raises(CorruptLogError, match="duplicate identity"):
+        open_store(path)

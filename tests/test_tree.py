@@ -1,6 +1,10 @@
 """Tree navigation, manifests, and the active run-type map rule."""
 
+import gc
+
 import pytest
+
+from confdb.alias import serialize_alias_tree
 
 from confdb.commitproc import commit_alias_tree
 from confdb.errors import (
@@ -70,6 +74,23 @@ def test_lookup_root_must_be_map(store):
     leaf = make_leaf(store, "A", None, v=1)
     with pytest.raises(NotAMapError):
         lookup_path(store, leaf, "")
+
+
+def test_walks_and_alias_text_leave_no_cyclic_garbage(store):
+    """Everything a walk, a serialization or an audit builds is freed by
+    reference counting; a reference cycle would keep it, and the store the
+    walk read, alive until the cyclic collector happened to run."""
+    tree, _ = build_figure1(store)
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    gc.collect()
+    gc.disable()
+    try:
+        walk_tree(store, root)
+        serialize_alias_tree(tree)
+        tree.audit()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_walk_figure1_order(store, figure1):
