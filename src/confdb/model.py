@@ -17,14 +17,22 @@ use ``<tag>[v1,v2,...]``.  Floats print as shortest lowercase hex-floats
 (``0x1.c2p+10``) so the encoding is bit-exact; NaN keeps its raw bit
 pattern as ``nan:<16 hex digits>``.  ``decode_payload`` accepts exactly
 the image of ``encode_payload`` and nothing else.
+
+Decoding checks every invariant as it parses, so it builds its values
+through private constructors that skip the public constructors'
+re-validation.  Given :class:`DecodeTables`, many decodes share what
+repeats: one string per distinct name, one :class:`ObjectIdentity` per
+identity text and one ``(name, identity)`` pair per link line.  The
+store fully decodes and canonically checks every log record once when
+it opens, with one set of tables per scan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidNameError, MalformedIdentityError, MalformedPayloadError
 
@@ -56,8 +64,9 @@ def validate_name(name: str, what: str = "name") -> str:
     return name
 
 
-def _name_key(name: str) -> bytes:
-    return name.encode("utf-8")
+# Private constructors for values whose invariants are already proved.
+_new_object = object.__new__
+_set_field = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,28 +97,89 @@ def format_identity(identity: ObjectIdentity) -> str:
     return f"{identity.class_name}:{identity.secondary_key}[{identity.config_key}]"
 
 
-def parse_identity(text: str) -> ObjectIdentity:
-    """Inverse of :func:`format_identity`; rejects anything non-canonical."""
+def _identity(class_name: str, secondary_key: str | None, config_key: int) -> ObjectIdentity:
+    """An identity from parts already checked; skips ``__post_init__``."""
+    identity = _new_object(ObjectIdentity)
+    _set_field(identity, "class_name", class_name)
+    _set_field(identity, "secondary_key", secondary_key)
+    _set_field(identity, "config_key", config_key)
+    return identity
+
+
+def _interned_name(name: str, names: dict) -> str | None:
+    """The table's copy of ``name`` if it is valid, else None.
+
+    A name enters ``names`` only once :func:`is_valid_name` has passed, so
+    a hit needs no check.
+    """
+    interned = names.get(name)
+    if interned is None and is_valid_name(name):
+        names[name] = interned = name
+    return interned
+
+
+def parse_identity(text: str, names: dict | None = None) -> ObjectIdentity:
+    """Inverse of :func:`format_identity`; rejects anything non-canonical.
+
+    With ``names`` (see :class:`DecodeTables`) the class name and the
+    secondary key are taken from, and added to, that name table.
+    """
     if not isinstance(text, str) or not text.endswith("]"):
         raise MalformedIdentityError(f"missing key brackets: {text!r}")
     open_idx = text.find("[")
     if open_idx < 0 or text.index("]") != len(text) - 1:
         raise MalformedIdentityError(f"missing key brackets: {text!r}")
     key_text = text[open_idx + 1 : -1]
-    if not key_text.isdigit() or (len(key_text) > 1 and key_text[0] == "0"):
+    # isdigit() alone admits non-ASCII digits such as "١" or "²".
+    if (
+        not key_text.isascii()
+        or not key_text.isdigit()
+        or (len(key_text) > 1 and key_text[0] == "0")
+    ):
         raise MalformedIdentityError(f"bad config key: {text!r}")
     key = int(key_text)
     if key < 1:
         raise MalformedIdentityError(f"config key must be >= 1: {text!r}")
-    name_part = text[:open_idx]
-    if ":" in name_part:
-        class_name, sep, secondary = name_part.partition(":")
-        if not is_valid_name(class_name) or not is_valid_name(secondary):
+    if names is None:
+        names = {}
+    class_name, sep, secondary = text[:open_idx].partition(":")
+    class_name = _interned_name(class_name, names)
+    if sep:
+        secondary = _interned_name(secondary, names)
+        if class_name is None or secondary is None:
             raise MalformedIdentityError(f"bad identity names: {text!r}")
-        return ObjectIdentity(class_name, secondary, key)
-    if not is_valid_name(name_part):
+        return _identity(class_name, secondary, key)
+    if class_name is None:
         raise MalformedIdentityError(f"bad class name: {text!r}")
-    return ObjectIdentity(name_part, None, key)
+    return _identity(class_name, None, key)
+
+
+class DecodeTables:
+    """Intern tables that let many decodes share the values that repeat.
+
+    ``names`` maps each valid name seen (entry names, class names and
+    secondary keys) to one shared string; it grows only with distinct
+    names, so a long-lived owner can keep it.  ``identities`` maps
+    identity text to one shared :class:`ObjectIdentity`, for a record's
+    own identity and every link to it, and ``links`` maps a map or
+    run-type entry line to one shared ``(name, identity)`` pair, so the
+    versions of a map share the links they keep.  Both grow with the
+    objects decoded, so they are kept for one batch (one log scan).
+    """
+
+    __slots__ = ("names", "identities", "links")
+
+    def __init__(self, names: dict | None = None):
+        self.names = {} if names is None else names
+        self.identities: dict[str, ObjectIdentity] = {}
+        self.links: dict[str, tuple] = {}
+
+    def identity(self, text: str) -> ObjectIdentity:
+        """The shared identity for ``text``; parses it on first sight."""
+        identity = self.identities.get(text)
+        if identity is None:
+            identity = self.identities[text] = parse_identity(text, self.names)
+        return identity
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +205,14 @@ class Array:
             _check_scalar(self.elem, item)
 
 
+def _array(elem: str, items: tuple) -> Array:
+    """An array of items already parsed as ``elem``; skips ``__post_init__``."""
+    array = _new_object(Array)
+    _set_field(array, "elem", elem)
+    _set_field(array, "items", items)
+    return array
+
+
 def _check_scalar(tag: str, value) -> None:
     if tag == "i":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -147,6 +225,10 @@ def _check_scalar(tag: str, value) -> None:
     elif tag == "s":
         if not isinstance(value, str):
             raise MalformedPayloadError(f"expected str, got {value!r}")
+        try:
+            value.encode("utf-8")  # a lone surrogate has no UTF-8 encoding
+        except UnicodeEncodeError:
+            raise MalformedPayloadError(f"string is not encodable as UTF-8: {value!r}") from None
     elif tag == "x":
         if not isinstance(value, bytes):
             raise MalformedPayloadError(f"expected bytes, got {value!r}")
@@ -197,7 +279,9 @@ class Payload:
                 raise MalformedPayloadError(
                     f"{self.kind} entries must link to identities: {value!r}"
                 )
-        items.sort(key=lambda kv: _name_key(kv[0]))
+        # Valid names hold no surrogates, and for those code-point order
+        # is UTF-8 byte order.
+        items.sort(key=itemgetter(0))
         object.__setattr__(self, "entries", tuple(items))
 
     @classmethod
@@ -248,6 +332,18 @@ class Payload:
         return f"Payload({self.kind}, {dict(self.entries)!r})"
 
 
+def _payload(kind: str, entries: tuple) -> Payload:
+    """A payload whose invariants the decoder has proved; skips ``__post_init__``.
+
+    ``entries`` must be a tuple of ``(name, value)`` tuples with valid names
+    in strictly ascending UTF-8 order and values legal for ``kind``.
+    """
+    payload = _new_object(Payload)
+    _set_field(payload, "kind", kind)
+    _set_field(payload, "entries", entries)
+    return payload
+
+
 def _pairs(mapping):
     if hasattr(mapping, "items"):
         return mapping.items()
@@ -259,12 +355,11 @@ def _pairs(mapping):
 
 
 def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan:" + struct.pack(">d", value).hex()
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    text = value.hex()
-    mantissa, _, exponent = text.partition("p")
+    mantissa, p, exponent = value.hex().partition("p")
+    if not p:  # float.hex() spells NaN "nan" and the infinities "inf", "-inf"
+        if value != value:
+            return "nan:" + struct.pack(">d", value).hex()
+        return mantissa
     if "." in mantissa:
         mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{mantissa}p{exponent}"
@@ -287,6 +382,10 @@ def _parse_float(text: str) -> float:
 
 
 def _format_string(value: str) -> str:
+    # Printable text holds no control character, so only quotes and
+    # backslashes could need escapes.
+    if value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
     out = ['"']
     for c in value:
         if c == '"':
@@ -338,36 +437,45 @@ def _parse_string(text: str, start: int) -> tuple[str, int]:
     raise MalformedPayloadError(f"unterminated string in {text!r}")
 
 
-def _format_scalar(tag: str, value) -> str:
-    if tag == "i":
-        return str(value)
-    if tag == "f":
-        return _format_float(value)
-    if tag == "s":
-        return _format_string(value)
-    return value.hex()
+def _parse_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise MalformedPayloadError(f"bad int syntax: {text!r}") from None
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise MalformedPayloadError(f"int out of 64-bit range: {text!r}")
+    return value
 
 
-def _parse_scalar(tag: str, text: str):
-    if tag == "i":
-        try:
-            value = int(text)
-        except ValueError:
-            raise MalformedPayloadError(f"bad int syntax: {text!r}") from None
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise MalformedPayloadError(f"int out of 64-bit range: {text!r}")
-        return value
-    if tag == "f":
-        return _parse_float(text)
-    if tag == "s":
-        value, end = _parse_string(text, 0)
-        if end != len(text):
-            raise MalformedPayloadError(f"trailing data after string: {text!r}")
-        return value
+def _parse_str(text: str) -> str:
+    inner = text[1:-1]
+    # A quoted run of printable text with no quote or backslash is its own value.
+    if (
+        len(text) > 1
+        and text[0] == '"'
+        and text[-1] == '"'
+        and inner.isprintable()
+        and '"' not in inner
+        and "\\" not in inner
+    ):
+        return inner
+    value, end = _parse_string(text, 0)
+    if end != len(text):
+        raise MalformedPayloadError(f"trailing data after string: {text!r}")
+    return value
+
+
+def _parse_bytes(text: str) -> bytes:
     try:
         return bytes.fromhex(text) if text else b""
     except ValueError:
         raise MalformedPayloadError(f"bad hex bytes: {text!r}") from None
+
+
+# Per value tag: scalar text from a value, and a value from scalar text.
+_FORMAT = {"i": str, "f": _format_float, "s": _format_string, "x": bytes.hex}
+_PARSE = {"i": _parse_int, "f": _parse_float, "s": _parse_str, "x": _parse_bytes}
+_TAG_OF_TYPE = {int: "i", float: "f", str: "s", bytes: "x"}
 
 
 def _split_array_items(tag: str, content: str) -> list[str]:
@@ -402,21 +510,22 @@ def _split_array_items(tag: str, content: str) -> list[str]:
 
 def _format_value(value) -> str:
     if isinstance(value, Array):
-        body = ",".join(_format_scalar(value.elem, item) for item in value.items)
-        return f"{value.elem}[{body}]"
-    tag = _scalar_tag(value)
-    return f"{tag}:{_format_scalar(tag, value)}"
+        return f"{value.elem}[{','.join(map(_FORMAT[value.elem], value.items))}]"
+    tag = _TAG_OF_TYPE.get(type(value)) or _scalar_tag(value)
+    return f"{tag}:{_FORMAT[tag](value)}"
 
 
 def _parse_value(text: str):
-    if len(text) < 2 or text[0] not in _VALUE_TAGS:
+    parse = _PARSE.get(text[:1])
+    if parse is None or len(text) < 2:
         raise MalformedPayloadError(f"bad value syntax: {text!r}")
-    tag, rest = text[0], text[1:]
-    if rest.startswith(":"):
-        return _parse_scalar(tag, rest[1:])
-    if rest.startswith("[") and rest.endswith("]"):
-        items = _split_array_items(tag, rest[1:-1])
-        return Array(tag, tuple(_parse_scalar(tag, item) for item in items))
+    if text[1] == ":":
+        return parse(text[2:])
+    if text[1] == "[" and text[-1] == "]":
+        # Every item parses as the tag says and the split yields at least
+        # one, which is all Array's constructor would check.
+        tag = text[0]
+        return _array(tag, tuple(map(parse, _split_array_items(tag, text[2:-1]))))
     raise MalformedPayloadError(f"bad value syntax: {text!r}")
 
 
@@ -426,17 +535,22 @@ def _parse_value(text: str):
 
 def encode_payload(payload: Payload) -> bytes:
     """Canonical byte encoding; equal payloads encode to identical bytes."""
-    lines = [f"kind={payload.kind}"]
-    for name, value in payload.entries:
-        if payload.kind == KIND_LEAF:
-            lines.append(f"{name}={_format_value(value)}")
-        else:
-            lines.append(f"{name}={format_identity(value)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    if payload.kind == KIND_LEAF:
+        body = "".join([f"{name}={_format_value(value)}\n" for name, value in payload.entries])
+    else:
+        body = "".join([f"{name}={format_identity(value)}\n" for name, value in payload.entries])
+    return f"kind={payload.kind}\n{body}".encode("utf-8")
 
 
-def decode_payload(data: bytes) -> Payload:
-    """Inverse of :func:`encode_payload`; rejects any non-canonical input."""
+_KIND_OF_HEAD = {f"kind={kind}": kind for kind in KINDS}
+
+
+def decode_payload(data: bytes, tables: DecodeTables | None = None) -> Payload:
+    """Inverse of :func:`encode_payload`; rejects any non-canonical input.
+
+    With ``tables`` the payload shares its names, link identities and
+    link pairs with every other payload decoded through the same tables.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
@@ -449,32 +563,51 @@ def decode_payload(data: bytes) -> Payload:
     head = lines[0]
     if not head.startswith("kind="):
         raise MalformedPayloadError(f"missing kind line: {head!r}")
-    kind = head[5:]
-    if kind not in KINDS:
-        raise MalformedPayloadError(f"unknown payload kind: {kind!r}")
+    kind = _KIND_OF_HEAD.get(head)
+    if kind is None:
+        raise MalformedPayloadError(f"unknown payload kind: {head[5:]!r}")
+    if tables is None:
+        tables = DecodeTables()
+    names = tables.names
+    leaf = kind == KIND_LEAF
+    links = None if leaf else tables.links
 
     entries = []
-    previous_key = None
+    # Text decoded from UTF-8 holds no surrogates, so comparing names as
+    # strings is comparing their UTF-8 bytes; every valid name sorts after "".
+    previous = ""
     for line in lines[1:]:
-        name, sep, value_text = line.partition("=")
-        if not sep:
-            raise MalformedPayloadError(f"missing '=' in entry line: {line!r}")
-        if not is_valid_name(name):
-            raise MalformedPayloadError(f"bad entry name: {name!r}")
-        key = _name_key(name)
-        if previous_key is not None and key <= previous_key:
-            reason = "duplicate" if key == previous_key else "unsorted"
-            raise MalformedPayloadError(f"{reason} entry name: {name!r}")
-        previous_key = key
-        if kind == KIND_LEAF:
-            entries.append((name, _parse_value(value_text)))
+        # A link line seen before is a valid name and a canonical target.
+        entry = links.get(line) if links else None
+        if entry is not None:
+            name = entry[0]
         else:
-            try:
-                entries.append((name, parse_identity(value_text)))
-            except MalformedIdentityError as exc:
-                raise MalformedPayloadError(f"bad link target: {value_text!r}") from exc
+            name, sep, value_text = line.partition("=")
+            if not sep:
+                raise MalformedPayloadError(f"missing '=' in entry line: {line!r}")
+            shared = names.get(name)
+            if shared is None:
+                if not is_valid_name(name):
+                    raise MalformedPayloadError(f"bad entry name: {name!r}")
+                names[name] = shared = name
+            name = shared
+        if name <= previous:
+            reason = "duplicate" if name == previous else "unsorted"
+            raise MalformedPayloadError(f"{reason} entry name: {name!r}")
+        previous = name
+        if entry is None:
+            if leaf:
+                entry = (name, _parse_value(value_text))
+            else:
+                try:
+                    target = tables.identity(value_text)
+                except MalformedIdentityError as exc:
+                    raise MalformedPayloadError(f"bad link target: {value_text!r}") from exc
+                entry = links[line] = (name, target)
+        entries.append(entry)
 
-    payload = Payload(kind, tuple(entries))
+    # The checks above are every check Payload's constructor would make.
+    payload = _payload(kind, tuple(entries))
     # Canonicality backstop: accept exactly the image of encode_payload.
     if encode_payload(payload) != data:
         raise MalformedPayloadError("payload text is not in canonical form")

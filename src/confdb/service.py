@@ -12,7 +12,10 @@ per request line; multi-line bodies end with a lone ``.`` line::
 Errors are ``ERR <status> <code> [<detail>]`` and never drop the
 connection.  The status is 400 for a malformed request, 404 for a
 lookup that fails and 500 for a damaged store or an internal fault;
-each error class carries its own as ``status``.
+each error class carries its own as ``status``.  An internal fault is
+logged with its traceback on the ``confdb.service`` logger.  A request
+line longer than ``MAX_REQUEST_LINE`` bytes (its LF included) gets
+``ERR 400 line-too-long``; the rest of it is read and dropped.
 
 The server performs no writes; activations land through the CLI or
 library on the store host and become visible here immediately, while
@@ -31,6 +34,7 @@ from .store import Store
 from .tree import active_trees, lookup_path, resolve_run_type, walk_tree
 
 DEFAULT_ENDPOINT = "127.0.0.1:7401"
+MAX_REQUEST_LINE = 64 * 1024
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -102,15 +106,25 @@ def handle_request(store: Store, line: str) -> str:
     except ConfdbError as exc:
         return _err(exc)
     except Exception:
+        import logging  # on first use, as in Store._recover
+
+        logging.getLogger(__name__).exception("internal fault handling %r", line)
         return "ERR 500 internal\n"
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         while True:
-            raw = self.rfile.readline()
+            raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
             if not raw:
                 return
+            if len(raw) > MAX_REQUEST_LINE:
+                self._reply("ERR 400 line-too-long\n")
+                while not raw.endswith(b"\n"):
+                    raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
+                    if not raw:
+                        return
+                continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:

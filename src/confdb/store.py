@@ -8,8 +8,12 @@ On disk a store is one directory:
   identity text, a creation-timestamp line, then the canonical payload;
   a transaction is closed by a commit record whose body is its object
   record count.  Torn tails (a crash mid-append) are detected by the
-  framing plus CRC and truncated away on the next open; a bad record
-  that is *not* the tail means real damage and refuses to open.
+  framing plus CRC and truncated away on the next open, with a warning
+  on the ``confdb.store`` logger; a bad record that is *not* the tail
+  means real damage and refuses to open.  An open fully decodes and
+  canonically checks every record once.  The decoded objects share
+  their identities and names: every link to an object holds that
+  object's own identity, and each distinct name is one string.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
@@ -48,12 +52,12 @@ from .errors import (
 from .model import (
     KIND_MAP,
     KIND_RUNTYPES,
+    DecodeTables,
     ObjectIdentity,
     Payload,
     decode_payload,
     encode_payload,
     format_identity,
-    parse_identity,
     validate_name,
 )
 
@@ -96,19 +100,24 @@ def _object_body(obj: StoredObject) -> bytes:
     return head + encode_payload(obj.payload)
 
 
-def _decode_object_body(body: bytes, offset: int) -> StoredObject:
+def _decode_object_body(
+    body: bytes, offset: int, tables: DecodeTables, stamps: dict
+) -> StoredObject:
     try:
-        identity_line, _, rest = body.partition(b"\n")
-        stamp_line, _, payload_bytes = rest.partition(b"\n")
-        identity = parse_identity(identity_line.decode("utf-8"))
-        created_at = int(stamp_line.decode("ascii"))
-        payload = decode_payload(payload_bytes)
+        identity_end = body.index(b"\n")
+        stamp_end = body.index(b"\n", identity_end + 1)
+        identity = tables.identity(body[:identity_end].decode("utf-8"))
+        stamp = body[identity_end + 1 : stamp_end]
+        created_at = stamps.get(stamp)
+        if created_at is None:
+            created_at = stamps[stamp] = int(stamp.decode("ascii"))
+        payload = decode_payload(body[stamp_end + 1 :], tables)
     except Exception as exc:
         raise CorruptLogError(f"undecodable object record at offset {offset}: {exc}") from exc
     return StoredObject(identity, payload, created_at)
 
 
-def _scan_log(buf: bytes):
+def _scan_log(buf: bytes, names: dict | None = None):
     """Scan a log image into committed transactions.
 
     Returns ``(transactions, committed_end)`` where ``transactions`` is a
@@ -116,7 +125,15 @@ def _scan_log(buf: bytes):
     past the last complete transaction.  A truncated tail (including a
     trailing transaction with no commit record) is silently ignored;
     damage before the tail raises ``CorruptLogError``.
+
+    Every object record is decoded and canonically checked once.  The
+    decoded objects share one identity per identity text, one
+    ``(name, identity)`` pair per link line, one string per name (from
+    ``names``, a name table the caller may keep) and one int per
+    creation stamp.
     """
+    tables = DecodeTables(names)
+    stamps: dict[bytes, int] = {}
     transactions = []
     pending = []
     committed_end = 0
@@ -141,7 +158,7 @@ def _scan_log(buf: bytes):
                 break  # torn tail record
             raise CorruptLogError(f"CRC mismatch at offset {offset}")
         if rtype == REC_OBJECT:
-            pending.append(_decode_object_body(body, offset))
+            pending.append(_decode_object_body(body, offset, tables, stamps))
         else:
             try:
                 count = int(body.decode("ascii"))
@@ -278,6 +295,8 @@ class Store:
         self._active_txn: WriteTransaction | None = None
         self._objects: dict[ObjectIdentity, StoredObject] = {}
         self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
+        # Every valid name the log scans have seen, so decoded objects share them.
+        self._names: dict[str, str] = {}
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
         self._applied_len = 0
@@ -352,7 +371,7 @@ class Store:
             with open(self._log_path, "rb") as f:
                 f.seek(self._applied_len)
                 tail = f.read()
-            transactions, committed_len = _scan_log(tail)
+            transactions, committed_len = _scan_log(tail, self._names)
             boundary = self._applied_len + committed_len
             self._apply_transactions(transactions, boundary)
             if truncate and boundary < size:
@@ -360,6 +379,15 @@ class Store:
                     f.truncate(boundary)
                     f.flush()
                     os.fsync(f.fileno())
+                # Imported on first use: truncation is rare, and importing
+                # logging costs each process that loads confdb about 0.4 MiB
+                # of RSS and 9 ms.
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "%s: truncated a torn tail at offset %d, cutting %d bytes",
+                    self._log_path, boundary, size - boundary,
+                )
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""

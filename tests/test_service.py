@@ -1,5 +1,6 @@
 """Service tests: protocol frames, read-only guarantee, concurrent access."""
 
+import logging
 import socket
 import threading
 
@@ -7,7 +8,7 @@ import pytest
 
 from confdb.commitproc import commit_alias_tree
 from confdb.model import format_identity
-from confdb.service import handle_request, parse_endpoint, start_server
+from confdb.service import MAX_REQUEST_LINE, handle_request, parse_endpoint, start_server
 from confdb.store import open_store
 from confdb.tree import walk_tree
 from helpers import build_figure1, make_leaf
@@ -204,3 +205,42 @@ def test_concurrent_clients_smoke(populated):
     server.shutdown()
     server.server_close()
     assert failures == []
+
+
+def test_internal_fault_is_logged_with_its_traceback(populated, monkeypatch, caplog):
+    store, _, root = populated
+
+    def broken(identity):
+        raise RuntimeError("store handle went away")
+
+    monkeypatch.setattr(store, "get_object", broken)
+    with caplog.at_level(logging.ERROR, logger="confdb.service"):
+        response = handle_request(store, f"GET {format_identity(root)} dch/hv\n")
+    assert response == "ERR 500 internal\n"
+    [record] = [r for r in caplog.records if r.name == "confdb.service"]
+    assert record.levelno == logging.ERROR
+    assert record.exc_info[0] is RuntimeError
+    assert "store handle went away" in caplog.text
+    assert "Traceback" in caplog.text
+
+
+def test_over_long_request_line_is_refused_and_the_connection_kept(store):
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET " + b"x" * (100 * 1024) + b" /\n")
+            assert _request_lines(reader, sock, "PING") == "ERR 400 line-too-long"
+            assert reader.readline() == b"OK pong\n"
+            # The limit counts the LF: one byte over is refused, and only
+            # that line is dropped.
+            exact = b"NOPE" + b" " * (MAX_REQUEST_LINE - 5) + b"\n"
+            sock.sendall(exact[:-1] + b" \n")
+            assert _request_lines(reader, sock, "PING") == "ERR 400 line-too-long"
+            assert reader.readline() == b"OK pong\n"
+            sock.sendall(exact)
+            assert reader.readline() == b"ERR 400 unknown-verb\n"
+            assert _request_lines(reader, sock, "PING") == "OK pong"
+    finally:
+        server.shutdown()
+        server.server_close()

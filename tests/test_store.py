@@ -1,8 +1,10 @@
 """Store tests: append-only log, transactions, recovery, key allocation."""
 
+import logging
 import os
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -14,7 +16,7 @@ from confdb.errors import (
     NotFoundError,
     TransactionClosedError,
 )
-from confdb.model import ObjectIdentity, Payload
+from confdb.model import ObjectIdentity, Payload, decode_payload
 from confdb.store import open_store
 from helpers import make_leaf
 
@@ -323,3 +325,129 @@ def test_duplicate_identity_in_log_refuses_and_applies_nothing(tmp_path):
     (path / "objects.log").write_bytes(just_a + just_a)
     with pytest.raises(CorruptLogError, match="duplicate identity"):
         open_store(path)
+
+
+def test_torn_tail_truncation_is_logged(tmp_path, caplog):
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 0)
+    make_leaf(s, "A", None, v=1)
+    committed = s.log_size()
+    make_leaf(s, "A", None, v=2)
+    s.close()
+    log = path / "objects.log"
+    log.write_bytes(log.read_bytes()[:-3])
+    cut = log.stat().st_size - committed
+    with caplog.at_level(logging.WARNING, logger="confdb.store"):
+        open_store(path).close()
+    [record] = [r for r in caplog.records if r.name == "confdb.store"]
+    assert record.levelno == logging.WARNING
+    assert f"offset {committed}" in record.getMessage()
+    assert f"cutting {cut} bytes" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="confdb.store"):
+        open_store(path).close()  # nothing left to cut
+    assert not [r for r in caplog.records if r.name == "confdb.store"]
+
+
+# -- canonicality backstop at open --------------------------------------------
+#
+# Records are framed here from the format the store documents (magic 0xC7,
+# type, 4-octet length, body, 4-octet CRC-32), not with the store's own code.
+
+
+def _record(rtype: int, body: bytes) -> bytes:
+    crc = zlib.crc32(body).to_bytes(4, "big")
+    return bytes((0xC7, rtype)) + len(body).to_bytes(4, "big") + body + crc
+
+
+def _transaction(*objects) -> bytes:
+    records = [_record(0x01, f"{identity}\n0\n".encode() + payload) for identity, payload in objects]
+    return b"".join(records) + _record(0x02, str(len(objects)).encode())
+
+
+# (non-canonical payload, its canonical spelling, what the decoder reports)
+NON_CANONICAL_RECORDS = [
+    (b"kind=leaf\na=i:01\n", b"kind=leaf\na=i:1\n", "not in canonical form"),
+    (b"kind=leaf\nb=i:2\na=i:1\n", b"kind=leaf\na=i:1\nb=i:2\n", "unsorted entry name"),
+]
+
+
+@pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
+def test_open_refuses_a_non_canonical_record_mid_log(tmp_path, payload, canonical, reason):
+    path = tmp_path / "db"
+    path.mkdir()
+    before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
+    after = _transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
+    # The same log with the canonical spelling opens.
+    (path / "objects.log").write_bytes(before + _transaction(("B[1]", canonical)) + after)
+    with open_store(path) as s:
+        assert s.object_count() == 3
+    (path / "objects.log").write_bytes(before + _transaction(("B[1]", payload)) + after)
+    with pytest.raises(CorruptLogError, match=f"offset {len(before)}: .*{reason}"):
+        open_store(path)
+
+
+@pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
+def test_refresh_refuses_a_non_canonical_committed_tail(tmp_path, payload, canonical, reason):
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 0)
+    try:
+        make_leaf(s, "A", None, a=1)
+        applied = s.log_size()
+        with open(path / "objects.log", "ab") as f:
+            f.write(_transaction(("C[1]", b"kind=leaf\nc=i:3\n")))
+            f.write(_transaction(("B[1]", payload)))
+        with pytest.raises(CorruptLogError, match=reason):
+            s.refresh()
+        assert s.object_count() == 1
+        assert not s.has_object(ObjectIdentity("C", None, 1))
+        assert not s.has_object(ObjectIdentity("B", None, 1))
+        assert s.log_size() > applied
+        # The tail stays refused; nothing of it is applied on a retry either.
+        with pytest.raises(CorruptLogError, match=reason):
+            s.refresh()
+        assert s.object_count() == 1
+    finally:
+        s.close()
+
+
+# -- shared values after open ---------------------------------------------------
+
+
+def test_open_shares_link_identities_and_names(tmp_path):
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 1_700_000_000)
+    fields = {"hv setpoint": 1800.0, "gain stage": 4}
+    first = make_leaf(s, "Dch Module", "crate 3", **fields)
+    second = make_leaf(s, "Dch Module", "crate 3", **fields)
+    with s.transaction() as txn:
+        left = txn.create_object("Crate Map", None, Payload.map({"m1": first, "m2": second}))
+        right = txn.create_object("Crate Map", None, Payload.map({"m1": first, "mod one": first}))
+    s.close()
+    with open_store(path) as s:
+        left_links = s.get_object(left).payload.links
+        right_links = s.get_object(right).payload.links
+        # Two maps that link the same target hold the same identity, which
+        # is also the target's own.
+        assert left_links["m1"] is right_links["mod one"]
+        assert left_links["m1"] is s.get_object(first).identity
+        # Map versions share the (name, identity) pairs of the links they keep.
+        assert s.get_object(left).payload.entries[0] is s.get_object(right).payload.entries[0]
+        a, b = s.get_object(first), s.get_object(second)
+        # Leaves of one class share their entry names and identity names.
+        for name_a, name_b in zip(a.payload.names(), b.payload.names()):
+            assert name_a is name_b
+        assert a.identity.class_name is b.identity.class_name
+        assert a.identity.secondary_key is b.identity.secondary_key
+        assert a.created_at is b.created_at
+        # A decode without tables builds its own copies.
+        raw = decode_payload(b"kind=leaf\ngain stage=i:4\nhv setpoint=f:0x1.c2p+10\n")
+        assert raw == a.payload
+        assert raw.names()[0] is not a.payload.names()[0]
+        # A catch-up scan shares the names the open saw.
+        with open_store(path, clock=lambda: 1_700_000_001) as writer:
+            third = make_leaf(writer, "Dch Module", "crate 3", **fields)
+        s.refresh()
+        c = s.get_object(third)
+        assert c.payload.names()[0] is a.payload.names()[0]
+        assert c.identity.class_name is a.identity.class_name
