@@ -57,7 +57,7 @@ class MapAlias:
     children: dict = field(default_factory=dict)
 
     def sorted_items(self):
-        return sorted(self.children.items(), key=lambda kv: kv[0].encode("utf-8"))
+        return sorted(self.children.items())
 
 
 class AliasTree:
@@ -218,11 +218,7 @@ def parse_alias_region(text: str) -> dict:
 
 
 def serialize_alias_region(trees: dict) -> str:
-    parts = [
-        serialize_alias_tree(trees[name])
-        for name in sorted(trees, key=lambda n: n.encode("utf-8"))
-    ]
-    return "".join(parts)
+    return "".join([serialize_alias_tree(trees[name]) for name in sorted(trees)])
 
 
 def _clone_node(node):

@@ -162,7 +162,7 @@ def _analyze(
 
 def _flatten(plan: _MapPlan, segments: tuple, entries: list):
     entries.append(ChangeEntry("/".join(segments), plan.status, True, plan.counterpart, None))
-    names = sorted(set(plan.children) | set(plan.removed), key=lambda n: n.encode("utf-8"))
+    names = sorted(set(plan.children) | set(plan.removed))
     for name in names:
         child_segments = segments + (name,)
         if name in plan.children:

@@ -1,4 +1,4 @@
-"""Identities, payload values, canonical encoding, and digests.
+r"""Identities, payload values, canonical encoding, and digests.
 
 Everything stored by confdb is addressed by an :class:`ObjectIdentity`
 (class name, optional secondary key, numeric config key) and carries a
@@ -8,15 +8,21 @@ Everything stored by confdb is addressed by an :class:`ObjectIdentity`
 * ``map``      -- named links to other object identities,
 * ``runtypes`` -- run-type name to tree-root bindings.
 
-Payloads have exactly one canonical byte encoding, used both for the
-content digest and for deduplication: UTF-8 text, LF line endings, a
+Payloads have exactly one canonical byte encoding, the text the log
+stores and the key of payload equality: UTF-8 text, LF line endings, a
 ``kind=<kind>`` first line, then one ``<name>=<value>`` line per entry in
-byte-lexicographic name order.  Scalar leaf values are tagged ``i:`` /
-``f:`` / ``s:`` / ``x:`` (int, float, string, bytes); homogeneous arrays
-use ``<tag>[v1,v2,...]``.  Floats print as shortest lowercase hex-floats
-(``0x1.c2p+10``) so the encoding is bit-exact; NaN keeps its raw bit
-pattern as ``nan:<16 hex digits>``.  ``decode_payload`` accepts exactly
-the image of ``encode_payload`` and nothing else.
+UTF-8 byte order of the names.  Valid names hold no surrogates, so that
+is their code-point order, plain ``str`` order, which is the name order
+used throughout confdb.  Scalar leaf values are tagged ``i:`` / ``f:`` /
+``s:`` / ``x:`` (int, float, string, bytes); homogeneous arrays use
+``<tag>[v1,v2,...]``.  Ints print in decimal as ``str`` writes them.
+Floats print as shortest lowercase hex-floats (``0x1.c2p+10``) so the
+encoding is bit-exact; NaN keeps its raw bit pattern as ``nan:<16 hex
+digits>``.  Bytes print as lowercase hex.  A string is double-quoted;
+``"``, ``\`` and every character below 0x20 appear in it only escaped,
+as ``\"``, ``\\`` and ``\x`` with two lowercase hex digits (``\x0a``
+for a newline), and no other character is escaped.  ``decode_payload``
+accepts exactly the image of ``encode_payload`` and nothing else.
 
 Decoding checks every invariant as it parses, so it builds its values
 through private constructors that skip the public constructors'
@@ -30,6 +36,7 @@ it opens, with one set of tables per scan.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
@@ -118,6 +125,19 @@ def _interned_name(name: str, names: dict) -> str | None:
     return interned
 
 
+def canonical_int(text: str) -> int | None:
+    """The int that ``str`` writes as exactly ``text``, else None.
+
+    ``int()`` alone also reads ``+1``, ``1_0``, ``01``, text with spaces
+    around it and non-ASCII digits such as ``"١"``.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 def parse_identity(text: str, names: dict | None = None) -> ObjectIdentity:
     """Inverse of :func:`format_identity`; rejects anything non-canonical.
 
@@ -129,15 +149,9 @@ def parse_identity(text: str, names: dict | None = None) -> ObjectIdentity:
     open_idx = text.find("[")
     if open_idx < 0 or text.index("]") != len(text) - 1:
         raise MalformedIdentityError(f"missing key brackets: {text!r}")
-    key_text = text[open_idx + 1 : -1]
-    # isdigit() alone admits non-ASCII digits such as "١" or "²".
-    if (
-        not key_text.isascii()
-        or not key_text.isdigit()
-        or (len(key_text) > 1 and key_text[0] == "0")
-    ):
+    key = canonical_int(text[open_idx + 1 : -1])
+    if key is None:
         raise MalformedIdentityError(f"bad config key: {text!r}")
-    key = int(key_text)
     if key < 1:
         raise MalformedIdentityError(f"config key must be >= 1: {text!r}")
     if names is None:
@@ -279,8 +293,6 @@ class Payload:
                 raise MalformedPayloadError(
                     f"{self.kind} entries must link to identities: {value!r}"
                 )
-        # Valid names hold no surrogates, and for those code-point order
-        # is UTF-8 byte order.
         items.sort(key=itemgetter(0))
         object.__setattr__(self, "entries", tuple(items))
 
@@ -381,60 +393,36 @@ def _parse_float(text: str) -> float:
         raise MalformedPayloadError(f"bad float syntax: {text!r}") from None
 
 
+# The string grammar of the module docstring, written once for ``s:``
+# scalars and ``s[...]`` items alike.  It is unrolled, with no repeated
+# run inside a repeated group, so matching takes time linear in the
+# input, also on text that fails to match.
+_MUST_ESCAPE = r'"\\\x00-\x1f'
+_STRING = rf'"[^{_MUST_ESCAPE}]*(?:\\(?:["\\]|x[01][0-9a-f])[^{_MUST_ESCAPE}]*)*"'
+_STRING_VALUE = re.compile(_STRING)
+_STRING_ITEMS = re.compile(rf"{_STRING}(?:,{_STRING})*")
+_ESCAPED = re.compile(f"[{_MUST_ESCAPE}]")
+_ESCAPE = re.compile(r'\\(["\\]|x..)')
+
+
+def _escape(match) -> str:
+    c = match[0]
+    return "\\" + c if c in '"\\' else f"\\x{ord(c):02x}"
+
+
 def _format_string(value: str) -> str:
-    # Printable text holds no control character, so only quotes and
-    # backslashes could need escapes.
-    if value.isprintable() and '"' not in value and "\\" not in value:
-        return f'"{value}"'
-    out = ['"']
-    for c in value:
-        if c == '"':
-            out.append('\\"')
-        elif c == "\\":
-            out.append("\\\\")
-        elif ord(c) < 0x20:
-            out.append(f"\\x{ord(c):02x}")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    return f'"{_ESCAPED.sub(_escape, value)}"'
 
 
-def _parse_string(text: str, start: int) -> tuple[str, int]:
-    """Parse a double-quoted string starting at ``text[start]``.
+def _unescape(match) -> str:
+    escape = match[1]
+    return chr(int(escape[1:], 16)) if escape[0] == "x" else escape
 
-    Returns the decoded value and the index one past the closing quote.
-    """
-    if start >= len(text) or text[start] != '"':
-        raise MalformedPayloadError(f"expected string quote in {text!r}")
-    out = []
-    i = start + 1
-    while i < len(text):
-        c = text[i]
-        if c == '"':
-            return "".join(out), i + 1
-        if c == "\\":
-            if i + 1 >= len(text):
-                break
-            esc = text[i + 1]
-            if esc == '"' or esc == "\\":
-                out.append(esc)
-                i += 2
-                continue
-            hex_part = text[i + 2 : i + 4]
-            if esc == "x" and len(hex_part) == 2:
-                try:
-                    out.append(chr(int(hex_part, 16)))
-                    i += 4
-                    continue
-                except ValueError:
-                    pass
-            raise MalformedPayloadError(f"bad string escape in {text!r}")
-        if ord(c) < 0x20:
-            raise MalformedPayloadError("raw control character in string value")
-        out.append(c)
-        i += 1
-    raise MalformedPayloadError(f"unterminated string in {text!r}")
+
+def _unquote(quoted: str) -> str:
+    """The value of a string that matched ``_STRING``."""
+    inner = quoted[1:-1]
+    return _ESCAPE.sub(_unescape, inner) if "\\" in inner else inner
 
 
 def _parse_int(text: str) -> int:
@@ -448,21 +436,9 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_str(text: str) -> str:
-    inner = text[1:-1]
-    # A quoted run of printable text with no quote or backslash is its own value.
-    if (
-        len(text) > 1
-        and text[0] == '"'
-        and text[-1] == '"'
-        and inner.isprintable()
-        and '"' not in inner
-        and "\\" not in inner
-    ):
-        return inner
-    value, end = _parse_string(text, 0)
-    if end != len(text):
-        raise MalformedPayloadError(f"trailing data after string: {text!r}")
-    return value
+    if _STRING_VALUE.fullmatch(text) is None:
+        raise MalformedPayloadError(f"bad string syntax: {text!r}")
+    return _unquote(text)
 
 
 def _parse_bytes(text: str) -> bytes:
@@ -476,36 +452,6 @@ def _parse_bytes(text: str) -> bytes:
 _FORMAT = {"i": str, "f": _format_float, "s": _format_string, "x": bytes.hex}
 _PARSE = {"i": _parse_int, "f": _parse_float, "s": _parse_str, "x": _parse_bytes}
 _TAG_OF_TYPE = {int: "i", float: "f", str: "s", bytes: "x"}
-
-
-def _split_array_items(tag: str, content: str) -> list[str]:
-    if tag != "s":
-        return content.split(",")
-    # string elements are quoted and may contain commas
-    items = []
-    in_quote = False
-    current = []
-    i = 0
-    while i < len(content):
-        c = content[i]
-        if in_quote:
-            current.append(c)
-            if c == "\\" and i + 1 < len(content):
-                current.append(content[i + 1])
-                i += 2
-                continue
-            if c == '"':
-                in_quote = False
-        elif c == ",":
-            items.append("".join(current))
-            current = []
-        else:
-            if c == '"':
-                in_quote = True
-            current.append(c)
-        i += 1
-    items.append("".join(current))
-    return items
 
 
 def _format_value(value) -> str:
@@ -522,10 +468,14 @@ def _parse_value(text: str):
     if text[1] == ":":
         return parse(text[2:])
     if text[1] == "[" and text[-1] == "]":
-        # Every item parses as the tag says and the split yields at least
-        # one, which is all Array's constructor would check.
-        tag = text[0]
-        return _array(tag, tuple(map(parse, _split_array_items(tag, text[2:-1]))))
+        # Every item parses as the tag says and there is at least one,
+        # which is all Array's constructor would check.
+        tag, content = text[0], text[2:-1]
+        if tag != "s":
+            return _array(tag, tuple(map(parse, content.split(","))))
+        if _STRING_ITEMS.fullmatch(content) is None:
+            raise MalformedPayloadError(f"bad string array syntax: {text!r}")
+        return _array(tag, tuple(map(_unquote, _STRING_VALUE.findall(content))))
     raise MalformedPayloadError(f"bad value syntax: {text!r}")
 
 
@@ -573,8 +523,7 @@ def decode_payload(data: bytes, tables: DecodeTables | None = None) -> Payload:
     links = None if leaf else tables.links
 
     entries = []
-    # Text decoded from UTF-8 holds no surrogates, so comparing names as
-    # strings is comparing their UTF-8 bytes; every valid name sorts after "".
+    # Every valid name sorts after "".
     previous = ""
     for line in lines[1:]:
         # A link line seen before is a valid name and a canonical target.
@@ -615,7 +564,7 @@ def decode_payload(data: bytes, tables: DecodeTables | None = None) -> Payload:
 
 
 def payload_digest(payload: Payload) -> bytes:
-    """SHA-256 of the canonical encoding; the dedup and integrity key."""
+    """SHA-256 of the canonical encoding."""
     return hashlib.sha256(encode_payload(payload)).digest()
 
 

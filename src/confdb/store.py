@@ -55,6 +55,7 @@ from .model import (
     DecodeTables,
     ObjectIdentity,
     Payload,
+    canonical_int,
     decode_payload,
     encode_payload,
     format_identity,
@@ -110,21 +111,25 @@ def _decode_object_body(
         stamp = body[identity_end + 1 : stamp_end]
         created_at = stamps.get(stamp)
         if created_at is None:
-            created_at = stamps[stamp] = int(stamp.decode("ascii"))
+            created_at = canonical_int(stamp.decode("ascii"))
+            if created_at is None:
+                raise ValueError(f"bad creation stamp: {stamp!r}")
+            stamps[stamp] = created_at
         payload = decode_payload(body[stamp_end + 1 :], tables)
     except Exception as exc:
         raise CorruptLogError(f"undecodable object record at offset {offset}: {exc}") from exc
     return StoredObject(identity, payload, created_at)
 
 
-def _scan_log(buf: bytes, names: dict | None = None):
+def _scan_log(buf: bytes, names: dict | None = None, base: int = 0):
     """Scan a log image into committed transactions.
 
     Returns ``(transactions, committed_end)`` where ``transactions`` is a
     list of lists of StoredObject and ``committed_end`` is the offset just
     past the last complete transaction.  A truncated tail (including a
     trailing transaction with no commit record) is silently ignored;
-    damage before the tail raises ``CorruptLogError``.
+    damage before the tail raises ``CorruptLogError`` naming the log
+    offset of the bad record; ``base`` is the log offset of ``buf[0]``.
 
     Every object record is decoded and canonically checked once.  The
     decoded objects share one identity per identity text, one
@@ -143,10 +148,10 @@ def _scan_log(buf: bytes, names: dict | None = None):
         if size - offset < _HEADER_LEN:
             break  # torn header
         if buf[offset] != MAGIC:
-            raise CorruptLogError(f"bad record magic at offset {offset}")
+            raise CorruptLogError(f"bad record magic at offset {base + offset}")
         rtype = buf[offset + 1]
         if rtype not in (REC_OBJECT, REC_COMMIT):
-            raise CorruptLogError(f"unknown record type {rtype} at offset {offset}")
+            raise CorruptLogError(f"unknown record type {rtype} at offset {base + offset}")
         body_len = int.from_bytes(buf[offset + 2 : offset + 6], "big")
         end = offset + _HEADER_LEN + body_len + 4
         if end > size:
@@ -156,17 +161,17 @@ def _scan_log(buf: bytes, names: dict | None = None):
         if crc != (zlib.crc32(body) & 0xFFFFFFFF):
             if end == size:
                 break  # torn tail record
-            raise CorruptLogError(f"CRC mismatch at offset {offset}")
+            raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
         if rtype == REC_OBJECT:
-            pending.append(_decode_object_body(body, offset, tables, stamps))
+            pending.append(_decode_object_body(body, base + offset, tables, stamps))
         else:
-            try:
-                count = int(body.decode("ascii"))
-            except ValueError:
-                raise CorruptLogError(f"bad commit record at offset {offset}") from None
+            # Latin-1 decodes any bytes, and canonical decimal text is ASCII.
+            count = canonical_int(body.decode("latin-1"))
+            if count is None:
+                raise CorruptLogError(f"bad commit record at offset {base + offset}")
             if count != len(pending):
                 raise CorruptLogError(
-                    f"commit record at offset {offset} covers {count} records,"
+                    f"commit record at offset {base + offset} covers {count} records,"
                     f" found {len(pending)}"
                 )
             transactions.append(pending)
@@ -371,7 +376,7 @@ class Store:
             with open(self._log_path, "rb") as f:
                 f.seek(self._applied_len)
                 tail = f.read()
-            transactions, committed_len = _scan_log(tail, self._names)
+            transactions, committed_len = _scan_log(tail, self._names, self._applied_len)
             boundary = self._applied_len + committed_len
             self._apply_transactions(transactions, boundary)
             if truncate and boundary < size:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from confdb.alias import new_alias_tree
+from confdb.alias import new_alias_tree, serialize_alias_region, serialize_alias_tree
 from confdb.commitproc import (
     ChangeSet,
     commit_alias_tree,
@@ -112,6 +112,27 @@ def test_changeset_report_format(store):
     assert lines[0] == "changed\t/\tTopMap[1]\t-"
     assert "changed\tdch/hv\tDchHV:sector3[1]\tDchHV:sector3[2]" in lines
     assert "unchanged\tdch/fee\tDchFee[1]\tDchFee[1]" in lines
+
+
+def test_names_come_out_in_utf8_byte_order(store):
+    names = ["\U00010000", "z", "\u00e9", "\ufffd", "Z"]
+    in_byte_order = sorted(names, key=lambda name: name.encode("utf-8"))
+    leaf = make_leaf(store, "Leaf", None, v=1)
+    tree = new_alias_tree("t", "TopMap")
+    for name in names[:3]:
+        tree.set_object_alias("/", name, leaf)
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    # Diff rows merge kept, added and removed names.
+    tree.remove_node("z")
+    for name in names[3:]:
+        tree.set_object_alias("/", name, leaf)
+    rows = [entry.path for entry in diff_alias_vs_numeric(store, tree, root).entries]
+    assert rows == [""] + in_byte_order
+    kept = [name for name in in_byte_order if name != "z"]
+    lines = serialize_alias_tree(tree).splitlines()
+    assert lines[1:] == [f"obj {name} = Leaf[1]" for name in kept]
+    region = serialize_alias_region({name: new_alias_tree(name, "M") for name in names})
+    assert region.splitlines() == [f"alias {name} root_class M" for name in in_byte_order]
 
 
 # -- commit -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +81,8 @@ def test_parse_identity_rejects_double_colon():
 @pytest.mark.parametrize(
     "text",
     ["", "TopMap", "TopMap[]", "TopMap[1", "TopMap[01]", "TopMap[-1]", "[1]",
-     ":x[1]", "x:[1]", "Top/Map[1]", "TopMap[1] ", "TopMap[1]x", "A[1][2]"],
+     ":x[1]", "x:[1]", "Top/Map[1]", "TopMap[1] ", "TopMap[1]x", "A[1][2]",
+     "A[+1]", "A[ 1]", "A[1_0]", "A[-0]"],
 )
 def test_parse_identity_rejects_malformed(text):
     with pytest.raises(MalformedIdentityError):
@@ -217,6 +219,44 @@ def test_array_forms():
     assert decode_payload(encode_payload(payload)) == payload
 
 
+# `"`, `\` and the 32 characters below 0x20, and how each is escaped.
+ESCAPED = [('"', '\\"'), ("\\", "\\\\")] + [(chr(c), f"\\x{c:02x}") for c in range(0x20)]
+
+
+@pytest.mark.parametrize("char, escape", ESCAPED)
+def test_each_escaped_character_round_trips(char, escape):
+    payload = Payload.leaf({"a": f"<{char}>", "b": Array("s", (char, f",{char}", ""))})
+    expected = f'kind=leaf\na=s:"<{escape}>"\nb=s["{escape}",",{escape}",""]\n'
+    assert encode_payload(payload) == expected.encode()
+    assert decode_payload(expected.encode()).entries == payload.entries
+
+
+def test_string_arrays_with_commas_and_quotes_round_trip():
+    items = (",", '","', '"', '\\",', ",,", "", 'a"b,c\\', "\x7f")
+    payload = Payload.leaf({"a": Array("s", items)})
+    decoded = decode_payload(encode_payload(payload))
+    assert decoded.get("a").items == items
+    assert decoded == payload
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        b's:"' + b"a" * 65536,                # 64 KiB, unterminated
+        b's:"' + b'\\"' * 32768,              # escaped quotes, unterminated
+        b"s[" + b'"abc",' * 20000 + b'"x]',   # 20k items, then an open string
+        b"s[" + b'"a\\"",' * 20000 + b"]",    # 20k items, then a trailing comma
+    ],
+    ids=["long-string", "long-escapes", "array-open-tail", "array-comma-tail"],
+)
+def test_long_malformed_strings_are_rejected_quickly(value):
+    data = b"kind=leaf\na=" + value + b"\n"
+    start = time.perf_counter()
+    with pytest.raises(MalformedPayloadError):
+        decode_payload(data)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_single_empty_bytes_array_is_representable():
     # `x[]` is the one-element empty-blob array; the empty array itself
     # is rejected, which keeps the bracket grammar collision-free.
@@ -300,6 +340,17 @@ NON_CANONICAL = [
     b"kind=map\na=i:1\n",
     b"kind=leaf\na=TopMap[1]\n",
     b"\xff\xfe\n",
+    b"kind=leaf\na=s:\"\\x0A\"\n",       # uppercase escape digits
+    b"kind=leaf\na=s:\"\\x41\"\n",       # escape of a character that needs none
+    b"kind=leaf\na=s:\"\\x 1\"\n",
+    b"kind=leaf\na=s:\"\x01\"\n",         # raw control character
+    b"kind=leaf\na=s:\"ab\\\n",          # trailing backslash
+    b"kind=leaf\na=s:\"ab\\\"\n",        # the closing quote escaped
+    b"kind=leaf\na=s:\"a\"b\n",           # data after the closing quote
+    b"kind=leaf\na=s[\"a\",]\n",
+    b"kind=leaf\na=s[,\"a\"]\n",
+    b"kind=leaf\na=s[\"a\"\"b\"]\n",
+    b"kind=leaf\na=s[\"a\" ,\"b\"]\n",
 ]
 
 

@@ -1,7 +1,9 @@
 """Store tests: append-only log, transactions, recovery, key allocation."""
 
+import errno
 import logging
 import os
+import re
 import threading
 import time
 import zlib
@@ -160,6 +162,52 @@ def test_closed_transaction_rejects_use(store):
         txn.create_object("A", None, Payload.leaf({"v": 1}))
     with pytest.raises(TransactionClosedError):
         txn.commit()
+
+
+def test_begin_twice_on_one_handle_is_refused(store):
+    txn = store.begin()
+    with pytest.raises(TransactionClosedError, match="already open"):
+        store.begin()
+    # The first transaction is still open and usable.
+    identity = txn.create_object("A", None, Payload.leaf({"v": 1}))
+    txn.commit()
+    assert store.get_object(identity).payload.fields == {"v": 1}
+    # Each begin released what it took: another handle can open the store.
+    opened = []
+    other = threading.Thread(target=lambda: opened.append(open_store(store.directory)))
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive() and len(opened) == 1
+    opened[0].close()
+
+
+@pytest.mark.parametrize("failing", ["write", "fsync"])
+def test_failed_commit_leaves_the_log_and_keys_unchanged(store, monkeypatch, failing):
+    make_leaf(store, "A", None, v=1)
+    size = store.log_size()
+    real = getattr(os, failing)
+    calls = []
+
+    def fail_first_call(fd, *args):
+        calls.append(fd)
+        if len(calls) > 1:
+            return real(fd, *args)
+        if failing == "write":
+            real(fd, args[0][:7])  # part of the commit reaches the log
+        raise OSError(errno.EIO, f"injected {failing} failure")
+
+    monkeypatch.setattr(os, failing, fail_first_call)
+    with pytest.raises(OSError, match="injected"):
+        make_leaf(store, "A", None, v=2)
+    monkeypatch.undo()
+    assert store.log_size() == size
+    assert not store.has_object(ObjectIdentity("A", None, 2))
+    assert store.highest_key("A") == 1
+    # The next commit reuses the key, and the log holds it once.
+    assert make_leaf(store, "A", None, v=3) == ObjectIdentity("A", None, 2)
+    with open_store(store.directory) as reopened:
+        assert reopened.list_versions("A") == [1, 2]
+        assert reopened.get_object(ObjectIdentity("A", None, 2)).payload.fields == {"v": 3}
 
 
 def test_empty_commit_leaves_log_byte_identical(store):
@@ -409,6 +457,59 @@ def test_refresh_refuses_a_non_canonical_committed_tail(tmp_path, payload, canon
         assert s.object_count() == 1
     finally:
         s.close()
+
+
+_B1_LEAF = b"kind=leaf\nb=i:2\n"
+_B1 = _record(0x01, b"B[1]\n0\n" + _B1_LEAF)
+
+
+def _stamped(stamp: bytes) -> bytes:
+    return _record(0x01, b"B[1]\n" + stamp + b"\n" + _B1_LEAF) + _record(0x02, b"1")
+
+
+# Damage that is not a torn tail: (bytes, offset of the bad record in
+# them, what the scan reports).  The log would hold B[1] at offset 0 of
+# each if it were whole.
+MID_LOG_DAMAGE = {
+    "bad-magic": (b"\xc6" + _B1[1:] + _record(0x02, b"1"), 0, "bad record magic"),
+    "unknown-type": (b"\xc7\x03" + _B1[2:] + _record(0x02, b"1"), 0, "unknown record type 3"),
+    "non-numeric-count": (_B1 + _record(0x02, b"one"), len(_B1), "bad commit record"),
+    "count-mismatch": (_B1 + _record(0x02, b"2"), len(_B1), "covers 2 records, found 1"),
+    "count-space-1": (_B1 + _record(0x02, b" 1"), len(_B1), "bad commit record"),
+    "count-plus-1": (_B1 + _record(0x02, b"+1"), len(_B1), "bad commit record"),
+    "stamp-plus-1_0": (_stamped(b"+1_0"), 0, "bad creation stamp"),
+    "stamp-space-10": (_stamped(b" 10"), 0, "bad creation stamp"),
+    "stamp-010": (_stamped(b"010"), 0, "bad creation stamp"),
+}
+
+
+@pytest.mark.parametrize(
+    "damage, at, reason", MID_LOG_DAMAGE.values(), ids=MID_LOG_DAMAGE.keys()
+)
+def test_mid_log_damage_refuses_and_applies_nothing(tmp_path, damage, at, reason):
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 0)
+    try:
+        make_leaf(s, "A", None, a=1)
+        with open(path / "objects.log", "ab") as f:
+            f.write(_transaction(("C[1]", b"kind=leaf\nc=i:3\n")))
+            bad = f.tell() + at
+            f.write(damage)
+            f.write(_transaction(("D[1]", b"kind=leaf\nd=i:4\n")))
+        size = s.log_size()
+        # A catch-up refuses, naming the record's offset in the log, and
+        # applies nothing, also not the valid transaction before it.
+        with pytest.raises(CorruptLogError, match=reason) as refused:
+            s.refresh()
+        assert re.search(rf"offset {bad}\b", str(refused.value))
+        assert s.object_count() == 1
+        assert not s.has_object(ObjectIdentity("C", None, 1))
+    finally:
+        s.close()
+    with pytest.raises(CorruptLogError, match=reason) as refused:
+        open_store(path)
+    assert re.search(rf"offset {bad}\b", str(refused.value))
+    assert (path / "objects.log").stat().st_size == size  # nothing cut
 
 
 # -- shared values after open ---------------------------------------------------
