@@ -17,6 +17,22 @@ logged with its traceback on the ``confdb.service`` logger.  A request
 line longer than ``MAX_REQUEST_LINE`` bytes (its LF included) gets
 ``ERR 400 line-too-long``; the rest of it is read and dropped.
 
+A server answers repeated ``GET`` and ``MANIFEST`` lines from one frame
+cache shared by all its connections: request line to finished response
+frame.  A committed object never changes, so the ``OK`` frame of a GET
+or MANIFEST naming it is the same for ever, whatever is activated
+later.  Only those frames are kept.  ``PING``, ``RESOLVE`` and
+``RUNTYPES`` depend on the current generation, and an ``ERR`` frame can
+turn into ``OK`` (a root that is committed later), so none of them is
+kept.  A hit skips the catch-up, the parse, the lookup and the encode;
+it is answered even while a damaged log tail would make a miss answer
+``ERR 500``, because the kept frame is still the committed answer, byte
+for byte.  The cache holds at most ``FRAME_CACHE_BYTES`` (8 MiB) of
+string memory, ``sys.getsizeof`` of each line and frame; when the next
+frame would go over, the cache is emptied first.  So a client cycling
+through historical roots costs no more memory than that, and no more
+time than an uncached server.
+
 The server performs no writes; activations land through the CLI or
 library on the store host and become visible here immediately, while
 clients already holding a resolved identity are untouched (immutability
@@ -26,6 +42,7 @@ makes every handed-out identity permanently valid).
 from __future__ import annotations
 
 import socketserver
+import sys
 import threading
 
 from .errors import ConfdbError, MalformedIdentityError
@@ -35,6 +52,7 @@ from .tree import active_trees, lookup_path, resolve_run_type, walk_tree
 
 DEFAULT_ENDPOINT = "127.0.0.1:7401"
 MAX_REQUEST_LINE = 64 * 1024
+FRAME_CACHE_BYTES = 8 * 2**20
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -67,8 +85,41 @@ def _split_identity_arg(rest: str):
     return identity, None
 
 
-def handle_request(store: Store, line: str) -> str:
-    """Process one request line into one complete response frame."""
+class FrameCache:
+    """Finished ``OK`` frames of GET and MANIFEST, keyed by request line.
+
+    Lookups read ``frames`` without a lock; inserts take one.
+    """
+
+    def __init__(self):
+        self.frames: dict[str, str] = {}
+        self.size = 0  # sys.getsizeof of every kept line and frame
+        self._lock = threading.Lock()
+
+    def put(self, line: str, frame: str) -> None:
+        cost = sys.getsizeof(line) + sys.getsizeof(frame)
+        if cost > FRAME_CACHE_BYTES:
+            return
+        with self._lock:
+            if line in self.frames:
+                return
+            if self.size + cost > FRAME_CACHE_BYTES:
+                self.frames.clear()
+                self.size = 0
+            self.frames[line] = frame
+            self.size += cost
+
+
+def handle_request(store: Store, line: str, cache: FrameCache | None = None) -> str:
+    """Process one request line into one complete response frame.
+
+    With a ``cache``, a repeated GET or MANIFEST is answered from it.
+    """
+    if cache is not None:
+        frame = cache.frames.get(line)
+        if frame is not None:
+            return frame
+    key = line
     line = line.rstrip("\r\n")
     verb, _, rest = line.partition(" ")
     try:
@@ -86,15 +137,15 @@ def handle_request(store: Store, line: str) -> str:
                 return "ERR 400 malformed-request missing path\n"
             obj = lookup_path(store, identity, path)
             payload = encode_payload(obj.payload).decode("utf-8")
-            return f"OK {format_identity(obj.identity)}\n{payload}.\n"
-        if verb == "MANIFEST":
+            frame = f"OK {format_identity(obj.identity)}\n{payload}.\n"
+        elif verb == "MANIFEST":
             identity, tail = _split_identity_arg(rest)
             if tail is not None:
                 return "ERR 400 malformed-request trailing data\n"
             manifest = walk_tree(store, identity)
             body = manifest.to_text()
-            return f"OK {len(manifest.entries)}\n{body}.\n"
-        if verb == "RUNTYPES":
+            frame = f"OK {len(manifest.entries)}\n{body}.\n"
+        elif verb == "RUNTYPES":
             bindings = active_trees(store)
             lines = [
                 f"{run_type}\t{format_identity(target)}"
@@ -102,7 +153,13 @@ def handle_request(store: Store, line: str) -> str:
             ]
             body = "".join(line + "\n" for line in lines)
             return f"OK {len(lines)}\n{body}.\n"
-        return "ERR 400 unknown-verb\n"
+        else:
+            return "ERR 400 unknown-verb\n"
+        # Only the OK frames of GET and MANIFEST get here: they name
+        # committed objects, so they hold for ever.
+        if cache is not None:
+            cache.put(key, frame)
+        return frame
     except ConfdbError as exc:
         return _err(exc)
     except Exception:
@@ -130,7 +187,7 @@ class _Handler(socketserver.StreamRequestHandler):
             except UnicodeDecodeError:
                 self._reply("ERR 400 malformed-request not utf-8\n")
                 continue
-            self._reply(handle_request(self.server.store, line))
+            self._reply(handle_request(self.server.store, line, self.server.cache))
 
     def _reply(self, frame: str):
         self.wfile.write(frame.encode("utf-8"))
@@ -138,7 +195,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class ConfigServer(socketserver.ThreadingTCPServer):
-    """One handler thread per connection; all share the store's read side."""
+    """One handler thread per connection; all share the store and one frame cache."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -146,6 +203,7 @@ class ConfigServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, store: Store, endpoint: str = DEFAULT_ENDPOINT):
         self.store = store
+        self.cache = FrameCache()
         super().__init__(parse_endpoint(endpoint), _Handler)
 
     @property

@@ -7,13 +7,14 @@ On disk a store is one directory:
   4-octet big-endian CRC-32 of body``.  An object record's body is the
   identity text, a creation-timestamp line, then the canonical payload;
   a transaction is closed by a commit record whose body is its object
-  record count.  Torn tails (a crash mid-append) are detected by the
-  framing plus CRC and truncated away on the next open, with a warning
-  on the ``confdb.store`` logger; a bad record that is *not* the tail
-  means real damage and refuses to open.  An open fully decodes and
-  canonically checks every record once.  The decoded objects share
-  their identities and names: every link to an object holds that
-  object's own identity, and each distinct name is one string.
+  record count, at least 1.  Torn tails (a crash mid-append) are
+  detected by the framing plus CRC and truncated away on the next open,
+  with a warning on the ``confdb.store`` logger; a bad record that is
+  *not* the tail means real damage and refuses to open.  An open fully
+  decodes and canonically checks every record once.  The decoded
+  objects share their identities and names: every link to an object
+  holds that object's own identity, and each distinct name is one
+  string.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
@@ -166,8 +167,9 @@ def _scan_log(buf: bytes, names: dict | None = None, base: int = 0):
             pending.append(_decode_object_body(body, base + offset, tables, stamps))
         else:
             # Latin-1 decodes any bytes, and canonical decimal text is ASCII.
+            # The writer never appends an empty transaction.
             count = canonical_int(body.decode("latin-1"))
-            if count is None:
+            if count is None or count < 1:
                 raise CorruptLogError(f"bad commit record at offset {base + offset}")
             if count != len(pending):
                 raise CorruptLogError(
@@ -368,7 +370,7 @@ class Store:
         interferes with an in-flight writer.
         """
         with self._apply_lock:
-            size = os.path.getsize(self._log_path)
+            size = os.fstat(self._log_fd).st_size
             if size < self._applied_len:
                 raise CorruptLogError("log shrank outside recovery")
             if size == self._applied_len:
@@ -396,7 +398,7 @@ class Store:
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""
-        if os.path.getsize(self._log_path) > self._applied_len:
+        if os.fstat(self._log_fd).st_size > self._applied_len:
             self._recover(truncate=False)
 
     # -- transactions --------------------------------------------------

@@ -2,13 +2,21 @@
 
 import logging
 import socket
+import sys
 import threading
 
 import pytest
 
 from confdb.commitproc import commit_alias_tree
 from confdb.model import format_identity
-from confdb.service import MAX_REQUEST_LINE, handle_request, parse_endpoint, start_server
+from confdb import service
+from confdb.service import (
+    MAX_REQUEST_LINE,
+    FrameCache,
+    handle_request,
+    parse_endpoint,
+    start_server,
+)
 from confdb.store import open_store
 from confdb.tree import walk_tree
 from helpers import build_figure1, make_leaf
@@ -241,6 +249,183 @@ def test_over_long_request_line_is_refused_and_the_connection_kept(store):
             sock.sendall(exact)
             assert reader.readline() == b"ERR 400 unknown-verb\n"
             assert _request_lines(reader, sock, "PING") == "OK pong"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# -- the frame cache ------------------------------------------------------------
+
+
+def _generations(store, tree, leaves):
+    """Commit three more generations of figure 1; returns every root, oldest first."""
+    roots = [commit_alias_tree(store, tree, ["PHYSICS"])]
+    tree.set_object_alias("dch", "hv", make_leaf(store, "DchHV", "sector3", hv=1900.0))
+    roots.append(commit_alias_tree(store, tree, ["PHYSICS"]))
+    tree.add_map_alias("emc", "crate 2")
+    tree.set_object_alias("emc/crate 2", "fee", make_leaf(store, "EmcFee", "crate 2", gain=2))
+    roots.append(commit_alias_tree(store, tree, ["PHYSICS", "COSMICS"]))
+    tree.set_object_alias("dch", "fee", leaves["emc"])
+    roots.append(commit_alias_tree(store, tree, ["COSMICS"]))
+    return roots
+
+
+def _lines(store, roots):
+    """A MANIFEST and a GET of every manifest path, for every root."""
+    lines = []
+    for root in roots:
+        lines.append(f"MANIFEST {format_identity(root)}\n")
+        for path, _ in walk_tree(store, root).entries:
+            lines.append(f"GET {format_identity(root)} {path or '/'}\n")
+    return lines
+
+
+def test_cached_frames_are_byte_exact(store):
+    tree, leaves = build_figure1(store)
+    lines = _lines(store, _generations(store, tree, leaves))
+    assert len(lines) == 4 + 6 + 6 + 8 + 8
+    cache = FrameCache()
+    for _ in range(2):  # a first call, then a hit
+        for line in lines:
+            assert handle_request(store, line, cache) == handle_request(store, line)
+    assert set(cache.frames) == set(lines)
+    assert all(frame.startswith("OK ") for frame in cache.frames.values())
+
+
+def test_uncommitted_root_is_404_until_its_commit(tmp_path):
+    server_side = open_store(tmp_path / "db", clock=lambda: 0)
+    writer = open_store(tmp_path / "db", clock=lambda: 0)
+    try:
+        tree, _ = build_figure1(writer)
+        root = commit_alias_tree(writer, tree, ["PHYSICS"])
+        cache = FrameCache()
+        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == f"OK {root}\n"
+        # The next root the writer will commit: not there yet.
+        get_next = "GET TopMap[2] dch/hv\n"
+        manifest_next = "MANIFEST TopMap[2]\n"
+        assert handle_request(server_side, get_next, cache) == "ERR 404 not-found TopMap[2]\n"
+        assert handle_request(server_side, manifest_next, cache).startswith("ERR 404")
+        assert cache.frames == {}
+        hv2 = make_leaf(writer, "DchHV", "sector3", hv=1900.0)
+        tree.set_object_alias("dch", "hv", hv2)
+        assert format_identity(commit_alias_tree(writer, tree, ["PHYSICS"])) == "TopMap[2]"
+        # The same lines now answer OK through the other handle's catch-up.
+        assert handle_request(server_side, get_next, cache).startswith(f"OK {hv2}\n")
+        assert handle_request(server_side, manifest_next, cache).startswith("OK 6\n")
+        # RESOLVE and RUNTYPES follow the new activation; neither is kept.
+        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == "OK TopMap[2]\n"
+        assert handle_request(server_side, "RUNTYPES\n", cache) == "OK 1\nPHYSICS\tTopMap[2]\n.\n"
+        assert handle_request(server_side, "PING\n", cache) == "OK pong\n"
+        assert set(cache.frames) == {get_next, manifest_next}
+    finally:
+        writer.close()
+        server_side.close()
+
+
+def test_a_hit_never_reaches_the_store(populated, monkeypatch):
+    store, _, root = populated
+    cache = FrameCache()
+    get, manifest = f"GET {root} dch/hv\n", f"MANIFEST {root}\n"
+    first = {line: handle_request(store, line, cache) for line in (get, manifest)}
+
+    def unreachable(*args):
+        raise RuntimeError("the store was asked")
+
+    monkeypatch.setattr(store, "get_object", unreachable)
+    monkeypatch.setattr(store, "refresh", unreachable)
+    for line in (get, manifest):
+        assert handle_request(store, line, cache) == first[line]
+    # A miss does reach the store, and is not kept.
+    assert handle_request(store, f"GET {root} dch/fee\n", cache) == "ERR 500 internal\n"
+    assert set(cache.frames) == {get, manifest}
+
+
+def test_a_hit_is_answered_beside_a_damaged_log(populated):
+    store, _, root = populated
+    cache = FrameCache()
+    get = f"GET {root} dch/hv\n"
+    frame = handle_request(store, get, cache)
+    with open(store.directory + "/objects.log", "ab") as f:
+        f.write(b"\x00" * 16)  # not a record: damage, not a torn tail
+    assert handle_request(store, get, cache) == frame
+    assert handle_request(store, f"GET {root} dch/fee\n", cache).startswith("ERR 500 corrupt-log")
+    assert handle_request(store, get).startswith("ERR 500 corrupt-log")
+
+
+def test_the_cache_stays_within_its_budget(store, monkeypatch):
+    tree, leaves = build_figure1(store)
+    lines = _lines(store, _generations(store, tree, leaves))
+    expected = {line: handle_request(store, line) for line in lines}
+    budget = 2_000
+    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", budget)
+    cache = FrameCache()
+    emptied = 0
+    for _ in range(3):
+        for line in lines:
+            before = len(cache.frames)
+            assert handle_request(store, line, cache) == expected[line]
+            emptied += len(cache.frames) < before
+            assert cache.size == sum(
+                sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.frames.items()
+            )
+            assert cache.size <= budget
+    assert emptied > 0
+    # A frame over the whole budget is never kept.
+    manifest = [line for line in lines if line.startswith("MANIFEST")][-1]
+    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", sys.getsizeof(expected[manifest]))
+    cache = FrameCache()
+    assert handle_request(store, manifest, cache) == expected[manifest]
+    assert cache.frames == {} and cache.size == 0
+
+
+def test_threads_share_one_small_cache(store, monkeypatch):
+    tree, leaves = build_figure1(store)
+    lines = _lines(store, _generations(store, tree, leaves))
+    expected = {line: handle_request(store, line) for line in lines}
+    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", 3_000)
+    cache = FrameCache()
+    wrong = []
+
+    def reader(offset):
+        for i in range(400):
+            line = lines[(offset + 7 * i) % len(lines)]
+            if handle_request(store, line, cache) != expected[line]:
+                wrong.append(line)
+
+    # More threads than cores, switching often, so inserts and clears
+    # interleave with lock-free lookups.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # A lost update of the size would break this.
+    assert cache.size == sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.frames.items())
+    assert cache.size <= 3_000
+
+
+def test_server_connections_share_one_cache(populated):
+    store, _, root = populated
+    server = start_server(store, "127.0.0.1:0")
+    line = f"GET {format_identity(root)} dch/hv"
+    try:
+        frames = []
+        for _ in range(2):
+            with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(line.encode() + b"\n")
+                frames.append(b"".join(iter(reader.readline, b".\n")))
+                assert _request_lines(reader, sock, "RESOLVE PHYSICS") == f"OK {root}"
+        assert frames[0] == frames[1]
+        assert frames[0].decode() + ".\n" == handle_request(store, line + "\n")
+        assert list(server.cache.frames) == [line + "\n"]
     finally:
         server.shutdown()
         server.server_close()

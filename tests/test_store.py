@@ -480,6 +480,7 @@ MID_LOG_DAMAGE = {
     "stamp-plus-1_0": (_stamped(b"+1_0"), 0, "bad creation stamp"),
     "stamp-space-10": (_stamped(b" 10"), 0, "bad creation stamp"),
     "stamp-010": (_stamped(b"010"), 0, "bad creation stamp"),
+    "empty-commit": (_record(0x02, b"0") + _B1 + _record(0x02, b"1"), 0, "bad commit record"),
 }
 
 
