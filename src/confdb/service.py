@@ -85,29 +85,45 @@ def _split_identity_arg(rest: str):
     return identity, None
 
 
-class FrameCache:
+class BoundedCache:
+    """A dict of answers that never change, emptied whole at a byte budget.
+
+    ``entries`` is read without a lock; :meth:`put` takes one.  ``size``
+    is the summed cost of every kept entry, as each caller counts it.
+    ``budget`` is called on every put, so it can follow a module
+    constant.  An entry that costs more than the whole budget is never
+    kept; any other entry that would go over it empties the dict first.
+    """
+
+    def __init__(self, budget):
+        self.entries: dict = {}
+        self.size = 0
+        self._budget = budget
+        self._lock = threading.Lock()
+
+    def put(self, key, value, cost: int) -> None:
+        budget = self._budget()
+        if cost > budget:
+            return
+        with self._lock:
+            if key in self.entries:
+                return
+            if self.size + cost > budget:
+                self.entries.clear()
+                self.size = 0
+            self.entries[key] = value
+            self.size += cost
+
+
+class FrameCache(BoundedCache):
     """Finished ``OK`` frames of GET and MANIFEST, keyed by request line.
 
-    Lookups read ``frames`` without a lock; inserts take one.
+    The cost of a frame is ``sys.getsizeof`` of its line and of itself.
     """
 
     def __init__(self):
-        self.frames: dict[str, str] = {}
-        self.size = 0  # sys.getsizeof of every kept line and frame
-        self._lock = threading.Lock()
-
-    def put(self, line: str, frame: str) -> None:
-        cost = sys.getsizeof(line) + sys.getsizeof(frame)
-        if cost > FRAME_CACHE_BYTES:
-            return
-        with self._lock:
-            if line in self.frames:
-                return
-            if self.size + cost > FRAME_CACHE_BYTES:
-                self.frames.clear()
-                self.size = 0
-            self.frames[line] = frame
-            self.size += cost
+        super().__init__(lambda: FRAME_CACHE_BYTES)
+        self.frames = self.entries  # the same dict: put empties it in place
 
 
 def handle_request(store: Store, line: str, cache: FrameCache | None = None) -> str:
@@ -158,7 +174,7 @@ def handle_request(store: Store, line: str, cache: FrameCache | None = None) -> 
         # Only the OK frames of GET and MANIFEST get here: they name
         # committed objects, so they hold for ever.
         if cache is not None:
-            cache.put(key, frame)
+            cache.put(key, frame, sys.getsizeof(key) + sys.getsizeof(frame))
         return frame
     except ConfdbError as exc:
         return _err(exc)

@@ -140,6 +140,21 @@ def build_figure1(store: Store):
     return tree, {"hv": hv, "fee": fee, "emc": emc}
 
 
+def commit_generations(store: Store, tree: AliasTree, leaves: dict) -> list:
+    """Commit figure 1 and three edits of it; returns every root, oldest first."""
+    from confdb.commitproc import commit_alias_tree
+
+    roots = [commit_alias_tree(store, tree, ["PHYSICS"])]
+    tree.set_object_alias("dch", "hv", make_leaf(store, "DchHV", "sector3", hv=1900.0))
+    roots.append(commit_alias_tree(store, tree, ["PHYSICS"]))
+    tree.add_map_alias("emc", "crate 2")
+    tree.set_object_alias("emc/crate 2", "fee", make_leaf(store, "EmcFee", "crate 2", gain=2))
+    roots.append(commit_alias_tree(store, tree, ["PHYSICS", "COSMICS"]))
+    tree.set_object_alias("dch", "fee", leaves["emc"])
+    roots.append(commit_alias_tree(store, tree, ["COSMICS"]))
+    return roots
+
+
 def build_balanced(store: Store, depth: int, branching: int) -> AliasTree:
     """Interior map aliases down to ``depth - 1``, object aliases at ``depth``."""
     tree = new_alias_tree("balanced", "TopMap")

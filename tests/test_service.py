@@ -19,7 +19,7 @@ from confdb.service import (
 )
 from confdb.store import open_store
 from confdb.tree import walk_tree
-from helpers import build_figure1, make_leaf
+from helpers import build_figure1, commit_generations, make_leaf
 
 
 @pytest.fixture
@@ -257,19 +257,6 @@ def test_over_long_request_line_is_refused_and_the_connection_kept(store):
 # -- the frame cache ------------------------------------------------------------
 
 
-def _generations(store, tree, leaves):
-    """Commit three more generations of figure 1; returns every root, oldest first."""
-    roots = [commit_alias_tree(store, tree, ["PHYSICS"])]
-    tree.set_object_alias("dch", "hv", make_leaf(store, "DchHV", "sector3", hv=1900.0))
-    roots.append(commit_alias_tree(store, tree, ["PHYSICS"]))
-    tree.add_map_alias("emc", "crate 2")
-    tree.set_object_alias("emc/crate 2", "fee", make_leaf(store, "EmcFee", "crate 2", gain=2))
-    roots.append(commit_alias_tree(store, tree, ["PHYSICS", "COSMICS"]))
-    tree.set_object_alias("dch", "fee", leaves["emc"])
-    roots.append(commit_alias_tree(store, tree, ["COSMICS"]))
-    return roots
-
-
 def _lines(store, roots):
     """A MANIFEST and a GET of every manifest path, for every root."""
     lines = []
@@ -282,7 +269,7 @@ def _lines(store, roots):
 
 def test_cached_frames_are_byte_exact(store):
     tree, leaves = build_figure1(store)
-    lines = _lines(store, _generations(store, tree, leaves))
+    lines = _lines(store, commit_generations(store, tree, leaves))
     assert len(lines) == 4 + 6 + 6 + 8 + 8
     cache = FrameCache()
     for _ in range(2):  # a first call, then a hit
@@ -354,7 +341,7 @@ def test_a_hit_is_answered_beside_a_damaged_log(populated):
 
 def test_the_cache_stays_within_its_budget(store, monkeypatch):
     tree, leaves = build_figure1(store)
-    lines = _lines(store, _generations(store, tree, leaves))
+    lines = _lines(store, commit_generations(store, tree, leaves))
     expected = {line: handle_request(store, line) for line in lines}
     budget = 2_000
     monkeypatch.setattr(service, "FRAME_CACHE_BYTES", budget)
@@ -380,7 +367,7 @@ def test_the_cache_stays_within_its_budget(store, monkeypatch):
 
 def test_threads_share_one_small_cache(store, monkeypatch):
     tree, leaves = build_figure1(store)
-    lines = _lines(store, _generations(store, tree, leaves))
+    lines = _lines(store, commit_generations(store, tree, leaves))
     expected = {line: handle_request(store, line) for line in lines}
     monkeypatch.setattr(service, "FRAME_CACHE_BYTES", 3_000)
     cache = FrameCache()
