@@ -42,7 +42,7 @@ from .model import (
     parse_path,
     payload_digest,
 )
-from .service import ConfigServer, handle_request, serve, start_server
+from .service import ConfigServer, handle_request, start_server
 from .store import Store, StoredObject, WriteTransaction, open_store
 from .tree import (
     TreeManifest,
@@ -94,7 +94,6 @@ __all__ = [
     "resolve_run_type",
     "save_alias_tree",
     "serialize_alias_tree",
-    "serve",
     "start_server",
     "walk_tree",
 ]

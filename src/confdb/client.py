@@ -102,15 +102,19 @@ class _Connection:
         except OSError as exc:
             raise ConnectionFailureError(f"send failed: {exc}") from exc
         raw = self._read_line()
+        # A refused status line leaves an answer of unknown length unread,
+        # so the connection is given up rather than read out of step.
         try:
             status = raw.decode("utf-8").rstrip("\n")
         except UnicodeDecodeError:
+            self.close()
             raise ConfdbError(f"response is not UTF-8: {raw!r}") from None
         if status.startswith("ERR "):
             parts = status.split(" ", 2)
             code_name = parts[2].split(" ", 1)[0] if len(parts) > 2 else "error"
             raise error_for_code(code_name, status)
         if not status.startswith("OK"):
+            self.close()
             raise ConfdbError(f"unexpected response: {status!r}")
         tail = status[3:] if status.startswith("OK ") else ""
         lines = []

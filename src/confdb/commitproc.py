@@ -14,6 +14,14 @@ the maps on a root-to-change path:
   remove-plus-add, reported as changed;
 * with no baseline everything is added (bootstrap).
 
+The comparison emits one change row per node, depth-first in name
+order: ``(segments, status, is_map, old, new)``, where ``old`` is the
+numeric identity under the node's name and ``new`` is an object
+alias's target, or, in a map row, the numeric map's ``(name,
+identity)`` entries.  These rows are what ``diff`` prints and what the
+rebuild reads; the rebuild keeps the pairs of the links it does not
+change.
+
 Unchanged sub-trees are reused by identity, never copied: the
 comparison marks them unchanged and the rebuild returns their numeric
 counterpart as is.  A zero-edit commit therefore leaves the root
@@ -30,13 +38,7 @@ from dataclasses import dataclass
 
 from .alias import AliasTree, MapAlias, ObjectAlias
 from .errors import DanglingAliasTargetError, NotAMapError
-from .model import (
-    KIND_MAP,
-    ObjectIdentity,
-    Payload,
-    display_path,
-    format_identity,
-)
+from .model import KIND_MAP, ObjectIdentity, Payload, display_path, format_identity
 from .store import Store, WriteTransaction
 from .tree import activate, active_trees
 
@@ -53,22 +55,6 @@ INTERIOR_MAP_CLASS = "Map"
 
 def _interior_secondary(segments: tuple) -> str:
     return ".".join(segments)
-
-
-@dataclass
-class _LinkPlan:
-    status: str
-    old: ObjectIdentity | None
-    target: ObjectIdentity
-
-
-@dataclass
-class _MapPlan:
-    status: str
-    counterpart: ObjectIdentity | None  # numeric object under the same name, any kind
-    children: dict
-    removed: dict
-    numeric_entries: tuple  # the numeric map's (name, identity) pairs; () without one
 
 
 @dataclass(frozen=True)
@@ -98,36 +84,48 @@ class ChangeSet:
         return "\n".join(entry.to_line() for entry in self.entries) + "\n"
 
 
-def _numeric_entries(view: Store | WriteTransaction, identity: ObjectIdentity | None) -> tuple:
-    if identity is None:
-        return ()
-    obj = view.get_object(identity)
-    if obj.kind != KIND_MAP:
-        raise NotAMapError(
-            f"{format_identity(identity)} is not a map", detail=format_identity(identity)
-        )
-    return obj.payload.entries
-
-
 def _analyze(
     view: Store | WriteTransaction,
     node: MapAlias,
     numeric: ObjectIdentity | None,
     segments: tuple,
-) -> _MapPlan:
-    """Recursive name-keyed comparison of a map alias against a numeric map."""
-    numeric_entries = _numeric_entries(view, numeric)
-    links = dict(numeric_entries)
-    children: dict = {}
-    all_unchanged = True
-    for name, child in node.sorted_items():
+    rows: list,
+) -> str:
+    """Append the rows of ``node`` and its sub-tree to ``rows``; return its status.
+
+    ``numeric`` is the numeric object under the node's name, of any kind.
+    Below the root a non-map is a kind flip: the node is compared against
+    nothing and reported changed.
+    """
+    entries = ()
+    is_map = True
+    if numeric is not None:
+        obj = view.get_object(numeric)
+        is_map = obj.kind == KIND_MAP
+        if is_map:
+            entries = obj.payload.entries
+        elif not segments:
+            raise NotAMapError(
+                f"{format_identity(numeric)} is not a map", detail=format_identity(numeric)
+            )
+    links = dict(entries)
+    at = len(rows)
+    rows.append(None)  # this map's row, written once its children are compared
+    unchanged = True
+    children = node.children
+    for name in sorted(children.keys() | links.keys()):
+        child = children.get(name)
         old = links.get(name)
-        if isinstance(child, ObjectAlias):
+        child_segments = segments + (name,)
+        if child is None:
+            status = STATUS_REMOVED
+            rows.append((child_segments, status, False, old, None))
+        elif isinstance(child, ObjectAlias):
             if old == child.target:
                 status = STATUS_UNCHANGED
             elif not view.has_object(child.target):
                 raise DanglingAliasTargetError(
-                    f"alias at {display_path(segments + (name,))!r} pins missing object"
+                    f"alias at {display_path(child_segments)!r} pins missing object"
                     f" {format_identity(child.target)}",
                     detail=format_identity(child.target),
                 )
@@ -135,52 +133,20 @@ def _analyze(
                 status = STATUS_ADDED
             else:
                 status = STATUS_CHANGED
-            children[name] = _LinkPlan(status, old, child.target)
+            rows.append((child_segments, status, False, old, child.target))
         else:
-            # A numeric leaf under this name is a kind flip: compare the
-            # placeholder against nothing and report the name as changed.
-            old_is_map = old is not None and view.get_object(old).kind == KIND_MAP
-            sub = _analyze(view, child, old if old_is_map else None, segments + (name,))
-            if old is None:
-                sub.status = STATUS_ADDED
-            elif not old_is_map:
-                sub.status = STATUS_CHANGED
-                sub.counterpart = old
-            children[name] = sub
-        if children[name].status != STATUS_UNCHANGED:
-            all_unchanged = False
+            status = _analyze(view, child, old, child_segments, rows)
+        if status != STATUS_UNCHANGED:
+            unchanged = False
 
-    removed = {name: target for name, target in links.items() if name not in node.children}
     if numeric is None:
         status = STATUS_ADDED
-    elif all_unchanged and not removed:
+    elif unchanged and is_map:
         status = STATUS_UNCHANGED
     else:
         status = STATUS_CHANGED
-    return _MapPlan(status, numeric, children, removed, numeric_entries)
-
-
-def _flatten(plan: _MapPlan, segments: tuple, entries: list):
-    entries.append(ChangeEntry("/".join(segments), plan.status, True, plan.counterpart, None))
-    names = sorted(set(plan.children) | set(plan.removed))
-    for name in names:
-        child_segments = segments + (name,)
-        if name in plan.children:
-            child = plan.children[name]
-            if isinstance(child, _LinkPlan):
-                entries.append(
-                    ChangeEntry(
-                        "/".join(child_segments), child.status, False, child.old, child.target
-                    )
-                )
-            else:
-                _flatten(child, child_segments, entries)
-        else:
-            entries.append(
-                ChangeEntry(
-                    "/".join(child_segments), STATUS_REMOVED, False, plan.removed[name], None
-                )
-            )
+    rows[at] = (segments, status, True, numeric, entries)
+    return status
 
 
 def diff_alias_vs_numeric(
@@ -192,34 +158,32 @@ def diff_alias_vs_numeric(
     bootstrap case).  The commit itself recomputes the comparison under
     the write lock.
     """
-    plan = _analyze(store, tree.root, numeric_root, ())
-    entries: list[ChangeEntry] = []
-    _flatten(plan, (), entries)
-    return ChangeSet(tuple(entries))
+    rows: list = []
+    _analyze(store, tree.root, numeric_root, (), rows)
+    return ChangeSet(tuple(
+        ChangeEntry("/".join(segments), status, is_map, old, None if is_map else new)
+        for segments, status, is_map, old, new in rows
+    ))
 
 
 def _materialize(
     txn: WriteTransaction,
     node: MapAlias,
-    plan: _MapPlan,
+    maps: dict,
     root_class: str,
     segments: tuple,
 ) -> ObjectIdentity:
-    """Bottom-up rebuild of the changed and added maps.
-
-    A link the rebuild keeps reuses the numeric map's (name, identity)
-    pair, so a new map version holds new pairs only for what changed.
-    """
-    if plan.status == STATUS_UNCHANGED:
-        return plan.counterpart
-    kept = {pair[0]: pair for pair in plan.numeric_entries}
+    """Bottom-up rebuild of the changed and added maps, read from their rows."""
+    _, status, _, counterpart, numeric_entries = maps[segments]
+    if status == STATUS_UNCHANGED:
+        return counterpart
+    kept = {pair[0]: pair for pair in numeric_entries}
     entries = []
     for name, child in node.sorted_items():
-        child_plan = plan.children[name]
-        if isinstance(child_plan, _LinkPlan):
-            target = child_plan.target
+        if isinstance(child, ObjectAlias):
+            target = child.target
         else:
-            target = _materialize(txn, child, child_plan, root_class, segments + (name,))
+            target = _materialize(txn, child, maps, root_class, segments + (name,))
         pair = kept.get(name)
         entries.append(pair if pair is not None and pair[1] == target else (name, target))
     payload = Payload.map(entries)
@@ -247,8 +211,10 @@ def commit_alias_tree_in(
     bind_run_types = list(bind_run_types)
     current = active_trees(txn)
     baseline = current.get(bind_run_types[0]) if bind_run_types else None
-    plan = _analyze(txn, tree.root, baseline, ())
-    root_id = _materialize(txn, tree.root, plan, tree.root_class, ())
+    rows: list = []
+    _analyze(txn, tree.root, baseline, (), rows)
+    maps = {row[0]: row for row in rows if row[2]}
+    root_id = _materialize(txn, tree.root, maps, tree.root_class, ())
     if bind_run_types:
         rebound = dict(current)
         for run_type in bind_run_types:

@@ -236,9 +236,3 @@ def start_server(store: Store, endpoint: str = DEFAULT_ENDPOINT) -> ConfigServer
     )
     thread.start()
     return server
-
-
-def serve(store: Store, endpoint: str = DEFAULT_ENDPOINT):
-    """Blocking entry point used by the CLI ``serve`` command."""
-    with ConfigServer(store, endpoint) as server:
-        server.serve_forever()

@@ -14,7 +14,9 @@ On disk a store is one directory:
   decodes and canonically checks every record once.  The decoded
   objects share their identities and names: every link to an object
   holds that object's own identity, and each distinct name is one
-  string.
+  string.  A handle reads, sizes and truncates the log only through the
+  descriptor it opened, so a file put in the log's place later is never
+  mixed into what it reads.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
@@ -309,11 +311,11 @@ class Store:
         self._applied_len = 0
         self._lock_fd = None
         self._log_fd = None
-        self._lock_fd = os.open(
-            os.path.join(self.directory, LOCK_NAME), os.O_CREAT | os.O_RDWR, 0o644
-        )
-        self._log_fd = os.open(self._log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
         try:
+            self._lock_fd = os.open(
+                os.path.join(self.directory, LOCK_NAME), os.O_CREAT | os.O_RDWR, 0o644
+            )
+            self._log_fd = os.open(self._log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
             with self._exclusive():
                 self._recover(truncate=True)
         except BaseException:
@@ -343,6 +345,23 @@ class Store:
             self._release_exclusive()
 
     # -- recovery and catch-up ----------------------------------------
+
+    def _read_log(self, offset: int, end: int) -> bytes:
+        """The log bytes in ``[offset, end)``, read through this handle's descriptor."""
+        chunks = []
+        while offset < end:
+            # One pread returns at most about 2 GiB; a zero-byte read means
+            # the log is now shorter than ``end``.
+            chunk = os.pread(self._log_fd, end - offset, offset)
+            if not chunk:
+                raise CorruptLogError("log shrank outside recovery")
+            chunks.append(chunk)
+            offset += len(chunk)
+        return b"".join(chunks)
+
+    def _truncate_log(self, length: int):
+        os.ftruncate(self._log_fd, length)
+        os.fsync(self._log_fd)
 
     def _apply_transactions(self, transactions, new_applied_len: int):
         batch = [obj for txn_records in transactions for obj in txn_records]
@@ -375,17 +394,12 @@ class Store:
                 raise CorruptLogError("log shrank outside recovery")
             if size == self._applied_len:
                 return
-            with open(self._log_path, "rb") as f:
-                f.seek(self._applied_len)
-                tail = f.read()
+            tail = self._read_log(self._applied_len, size)
             transactions, committed_len = _scan_log(tail, self._names, self._applied_len)
             boundary = self._applied_len + committed_len
             self._apply_transactions(transactions, boundary)
             if truncate and boundary < size:
-                with open(self._log_path, "r+b") as f:
-                    f.truncate(boundary)
-                    f.flush()
-                    os.fsync(f.fileno())
+                self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
                 # logging costs each process that loads confdb about 0.4 MiB
                 # of RSS and 9 ms.
@@ -448,9 +462,7 @@ class Store:
                 os.fsync(self._log_fd)
             except OSError:
                 # Leave the store in its pre-commit state before re-raising.
-                with open(self._log_path, "r+b") as f:
-                    f.truncate(pre_commit_len)
-                    os.fsync(f.fileno())
+                self._truncate_log(pre_commit_len)
                 raise
             self._apply_transactions([txn.pending], pre_commit_len + len(data))
 
@@ -486,7 +498,7 @@ class Store:
         return len(self._objects)
 
     def log_size(self) -> int:
-        return os.path.getsize(self._log_path)
+        return os.fstat(self._log_fd).st_size
 
     # -- alias side region ----------------------------------------------
 

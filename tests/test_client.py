@@ -218,6 +218,21 @@ def test_non_utf8_answers_raise_confdb_errors(scripted, monkeypatch):
     assert client.PAYLOAD_MEMO.entries == {}
 
 
+def test_a_refused_status_line_gives_the_connection_up(scripted):
+    # The refused answer's body is never read, so a later request on the
+    # same connection would take that body for its own status line.
+    endpoint = scripted(
+        b"OK TopMap[1]\n",
+        b"OK Leaf[1]\xff\nkind=leaf\na=i:1\n.\n",
+        b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n",
+    )
+    with configure_run(endpoint, "PHYSICS") as handle:
+        with pytest.raises(ConfdbError, match="not UTF-8"):
+            fetch_raw(handle, "a")
+        with pytest.raises(ConnectionFailureError):
+            fetch_raw(handle, "a")
+
+
 def test_a_non_canonical_payload_raises_on_every_fetch(scripted, monkeypatch):
     monkeypatch.setattr(client, "PAYLOAD_MEMO", BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES))
     answer = b"OK Leaf[1]\nkind=leaf\na=i:01\n.\n"

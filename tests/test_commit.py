@@ -346,6 +346,47 @@ def test_oracle_equivalence_on_random_edit_scripts(tmp_path):
             _assert_matches_oracle(trial_store, tmp_path, f"{trial}b", tree, ["PHYSICS"])
 
 
+def _assert_diff_agrees_with_commit(store, tree, baseline):
+    """The diff's rows predict exactly what the commit then changes."""
+    changes = diff_alias_vs_numeric(store, tree, baseline)
+    before = dict(walk_tree(store, baseline).entries) if baseline else {}
+    count = store.object_count()
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    after = dict(walk_tree(store, root).entries)
+    assert changes.is_fixed_point() == (store.object_count() == count)
+    moved = {path for path, identity in after.items() if before.get(path) != identity}
+    rebuilt = {e.path for e in changes.entries if e.is_map and e.status in ("changed", "added")}
+    repinned = {e.path for e in changes.entries if not e.is_map and e.status in ("changed", "added")}
+    assert rebuilt | repinned == moved
+    return root
+
+
+def test_diff_and_commit_agree_on_random_edit_scripts(tmp_path):
+    rng = random.Random(20261018)
+    for trial in range(60):
+        with open_store(tmp_path / f"s{trial}", clock=lambda: 0) as trial_store:
+            tree = random_alias_tree(rng, trial_store, max_depth=5, max_children=6)
+            root = _assert_diff_agrees_with_commit(trial_store, tree, None)
+            root = _assert_diff_agrees_with_commit(trial_store, tree, root)  # zero edits
+            tag = [0]
+            for _ in range(4):
+                for _ in range(rng.randint(0, 3)):
+                    random_edit(rng, trial_store, tree, tag)
+                root = _assert_diff_agrees_with_commit(trial_store, tree, root)
+            # A dangling pin is refused before the commit stages anything.
+            random_edit(rng, trial_store, tree, tag)
+            changes = diff_alias_vs_numeric(trial_store, tree, root)
+            parent = rng.choice([e.path for e in changes.entries if e.is_map])
+            tree.set_object_alias(parent or "/", "ghost", ObjectIdentity("Ghost", None, 1))
+            with trial_store.transaction() as txn:
+                staged = txn.create_object("Staged", None, Payload.leaf({"n": trial}))
+                pending = list(txn.pending)
+                with pytest.raises(DanglingAliasTargetError):
+                    commit_alias_tree_in(trial_store, txn, tree, ["PHYSICS"])
+                assert txn.pending == pending and txn.has_object(staged)
+                txn.abort()
+
+
 class _YieldingDict(dict):
     """A dict that lets other threads run after every insert."""
 

@@ -20,7 +20,7 @@ from confdb.errors import (
 )
 from confdb.model import ObjectIdentity, Payload, decode_payload
 from confdb.store import open_store
-from helpers import make_leaf
+from helpers import clone_store, make_leaf
 
 
 @pytest.fixture
@@ -284,6 +284,53 @@ def test_cross_handle_visibility(tmp_path):
     assert a.list_versions("A") == [1, 2]
     a.close()
     b.close()
+
+
+def test_a_handle_reads_only_the_log_it_opened(tmp_path):
+    # A file put in the log's place after the handles opened it shares its
+    # prefix but holds another A[2]; neither handle may read it.
+    path = tmp_path / "db"
+    a = open_store(path, clock=lambda: 0)
+    b = open_store(path, clock=lambda: 0)
+    try:
+        make_leaf(a, "A", None, v=1)
+        b.refresh()
+        with clone_store(str(path), str(tmp_path / "foreign")) as foreign:
+            make_leaf(foreign, "A", None, v=999)
+        foreign_bytes = (tmp_path / "foreign" / "objects.log").read_bytes()
+        os.replace(tmp_path / "foreign" / "objects.log", path / "objects.log")
+        assert make_leaf(b, "A", None, v=2) == ObjectIdentity("A", None, 2)
+        a.refresh()
+        assert a.get_object(ObjectIdentity("A", None, 2)).payload.fields == {"v": 2}
+        assert a.log_size() == b.log_size() != len(foreign_bytes)
+        assert (path / "objects.log").read_bytes() == foreign_bytes
+    finally:
+        a.close()
+        b.close()
+
+
+def test_a_failed_open_closes_every_descriptor_it_opened(tmp_path, monkeypatch):
+    path = tmp_path / "db"
+    (path / "objects.log").mkdir(parents=True)
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def recording_open(*args, **kwargs):
+        fd = real_open(*args, **kwargs)
+        opened.append(fd)
+        return fd
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "close", recording_close)
+    for _ in range(5):
+        with pytest.raises(OSError):
+            open_store(path)
+    monkeypatch.undo()
+    assert len(opened) == 5 and sorted(opened) == sorted(closed)
 
 
 def test_commit_then_reopen_preserves_bookkeeping(tmp_path):
