@@ -17,6 +17,22 @@ serialized as indented text::
 one node per line, two spaces of indent per level, children in
 byte-lexicographic name order.  Only the latest saved state is kept;
 history belongs to the numeric trees.
+
+Trees share their nodes instead of copying them.  A save keeps the
+saved tree's nodes as the region's state, and a load returns a new tree
+over them.  Each tree may change in place only the map nodes it owns:
+those it created, or copied since it was last saved.  The edit methods
+first copy each map on the root-to-node path that the tree does not own
+(path copying, as in Driscoll et al., "Making Data Structures
+Persistent", 1989).  So a load or a save copies nothing, an edit copies
+at most one path, and no tree sees another tree's edits.  Writing to the
+``children`` of a node directly, rather than through the edit methods,
+is unsupported once a tree has been saved, loaded or serialized: the
+node may be shared, and its memo (below) would go stale.
+
+Each map node also memoises the text of its children's lines, which
+serialization reuses, and carries the commit mark described in
+``commitproc``.  An edit clears both on every map along its path.
 """
 
 from __future__ import annotations
@@ -55,6 +71,12 @@ class MapAlias:
     """Placeholder map node; children keyed by link name."""
 
     children: dict = field(default_factory=dict)
+    # The edit token of the one tree that may change this node in place.
+    _owner: object = field(default=None, init=False, repr=False, compare=False)
+    # (depth, text of the children's lines), kept by serialization.
+    _text: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (store token, numeric map identity), kept by commitproc.
+    _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def sorted_items(self):
         return sorted(self.children.items())
@@ -66,7 +88,8 @@ class AliasTree:
     def __init__(self, alias_name: str, root_class: str):
         self.alias_name = validate_name(alias_name, "alias name")
         self.root_class = validate_name(root_class, "root class")
-        self.root = MapAlias()
+        self._token = object()
+        self.root = self._own(MapAlias())
 
     # -- node addressing ------------------------------------------------
 
@@ -81,10 +104,29 @@ class AliasTree:
             node = node.children[segment]
         return node
 
-    def _map_at(self, path) -> MapAlias:
-        node = self.node_at(path)
+    def _map_at(self, path) -> tuple:
+        segments = parse_path(path)
+        node = self.node_at(segments)
         if not isinstance(node, MapAlias):
-            raise NotAMapAliasError(f"{display_path(parse_path(path))!r} is an object alias")
+            raise NotAMapAliasError(f"{display_path(segments)!r} is an object alias")
+        return segments, node
+
+    def _own(self, node: MapAlias) -> MapAlias:
+        """``node`` made editable in place by this tree, its memos cleared."""
+        if node._owner is not self._token:
+            node = MapAlias(dict(node.children))
+            node._owner = self._token
+        else:
+            node._text = node._mark = None
+        return node
+
+    def _writable(self, segments: tuple) -> MapAlias:
+        """The existing map at ``segments``, after owning every map on its path."""
+        node = self.root = self._own(self.root)
+        for segment in segments:
+            child = self._own(node.children[segment])
+            node.children[segment] = child
+            node = child
         return node
 
     # -- edits ------------------------------------------------------------
@@ -92,10 +134,10 @@ class AliasTree:
     def add_map_alias(self, parent_path, name: str) -> "AliasTree":
         """Insert an empty placeholder map under ``parent_path``."""
         validate_name(name, "link name")
-        parent = self._map_at(parent_path)
+        segments, parent = self._map_at(parent_path)
         if name in parent.children:
             raise DuplicateNameError(f"name already used: {name!r}")
-        parent.children[name] = MapAlias()
+        self._writable(segments).children[name] = self._own(MapAlias())
         return self
 
     def set_object_alias(self, parent_path, name: str, target: ObjectIdentity) -> "AliasTree":
@@ -103,11 +145,11 @@ class AliasTree:
         validate_name(name, "link name")
         if not isinstance(target, ObjectIdentity):
             raise TypeError(f"target must be an ObjectIdentity: {target!r}")
-        parent = self._map_at(parent_path)
+        segments, parent = self._map_at(parent_path)
         existing = parent.children.get(name)
         if isinstance(existing, MapAlias):
             raise NameIsMapAliasError(f"{name!r} is a map alias; remove it first")
-        parent.children[name] = ObjectAlias(target)
+        self._writable(segments).children[name] = ObjectAlias(target)
         return self
 
     def remove_node(self, path) -> "AliasTree":
@@ -118,7 +160,7 @@ class AliasTree:
         parent = self.node_at(segments[:-1])
         if not isinstance(parent, MapAlias) or segments[-1] not in parent.children:
             raise NoSuchNodeError(f"no alias node at {display_path(segments)!r}")
-        del parent.children[segments[-1]]
+        del self._writable(segments[:-1]).children[segments[-1]]
         return self
 
     # -- integrity ----------------------------------------------------------
@@ -140,21 +182,27 @@ def _audit_node(node, seen: set):
         assert isinstance(node, ObjectAlias)
 
 
-def _emit(node: MapAlias, depth: int, lines: list):
+def _children_text(node: MapAlias, depth: int) -> str:
+    """The lines of ``node``'s sub-tree at ``depth``, memoised on the node."""
+    memo = node._text
+    if memo is not None and memo[0] == depth:
+        return memo[1]
     indent = "  " * depth
+    parts = []
     for name, child in node.sorted_items():
         if isinstance(child, MapAlias):
-            lines.append(f"{indent}map {name}")
-            _emit(child, depth + 1, lines)
+            parts.append(f"{indent}map {name}\n")
+            parts.append(_children_text(child, depth + 1))
         else:
-            lines.append(f"{indent}obj {name} = {format_identity(child.target)}")
+            parts.append(f"{indent}obj {name} = {format_identity(child.target)}\n")
+    text = "".join(parts)
+    node._text = (depth, text)
+    return text
 
 
 def serialize_alias_tree(tree: AliasTree) -> str:
     """Canonical text form, children in byte-lexicographic order."""
-    lines = [f"alias {tree.alias_name} root_class {tree.root_class}"]
-    _emit(tree.root, 0, lines)
-    return "\n".join(lines) + "\n"
+    return f"alias {tree.alias_name} root_class {tree.root_class}\n" + _children_text(tree.root, 0)
 
 
 def _parse_header(line: str, lineno: int) -> AliasTree:
@@ -195,6 +243,8 @@ def parse_alias_region(text: str) -> dict:
             continue
         if line.startswith("alias "):
             tree = _parse_header(line, lineno)
+            if tree.alias_name in trees:
+                raise ParseError(f"alias line {lineno}: repeated alias {tree.alias_name!r}")
             trees[tree.alias_name] = tree
             stack = [tree.root]
             continue
@@ -221,16 +271,11 @@ def serialize_alias_region(trees: dict) -> str:
     return "".join([serialize_alias_tree(trees[name]) for name in sorted(trees)])
 
 
-def _clone_node(node):
-    if isinstance(node, ObjectAlias):
-        return ObjectAlias(node.target)  # identities are immutable: share them
-    return MapAlias({name: _clone_node(child) for name, child in node.children.items()})
-
-
-def _clone_tree(tree: AliasTree) -> AliasTree:
-    clone = AliasTree(tree.alias_name, tree.root_class)
-    clone.root = _clone_node(tree.root)
-    return clone
+def _shared(tree: AliasTree) -> AliasTree:
+    """A new tree over ``tree``'s nodes; it owns none of them."""
+    view = AliasTree(tree.alias_name, tree.root_class)
+    view.root = tree.root
+    return view
 
 
 def _read_region(store: Store) -> dict:
@@ -250,10 +295,15 @@ def _read_region(store: Store) -> dict:
 
 
 def save_alias_tree(store: Store, tree: AliasTree):
-    """Persist the tree's latest state; last save wins, the log is untouched."""
+    """Persist the tree's latest state; last save wins, the log is untouched.
+
+    The region keeps the tree's nodes, not a copy, so the tree stops
+    owning them: its next edit copies the path it changes.
+    """
     with store.alias_lock():
         trees = dict(_read_region(store))
-        trees[tree.alias_name] = _clone_tree(tree)
+        trees[tree.alias_name] = _shared(tree)
+        tree._token = object()
         text = serialize_alias_region(trees)
         store.write_alias_region(text)
         store._alias_parsed = (text, trees)
@@ -262,13 +312,15 @@ def save_alias_tree(store: Store, tree: AliasTree):
 def load_alias_tree(store: Store, alias_name: str) -> AliasTree:
     """Return the most recently saved state of one alias tree.
 
+    The tree shares the region's nodes; its edits copy the paths they
+    change, so neither the region nor another loaded tree sees them.
     Takes no lock: the region is replaced by atomic rename, so a read
     sees either the whole old file or the whole new one.
     """
     trees = _read_region(store)
     if alias_name not in trees:
         raise NoSuchAliasError(f"no alias tree named {alias_name!r}")
-    return _clone_tree(trees[alias_name])
+    return _shared(trees[alias_name])
 
 
 def edit_alias_tree(store: Store, alias_name: str, edit):

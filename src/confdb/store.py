@@ -260,6 +260,11 @@ class WriteTransaction:
                         detail=format_identity(target),
                     )
 
+        # Checked now, so shared through the name table like decoded names.
+        names = self._store._names
+        class_name = names.setdefault(class_name, class_name)
+        if secondary_key is not None:
+            secondary_key = names.setdefault(secondary_key, secondary_key)
         pair = (class_name, secondary_key)
         identity = ObjectIdentity(
             class_name, secondary_key, self.highest_key(class_name, secondary_key) + 1
@@ -308,6 +313,8 @@ class Store:
         self._names: dict[str, str] = {}
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
+        # Owned by commitproc.py: names this handle in alias-tree commit marks.
+        self._commit_token = object()
         self._applied_len = 0
         self._lock_fd = None
         self._log_fd = None

@@ -26,9 +26,9 @@ from confdb.errors import (
     NotAMapAliasError,
     ParseError,
 )
-from confdb.model import ObjectIdentity
+from confdb.model import ObjectIdentity, format_identity
 from confdb.store import open_store
-from helpers import make_leaf
+from helpers import make_leaf, random_edit
 
 HV3 = ObjectIdentity("DchHV", "sector3", 3)
 HV4 = ObjectIdentity("DchHV", "sector3", 4)
@@ -365,3 +365,88 @@ def test_audit_after_random_edits(store):
         tree.audit()
     text = serialize_alias_tree(tree)
     assert serialize_alias_tree(parse_alias_region(text)["t"]) == text
+
+
+def test_repeated_alias_header_is_refused():
+    text = "alias a root_class T\nobj x = A[1]\nalias a root_class T\n"
+    with pytest.raises(ParseError, match="line 3"):
+        parse_alias_region(text)
+
+
+# -- shared nodes ------------------------------------------------------------
+
+
+def _plain_text(tree) -> str:
+    """Serialization from scratch, with no memo."""
+    lines = [f"alias {tree.alias_name} root_class {tree.root_class}"]
+
+    def emit(node, depth):
+        for name in sorted(node.children):
+            child = node.children[name]
+            if isinstance(child, MapAlias):
+                lines.append("  " * depth + f"map {name}")
+                emit(child, depth + 1)
+            else:
+                lines.append("  " * depth + f"obj {name} = {format_identity(child.target)}")
+
+    emit(tree.root, 0)
+    return "\n".join(lines) + "\n"
+
+
+def _random_edits(rng, store, tree, count, tag):
+    for _ in range(count):
+        random_edit(rng, store, tree, tag)
+
+
+def test_serialization_after_in_place_edits_matches_a_fresh_parse(store):
+    rng = random.Random(1212)
+    counter = [0]
+    for _ in range(40):
+        tree = new_alias_tree("t", "TopMap")
+        for _ in range(rng.randint(1, 4)):
+            # Serializing fills every map's memo; the edits that follow are
+            # in place (the tree owns all its nodes) and must clear it.
+            first = serialize_alias_tree(tree)
+            assert first == _plain_text(tree)
+            _random_edits(rng, store, tree, rng.randint(1, 6), counter)
+            again = serialize_alias_tree(tree)
+            assert again == _plain_text(tree)
+            assert again == serialize_alias_region(parse_alias_region(again))
+
+
+def test_saved_and_loaded_trees_serialize_like_fresh_ones(store):
+    rng = random.Random(1213)
+    counter = [0]
+    tree = new_alias_tree("t", "TopMap")
+    for _ in range(30):
+        _random_edits(rng, store, tree, rng.randint(0, 5), counter)
+        save_alias_tree(store, tree)
+        loaded = load_alias_tree(store, "t")
+        assert serialize_alias_tree(loaded) == _plain_text(tree) == _plain_text(loaded)
+        if rng.random() < 0.5:
+            tree = loaded  # keep editing the loaded copy, which shares the nodes
+        with open(store.directory + "/aliases.dat", encoding="utf-8") as f:
+            assert f.read() == _plain_text(tree)
+
+
+def test_editing_a_loaded_tree_changes_neither_the_region_nor_another_load(store):
+    rng = random.Random(1214)
+    counter = [0]
+    tree = new_alias_tree("golden", "TopMap")
+    _random_edits(rng, store, tree, 60, counter)
+    save_alias_tree(store, tree)
+    text = _plain_text(tree)
+    for _ in range(20):
+        first = load_alias_tree(store, "golden")
+        second = load_alias_tree(store, "golden")
+        _random_edits(rng, store, first, rng.randint(1, 5), counter)
+        first.audit()
+        assert _plain_text(second) == text
+        assert _plain_text(load_alias_tree(store, "golden")) == text
+        assert serialize_alias_tree(load_alias_tree(store, "golden")) == text
+        # The saved tree itself no longer owns what it shares with the region.
+        _random_edits(rng, store, tree, 1, counter)
+        assert _plain_text(load_alias_tree(store, "golden")) == text
+        tree = load_alias_tree(store, "golden")
+    with open(store.directory + "/aliases.dat", encoding="utf-8") as f:
+        assert f.read() == text

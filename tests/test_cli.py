@@ -313,3 +313,4 @@ def test_serve_with_env_override(workdir):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

@@ -443,3 +443,131 @@ def test_readers_walk_only_committed_trees_while_commits_land(store):
     assert len({root for root, _ in walks}) > 1
     for root, entries in walks:
         assert entries == manifests[root]
+
+
+# -- commit marks ---------------------------------------------------------------
+
+
+def _log_bytes(store) -> bytes:
+    with open(store.directory + "/objects.log", "rb") as f:
+        return f.read()
+
+
+def test_oracle_equivalence_over_generations_of_saves_loads_and_two_handles(tmp_path):
+    from confdb.alias import load_alias_tree, save_alias_tree
+
+    rng = random.Random(20261019)
+    for trial in range(12):
+        directory = str(tmp_path / f"s{trial}")
+        handles = [open_store(directory, clock=lambda: 0) for _ in range(2)]
+        try:
+            tree = random_alias_tree(rng, handles[0], max_depth=5, max_children=6)
+            save_alias_tree(handles[0], tree)
+            tag = [0]
+            for generation in range(8):
+                store = rng.choice(handles)
+                if rng.random() < 0.7:
+                    tree = load_alias_tree(store, "random")
+                for _ in range(rng.choice([0, 0, 1, 2, 4])):
+                    random_edit(rng, store, tree, tag)
+                save_alias_tree(store, tree)
+                binds = rng.choice([["PHYSICS"], ["PHYSICS"], ["COSMICS", "PHYSICS"]])
+                oracle = clone_store(directory, str(tmp_path / f"oracle{trial}-{generation}"))
+                try:
+                    oracle_root = naive_commit(oracle, tree, binds)
+                    root = commit_alias_tree(store, tree, binds)
+                    assert root == oracle_root
+                    assert walk_tree(store, root).entries == walk_tree(oracle, root).entries
+                    assert _log_bytes(store) == _log_bytes(oracle)
+                finally:
+                    oracle.close()
+        finally:
+            for handle in handles:
+                handle.close()
+
+
+def test_a_tree_committed_in_one_store_is_rebuilt_in_another(tmp_path):
+    with open_store(tmp_path / "a", clock=lambda: 0) as a, \
+            open_store(tmp_path / "b", clock=lambda: 0) as b:
+        tree = new_alias_tree("golden", "TopMap")
+        tree.add_map_alias("/", "m")
+        tree.set_object_alias("m", "x", make_leaf(a, "Leaf", None, v=1))
+        commit_alias_tree(a, tree, ["PHYSICS"])  # marks m as Map:m[1] of store a
+        # In b the same identities name other content.
+        assert make_leaf(b, "Leaf", None, v=2) == ObjectIdentity("Leaf", None, 1)
+        other = new_alias_tree("golden", "TopMap")
+        other.add_map_alias("/", "m")
+        other.set_object_alias("m", "y", make_leaf(b, "Leaf", None, v=3))
+        b_root = commit_alias_tree(b, other, ["PHYSICS"])
+        assert lookup_path(b, b_root, "m").identity == ObjectIdentity("Map", "m", 1)
+
+        oracle = clone_store(b.directory, str(tmp_path / "oracle"))
+        try:
+            oracle_root = naive_commit(oracle, tree, ["PHYSICS"])
+            root = commit_alias_tree(b, tree, ["PHYSICS"])
+            assert root == oracle_root != b_root
+            assert dict(walk_tree(b, root).entries)["m/x"] == ObjectIdentity("Leaf", None, 1)
+            assert _log_bytes(b) == _log_bytes(oracle)
+        finally:
+            oracle.close()
+
+
+def test_an_aborted_commit_leaves_no_marks_for_keys_reused_later(store, tmp_path):
+    tree = new_alias_tree("golden", "TopMap")
+    tree.add_map_alias("/", "m")
+    tree.set_object_alias("m", "x", make_leaf(store, "Leaf", None, v=1))
+    commit_alias_tree(store, tree, ["PHYSICS"])
+    tree.set_object_alias("m", "x", make_leaf(store, "Leaf", None, v=2))
+    txn = store.begin()
+    staged = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+    assert staged == ObjectIdentity("TopMap", None, 2)
+    txn.abort()
+    # Another tree takes the aborted keys Map:m[2] and TopMap[2].
+    other = new_alias_tree("golden", "TopMap")
+    other.add_map_alias("/", "m")
+    other.set_object_alias("m", "z", make_leaf(store, "Leaf", None, v=3))
+    assert commit_alias_tree(store, other, ["PHYSICS"]) == staged
+
+    oracle = clone_store(store.directory, str(tmp_path / "oracle"))
+    try:
+        oracle_root = naive_commit(oracle, tree, ["PHYSICS"])
+        root = commit_alias_tree(store, tree, ["PHYSICS"])
+        assert root == oracle_root != staged
+        assert walk_tree(store, root).entries == walk_tree(oracle, oracle_root).entries
+        assert _log_bytes(store) == _log_bytes(oracle)
+    finally:
+        oracle.close()
+
+
+def test_a_commit_visits_only_edited_sub_trees(store, monkeypatch):
+    import confdb.commitproc as commitproc
+
+    tree = new_alias_tree("golden", "TopMap")
+    for crate in ("c1", "c2", "c3"):
+        tree.add_map_alias("/", crate)
+        for slot in ("s1", "s2"):
+            tree.add_map_alias(crate, slot)
+            tree.set_object_alias(f"{crate}/{slot}", "v", make_leaf(store, "Leaf", None, v=1))
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+
+    visited = []
+    analyze = commitproc._analyze
+
+    def counting(view, node, numeric, segments, rows, token=None):
+        visited.append("/".join(segments))
+        return analyze(view, node, numeric, segments, rows, token)
+
+    monkeypatch.setattr(commitproc, "_analyze", counting)
+    assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
+    assert visited == [""]
+    # The preview ignores marks: it still compares every node.
+    changes = diff_alias_vs_numeric(store, tree, root)
+    assert changes.is_fixed_point() and len(changes.entries) == 1 + 3 + 6 + 6
+
+    visited.clear()
+    tree.set_object_alias("c2/s1", "v", make_leaf(store, "Leaf", None, v=2))
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    assert visited == ["", "c1", "c2", "c2/s1", "c2/s2", "c3"]
+    visited.clear()
+    assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
+    assert visited == [""]

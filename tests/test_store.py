@@ -563,6 +563,22 @@ def test_mid_log_damage_refuses_and_applies_nothing(tmp_path, damage, at, reason
 # -- shared values after open ---------------------------------------------------
 
 
+def test_created_objects_share_their_names(store):
+    # Equal names built at run time are distinct strings until interned.
+    classes = ["".join(["Dch", " Module"]) for _ in range(2)]
+    secondaries = ["".join(["crate", " 3"]) for _ in range(2)]
+    assert classes[0] is not classes[1] and secondaries[0] is not secondaries[1]
+    with store.transaction() as txn:
+        first = txn.create_object(classes[0], secondaries[0], Payload.leaf({"v": 1}))
+        second = txn.create_object(classes[1], secondaries[1], Payload.leaf({"v": 2}))
+    assert first.class_name is second.class_name
+    assert first.secondary_key is second.secondary_key
+    later = make_leaf(store, "".join(["Dch", " Module"]), "".join(["crate", " 3"]), v=3)
+    assert later.class_name is first.class_name
+    assert later.secondary_key is first.secondary_key
+    assert store.get_object(later).identity.class_name is first.class_name
+
+
 def test_open_shares_link_identities_and_names(tmp_path):
     path = tmp_path / "db"
     s = open_store(path, clock=lambda: 1_700_000_000)
