@@ -2,7 +2,7 @@
 
 Clients resolve a run type to a configuration tree and fetch their
 settings by path; operators edit mutable alias trees and commit them,
-producing minimally rebuilt, permanently reproducible numeric trees.
+producing permanently reproducible numeric trees, new only on edited paths.
 """
 
 from .alias import (

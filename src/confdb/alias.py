@@ -75,8 +75,8 @@ class MapAlias:
     _owner: object = field(default=None, init=False, repr=False, compare=False)
     # (depth, text of the children's lines), kept by serialization.
     _text: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (store token, numeric map identity), kept by commitproc.
-    _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The stored map object this node became at its last commit, kept by commitproc.
+    _mark: object = field(default=None, init=False, repr=False, compare=False)
 
     def sorted_items(self):
         return sorted(self.children.items())

@@ -49,10 +49,12 @@ class Session:
         self.store = store
         self.txn = None
 
-    def close(self):
-        if self.txn is not None and self.txn.state == "open":
-            self.txn.abort()
-        self.txn = None
+    def abort_block(self) -> bool:
+        """Abandon the ``begin`` block, if any; return whether there was one."""
+        txn, self.txn = self.txn, None
+        if txn is not None and txn.state == "open":
+            txn.abort()
+        return txn is not None
 
 
 def _scope(session: Session):
@@ -315,9 +317,7 @@ def execute_tokens(session: Session, tokens: list[str]) -> str:
         return handler(session, args)
     except ConfdbError:
         # Any failure inside an explicit block abandons the whole block.
-        if session.txn is not None and session.txn.state == "open":
-            session.txn.abort()
-            session.txn = None
+        session.abort_block()
         raise
 
 
@@ -340,9 +340,7 @@ def execute_script(session: Session, text: str, out) -> int:
             return 1
         if output:
             out.write(output)
-    if session.txn is not None:
-        session.txn.abort()
-        session.txn = None
+    if session.abort_block():
         print("error: script ended with an open transaction block", file=sys.stderr)
         return 1
     return 0
@@ -386,14 +384,12 @@ def main(argv=None) -> int:
             return 1
         if output:
             sys.stdout.write(output)
-        if session.txn is not None:
-            session.txn.abort()
-            session.txn = None
+        if session.abort_block():
             print("confdb: error: begin without commit", file=sys.stderr)
             return 1
         return 0
     finally:
-        session.close()
+        session.abort_block()
         store.close()
 
 

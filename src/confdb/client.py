@@ -90,7 +90,12 @@ class _Connection:
             pass
 
     def _read_line(self) -> bytes:
-        raw = self._rfile.readline()
+        try:
+            raw = self._rfile.readline()
+        except OSError as exc:
+            # The rest of the answer is unread, so the connection is given up.
+            self.close()
+            raise ConnectionFailureError(f"read failed: {exc}") from exc
         if not raw:
             raise ConnectionFailureError("connection closed by server")
         return raw

@@ -32,17 +32,19 @@ a store lookup: that link was checked when the map was created, and
 objects are never deleted.  Every added or retargeted pin is looked up.
 
 A commit also leaves marks, in the manner of git's index "cache tree".
-A mark ``(store token, numeric map identity)`` on a map alias says that
-its sub-tree's entries equal that numeric map's entries.  The token is
-one store handle's own object: an identity names an object only within
-one store.  ``commit_alias_tree`` marks every map the rebuild returned,
-once its transaction has committed.  ``commit_alias_tree_in`` marks
-nothing, since its caller may still abort and the aborted keys may then
-name other objects.  An edit clears the marks along its path (see
-``alias``).  A commit's comparison takes a node whose mark equals its
-own token and the numeric map under the node's name as unchanged,
-without visiting its sub-tree.  Nothing is left unchecked by that: every
-pin inside equals its numeric link, so no lookup would have run there.
+Each map alias the rebuild returns is marked with the stored object it
+became, staged or reused: its sub-tree's entries equal that object's
+entries.  A commit's comparison takes a node as unchanged, without
+visiting its sub-tree, when its mark is the very object its view holds
+under the node's name.  Object identity is what makes that safe: each
+store handle decodes its own objects, and staged objects enter a
+store's published objects only when their transaction commits, so a
+mark from an aborted or failed commit, or from another handle, never
+matches, even once its keys name other objects.  Nothing is left
+unchecked by a match either: every pin inside equals its numeric link,
+so no lookup would have run there.  Commits through
+``commit_alias_tree_in``, the CLI's path, leave marks too.  An edit
+clears the marks along its path (see ``alias``).
 ``diff_alias_vs_numeric`` ignores marks, so its rows stay complete.
 """
 
@@ -104,23 +106,22 @@ def _analyze(
     numeric: ObjectIdentity | None,
     segments: tuple,
     rows: list,
-    token: object = None,
+    marks: bool = False,
 ) -> str:
     """Append the rows of ``node`` and its sub-tree to ``rows``; return its status.
 
     ``numeric`` is the numeric object under the node's name, of any kind.
     Below the root a non-map is a kind flip: the node is compared against
-    nothing and reported changed.  A node marked ``(token, numeric)`` adds
-    only its own unchanged row; with no ``token`` no mark matches.
+    nothing and reported changed.  With ``marks``, a node marked with the
+    object ``view`` holds as ``numeric`` adds only its own unchanged row.
     """
-    if token is not None and node._mark == (token, numeric):
-        rows.append((segments, STATUS_UNCHANGED, True, numeric,
-                     view.get_object(numeric).payload.entries))
+    obj = None if numeric is None else view.get_object(numeric)
+    if marks and obj is not None and node._mark is obj:
+        rows.append((segments, STATUS_UNCHANGED, True, numeric, obj.payload.entries))
         return STATUS_UNCHANGED
     entries = ()
     is_map = True
-    if numeric is not None:
-        obj = view.get_object(numeric)
+    if obj is not None:
         is_map = obj.kind == KIND_MAP
         if is_map:
             entries = obj.payload.entries
@@ -155,7 +156,7 @@ def _analyze(
                 status = STATUS_CHANGED
             rows.append((child_segments, status, False, old, child.target))
         else:
-            status = _analyze(view, child, old, child_segments, rows, token)
+            status = _analyze(view, child, old, child_segments, rows, marks)
         if status != STATUS_UNCHANGED:
             unchanged = False
 
@@ -192,11 +193,10 @@ def _materialize(
     maps: dict,
     root_class: str,
     segments: tuple,
-    built: list,
 ) -> ObjectIdentity:
     """Bottom-up rebuild of the changed and added maps, read from their rows.
 
-    Appends ``(node, identity)`` to ``built`` for every map it returns.
+    Marks every map it returns with the object that map became.
     """
     _, status, _, identity, numeric_entries = maps[segments]
     if status != STATUS_UNCHANGED:
@@ -206,7 +206,7 @@ def _materialize(
             if isinstance(child, ObjectAlias):
                 target = child.target
             else:
-                target = _materialize(txn, child, maps, root_class, segments + (name,), built)
+                target = _materialize(txn, child, maps, root_class, segments + (name,))
             pair = kept.get(name)
             entries.append(pair if pair is not None and pair[1] == target else (name, target))
         payload = Payload.map(entries)
@@ -216,7 +216,7 @@ def _materialize(
             )
         else:
             identity = txn.create_object(root_class, None, payload)
-    built.append((node, identity))
+    node._mark = txn.get_object(identity)
     return identity
 
 
@@ -226,37 +226,27 @@ def commit_alias_tree(store: Store, tree: AliasTree, bind_run_types=()) -> Objec
     The baseline numeric tree is whatever the first requested run type
     is currently bound to (nothing bound means bootstrap).  Returns the
     new or reused root identity; a true fixed point creates no records
-    at all.  On any error nothing is committed.  Once the transaction
-    has committed, the tree's maps are marked with what they became.
+    at all.  On any error nothing is committed.
     """
     with store.transaction() as txn:
-        root_id, built = _stage(store, txn, tree, bind_run_types)
-    for node, identity in built:
-        node._mark = (store._commit_token, identity)
-    return root_id
+        return commit_alias_tree_in(store, txn, tree, bind_run_types)
 
 
 def commit_alias_tree_in(
     store: Store, txn: WriteTransaction, tree: AliasTree, bind_run_types=()
 ) -> ObjectIdentity:
-    """The commit procedure staged into an already-open transaction; marks nothing."""
-    return _stage(store, txn, tree, bind_run_types)[0]
-
-
-def _stage(store: Store, txn: WriteTransaction, tree: AliasTree, bind_run_types):
-    """Stage the commit; return the root and the ``(node, identity)`` of every map."""
+    """The commit procedure staged into an already-open transaction."""
     bind_run_types = list(bind_run_types)
     current = active_trees(txn)
     baseline = current.get(bind_run_types[0]) if bind_run_types else None
     rows: list = []
-    _analyze(txn, tree.root, baseline, (), rows, store._commit_token)
+    _analyze(txn, tree.root, baseline, (), rows, True)
     maps = {row[0]: row for row in rows if row[2]}
-    built: list = []
-    root_id = _materialize(txn, tree.root, maps, tree.root_class, (), built)
+    root_id = _materialize(txn, tree.root, maps, tree.root_class, ())
     if bind_run_types:
         rebound = dict(current)
         for run_type in bind_run_types:
             rebound[run_type] = root_id
         if rebound != current:
             activate(store, txn, rebound)
-    return root_id, built
+    return root_id

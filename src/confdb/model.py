@@ -278,7 +278,7 @@ class Payload:
         if self.kind not in KINDS:
             raise MalformedPayloadError(f"unknown payload kind: {self.kind!r}")
         # Entries that already are tuples are kept, not copied, so payloads
-        # built from another payload's entries share their pairs.
+        # made from another payload's entries share their pairs.
         items = [entry if type(entry) is tuple else tuple(entry) for entry in self.entries]
         seen = set()
         for name, value in items:

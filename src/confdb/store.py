@@ -313,8 +313,6 @@ class Store:
         self._names: dict[str, str] = {}
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
-        # Owned by commitproc.py: names this handle in alias-tree commit marks.
-        self._commit_token = object()
         self._applied_len = 0
         self._lock_fd = None
         self._log_fd = None

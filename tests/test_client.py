@@ -1,6 +1,7 @@
 """Client library tests: proxy dictionary, handles, end-to-end fetches."""
 
 import socket
+import struct
 import sys
 import threading
 
@@ -179,17 +180,21 @@ def scripted():
     listener = socket.create_server(("127.0.0.1", 0))
     frames, threads = [], []
 
-    def serve():
+    def serve(reset):
         conn, _ = listener.accept()
         with conn, conn.makefile("rb") as reader:
             for frame in frames:
                 if not reader.readline():
                     return
                 conn.sendall(frame)
+            if reset:
+                # A zero linger time makes the close send a reset.
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
-    def start(*script):
+    def start(*script, reset=False):
+        """Serve ``script``; with ``reset``, reset the connection after its last frame."""
         frames.extend(script)
-        threads.append(threading.Thread(target=serve, daemon=True))
+        threads.append(threading.Thread(target=serve, args=(reset,), daemon=True))
         threads[0].start()
         host, port = listener.getsockname()
         return f"{host}:{port}"
@@ -228,6 +233,15 @@ def test_a_refused_status_line_gives_the_connection_up(scripted):
     )
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(ConfdbError, match="not UTF-8"):
+            fetch_raw(handle, "a")
+        with pytest.raises(ConnectionFailureError):
+            fetch_raw(handle, "a")
+
+
+def test_a_reset_mid_answer_gives_the_connection_up(scripted):
+    endpoint = scripted(b"OK TopMap[1]\n", b"OK Leaf[1]\nkind=leaf\n", reset=True)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")

@@ -1,5 +1,7 @@
 """Commit procedure tests: diff, minimal rebuild, dedup, oracle equivalence."""
 
+import errno
+import os
 import random
 import sys
 import threading
@@ -512,16 +514,40 @@ def test_a_tree_committed_in_one_store_is_rebuilt_in_another(tmp_path):
             oracle.close()
 
 
-def test_an_aborted_commit_leaves_no_marks_for_keys_reused_later(store, tmp_path):
+def _abort(store, tree, monkeypatch):
+    txn = store.begin()
+    staged = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+    txn.abort()
+    return staged
+
+
+def _fail_fsync(store, tree, monkeypatch):
+    real, calls = os.fsync, []
+
+    def fail_first_call(fd):
+        calls.append(fd)
+        if len(calls) > 1:
+            return real(fd)
+        raise OSError(errno.EIO, "injected fsync failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", fail_first_call)
+        with pytest.raises(OSError, match="injected"):
+            commit_alias_tree(store, tree, ["PHYSICS"])
+    return ObjectIdentity("TopMap", None, 2)
+
+
+@pytest.mark.parametrize("fail", [_abort, _fail_fsync], ids=["abort", "fsync"])
+def test_an_aborted_commit_leaves_no_marks_for_keys_reused_later(store, tmp_path, monkeypatch, fail):
     tree = new_alias_tree("golden", "TopMap")
     tree.add_map_alias("/", "m")
     tree.set_object_alias("m", "x", make_leaf(store, "Leaf", None, v=1))
     commit_alias_tree(store, tree, ["PHYSICS"])
     tree.set_object_alias("m", "x", make_leaf(store, "Leaf", None, v=2))
-    txn = store.begin()
-    staged = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+    log = _log_bytes(store)
+    staged = fail(store, tree, monkeypatch)
     assert staged == ObjectIdentity("TopMap", None, 2)
-    txn.abort()
+    assert _log_bytes(store) == log
     # Another tree takes the aborted keys Map:m[2] and TopMap[2].
     other = new_alias_tree("golden", "TopMap")
     other.add_map_alias("/", "m")
@@ -569,5 +595,27 @@ def test_a_commit_visits_only_edited_sub_trees(store, monkeypatch):
     root = commit_alias_tree(store, tree, ["PHYSICS"])
     assert visited == ["", "c1", "c2", "c2/s1", "c2/s2", "c3"]
     visited.clear()
+    assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
+    assert visited == [""]
+
+
+def test_a_commit_inside_an_open_transaction_leaves_marks(store, monkeypatch):
+    import confdb.commitproc as commitproc
+
+    tree = new_alias_tree("golden", "TopMap")
+    for crate in ("c1", "c2"):
+        tree.add_map_alias("/", crate)
+        tree.set_object_alias(crate, "v", make_leaf(store, "Leaf", None, v=1))
+    with store.transaction() as txn:
+        root = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+
+    visited = []
+    analyze = commitproc._analyze
+
+    def counting(view, node, numeric, segments, rows, marks=False):
+        visited.append("/".join(segments))
+        return analyze(view, node, numeric, segments, rows, marks)
+
+    monkeypatch.setattr(commitproc, "_analyze", counting)
     assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
     assert visited == [""]
