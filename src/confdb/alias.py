@@ -298,14 +298,16 @@ def save_alias_tree(store: Store, tree: AliasTree):
     """Persist the tree's latest state; last save wins, the log is untouched.
 
     The region keeps the tree's nodes, not a copy, so the tree stops
-    owning them: its next edit copies the path it changes.
+    owning them: its next edit copies the path it changes.  A save that
+    would write back the text just read writes nothing.
     """
     with store.alias_lock():
         trees = dict(_read_region(store))
         trees[tree.alias_name] = _shared(tree)
         tree._token = object()
         text = serialize_alias_region(trees)
-        store.write_alias_region(text)
+        if text != store._alias_parsed[0]:  # else it equals the text just read
+            store.write_alias_region(text)
         store._alias_parsed = (text, trees)
 
 

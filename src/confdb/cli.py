@@ -11,6 +11,9 @@ and scripts (LF-separated commands, ``#`` comments) run via::
 
     confdb --store DIR script build.cmds     # or '-' for stdin
 
+``confdb --store DIR fsck`` checks a store's whole log without opening
+the store, so it neither locks nor repairs anything.
+
 Each command either fully succeeds or leaves the store and alias state
 unchanged; `begin`/`commit`/`abort` group several mutating commands into
 one store transaction.  A script stops at its first error and exits
@@ -38,7 +41,7 @@ from .model import (
     parse_identity,
     validate_name,
 )
-from .store import Store, open_store
+from .store import Store, check_store, open_store
 from .tree import activate, active_trees, lookup_path, resolve_run_type, walk_tree
 
 
@@ -346,6 +349,20 @@ def execute_script(session: Session, text: str, out) -> int:
     return 0
 
 
+def _fsck(directory: str, args: list[str]) -> int:
+    """Report ``check_store``'s findings; exit 1 at the first failure."""
+    if args:
+        print("usage: fsck", file=sys.stderr)
+        return 2
+    try:
+        for line in check_store(directory):
+            print(line, flush=True)
+    except (ConfdbError, OSError) as exc:
+        print(f"confdb: error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="confdb",
@@ -360,6 +377,8 @@ def main(argv=None) -> int:
     if not options.command:
         parser.error("missing command")
 
+    if options.command[0] == "fsck":
+        return _fsck(options.store, options.command[1:])
     clock_kwargs = {}
     if options.epoch is not None:
         clock_kwargs["clock"] = lambda: options.epoch

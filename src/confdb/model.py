@@ -29,8 +29,9 @@ through private constructors that skip the public constructors'
 re-validation.  Given :class:`DecodeTables`, many decodes share what
 repeats: one string per distinct name, one :class:`ObjectIdentity` per
 identity text and one ``(name, identity)`` pair per link line.  The
-store fully decodes and canonically checks every log record once when
-it opens, with one set of tables per scan.
+store decodes each log record once, canonical check included: at open,
+or, for the prefix a trusted hint covers, on the record's first read
+(see ``confdb.store``).
 """
 
 from __future__ import annotations
@@ -178,7 +179,9 @@ class DecodeTables:
     own identity and every link to it, and ``links`` maps a map or
     run-type entry line to one shared ``(name, identity)`` pair, so the
     versions of a map share the links they keep.  Both grow with the
-    objects decoded, so they are kept for one batch (one log scan).
+    objects decoded.  A log scan keeps one set for its batch; a store
+    keeps one set for its lifetime, for the records its open only framed
+    and decodes on first read.
     """
 
     __slots__ = ("names", "identities", "links")

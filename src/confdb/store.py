@@ -10,13 +10,26 @@ On disk a store is one directory:
   record count, at least 1.  Torn tails (a crash mid-append) are
   detected by the framing plus CRC and truncated away on the next open,
   with a warning on the ``confdb.store`` logger; a bad record that is
-  *not* the tail means real damage and refuses to open.  An open fully
-  decodes and canonically checks every record once.  The decoded
-  objects share their identities and names: every link to an object
-  holds that object's own identity, and each distinct name is one
-  string.  A handle reads, sizes and truncates the log only through the
-  descriptor it opened, so a file put in the log's place later is never
-  mixed into what it reads.
+  *not* the tail means real damage and refuses to open.  A handle
+  reads, sizes and truncates the log only through the descriptor it
+  opened, so a file put in the log's place later is never mixed into
+  what it reads.
+* ``objects.hint`` -- one line, ``confdb-hint 1 <covered> <sha256>``:
+  a commit boundary of the log and the SHA-256 hex digest of the log's
+  first ``covered`` bytes (the hint file of Bitcask, without a keydir).
+  A handle that committed writes it after each ``HINT_EVERY_BYTES`` of
+  log growth and when it closes, to a temporary name and then by
+  rename, without fsync: it is checked before it is used.  An open
+  trusts a hint only when the log is at least ``covered`` bytes long
+  and those exact bytes have that digest.  It then only frames the
+  covered records (magic, type, lengths, commit counts, identities and
+  stamps) and decodes each on first read, canonical check included, so
+  a bad record there refuses at that read.  Records past the hint, and
+  every record when there is no trusted hint, are fully decoded and
+  canonically checked at open.  ``confdb fsck`` checks every record of
+  a log offline, whatever the hint says.  The decoded objects share
+  their identities and names: every link to an object holds that
+  object's own identity, and each distinct name is one string.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
@@ -25,7 +38,8 @@ On disk a store is one directory:
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
-consume keys.  Readers are lock-free.  Committed state is published in
+consume keys.  Readers take no lock, but for the first read of a record
+an open only framed.  Committed state is published in
 place, in a fixed order: a batch is first checked for duplicate
 identities (so a corrupt log leaves nothing half-applied), then every
 object is inserted, then the per-pair highest keys are raised, then the
@@ -37,11 +51,13 @@ active run-type map and every tree it binds, is already present.
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import os
+import re
 import threading
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,6 +69,7 @@ from .errors import (
     TransactionClosedError,
 )
 from .model import (
+    KIND_LEAF,
     KIND_MAP,
     KIND_RUNTYPES,
     DecodeTables,
@@ -66,8 +83,14 @@ from .model import (
 )
 
 LOG_NAME = "objects.log"
+HINT_NAME = "objects.hint"
 ALIAS_NAME = "aliases.dat"
 LOCK_NAME = "LOCK"
+
+# A committing handle rewrites the hint once the log has grown this much
+# past the last hint it wrote or verified.
+HINT_EVERY_BYTES = 1 << 20
+_HINT_LINE = re.compile(rb"confdb-hint 1 (0|[1-9][0-9]{0,19}) ([0-9a-f]{64})\n")
 
 MAGIC = 0xC7
 REC_OBJECT = 0x01
@@ -104,24 +127,60 @@ def _object_body(obj: StoredObject) -> bytes:
     return head + encode_payload(obj.payload)
 
 
+def _decode_head(body: bytes, tables: DecodeTables, stamps: dict) -> tuple:
+    """An object record body's identity, creation stamp and payload offset."""
+    identity_end = body.index(b"\n")
+    stamp_end = body.index(b"\n", identity_end + 1)
+    identity = tables.identity(body[:identity_end].decode("utf-8"))
+    stamp = body[identity_end + 1 : stamp_end]
+    created_at = stamps.get(stamp)
+    if created_at is None:
+        created_at = canonical_int(stamp.decode("ascii"))
+        if created_at is None:
+            raise ValueError(f"bad creation stamp: {stamp!r}")
+        stamps[stamp] = created_at
+    return identity, created_at, stamp_end + 1
+
+
 def _decode_object_body(
     body: bytes, offset: int, tables: DecodeTables, stamps: dict
 ) -> StoredObject:
     try:
-        identity_end = body.index(b"\n")
-        stamp_end = body.index(b"\n", identity_end + 1)
-        identity = tables.identity(body[:identity_end].decode("utf-8"))
-        stamp = body[identity_end + 1 : stamp_end]
-        created_at = stamps.get(stamp)
-        if created_at is None:
-            created_at = canonical_int(stamp.decode("ascii"))
-            if created_at is None:
-                raise ValueError(f"bad creation stamp: {stamp!r}")
-            stamps[stamp] = created_at
-        payload = decode_payload(body[stamp_end + 1 :], tables)
+        identity, created_at, payload_start = _decode_head(body, tables, stamps)
+        payload = decode_payload(body[payload_start:], tables)
     except Exception as exc:
         raise CorruptLogError(f"undecodable object record at offset {offset}: {exc}") from exc
     return StoredObject(identity, payload, created_at)
+
+
+def _record_end(buf: bytes, offset: int, size: int, base: int) -> int | None:
+    """The end of the record at ``offset``; None if it runs past ``size``.
+
+    Refuses a bad magic octet or record type, naming the log offset
+    (``base`` is the log offset of ``buf[0]``).
+    """
+    if size - offset < _HEADER_LEN:
+        return None
+    if buf[offset] != MAGIC:
+        raise CorruptLogError(f"bad record magic at offset {base + offset}")
+    rtype = buf[offset + 1]
+    if rtype not in (REC_OBJECT, REC_COMMIT):
+        raise CorruptLogError(f"unknown record type {rtype} at offset {base + offset}")
+    end = offset + _HEADER_LEN + int.from_bytes(buf[offset + 2 : offset + 6], "big") + 4
+    return end if end <= size else None
+
+
+def _check_commit(body: bytes, at: int, pending: int) -> None:
+    """Refuse a commit record that does not close exactly ``pending`` records."""
+    # Latin-1 decodes any bytes, and canonical decimal text is ASCII.
+    # The writer never appends an empty transaction.
+    count = canonical_int(body.decode("latin-1"))
+    if count is None or count < 1:
+        raise CorruptLogError(f"bad commit record at offset {at}")
+    if count != pending:
+        raise CorruptLogError(
+            f"commit record at offset {at} covers {count} records, found {pending}"
+        )
 
 
 def _scan_log(buf: bytes, names: dict | None = None, base: int = 0):
@@ -148,41 +207,96 @@ def _scan_log(buf: bytes, names: dict | None = None, base: int = 0):
     offset = 0
     size = len(buf)
     while offset < size:
-        if size - offset < _HEADER_LEN:
-            break  # torn header
-        if buf[offset] != MAGIC:
-            raise CorruptLogError(f"bad record magic at offset {base + offset}")
-        rtype = buf[offset + 1]
-        if rtype not in (REC_OBJECT, REC_COMMIT):
-            raise CorruptLogError(f"unknown record type {rtype} at offset {base + offset}")
-        body_len = int.from_bytes(buf[offset + 2 : offset + 6], "big")
-        end = offset + _HEADER_LEN + body_len + 4
-        if end > size:
-            break  # torn body
-        body = buf[offset + _HEADER_LEN : offset + _HEADER_LEN + body_len]
+        end = _record_end(buf, offset, size, base)
+        if end is None:
+            break  # torn header or body
+        body = buf[offset + _HEADER_LEN : end - 4]
         crc = int.from_bytes(buf[end - 4 : end], "big")
         if crc != (zlib.crc32(body) & 0xFFFFFFFF):
             if end == size:
                 break  # torn tail record
             raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
-        if rtype == REC_OBJECT:
+        if buf[offset + 1] == REC_OBJECT:
             pending.append(_decode_object_body(body, base + offset, tables, stamps))
         else:
-            # Latin-1 decodes any bytes, and canonical decimal text is ASCII.
-            # The writer never appends an empty transaction.
-            count = canonical_int(body.decode("latin-1"))
-            if count is None or count < 1:
-                raise CorruptLogError(f"bad commit record at offset {base + offset}")
-            if count != len(pending):
-                raise CorruptLogError(
-                    f"commit record at offset {base + offset} covers {count} records,"
-                    f" found {len(pending)}"
-                )
+            _check_commit(body, base + offset, len(pending))
             transactions.append(pending)
             pending = []
             committed_end = end
         offset = end
     return transactions, committed_end
+
+
+class _Framed:
+    """A committed record an open framed but has not decoded yet.
+
+    ``offset`` is where the record starts in the store's ``_image``.
+    """
+
+    __slots__ = ("identity", "offset")
+
+    def __init__(self, identity: ObjectIdentity, offset: int):
+        self.identity = identity
+        self.offset = offset
+
+
+def _frame_log(buf: bytes, end: int, tables: DecodeTables, stamps: dict) -> list | None:
+    """Frame the records of ``buf[:end]`` without checking or decoding payloads.
+
+    For a prefix whose bytes a verified digest vouches for, so the CRCs
+    and the canonical decode can wait for the first read.  It keeps the
+    structural checks of ``_scan_log`` (magic, record type, lengths,
+    commit counts), interns each identity through ``tables`` and parses
+    each stamp through ``stamps``.  Returns one ``_Framed`` per object
+    record, or None when ``end`` is not the end of a commit record.
+    """
+    framed = []
+    pending = 0
+    offset = 0
+    while offset < end:
+        record_end = _record_end(buf, offset, end, 0)
+        if record_end is None:
+            return None
+        body = buf[offset + _HEADER_LEN : record_end - 4]
+        if buf[offset + 1] == REC_OBJECT:
+            try:
+                identity = _decode_head(body, tables, stamps)[0]
+            except Exception as exc:
+                raise CorruptLogError(
+                    f"undecodable object record at offset {offset}: {exc}"
+                ) from exc
+            framed.append(_Framed(identity, offset))
+            pending += 1
+        else:
+            _check_commit(body, offset, pending)
+            pending = 0
+        offset = record_end
+    return framed if pending == 0 else None
+
+
+def _parse_hint(data: bytes) -> tuple[int, str] | None:
+    """``(covered length, hex digest)`` from a hint file's bytes, if well formed."""
+    match = _HINT_LINE.fullmatch(data)
+    return None if match is None else (int(match[1]), match[2].decode("ascii"))
+
+
+def _read_hint(directory: str) -> bytes | None:
+    """The hint file's bytes (at most 128 of them), or None if there is none."""
+    try:
+        with open(os.path.join(directory, HINT_NAME), "rb") as f:
+            return f.read(128)
+    except FileNotFoundError:
+        return None
+    except OSError:
+        return b""  # unreadable: never trusted
+
+
+def _hint_matches(buf: bytes, hint: tuple[int, str] | None):
+    """The SHA-256 state of the prefix ``hint`` covers, if its digest matches."""
+    if hint is None or hint[0] > len(buf):
+        return None
+    digest = hashlib.sha256(memoryview(buf)[: hint[0]])
+    return digest if digest.hexdigest() == hint[1] else None
 
 
 class WriteTransaction:
@@ -301,6 +415,7 @@ class Store:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._log_path = os.path.join(self.directory, LOG_NAME)
+        self._hint_path = os.path.join(self.directory, HINT_NAME)
         self._alias_path = os.path.join(self.directory, ALIAS_NAME)
         self._clock = clock
         self._writer_lock = threading.RLock()
@@ -311,6 +426,17 @@ class Store:
         self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
         # Every valid name the log scans have seen, so decoded objects share them.
         self._names: dict[str, str] = {}
+        # Records framed from a hinted prefix are decoded on first read from
+        # ``_image``, the log bytes the open verified, through these tables.
+        self._tables = DecodeTables(self._names)
+        self._stamps: dict[bytes, int] = {}
+        self._image = b""
+        # SHA-256 of the applied prefix; the hint this handle last wrote or
+        # verified covers ``_hint_len`` bytes; ``_committed_len`` is the
+        # applied length after this handle's last commit.
+        self._digest = hashlib.sha256()
+        self._hint_len = 0
+        self._committed_len = 0
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
         self._applied_len = 0
@@ -391,7 +517,8 @@ class Store:
         With ``truncate`` (which requires the exclusive lock) a torn or
         uncommitted tail is physically cut off; without it the tail is
         left alone and simply not applied, so a read-side catch-up never
-        interferes with an in-flight writer.
+        interferes with an in-flight writer.  A replay from the start of
+        the log takes the prefix a trusted hint covers as framed records.
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
@@ -399,10 +526,19 @@ class Store:
                 raise CorruptLogError("log shrank outside recovery")
             if size == self._applied_len:
                 return
-            tail = self._read_log(self._applied_len, size)
-            transactions, committed_len = _scan_log(tail, self._names, self._applied_len)
-            boundary = self._applied_len + committed_len
-            self._apply_transactions(transactions, boundary)
+            base = self._applied_len
+            data = self._read_log(base, size)
+            hinted = self._hinted_prefix(data) if base == 0 else None
+            digest, covered, framed = hinted or (self._digest, 0, [])
+            transactions, committed_len = _scan_log(
+                data[covered:] if covered else data, self._names, base + covered
+            )
+            boundary = base + covered + committed_len
+            self._apply_transactions([framed] + transactions if framed else transactions, boundary)
+            digest.update(memoryview(data)[covered : covered + committed_len])
+            self._digest = digest
+            if hinted:
+                self._image, self._hint_len = data, covered
             if truncate and boundary < size:
                 self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
@@ -414,6 +550,34 @@ class Store:
                     "%s: truncated a torn tail at offset %d, cutting %d bytes",
                     self._log_path, boundary, size - boundary,
                 )
+
+    def _hinted_prefix(self, data: bytes):
+        """``(digest, covered length, framed records)`` from a trusted hint, else None."""
+        hint = _parse_hint(_read_hint(self.directory) or b"")
+        digest = _hint_matches(data, hint)
+        if digest is None:
+            return None
+        framed = _frame_log(data, hint[0], self._tables, self._stamps)
+        return None if framed is None else (digest, hint[0], framed)
+
+    def _write_hint(self):
+        """Record the applied prefix's length and digest in the hint file.
+
+        Best effort: the hint is checked before it is used, so it needs no
+        fsync, and a failed write only leaves an older hint or none.
+        """
+        with self._apply_lock:
+            covered, digest = self._applied_len, self._digest.hexdigest()
+        tmp_path = f"{self._hint_path}.{os.getpid()}.{id(self):x}.tmp"
+        try:
+            with open(tmp_path, "wb") as f:
+                f.write(f"confdb-hint 1 {covered} {digest}\n".encode("ascii"))
+            os.replace(tmp_path, self._hint_path)
+        except OSError:
+            with suppress(OSError):
+                os.unlink(tmp_path)
+            return
+        self._hint_len = covered
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""
@@ -470,6 +634,10 @@ class Store:
                 self._truncate_log(pre_commit_len)
                 raise
             self._apply_transactions([txn.pending], pre_commit_len + len(data))
+            self._digest.update(data)
+            self._committed_len = self._applied_len
+        if self._committed_len - self._hint_len >= HINT_EVERY_BYTES:
+            self._write_hint()
 
     def _finish_transaction(self, txn: WriteTransaction):
         if self._active_txn is txn:
@@ -481,11 +649,30 @@ class Store:
     def get_object(self, identity: ObjectIdentity) -> StoredObject:
         """Return the committed object; repeated reads are byte-identical."""
         obj = self._objects.get(identity)
-        if obj is None:
-            raise NotFoundError(
-                f"no such object: {format_identity(identity)}",
-                detail=format_identity(identity),
-            )
+        if type(obj) is not StoredObject:
+            if obj is None:
+                raise NotFoundError(
+                    f"no such object: {format_identity(identity)}",
+                    detail=format_identity(identity),
+                )
+            obj = self._first_read(obj)
+        return obj
+
+    def _first_read(self, framed: _Framed) -> StoredObject:
+        """Decode a framed record, once per handle even under concurrent reads.
+
+        Commit marks compare stored objects by ``is``, so each identity
+        must become exactly one object.
+        """
+        with self._apply_lock:
+            obj = self._objects[framed.identity]
+            if type(obj) is _Framed:
+                start = obj.offset + _HEADER_LEN
+                end = start + int.from_bytes(self._image[obj.offset + 2 : start], "big")
+                obj = _decode_object_body(
+                    self._image[start:end], obj.offset, self._tables, self._stamps
+                )
+                self._objects[framed.identity] = obj
         return obj
 
     def has_object(self, identity: ObjectIdentity) -> bool:
@@ -537,6 +724,8 @@ class Store:
 
     def close(self):
         if self._log_fd is not None:
+            if self._committed_len > self._hint_len:
+                self._write_hint()
             os.close(self._log_fd)
             self._log_fd = None
         if self._lock_fd is not None:
@@ -553,3 +742,64 @@ class Store:
 def open_store(directory: str, *, clock=time.time) -> Store:
     """Open (or create) a store directory, replaying and repairing the log."""
     return Store(directory, clock=clock)
+
+
+def check_store(directory: str):
+    """Check a store's whole log offline; yield one line per finding.
+
+    Read-only: it takes no lock and never truncates.  It ignores the
+    hint and scans the log from offset 0 (CRCs, canonical decode, commit
+    counts), then checks, in log order, that each identity is new, that
+    each pair's keys count up from 1 without a gap, and that every map
+    link and run-type binding names an object committed by then, a map
+    for a binding.  It yields the hint's state and any torn tail (left in
+    place), and last ``ok <objects> objects, <bytes> bytes``.  The first
+    failure raises ``CorruptLogError`` naming its log offset.
+    """
+    with open(os.path.join(directory, LOG_NAME), "rb") as f:
+        buf = f.read()
+    raw = _read_hint(directory)
+    hint = _parse_hint(raw or b"")
+    if raw is None:
+        yield "hint: absent"
+    elif _hint_matches(buf, hint) is None:
+        yield "hint: mismatched"
+    else:
+        yield f"hint: valid, covering {hint[0]} of {len(buf)} bytes"
+    transactions, committed_end = _scan_log(buf)
+    if committed_end < len(buf):
+        yield (f"torn tail: {len(buf) - committed_end} bytes at offset {committed_end},"
+               " left in place")
+    offsets = iter(_frame_log(buf, committed_end, DecodeTables(), {}))
+    objects: dict[ObjectIdentity, StoredObject] = {}
+    highs: dict[tuple, int] = {}
+    for records in transactions:
+        located = [(obj, next(offsets).offset) for obj in records]
+        for obj, at in located:
+            identity, text = obj.identity, format_identity(obj.identity)
+            pair = (identity.class_name, identity.secondary_key)
+            if identity in objects:
+                raise CorruptLogError(f"duplicate identity {text} at offset {at}")
+            if identity.config_key != highs.get(pair, 0) + 1:
+                raise CorruptLogError(
+                    f"{text} at offset {at} breaks its key sequence after key"
+                    f" {highs.get(pair, 0)}"
+                )
+            objects[identity] = obj
+            highs[pair] = identity.config_key
+        for obj, at in located:
+            if obj.kind == KIND_LEAF:
+                continue
+            for name, target in obj.payload.entries:
+                linked = objects.get(target)
+                if linked is None:
+                    raise CorruptLogError(
+                        f"{format_identity(obj.identity)} at offset {at} links {name!r}"
+                        f" to missing {format_identity(target)}"
+                    )
+                if obj.kind == KIND_RUNTYPES and linked.kind != KIND_MAP:
+                    raise CorruptLogError(
+                        f"{format_identity(obj.identity)} at offset {at} binds {name!r}"
+                        f" to {format_identity(target)}, which is not a map"
+                    )
+    yield f"ok {len(objects)} objects, {len(buf)} bytes"

@@ -1,5 +1,6 @@
 """Alias tree editing, serialization, and the mutable side region."""
 
+import os
 import random
 import threading
 
@@ -198,6 +199,30 @@ def test_alias_edits_never_touch_the_log(store):
     save_alias_tree(store, tree)
     load_alias_tree(store, "golden")
     assert store.log_size() == size
+
+
+def test_a_save_without_edits_writes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "db"
+    region = path / "aliases.dat"
+    with open_store(path, clock=lambda: 0) as first:
+        tree = new_alias_tree("golden", "TopMap")
+        tree.add_map_alias("/", "dch")
+        save_alias_tree(first, tree)
+    stat = region.stat()
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    with open_store(path, clock=lambda: 0) as store:
+        for _ in range(2):  # a handle that never read the region, then one that has
+            save_alias_tree(store, load_alias_tree(store, "golden"))
+            assert (region.stat().st_ino, region.stat().st_mtime_ns) == (
+                stat.st_ino, stat.st_mtime_ns)
+            assert fsyncs == []
+        tree = load_alias_tree(store, "golden")
+        tree.add_map_alias("/", "emc")
+        save_alias_tree(store, tree)
+        assert region.stat().st_ino != stat.st_ino and len(fsyncs) == 2
+        assert set(load_alias_tree(store, "golden").root.children) == {"dch", "emc"}
 
 
 def test_concurrent_edits_from_two_handles_are_both_kept(tmp_path):

@@ -1,15 +1,20 @@
 """Store tests: append-only log, transactions, recovery, key allocation."""
 
 import errno
+import hashlib
 import logging
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
+from confdb import store as store_mod
 from confdb.errors import (
     CorruptLogError,
     DanglingLinkError,
@@ -18,9 +23,12 @@ from confdb.errors import (
     NotFoundError,
     TransactionClosedError,
 )
-from confdb.model import ObjectIdentity, Payload, decode_payload
-from confdb.store import open_store
-from helpers import clone_store, make_leaf
+from confdb.cli import main as cli_main
+from confdb.model import ObjectIdentity, Payload, decode_payload, encode_payload
+from confdb.service import handle_request
+from confdb.store import StoredObject, open_store
+from confdb.tree import walk_tree
+from helpers import build_figure1, child_env, clone_store, commit_generations, make_leaf
 
 
 @pytest.fixture
@@ -616,3 +624,367 @@ def test_open_shares_link_identities_and_names(tmp_path):
         c = s.get_object(third)
         assert c.payload.names()[0] is a.payload.names()[0]
         assert c.identity.class_name is a.identity.class_name
+
+
+# -- the hint file and lazy decode ----------------------------------------------
+#
+# A hint is written here from the format the store documents: one line,
+# "confdb-hint 1 <covered length> <SHA-256 hex of those log bytes>".
+
+HERE = Path(__file__).parent
+
+
+def _hint(log: bytes, covered: int | None = None) -> bytes:
+    covered = len(log) if covered is None else covered
+    return f"confdb-hint 1 {covered} {hashlib.sha256(log[:covered]).hexdigest()}\n".encode()
+
+
+def _framed(store) -> int:
+    """How many records the open framed that no read has decoded yet."""
+    return sum(type(obj) is not StoredObject for obj in list(store._objects.values()))
+
+
+def _contents(store) -> dict:
+    """Every object's canonical payload bytes, creation stamp and kind."""
+    return {
+        identity: (encode_payload(obj.payload), obj.created_at, obj.kind)
+        for identity in list(store._objects)
+        for obj in [store.get_object(identity)]
+    }
+
+
+def _generations(path) -> list:
+    """Figure 1 and three edits of it, committed and closed; the roots."""
+    s = open_store(path, clock=lambda: 1_700_000_000)
+    tree, leaves = build_figure1(s)
+    roots = commit_generations(s, tree, leaves)
+    s.close()
+    return roots
+
+
+def _flip_digest_bit(log: bytes) -> bytes:
+    digest = bytearray(hashlib.sha256(log).digest())
+    digest[7] ^= 0x10
+    return f"confdb-hint 1 {len(log)} {digest.hex()}\n".encode()
+
+
+# What is left in objects.hint, from the log's bytes; None removes the file.
+BAD_HINTS = {
+    "absent": None,
+    "empty": lambda log: b"",
+    "garbage": lambda log: b"\x00\xffnot a hint at all\n",
+    "truncated-mid-line": lambda log: _hint(log)[:50],
+    "beyond-the-log": lambda log: _hint(log + b"\x00"),
+    "digest-one-bit-off": _flip_digest_bit,
+}
+
+
+def test_close_writes_a_hint_the_next_open_trusts(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    log = (path / "objects.log").read_bytes()
+    assert (path / "objects.hint").read_bytes() == _hint(log)
+    with open_store(path) as s:
+        assert _framed(s) == s.object_count() > 0
+
+
+@pytest.mark.parametrize("make", BAD_HINTS.values(), ids=BAD_HINTS.keys())
+def test_an_untrusted_hint_falls_back_to_the_full_scan(tmp_path, make):
+    path = tmp_path / "db"
+    _generations(path)
+    with clone_store(str(path), str(tmp_path / "full")) as full:
+        expected = _contents(full)
+    log = (path / "objects.log").read_bytes()
+    if make is None:
+        (path / "objects.hint").unlink()
+    else:
+        (path / "objects.hint").write_bytes(make(log))
+    with open_store(path) as s:
+        assert _framed(s) == 0
+        assert _contents(s) == expected
+
+
+@pytest.mark.parametrize("cut", [11, 3], ids=["before-the-commit-record", "inside-it"])
+def test_a_hint_ending_inside_a_transaction_is_not_trusted(tmp_path, cut):
+    path = tmp_path / "db"
+    path.mkdir()
+    log = _transaction(("A[1]", b"kind=leaf\na=i:1\n"), ("A[2]", b"kind=leaf\na=i:2\n"))
+    assert len(_record(0x02, b"2")) == 11
+    (path / "objects.log").write_bytes(log)
+    (path / "objects.hint").write_bytes(_hint(log, len(log) - cut))
+    with open_store(path) as s:
+        assert _framed(s) == 0 and s.object_count() == 2
+
+
+@pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
+def test_records_past_the_hint_are_fully_decoded(tmp_path, payload, canonical, reason):
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "A", None, a=1)
+    with open(path / "objects.log", "ab") as f:
+        f.write(_transaction(("C[1]", b"kind=leaf\nc=i:3\n")))
+    with open_store(path) as s:
+        assert _framed(s) == 1
+        assert type(s._objects[ObjectIdentity("C", None, 1)]) is StoredObject
+        with open(path / "objects.log", "ab") as f:
+            bad = f.tell()
+            f.write(_transaction(("B[1]", payload)))
+        with pytest.raises(CorruptLogError, match=f"offset {bad}: .*{reason}"):
+            s.refresh()
+        assert not s.has_object(ObjectIdentity("B", None, 1))
+    with pytest.raises(CorruptLogError, match=f"offset {bad}: .*{reason}"):
+        open_store(path)
+
+
+@pytest.mark.parametrize(
+    "damage, at, reason", MID_LOG_DAMAGE.values(), ids=MID_LOG_DAMAGE.keys()
+)
+def test_mid_log_damage_under_a_hint_refuses_at_open(tmp_path, damage, at, reason):
+    # The framing of a hinted prefix keeps the scan's structural checks.
+    path = tmp_path / "db"
+    path.mkdir()
+    before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
+    log = before + damage + _transaction(("D[1]", b"kind=leaf\nd=i:4\n"))
+    (path / "objects.log").write_bytes(log)
+    (path / "objects.hint").write_bytes(_hint(log))
+    with pytest.raises(CorruptLogError, match=reason) as refused:
+        open_store(path)
+    assert re.search(rf"offset {len(before) + at}\b", str(refused.value))
+
+
+def test_a_hinted_open_reads_what_a_full_scan_reads(tmp_path):
+    path = tmp_path / "db"
+    roots = _generations(path)
+    with clone_store(str(path), str(tmp_path / "full")) as full, open_store(path) as hinted:
+        assert _framed(full) == 0 and _framed(hinted) == hinted.object_count()
+        for root in roots:
+            lines = [f"MANIFEST {root}\n"] + [
+                f"GET {root} {path_text or '/'}\n" for path_text, _ in walk_tree(full, root).entries
+            ]
+            for line in lines:
+                assert handle_request(hinted, line) == handle_request(full, line), line
+        assert _contents(hinted) == _contents(full)
+
+
+def test_hinted_objects_share_stamps_and_link_identities(tmp_path):
+    path = tmp_path / "db"
+    s = open_store(path, clock=lambda: 1_700_000_000)
+    first = make_leaf(s, "Dch Module", "crate 3", gain=4)
+    second = make_leaf(s, "Dch Module", "crate 3", gain=5)
+    with s.transaction() as txn:
+        left = txn.create_object("Crate Map", None, Payload.map({"m1": first, "m2": second}))
+        right = txn.create_object("Crate Map", None, Payload.map({"m1": first, "mod one": first}))
+    s.close()
+    with open_store(path) as s:
+        assert _framed(s) == 4
+        left_links = s.get_object(left).payload.links
+        right_links = s.get_object(right).payload.links
+        assert left_links["m1"] is right_links["mod one"] is s.get_object(first).identity
+        assert s.get_object(left).payload.entries[0] is s.get_object(right).payload.entries[0]
+        a, b = s.get_object(first), s.get_object(second)
+        assert a.created_at is b.created_at
+        assert a.payload.names()[0] is b.payload.names()[0]
+        assert a.identity.class_name is b.identity.class_name
+
+
+def test_concurrent_first_reads_make_one_object_per_identity(tmp_path):
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 0) as s:
+        with s.transaction() as txn:
+            for i in range(300):
+                txn.create_object("Leaf", f"l{i % 7}", Payload.leaf({"n": i, "s": "x" * i}))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with open_store(path) as s:
+                identities = list(s._objects)
+                barrier = threading.Barrier(4)
+                got = [[] for _ in range(4)]
+
+                def read(out):
+                    barrier.wait(timeout=30)
+                    out.extend(s.get_object(identity) for identity in identities)
+
+                threads = [threading.Thread(target=read, args=(out,)) for out in got]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                for objects in got[1:]:
+                    assert all(x is y for x, y in zip(got[0], objects, strict=True))
+                assert _framed(s) == 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_only_committing_handles_write_the_small_hint(tmp_path, monkeypatch):
+    path = tmp_path / "db"
+    _generations(path)
+    hint = path / "objects.hint"
+    assert len(hint.read_bytes()) < 128
+    before = (hint.stat().st_ino, hint.stat().st_mtime_ns, sorted(os.listdir(path)))
+    with open_store(path) as reader:
+        _contents(reader)
+        reader.refresh()
+    assert (hint.stat().st_ino, hint.stat().st_mtime_ns, sorted(os.listdir(path))) == before
+    # A committing handle rewrites it once the log has grown enough.
+    monkeypatch.setattr(store_mod, "HINT_EVERY_BYTES", 1)
+    with open_store(path, clock=lambda: 0) as writer:
+        make_leaf(writer, "A", None, v=1)
+        log = (path / "objects.log").read_bytes()
+        assert hint.read_bytes() == _hint(log)
+    assert sorted(os.listdir(path)) == before[2]
+
+
+def test_clone_store_copies_open_correctly(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    with open_store(path) as s:
+        expected = _contents(s)
+    with clone_store(str(path), str(tmp_path / "clone")) as clone:
+        assert _framed(clone) == 0 and _contents(clone) == expected
+    # With the hint copied along, the copy's open trusts it.
+    (tmp_path / "clone" / "objects.hint").write_bytes((path / "objects.hint").read_bytes())
+    with open_store(tmp_path / "clone") as clone:
+        assert _framed(clone) == len(expected)
+        assert _contents(clone) == expected
+
+
+def test_a_killed_hint_write_leaves_a_store_that_opens(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    old_hint = (path / "objects.hint").read_bytes()
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "hint_crash_child.py"), str(path)],
+        env=child_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 17, proc.stderr.decode()
+    [tmp_name] = [n for n in os.listdir(path) if n.endswith(".tmp")]
+    log = (path / "objects.log").read_bytes()
+    assert (path / tmp_name).read_bytes() == _hint(log)  # written, never moved
+    assert (path / "objects.hint").read_bytes() == old_hint
+    with clone_store(str(path), str(tmp_path / "full")) as full:
+        expected = _contents(full)
+    with open_store(path) as s:
+        assert 0 < _framed(s) < s.object_count()
+        assert s.list_versions("Crash") == list(range(1, 21))
+        assert _contents(s) == expected
+
+
+# -- confdb fsck ------------------------------------------------------------------
+
+
+def _fsck(path, capsys) -> tuple[int, str, str]:
+    code = cli_main(["--store", str(path), "fsck"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_fsck_passes_a_clean_store_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "db"
+    _generations(path)
+    files = {name: (path / name).read_bytes() for name in os.listdir(path)}
+    with open_store(path) as s:
+        count = s.object_count()
+    size = len(files["objects.log"])
+    code, out, _ = _fsck(path, capsys)
+    assert code == 0
+    assert out == (
+        f"hint: valid, covering {size} of {size} bytes\nok {count} objects, {size} bytes\n"
+    )
+    assert {name: (path / name).read_bytes() for name in os.listdir(path)} == files
+
+
+def test_fsck_reports_a_torn_tail_and_leaves_it(tmp_path, capsys):
+    path = tmp_path / "db"
+    _generations(path)
+    log = path / "objects.log"
+    committed = log.read_bytes()
+    torn = committed + _transaction(("Z[1]", b"kind=leaf\nz=i:1\n"))[:-3]
+    log.write_bytes(torn)
+    (path / "objects.hint").unlink()
+    code, out, _ = _fsck(path, capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "hint: absent",
+        f"torn tail: {len(torn) - len(committed)} bytes at offset {len(committed)}, left in place",
+    ]
+    assert out.splitlines()[-1].endswith(f" objects, {len(torn)} bytes")
+    assert log.read_bytes() == torn
+
+
+@pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
+def test_a_forged_hint_over_a_non_canonical_record_refuses_at_first_read(
+    tmp_path, capsys, payload, canonical, reason
+):
+    path = tmp_path / "db"
+    path.mkdir()
+    before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
+    log = before + _transaction(("B[1]", payload)) + _transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
+    (path / "objects.log").write_bytes(log)
+    (path / "objects.hint").write_bytes(_hint(log))
+    with open_store(path) as s:
+        assert s.object_count() == 3
+        assert s.get_object(ObjectIdentity("C", None, 1)).payload.fields == {"c": 3}
+        for _ in range(2):  # nothing of it is kept
+            with pytest.raises(CorruptLogError, match=f"offset {len(before)}: .*{reason}"):
+                s.get_object(ObjectIdentity("B", None, 1))
+    code, out, err = _fsck(path, capsys)
+    assert code == 1
+    assert out == f"hint: valid, covering {len(log)} of {len(log)} bytes\n"
+    assert re.search(rf"offset {len(before)}: .*{reason}", err)
+
+
+_LEAF = b"kind=leaf\nv=i:1\n"
+
+# Logs the store opens but fsck refuses: (log, offset of the bad record,
+# what fsck reports).
+_A1 = _transaction(("A[1]", _LEAF))
+FSCK_FAILURES = {
+    "dangling-link": (
+        _A1 + _transaction(("M[1]", b"kind=map\nx=A[1]\ny=Z[1]\n")),
+        len(_A1),
+        "M[1] at offset {at} links 'y' to missing Z[1]",
+    ),
+    "link-to-a-later-object": (
+        _transaction(("M[1]", b"kind=map\nx=A[1]\n")) + _A1,
+        0,
+        "M[1] at offset {at} links 'x' to missing A[1]",
+    ),
+    "binding-to-a-leaf": (
+        _A1 + _transaction(("@runtypes[1]", b"kind=runtypes\nPHYSICS=A[1]\n")),
+        len(_A1),
+        "@runtypes[1] at offset {at} binds 'PHYSICS' to A[1], which is not a map",
+    ),
+    "key-gap": (
+        _A1 + _transaction(("A[3]", _LEAF)),
+        len(_A1),
+        "A[3] at offset {at} breaks its key sequence after key 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("log, at, message", FSCK_FAILURES.values(), ids=FSCK_FAILURES.keys())
+def test_fsck_names_the_first_failure_and_its_offset(tmp_path, capsys, log, at, message):
+    path = tmp_path / "db"
+    path.mkdir()
+    (path / "objects.log").write_bytes(log)
+    with open_store(path) as s:
+        assert s.object_count() == 2
+    code, out, err = _fsck(path, capsys)
+    assert code == 1
+    assert out == "hint: absent\n"
+    assert err == f"confdb: error: {message.format(at=at)}\n"
+
+
+def test_fsck_names_a_repeated_identity(tmp_path, capsys):
+    path = tmp_path / "db"
+    path.mkdir()
+    (path / "objects.log").write_bytes(_A1 + _A1)
+    code, _, err = _fsck(path, capsys)
+    assert code == 1
+    assert err == f"confdb: error: duplicate identity A[1] at offset {len(_A1)}\n"
