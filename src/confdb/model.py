@@ -28,10 +28,11 @@ Decoding checks every invariant as it parses, so it builds its values
 through private constructors that skip the public constructors'
 re-validation.  Given :class:`DecodeTables`, many decodes share what
 repeats: one string per distinct name, one :class:`ObjectIdentity` per
-identity text and one ``(name, identity)`` pair per link line.  The
-store decodes each log record once, canonical check included: at open,
-or, for the prefix a trusted hint covers, on the record's first read
-(see ``confdb.store``).
+identity text and one ``(name, identity)`` pair per link line.  A
+store handle decodes each log record once, canonical check included,
+through its one set of tables: at open or catch-up, or, for the prefix
+a trusted hint covers, on the record's first read (see
+``confdb.store``).
 """
 
 from __future__ import annotations
@@ -174,20 +175,20 @@ class DecodeTables:
 
     ``names`` maps each valid name seen (entry names, class names and
     secondary keys) to one shared string; it grows only with distinct
-    names, so a long-lived owner can keep it.  ``identities`` maps
-    identity text to one shared :class:`ObjectIdentity`, for a record's
-    own identity and every link to it, and ``links`` maps a map or
-    run-type entry line to one shared ``(name, identity)`` pair, so the
-    versions of a map share the links they keep.  Both grow with the
-    objects decoded.  A log scan keeps one set for its batch; a store
-    keeps one set for its lifetime, for the records its open only framed
-    and decodes on first read.
+    names.  ``identities`` maps identity text to one shared
+    :class:`ObjectIdentity`, for a record's own identity and every link
+    to it, and ``links`` maps a map or run-type entry line to one shared
+    ``(name, identity)`` pair, so the versions of a map share the links
+    they keep.  Both grow with the objects decoded.  A store handle keeps
+    one set for its lifetime and decodes every log record through it:
+    at open, at each catch-up and on a framed record's first read.
+    ``confdb fsck`` keeps one set for its check.
     """
 
     __slots__ = ("names", "identities", "links")
 
-    def __init__(self, names: dict | None = None):
-        self.names = {} if names is None else names
+    def __init__(self):
+        self.names: dict[str, str] = {}
         self.identities: dict[str, ObjectIdentity] = {}
         self.links: dict[str, tuple] = {}
 

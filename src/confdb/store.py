@@ -18,34 +18,38 @@ On disk a store is one directory:
   a commit boundary of the log and the SHA-256 hex digest of the log's
   first ``covered`` bytes (the hint file of Bitcask, without a keydir).
   A handle that committed writes it after each ``HINT_EVERY_BYTES`` of
-  log growth and when it closes, to a temporary name and then by
+  log growth and when it closes, to ``objects.hint.tmp`` and then by
   rename, without fsync: it is checked before it is used.  An open
   trusts a hint only when the log is at least ``covered`` bytes long
-  and those exact bytes have that digest.  It then only frames the
-  covered records (magic, type, lengths, commit counts, identities and
-  stamps) and decodes each on first read, canonical check included, so
-  a bad record there refuses at that read.  Records past the hint, and
-  every record when there is no trusted hint, are fully decoded and
-  canonically checked at open.  ``confdb fsck`` checks every record of
-  a log offline, whatever the hint says.  The decoded objects share
-  their identities and names: every link to an object holds that
-  object's own identity, and each distinct name is one string.
+  and those exact bytes have that digest.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
   across processes.
 
+One walk, ``_scan_log``, reads the log for the open, every catch-up and
+``confdb fsck``.  It checks the framing of every record (magic, type,
+lengths, commit counts, identities and stamps).  The records of the
+transactions a trusted hint covers are only framed and decoded on first
+read, canonical check included, so a bad record there refuses at that
+read.  Every other record is CRC-checked and decoded, canonical check
+included, as the walk reaches it; ``confdb fsck`` ignores the hint and
+so checks every record.  A handle decodes every record through its one
+set of intern tables, so its objects share their identities and names:
+every link to an object holds that object's own identity, and each
+distinct name is one string.
+
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
 consume keys.  Readers take no lock, but for the first read of a record
-an open only framed.  Committed state is published in
-place, in a fixed order: a batch is first checked for duplicate
-identities (so a corrupt log leaves nothing half-applied), then every
-object is inserted, then the per-pair highest keys are raised, then the
-applied log length.  Keys are only ever raised and objects never
-removed, so anything a reader reaches through a highest key, such as the
-active run-type map and every tree it binds, is already present.
+an open only framed.  Committed state is published in place, in a fixed
+order: a batch is first checked for duplicate identities (so a corrupt
+log leaves nothing half-applied), then every object is inserted, then
+the per-pair highest keys are raised, then the applied log length.
+Keys are only ever raised and objects never removed, so anything a
+reader reaches through a highest key, such as the active run-type map
+and every tree it binds, is already present.
 """
 
 from __future__ import annotations
@@ -114,12 +118,8 @@ class StoredObject:
 
 
 def _encode_record(rtype: int, body: bytes) -> bytes:
-    return (
-        bytes((MAGIC, rtype))
-        + len(body).to_bytes(4, "big")
-        + body
-        + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
-    )
+    head = bytes((MAGIC, rtype)) + len(body).to_bytes(4, "big")
+    return head + body + zlib.crc32(body).to_bytes(4, "big")
 
 
 def _object_body(obj: StoredObject) -> bytes:
@@ -127,30 +127,50 @@ def _object_body(obj: StoredObject) -> bytes:
     return head + encode_payload(obj.payload)
 
 
-def _decode_head(body: bytes, tables: DecodeTables, stamps: dict) -> tuple:
-    """An object record body's identity, creation stamp and payload offset."""
-    identity_end = body.index(b"\n")
-    stamp_end = body.index(b"\n", identity_end + 1)
-    identity = tables.identity(body[:identity_end].decode("utf-8"))
-    stamp = body[identity_end + 1 : stamp_end]
-    created_at = stamps.get(stamp)
-    if created_at is None:
-        created_at = canonical_int(stamp.decode("ascii"))
-        if created_at is None:
-            raise ValueError(f"bad creation stamp: {stamp!r}")
-        stamps[stamp] = created_at
-    return identity, created_at, stamp_end + 1
+class _Framed:
+    """A committed record an open framed but has not decoded yet.
+
+    ``offset`` is where the record starts in the store's ``_image``.
+    """
+
+    __slots__ = ("identity", "offset")
+
+    def __init__(self, identity: ObjectIdentity, offset: int):
+        self.identity = identity
+        self.offset = offset
 
 
-def _decode_object_body(
-    body: bytes, offset: int, tables: DecodeTables, stamps: dict
-) -> StoredObject:
+def _decode_record(
+    buf: bytes, offset: int, tables: DecodeTables, stamps: dict, base: int = 0, payload: bool = True
+):
+    """The object record at ``buf[offset]``, read through ``tables`` and ``stamps``.
+
+    Checks its identity and creation stamp; then decodes its payload,
+    canonical check included, into a ``StoredObject``, or without
+    ``payload`` returns a ``_Framed``.  It never checks the CRC.  A
+    failure raises ``CorruptLogError`` naming the log offset (``base`` is
+    the log offset of ``buf[0]``).
+    """
+    start = offset + _HEADER_LEN
+    end = start + int.from_bytes(buf[offset + 2 : start], "big")
     try:
-        identity, created_at, payload_start = _decode_head(body, tables, stamps)
-        payload = decode_payload(body[payload_start:], tables)
+        identity_end = buf.index(b"\n", start, end)
+        stamp_end = buf.index(b"\n", identity_end + 1, end)
+        identity = tables.identity(buf[start:identity_end].decode("utf-8"))
+        stamp = buf[identity_end + 1 : stamp_end]
+        created_at = stamps.get(stamp)
+        if created_at is None:
+            created_at = canonical_int(stamp.decode("ascii"))
+            if created_at is None:
+                raise ValueError(f"bad creation stamp: {stamp!r}")
+            stamps[stamp] = created_at
+        if not payload:
+            return _Framed(identity, offset)
+        return StoredObject(identity, decode_payload(buf[stamp_end + 1 : end], tables), created_at)
     except Exception as exc:
-        raise CorruptLogError(f"undecodable object record at offset {offset}: {exc}") from exc
-    return StoredObject(identity, payload, created_at)
+        raise CorruptLogError(
+            f"undecodable object record at offset {base + offset}: {exc}"
+        ) from exc
 
 
 def _record_end(buf: bytes, offset: int, size: int, base: int) -> int | None:
@@ -183,95 +203,63 @@ def _check_commit(body: bytes, at: int, pending: int) -> None:
         )
 
 
-def _scan_log(buf: bytes, names: dict | None = None, base: int = 0):
-    """Scan a log image into committed transactions.
+def _scan_log(buf: bytes, tables: DecodeTables, stamps: dict, base: int = 0, verified: int = 0):
+    """Walk a log image into committed transactions; the store's one log walk.
 
-    Returns ``(transactions, committed_end)`` where ``transactions`` is a
-    list of lists of StoredObject and ``committed_end`` is the offset just
-    past the last complete transaction.  A truncated tail (including a
-    trailing transaction with no commit record) is silently ignored;
-    damage before the tail raises ``CorruptLogError`` naming the log
-    offset of the bad record; ``base`` is the log offset of ``buf[0]``.
+    Returns ``(transactions, committed_end, framed, offsets)``:
+    ``transactions`` lists the decoded transactions, each a list of
+    StoredObject; ``offsets`` holds the log offset of each decoded
+    record, in log order; ``framed`` holds one ``_Framed`` per record
+    left for its first read; ``committed_end`` is the offset in ``buf``
+    just past the last complete transaction.  A truncated tail
+    (including a trailing transaction with no commit record) is silently
+    ignored; damage before the tail raises ``CorruptLogError`` naming the
+    log offset of the bad record; ``base`` is the log offset of
+    ``buf[0]``.
 
-    Every object record is decoded and canonically checked once.  The
-    decoded objects share one identity per identity text, one
-    ``(name, identity)`` pair per link line, one string per name (from
-    ``names``, a name table the caller may keep) and one int per
-    creation stamp.
+    Every record gets the structural checks: magic, type, lengths, commit
+    counts, identity and stamp.  ``buf[:verified]`` is a prefix whose
+    digest was checked, so the records of a transaction whose commit
+    record ends inside it are only framed.  Every other record is
+    CRC-checked and decoded, canonical check included, including those
+    of a transaction that the prefix's end cuts.  Records are read
+    through ``tables`` and ``stamps``, so the objects share one identity
+    per identity text, one ``(name, identity)`` pair per link line, one
+    string per name and one int per creation stamp.
     """
-    tables = DecodeTables(names)
-    stamps: dict[bytes, int] = {}
-    transactions = []
-    pending = []
-    committed_end = 0
-    offset = 0
+    transactions, framed, pending, offsets = [], [], [], []
+    committed_end = offset = 0
     size = len(buf)
     while offset < size:
         end = _record_end(buf, offset, size, base)
         if end is None:
             break  # torn header or body
-        body = buf[offset + _HEADER_LEN : end - 4]
-        crc = int.from_bytes(buf[end - 4 : end], "big")
-        if crc != (zlib.crc32(body) & 0xFFFFFFFF):
-            if end == size:
-                break  # torn tail record
-            raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
+        checked = end > verified
+        if checked:
+            if verified > committed_end:
+                # The verified prefix ends inside this transaction (no writer
+                # puts a hint there): walk the transaction again, checking it.
+                offset, pending, verified = committed_end, [], 0
+                continue
+            crc = int.from_bytes(buf[end - 4 : end], "big")
+            if crc != zlib.crc32(buf[offset + _HEADER_LEN : end - 4]):
+                if end == size:
+                    break  # torn tail record
+                raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
         if buf[offset + 1] == REC_OBJECT:
-            pending.append(_decode_object_body(body, base + offset, tables, stamps))
+            pending.append(_decode_record(buf, offset, tables, stamps, base, checked))
+            if checked:
+                offsets.append(base + offset)
         else:
-            _check_commit(body, base + offset, len(pending))
-            transactions.append(pending)
+            _check_commit(buf[offset + _HEADER_LEN : end - 4], base + offset, len(pending))
+            if checked:
+                transactions.append(pending)
+            else:
+                framed += pending
             pending = []
             committed_end = end
         offset = end
-    return transactions, committed_end
-
-
-class _Framed:
-    """A committed record an open framed but has not decoded yet.
-
-    ``offset`` is where the record starts in the store's ``_image``.
-    """
-
-    __slots__ = ("identity", "offset")
-
-    def __init__(self, identity: ObjectIdentity, offset: int):
-        self.identity = identity
-        self.offset = offset
-
-
-def _frame_log(buf: bytes, end: int, tables: DecodeTables, stamps: dict) -> list | None:
-    """Frame the records of ``buf[:end]`` without checking or decoding payloads.
-
-    For a prefix whose bytes a verified digest vouches for, so the CRCs
-    and the canonical decode can wait for the first read.  It keeps the
-    structural checks of ``_scan_log`` (magic, record type, lengths,
-    commit counts), interns each identity through ``tables`` and parses
-    each stamp through ``stamps``.  Returns one ``_Framed`` per object
-    record, or None when ``end`` is not the end of a commit record.
-    """
-    framed = []
-    pending = 0
-    offset = 0
-    while offset < end:
-        record_end = _record_end(buf, offset, end, 0)
-        if record_end is None:
-            return None
-        body = buf[offset + _HEADER_LEN : record_end - 4]
-        if buf[offset + 1] == REC_OBJECT:
-            try:
-                identity = _decode_head(body, tables, stamps)[0]
-            except Exception as exc:
-                raise CorruptLogError(
-                    f"undecodable object record at offset {offset}: {exc}"
-                ) from exc
-            framed.append(_Framed(identity, offset))
-            pending += 1
-        else:
-            _check_commit(body, offset, pending)
-            pending = 0
-        offset = record_end
-    return framed if pending == 0 else None
+    return transactions, committed_end, framed, offsets
 
 
 def _parse_hint(data: bytes) -> tuple[int, str] | None:
@@ -375,7 +363,7 @@ class WriteTransaction:
                     )
 
         # Checked now, so shared through the name table like decoded names.
-        names = self._store._names
+        names = self._store._tables.names
         class_name = names.setdefault(class_name, class_name)
         if secondary_key is not None:
             secondary_key = names.setdefault(secondary_key, secondary_key)
@@ -424,11 +412,11 @@ class Store:
         self._active_txn: WriteTransaction | None = None
         self._objects: dict[ObjectIdentity, StoredObject] = {}
         self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
-        # Every valid name the log scans have seen, so decoded objects share them.
-        self._names: dict[str, str] = {}
-        # Records framed from a hinted prefix are decoded on first read from
-        # ``_image``, the log bytes the open verified, through these tables.
-        self._tables = DecodeTables(self._names)
+        # Every record this handle decodes, at open, catch-up or first read,
+        # goes through these tables, so decoded objects share their names,
+        # identities, links and stamps.  Framed records are decoded from
+        # ``_image``, the log bytes the open verified.
+        self._tables = DecodeTables()
         self._stamps: dict[bytes, int] = {}
         self._image = b""
         # SHA-256 of the applied prefix; the hint this handle last wrote or
@@ -518,7 +506,7 @@ class Store:
         uncommitted tail is physically cut off; without it the tail is
         left alone and simply not applied, so a read-side catch-up never
         interferes with an in-flight writer.  A replay from the start of
-        the log takes the prefix a trusted hint covers as framed records.
+        the log passes ``_scan_log`` the prefix a trusted hint covers.
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
@@ -528,17 +516,23 @@ class Store:
                 return
             base = self._applied_len
             data = self._read_log(base, size)
-            hinted = self._hinted_prefix(data) if base == 0 else None
-            digest, covered, framed = hinted or (self._digest, 0, [])
-            transactions, committed_len = _scan_log(
-                data[covered:] if covered else data, self._names, base + covered
+            verified, digest = 0, self._digest
+            if base == 0:
+                hint = _parse_hint(_read_hint(self.directory) or b"")
+                hinted = _hint_matches(data, hint)
+                if hinted is not None:
+                    verified, digest = hint[0], hinted
+            transactions, committed_len, framed, _ = _scan_log(
+                data, self._tables, self._stamps, base, verified
             )
-            boundary = base + covered + committed_len
+            if committed_len < verified:  # the hint covers an uncommitted tail
+                verified, digest = 0, hashlib.sha256()
+            boundary = base + committed_len
             self._apply_transactions([framed] + transactions if framed else transactions, boundary)
-            digest.update(memoryview(data)[covered : covered + committed_len])
+            digest.update(memoryview(data)[verified:committed_len])
             self._digest = digest
-            if hinted:
-                self._image, self._hint_len = data, covered
+            if framed:
+                self._image, self._hint_len = data, verified
             if truncate and boundary < size:
                 self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
@@ -551,24 +545,18 @@ class Store:
                     self._log_path, boundary, size - boundary,
                 )
 
-    def _hinted_prefix(self, data: bytes):
-        """``(digest, covered length, framed records)`` from a trusted hint, else None."""
-        hint = _parse_hint(_read_hint(self.directory) or b"")
-        digest = _hint_matches(data, hint)
-        if digest is None:
-            return None
-        framed = _frame_log(data, hint[0], self._tables, self._stamps)
-        return None if framed is None else (digest, hint[0], framed)
-
     def _write_hint(self):
         """Record the applied prefix's length and digest in the hint file.
 
         Best effort: the hint is checked before it is used, so it needs no
-        fsync, and a failed write only leaves an older hint or none.
+        fsync, and a failed write only leaves an older hint or none.  The
+        temporary name is fixed, so a killed write leaves one small file
+        that the next write replaces; racing writers may mix their lines,
+        which the next open's check refuses.
         """
         with self._apply_lock:
             covered, digest = self._applied_len, self._digest.hexdigest()
-        tmp_path = f"{self._hint_path}.{os.getpid()}.{id(self):x}.tmp"
+        tmp_path = self._hint_path + ".tmp"
         try:
             with open(tmp_path, "wb") as f:
                 f.write(f"confdb-hint 1 {covered} {digest}\n".encode("ascii"))
@@ -667,11 +655,7 @@ class Store:
         with self._apply_lock:
             obj = self._objects[framed.identity]
             if type(obj) is _Framed:
-                start = obj.offset + _HEADER_LEN
-                end = start + int.from_bytes(self._image[obj.offset + 2 : start], "big")
-                obj = _decode_object_body(
-                    self._image[start:end], obj.offset, self._tables, self._stamps
-                )
+                obj = _decode_record(self._image, obj.offset, self._tables, self._stamps)
                 self._objects[framed.identity] = obj
         return obj
 
@@ -766,15 +750,15 @@ def check_store(directory: str):
         yield "hint: mismatched"
     else:
         yield f"hint: valid, covering {hint[0]} of {len(buf)} bytes"
-    transactions, committed_end = _scan_log(buf)
+    transactions, committed_end, _, offsets = _scan_log(buf, DecodeTables(), {})
     if committed_end < len(buf):
         yield (f"torn tail: {len(buf) - committed_end} bytes at offset {committed_end},"
                " left in place")
-    offsets = iter(_frame_log(buf, committed_end, DecodeTables(), {}))
+    offsets = iter(offsets)
     objects: dict[ObjectIdentity, StoredObject] = {}
     highs: dict[tuple, int] = {}
     for records in transactions:
-        located = [(obj, next(offsets).offset) for obj in records]
+        located = [(obj, next(offsets)) for obj in records]
         for obj, at in located:
             identity, text = obj.identity, format_identity(obj.identity)
             pair = (identity.class_name, identity.secondary_key)

@@ -624,6 +624,18 @@ def test_open_shares_link_identities_and_names(tmp_path):
         c = s.get_object(third)
         assert c.payload.names()[0] is a.payload.names()[0]
         assert c.identity.class_name is a.identity.class_name
+        # So do its links: a map caught up links its target's own identity,
+        # and a later version, caught up apart, keeps the same link pair.
+        with open_store(path, clock=lambda: 1_700_000_002) as writer:
+            with writer.transaction() as txn:
+                old = txn.create_object("Crate Map", None, Payload.map({"m1": first, "m3": third}))
+        s.refresh()
+        with open_store(path, clock=lambda: 1_700_000_003) as writer:
+            with writer.transaction() as txn:
+                new = txn.create_object("Crate Map", None, Payload.map({"m1": first}))
+        s.refresh()
+        assert s.get_object(old).payload.links["m1"] is s.get_object(first).identity
+        assert s.get_object(new).payload.entries[0] is s.get_object(old).payload.entries[0]
 
 
 # -- the hint file and lazy decode ----------------------------------------------
@@ -873,6 +885,41 @@ def test_a_killed_hint_write_leaves_a_store_that_opens(tmp_path):
         assert 0 < _framed(s) < s.object_count()
         assert s.list_versions("Crash") == list(range(1, 21))
         assert _contents(s) == expected
+
+
+def test_a_killed_hint_write_leaves_no_temporary_file_after_the_next_close(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "hint_crash_child.py"), str(path)],
+        env=child_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 17, proc.stderr.decode()
+    assert len([n for n in os.listdir(path) if n.endswith(".tmp")]) == 1
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "After", None, v=1)
+    assert [n for n in os.listdir(path) if n.endswith(".tmp")] == []
+    with open_store(path) as s:
+        assert _framed(s) == s.object_count() > 0
+
+
+def test_a_hint_over_an_uncommitted_record_covers_only_the_committed_prefix(tmp_path):
+    path = tmp_path / "db"
+    path.mkdir()
+    committed = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
+    log = committed + _record(0x01, b"B[1]\n0\nkind=leaf\nb=i:2\n")
+    (path / "objects.log").write_bytes(log)
+    (path / "objects.hint").write_bytes(_hint(log))
+    with open_store(path, clock=lambda: 0) as s:
+        assert s.object_count() == 1 and not s.has_object(ObjectIdentity("B", None, 1))
+        assert (path / "objects.log").read_bytes() == committed
+        make_leaf(s, "C", None, c=3)
+    log = (path / "objects.log").read_bytes()
+    assert (path / "objects.hint").read_bytes() == _hint(log)
+    with open_store(path) as s:
+        assert _framed(s) == s.object_count() == 2
 
 
 # -- confdb fsck ------------------------------------------------------------------
