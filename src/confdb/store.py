@@ -95,6 +95,7 @@ LOCK_NAME = "LOCK"
 # past the last hint it wrote or verified.
 HINT_EVERY_BYTES = 1 << 20
 _HINT_LINE = re.compile(rb"confdb-hint 1 (0|[1-9][0-9]{0,19}) ([0-9a-f]{64})\n")
+_OLD_HINT_TEMP = re.compile(r"objects\.hint\.[0-9]+\.[0-9a-f]+\.tmp")
 
 MAGIC = 0xC7
 REC_OBJECT = 0x01
@@ -549,23 +550,30 @@ class Store:
         """Record the applied prefix's length and digest in the hint file.
 
         Best effort: the hint is checked before it is used, so it needs no
-        fsync, and a failed write only leaves an older hint or none.  The
+        fsync, and a failed write only leaves an older hint or none.  It
+        runs under the writer lock, so handles never mix their lines.  The
         temporary name is fixed, so a killed write leaves one small file
-        that the next write replaces; racing writers may mix their lines,
-        which the next open's check refuses.
+        that the next write replaces.  Each write also removes the
+        ``objects.hint.<pid>.<hex>.tmp`` files that killed writes of
+        earlier versions, which named their temporaries so, left behind.
         """
-        with self._apply_lock:
-            covered, digest = self._applied_len, self._digest.hexdigest()
-        tmp_path = self._hint_path + ".tmp"
-        try:
-            with open(tmp_path, "wb") as f:
-                f.write(f"confdb-hint 1 {covered} {digest}\n".encode("ascii"))
-            os.replace(tmp_path, self._hint_path)
-        except OSError:
+        with self._exclusive():
             with suppress(OSError):
-                os.unlink(tmp_path)
-            return
-        self._hint_len = covered
+                for name in os.listdir(self.directory):
+                    if _OLD_HINT_TEMP.fullmatch(name):
+                        os.unlink(os.path.join(self.directory, name))
+            with self._apply_lock:
+                covered, digest = self._applied_len, self._digest.hexdigest()
+            tmp_path = self._hint_path + ".tmp"
+            try:
+                with open(tmp_path, "wb") as f:
+                    f.write(f"confdb-hint 1 {covered} {digest}\n".encode("ascii"))
+                os.replace(tmp_path, self._hint_path)
+            except OSError:
+                with suppress(OSError):
+                    os.unlink(tmp_path)
+                return
+            self._hint_len = covered
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""

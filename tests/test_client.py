@@ -4,6 +4,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from confdb.errors import (
     ConnectionFailureError,
     DuplicateRegistrationError,
     InvalidNameError,
+    MalformedIdentityError,
     MalformedPayloadError,
     NoActiveMapError,
     NoProxyError,
@@ -180,21 +182,29 @@ def scripted():
     listener = socket.create_server(("127.0.0.1", 0))
     frames, threads = [], []
 
-    def serve(reset):
+    def serve(reset, piece):
         conn, _ = listener.accept()
+        # Each piece leaves in its own segment rather than waiting to join the next.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with conn, conn.makefile("rb") as reader:
             for frame in frames:
                 if not reader.readline():
                     return
-                conn.sendall(frame)
+                step = piece or max(len(frame), 1)
+                for at in range(0, len(frame), step):
+                    conn.sendall(frame[at : at + step])
             if reset:
                 # A zero linger time makes the close send a reset.
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
-    def start(*script, reset=False):
-        """Serve ``script``; with ``reset``, reset the connection after its last frame."""
+    def start(*script, reset=False, piece=None):
+        """Serve ``script``, each frame in sends of ``piece`` bytes (default whole).
+
+        With ``reset``, reset the connection after its last frame; else
+        close it.
+        """
         frames.extend(script)
-        threads.append(threading.Thread(target=serve, args=(reset,), daemon=True))
+        threads.append(threading.Thread(target=serve, args=(reset, piece), daemon=True))
         threads[0].start()
         host, port = listener.getsockname()
         return f"{host}:{port}"
@@ -256,6 +266,119 @@ def test_a_non_canonical_payload_raises_on_every_fetch(scripted, monkeypatch):
             with pytest.raises(MalformedPayloadError):
                 fetch_raw(handle, "a")
     assert client.PAYLOAD_MEMO.entries == {} and client.PAYLOAD_MEMO.size == 0
+
+
+# -- reading answers out of the receive buffer ------------------------------------
+
+_LEAF = b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n"
+_DOT = b'OK Leaf[2]\nkind=leaf\nb=s:"."\n.\n'
+
+
+def _raw(answer):
+    """What fetch_raw returns for one GET answer."""
+    status, _, rest = answer.partition(b"\n")
+    return parse_identity(status[3:].decode()), decode_payload(rest[:-2])
+
+
+def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
+    endpoint = scripted(
+        b"OK TopMap[1]\n",
+        _LEAF,
+        b"OK 3\n/\tTopMap[1]\n.a\tLeaf[1]\na.\tLeaf[2]\n.\n",
+        b"OK 0\n.\n",
+        b"ERR 404 no-such-link b\n",
+        _DOT,
+        piece=1,
+    )
+    with configure_run(endpoint, "PHYSICS") as handle:
+        assert handle.root == parse_identity("TopMap[1]")
+        assert fetch_raw(handle, "a") == _raw(_LEAF)
+        assert fetch_manifest(handle) == ["/\tTopMap[1]", ".a\tLeaf[1]", "a.\tLeaf[2]"]
+        assert fetch_manifest(handle) == []
+        with pytest.raises(NoSuchLinkError):
+            fetch_raw(handle, "b")
+        assert fetch_raw(handle, "c") == _raw(_DOT)
+
+
+def test_two_answers_in_one_send_serve_two_requests(scripted):
+    endpoint = scripted(b"OK TopMap[1]\n", _LEAF + _DOT, b"")
+    with configure_run(endpoint, "PHYSICS") as handle:
+        assert fetch_raw(handle, "a") == _raw(_LEAF)
+        # The second answer is already in the buffer when its request goes out.
+        assert fetch_raw(handle, "c") == _raw(_DOT)
+
+
+def test_an_empty_body_reads_as_no_lines(scripted):
+    endpoint = scripted(b"OK TopMap[1]\n", b"OK 0\n.\n", _LEAF)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        assert fetch_manifest(handle) == []
+        assert fetch_raw(handle, "a") == _raw(_LEAF)
+
+
+def test_an_err_answer_leaves_the_connection_in_step(scripted):
+    err = b"ERR 404 no-such-link b\n"
+    # The first ERR arrives together with the answer that follows it.
+    endpoint = scripted(b"OK TopMap[1]\n", err + _LEAF, b"", err, _DOT)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        with pytest.raises(NoSuchLinkError):
+            fetch_raw(handle, "b")
+        assert fetch_raw(handle, "a") == _raw(_LEAF)
+        with pytest.raises(NoSuchLinkError):
+            fetch_raw(handle, "b")
+        assert fetch_raw(handle, "c") == _raw(_DOT)
+
+
+def test_an_end_of_stream_mid_answer_gives_the_connection_up(scripted):
+    endpoint = scripted(b"OK TopMap[1]\n", b"OK Leaf[1]\nkind=leaf\n")
+    with configure_run(endpoint, "PHYSICS") as handle:
+        with pytest.raises(ConnectionFailureError, match="closed by server"):
+            fetch_raw(handle, "a")
+        assert handle._connection._sock.fileno() == -1
+        with pytest.raises(ConnectionFailureError, match="send failed"):
+            fetch_raw(handle, "a")
+
+
+def test_a_silent_server_times_the_request_out(monkeypatch):
+    monkeypatch.setattr(client, "TIMEOUT_S", 0.2)
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            reader.readline()
+            conn.sendall(b"OK TopMap[1]\n")
+            reader.readline()
+            done.wait(10)  # the GET is never answered
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    host, port = listener.getsockname()
+    try:
+        with configure_run(f"{host}:{port}", "PHYSICS") as handle:
+            started = time.perf_counter()
+            with pytest.raises(ConnectionFailureError, match="read failed"):
+                fetch_raw(handle, "a")
+            assert 0.15 < time.perf_counter() - started < 5
+            assert handle._connection._sock.fileno() == -1
+    finally:
+        done.set()
+        server.join(timeout=10)
+        listener.close()
+
+
+def test_a_large_body_in_small_pieces_is_read_exactly(scripted):
+    lines = [f"p{i}/leaf\tLeaf[{i + 1}]" for i in range(50_000)]
+    frame = f"OK {len(lines)}\n" + "".join(line + "\n" for line in lines) + ".\n"
+    # Pad the first path so the last piece holds ".\n" and the one before
+    # it ends on the LF of the last line: the terminator is cut in two.
+    lines[0] = "x" * ((2 - len(frame)) % 4096) + lines[0]
+    frame = f"OK {len(lines)}\n" + "".join(line + "\n" for line in lines) + ".\n"
+    assert len(frame) % 4096 == 2 and len(frame) > 2**20
+    endpoint = scripted(b"OK TopMap[1]\n", frame.encode(), _LEAF, piece=4096)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        assert fetch_manifest(handle) == lines
+        assert fetch_raw(handle, "a") == _raw(_LEAF)
 
 
 # -- the payload memo -------------------------------------------------------------
@@ -388,3 +511,80 @@ def test_threads_share_one_small_memo(history, monkeypatch):
     assert wrong == []
     # A lost update of the size would break this.
     assert client.PAYLOAD_MEMO.size == _size_of(client.PAYLOAD_MEMO) <= budget
+
+
+# -- the identity memo ------------------------------------------------------------
+
+
+@pytest.fixture
+def identity_memo(monkeypatch):
+    """An empty identity memo for one test."""
+    memo = BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES)
+    monkeypatch.setattr(client, "IDENTITY_MEMO", memo)
+    return memo
+
+
+def test_an_identity_hit_never_parses(history, connection, identity_memo, monkeypatch):
+    _, gets = history
+    root, path, identity, _ = gets[-1]
+    parsed = []
+
+    def parse_once(text):
+        parsed.append(text)
+        if len(parsed) > 1:
+            raise RuntimeError("parsed again")
+        return parse_identity(text)
+
+    monkeypatch.setattr(client, "parse_identity", parse_once)
+    first, _ = _fetch(connection, root, path)
+    again, _ = _fetch(connection, root, path)
+    assert again is first and first == identity
+    assert parsed == [format_identity(identity)]
+    assert identity_memo.entries == {format_identity(identity): first}
+
+
+def test_a_malformed_identity_raises_on_every_fetch(scripted, identity_memo):
+    answer = b"OK Leaf[01]\nkind=leaf\na=i:1\n.\n"
+    endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        for _ in range(3):
+            with pytest.raises(MalformedIdentityError):
+                fetch_raw(handle, "a")
+    assert identity_memo.entries == {} and identity_memo.size == 0
+
+
+def test_threads_share_one_small_identity_memo(history, identity_memo, monkeypatch):
+    store, gets = history
+    texts = {format_identity(identity) for _, _, identity, _ in gets}
+    budget = 3 * max(sys.getsizeof(text) for text in texts)
+    assert len(texts) > 3
+    monkeypatch.setattr(client, "PAYLOAD_MEMO_BYTES", budget)
+    direct = _Direct(store)
+    emptied = 0
+    for root, path, identity, _ in gets:
+        before = len(identity_memo.entries)
+        assert _fetch(direct, root, path)[0] == identity
+        emptied += len(identity_memo.entries) < before
+        assert identity_memo.size == _size_of(identity_memo) <= budget
+    assert emptied > 0
+    wrong = []
+
+    def reader(offset):
+        for i in range(400):
+            root, path, identity, _ = gets[(offset + 7 * i) % len(gets)]
+            if _fetch(direct, root, path)[0] != identity:
+                wrong.append(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert identity_memo.size == _size_of(identity_memo) <= budget

@@ -905,6 +905,21 @@ def test_a_killed_hint_write_leaves_no_temporary_file_after_the_next_close(tmp_p
         assert _framed(s) == s.object_count() > 0
 
 
+def test_a_hint_write_removes_the_temporaries_of_earlier_versions(tmp_path):
+    # Earlier versions named the temporary hint objects.hint.<pid>.<hex id>.tmp.
+    path = tmp_path / "db"
+    _generations(path)
+    old = path / "objects.hint.16141.7fd0fc19f0d0.tmp"
+    old.write_bytes(b"confdb-hint 1 0 " + b"0" * 64 + b"\n")
+    others = ["objects.hint.16141.tmp", "objects.hint.16141.7fd0fc19f0d0.tmp.bak", "notes.tmp"]
+    for name in others:
+        (path / name).write_bytes(b"kept\n")
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "After", None, v=1)
+    assert not old.exists()
+    assert all((path / name).read_bytes() == b"kept\n" for name in others)
+
+
 def test_a_hint_over_an_uncommitted_record_covers_only_the_committed_prefix(tmp_path):
     path = tmp_path / "db"
     path.mkdir()
