@@ -24,7 +24,7 @@ with :class:`ConnectionFailureError`.
 Each client process keeps two memos.  ``PAYLOAD_MEMO`` maps the payload
 bytes of a GET answer to the :class:`Payload` that ``decode_payload``
 made of them, so :func:`fetch_raw` decodes each distinct payload once,
-canonical re-encode backstop included, however many GETs return it.
+canonical-form check included, however many GETs return it.
 ``IDENTITY_MEMO`` maps the identity text of a GET's status line to the
 :class:`ObjectIdentity` that ``parse_identity`` made of it.  A hit
 returns exactly what a parse or decode would: both are pure functions

@@ -22,7 +22,10 @@ digits>``.  Bytes print as lowercase hex.  A string is double-quoted;
 ``"``, ``\`` and every character below 0x20 appear in it only escaped,
 as ``\"``, ``\\`` and ``\x`` with two lowercase hex digits (``\x0a``
 for a newline), and no other character is escaped.  ``decode_payload``
-accepts exactly the image of ``encode_payload`` and nothing else.
+accepts exactly the image of ``encode_payload`` and nothing else.  It
+keeps that promise by grammar: each tag's parser accepts only the
+canonical text of its values (no ``+1``, ``01``, upper-case hex or
+second spelling of a float), so decoding re-encodes nothing.
 
 Decoding checks every invariant as it parses, so it builds its values
 through private constructors that skip the public constructors'
@@ -381,20 +384,57 @@ def _format_float(value: float) -> str:
     return f"{mantissa}p{exponent}"
 
 
-def _parse_float(text: str) -> float:
-    if text.startswith("nan:"):
-        hex_bits = text[4:]
-        if len(hex_bits) != 16:
-            raise MalformedPayloadError(f"bad NaN bit pattern: {text!r}")
-        try:
-            raw = bytes.fromhex(hex_bits)
-        except ValueError:
-            raise MalformedPayloadError(f"bad NaN bit pattern: {text!r}") from None
-        return struct.unpack(">d", raw)[0]
+# The exact grammars of the int, float and bytes texts that the formatters
+# write.  ``[0-9]`` is ASCII only, unlike ``int()``, which also reads
+# other Unicode digits.  A finite non-zero float is a normal
+# ``0x1.<fraction>p<exponent>`` with exponent -1022 to +1023, or a
+# subnormal ``0x0.<fraction>p-1022``; the fraction has 13 hex digits at
+# most and no trailing zero, and is left out when it would be empty.
+_INT = "0|-?[1-9][0-9]{0,18}"
+_FRACTION = r"\.[0-9a-f]{0,12}[1-9a-f]"
+_EXPONENT = (
+    r"\+(?:0|[1-9][0-9]{0,2}|10[01][0-9]|102[0-3])"  # +0 to +1023
+    r"|-(?:[1-9][0-9]{0,2}|10[01][0-9]|102[0-2])"  # -1 to -1022
+)
+_FLOAT = rf"-?(?:0x1(?:{_FRACTION})?p(?:{_EXPONENT})|0x0{_FRACTION}p-1022|0x0p\+0|inf)"
+_BYTES = "(?:[0-9a-f]{2})*"
+_is_int = re.compile(_INT).fullmatch
+_is_float = re.compile(_FLOAT).fullmatch
+_is_nan = re.compile("nan:[0-9a-f]{16}").fullmatch
+_is_bytes = re.compile(_BYTES).fullmatch
+_DOUBLE = struct.Struct(">d")
+
+
+def _refusal(what: str, text: str, read) -> MalformedPayloadError:
+    """The error for ``text``, which failed the grammar of ``what``.
+
+    Text that the lenient reader ``read`` still takes is reported as not
+    in canonical form, other text as bad syntax.
+    """
     try:
-        return float.fromhex(text)
+        read(text)
     except (ValueError, OverflowError):
-        raise MalformedPayloadError(f"bad float syntax: {text!r}") from None
+        return MalformedPayloadError(f"bad {what} syntax: {text!r}")
+    return MalformedPayloadError(f"{what} not in canonical form: {text!r}")
+
+
+def _read_float(text: str):
+    """``float.fromhex``, plus NaN bits in either case of hex digit."""
+    if text.startswith("nan:") and len(text) == 20:
+        return bytes.fromhex(text[4:])
+    return float.fromhex(text)
+
+
+def _parse_float(text: str) -> float:
+    if _is_float(text):
+        return float.fromhex(text)
+    if _is_nan(text):
+        raw = bytes.fromhex(text[4:])
+        value = _DOUBLE.unpack(raw)[0]
+        if value == value or _DOUBLE.pack(value) != raw:
+            raise MalformedPayloadError(f"float not in canonical form: {text!r}")
+        return value
+    raise _refusal("float", text, _read_float)
 
 
 # The string grammar of the module docstring, written once for ``s:``
@@ -430,10 +470,9 @@ def _unquote(quoted: str) -> str:
 
 
 def _parse_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise MalformedPayloadError(f"bad int syntax: {text!r}") from None
+    if not _is_int(text):
+        raise _refusal("int", text, int)
+    value = int(text)
     if not INT64_MIN <= value <= INT64_MAX:
         raise MalformedPayloadError(f"int out of 64-bit range: {text!r}")
     return value
@@ -446,16 +485,24 @@ def _parse_str(text: str) -> str:
 
 
 def _parse_bytes(text: str) -> bytes:
-    try:
-        return bytes.fromhex(text) if text else b""
-    except ValueError:
-        raise MalformedPayloadError(f"bad hex bytes: {text!r}") from None
+    if not _is_bytes(text):
+        raise _refusal("bytes", text, bytes.fromhex)
+    return bytes.fromhex(text)
 
 
 # Per value tag: scalar text from a value, and a value from scalar text.
 _FORMAT = {"i": str, "f": _format_float, "s": _format_string, "x": bytes.hex}
 _PARSE = {"i": _parse_int, "f": _parse_float, "s": _parse_str, "x": _parse_bytes}
 _TAG_OF_TYPE = {int: "i", float: "f", str: "s", bytes: "x"}
+# Per array tag other than ``s``: a test that the whole item list is in
+# its grammar, and the reader of one item that passed it.  NaN items and
+# out-of-range ints fall to the item-by-item parse.
+_ITEMS = {
+    tag: (re.compile(rf"(?:{item})(?:,(?:{item}))*").fullmatch, read)
+    for tag, item, read in (
+        ("i", _INT, int), ("f", _FLOAT, float.fromhex), ("x", _BYTES, bytes.fromhex)
+    )
+}
 
 
 def _format_value(value) -> str:
@@ -476,6 +523,11 @@ def _parse_value(text: str):
         # which is all Array's constructor would check.
         tag, content = text[0], text[2:-1]
         if tag != "s":
+            matches, read = _ITEMS[tag]
+            if matches(content):
+                items = tuple(map(read, content.split(",")))
+                if tag != "i" or (INT64_MIN <= min(items) and max(items) <= INT64_MAX):
+                    return _array(tag, items)
             return _array(tag, tuple(map(parse, content.split(","))))
         if _STRING_ITEMS.fullmatch(content) is None:
             raise MalformedPayloadError(f"bad string array syntax: {text!r}")
@@ -559,12 +611,10 @@ def decode_payload(data: bytes, tables: DecodeTables | None = None) -> Payload:
                 entry = links[line] = (name, target)
         entries.append(entry)
 
-    # The checks above are every check Payload's constructor would make.
-    payload = _payload(kind, tuple(entries))
-    # Canonicality backstop: accept exactly the image of encode_payload.
-    if encode_payload(payload) != data:
-        raise MalformedPayloadError("payload text is not in canonical form")
-    return payload
+    # The checks above are every check Payload's constructor would make,
+    # and every line matched its canonical grammar, so ``data`` is the
+    # payload's encoding.
+    return _payload(kind, tuple(entries))
 
 
 def payload_digest(payload: Payload) -> bytes:

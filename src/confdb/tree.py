@@ -46,12 +46,13 @@ def lookup_path(store: Store, root: ObjectIdentity, path) -> StoredObject:
             f"{format_identity(root)} is not a map", detail=format_identity(root)
         )
     for depth, segment in enumerate(segments):
-        prefix = display_path(segments[:depth])
         if current.kind != KIND_MAP:
+            prefix = display_path(segments[:depth])
             raise NotAMapError(f"{prefix!r} is not a map", detail=prefix)
         try:
             target = current.payload.get(segment)
         except KeyError:
+            prefix = display_path(segments[:depth])
             raise NoSuchLinkError(
                 f"no link {segment!r} under {prefix!r}", detail=prefix
             ) from None

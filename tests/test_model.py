@@ -1,6 +1,7 @@
 """Identity and payload codec tests, including the canonical-form grammar."""
 
 import hashlib
+import re
 import struct
 import time
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confdb.errors import InvalidNameError, MalformedIdentityError, MalformedPayloadError
+from confdb.errors import (
+    ConfdbError,
+    InvalidNameError,
+    MalformedIdentityError,
+    MalformedPayloadError,
+)
 from confdb.model import (
     Array,
     DecodeTables,
@@ -351,6 +357,23 @@ NON_CANONICAL = [
     b"kind=leaf\na=s[,\"a\"]\n",
     b"kind=leaf\na=s[\"a\"\"b\"]\n",
     b"kind=leaf\na=s[\"a\" ,\"b\"]\n",
+    b"kind=leaf\na=i:-0\n",
+    "kind=leaf\na=i:\u0661\n".encode(),      # a non-ASCII digit
+    b"kind=leaf\na=i[1,01]\n",
+    b"kind=leaf\na=i[9223372036854775808]\n",  # out of int64 range
+    b"kind=leaf\na=f:0x1.0p+0\n",             # a zero fraction digit
+    b"kind=leaf\na=f:0x1.p+0\n",
+    b"kind=leaf\na=f:0x1p+00\n",              # a leading zero in the exponent
+    b"kind=leaf\na=f:0x1p-0\n",
+    b"kind=leaf\na=f:0x1p-1023\n",            # a subnormal spelled as a normal
+    b"kind=leaf\na=f:0x0.0p+0\n",
+    b"kind=leaf\na=f:0x1.00000000000001p+0\n",  # 14 fraction digits
+    b"kind=leaf\na=f:+inf\n",
+    b"kind=leaf\na=f:Infinity\n",
+    b"kind=leaf\na=f:nan:7FF8000000000000\n",  # upper-case NaN bits
+    b"kind=leaf\na=f:nan:7ff0000000000000\n",  # bits of +inf
+    b"kind=leaf\na=f[0x1p+0,0x1.0p+0]\n",
+    b"kind=leaf\na=x[CA]\n",
 ]
 
 
@@ -508,3 +531,264 @@ def test_decoding_with_tables_matches_decoding_without(batch):
         assert format_identity(identity) == text
     for line, (name, identity) in tables.links.items():
         assert line == f"{name}={format_identity(identity)}"
+
+
+# -- differential tests: grammar against a lenient read and a re-encode --------
+#
+# The oracle reads a payload leniently, with Python's own readers (``int``,
+# ``float.fromhex``, ``bytes.fromhex``, any ``\xNN`` escape) and the public
+# constructors, then encodes what it read; the input is canonical exactly
+# when that gives the input back.  ``decode_payload`` must agree with it on
+# every input, and return the same values when it accepts.
+
+
+def _lenient_float(text: str) -> float:
+    if text.startswith("nan:"):
+        if len(text) != 20:
+            raise ValueError(text)
+        return struct.unpack(">d", bytes.fromhex(text[4:]))[0]
+    return float.fromhex(text)
+
+
+def _lenient_str(text: str) -> str:
+    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
+        raise ValueError(text)
+    inner, out, i = text[1:-1], [], 0
+    while i < len(inner):
+        c = inner[i]
+        if c == '"':
+            raise ValueError(text)
+        if c != "\\":
+            out.append(c)
+            i += 1
+        elif inner[i + 1 : i + 2] in ('"', "\\"):
+            out.append(inner[i + 1])
+            i += 2
+        elif inner[i + 1 : i + 2] == "x":
+            out.append(chr(int(inner[i + 2 : i + 4], 16)))
+            i += 4
+        else:
+            raise ValueError(text)
+    return "".join(out)
+
+
+_LENIENT = {"i": int, "f": _lenient_float, "s": _lenient_str, "x": bytes.fromhex}
+_LENIENT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _lenient_value(text: str):
+    read = _LENIENT[text[:1]]
+    form, rest = text[1:2], text[2:]
+    if form == ":":
+        return read(rest)
+    if form != "[" or not rest.endswith("]"):
+        raise ValueError(text)
+    content = rest[:-1]
+    if text[0] == "s":
+        items = _LENIENT_STRING.findall(content)
+        if ",".join(items) != content:
+            raise ValueError(text)
+    else:
+        items = content.split(",")
+    return Array(text[0], tuple(map(read, items)))
+
+
+def _canonical_by_re_encoding(data: bytes):
+    """The payload ``data`` reads as leniently, if it encodes back to ``data``."""
+    try:
+        lines = data.decode("utf-8").split("\n")
+        if lines.pop() != "" or not lines[0].startswith("kind="):
+            return None
+        kind, entries = lines[0][5:], []
+        for line in lines[1:]:
+            name, sep, value = line.partition("=")
+            if not sep:
+                return None
+            entries.append(
+                (name, _lenient_value(value) if kind == "leaf" else parse_identity(value))
+            )
+        payload = Payload(kind, entries)
+    except (ValueError, OverflowError, KeyError, ConfdbError):
+        return None
+    return payload if encode_payload(payload) == data else None
+
+
+def _assert_decodes_as_the_oracle_says(data: bytes):
+    expected = _canonical_by_re_encoding(data)
+    try:
+        decoded = decode_payload(data)
+    except MalformedPayloadError:
+        assert expected is None, data
+    else:
+        assert expected is not None, data
+        assert decoded == expected and encode_payload(decoded) == data
+
+
+# Value texts at the edges of the int, float and bytes grammars, canonical
+# or not.
+EDGE_VALUES = [
+    "i:0", "i:-0", "i:+0", "i:00", "i:9223372036854775807", "i:-9223372036854775808",
+    "i:9223372036854775808", "i:-9223372036854775809", "i:09223372036854775807",
+    "i:1_0", "i: 1", "i:\u0661", "i[1,-1]", "i[1,01]", "i[-9223372036854775809]",
+    "f:0x0p+0", "f:-0x0p+0", "f:0x0p-0", "f:0x0.0p+0", "f:0x1p+0", "f:0x1.0p+0",
+    "f:0x1.p+0", "f:0x1p+00", "f:0x1p-0", "f:0x1p+1023", "f:0x1p+1024",
+    "f:0x1.fffffffffffffp+1023", "f:0x1p-1022", "f:0x1p-1023", "f:0x0.8p-1022",
+    "f:0x0.8p-1021", "f:0x0.0000000000001p-1022", "f:0x0.00000000000008p-1022",
+    "f:0x1.0000000000001p+0", "f:0x1.00000000000001p+0", "f:0x1.00000000000010p+0",
+    "f:0x2p+0", "f:0X1P+0", "f:1.5", "f:inf", "f:-inf", "f:+inf", "f:Infinity",
+    "f:nan", "f:nan:7ff8000000000000", "f:nan:7FF8000000000000", "f:nan:7ff0000000000000",
+    "f:nan:7ff0000000000001", "f:nan:fff8000000000000", "f:nan:0000000000000000",
+    "f:nan:7ff800000000000", "f[0x1p+0,nan:7ff8000000000000]", "f[0x1p+0,0x1.0p+0]",
+    "x:", "x:ca", "x:CA", "x:c", "x:ca fe", "x[,ca]", "x[CA]",
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_edge_values_decode_exactly_when_they_re_encode_to_themselves(value):
+    _assert_decodes_as_the_oracle_says(f"kind=leaf\na={value}\n".encode("utf-8"))
+
+
+_NAN_BITS = st.tuples(st.booleans(), st.integers(1, (1 << 52) - 1)).map(
+    lambda sm: f"nan:{(sm[0] << 63) | (0x7FF << 52) | sm[1]:016x}"
+)
+_FRACTIONS = st.one_of(
+    st.sampled_from(["", ".", ".0", ".8", ".80", ".0000000000001", ".00000000000001"]),
+    st.text("0123456789abcdef", min_size=1, max_size=15).map(".{}".format),
+)
+_EXPONENTS = st.one_of(
+    st.integers(-1080, 1080).map("{:+d}".format),
+    st.sampled_from([0, 1023, 1024, -1021, -1022, -1023]).map("{:+d}".format),
+    st.sampled_from(["-0", "+00", "-01", "1", "+1_0"]),
+)
+_SPELLINGS = {
+    "i": st.one_of(
+        st.integers(-(1 << 64), 1 << 64).map(str),
+        st.tuples(st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=20))
+        .map("".join),
+    ),
+    "f": st.one_of(
+        _NAN_BITS,
+        st.integers(0, (1 << 64) - 1).map("nan:{:016x}".format),
+        st.floats(width=64).map(float.hex),  # the unstripped spelling
+        st.floats(width=64).map(shortest_hexfloat),
+        st.tuples(
+            st.sampled_from(["", "-", "+"]),
+            st.sampled_from(["0x0", "0x1", "0x2", "0x01", "0X1"]),
+            _FRACTIONS,
+            st.sampled_from(["p", "P"]),
+            _EXPONENTS,
+        ).map("".join),
+    ),
+    "x": st.text("0123456789abcdefABCDEF _", max_size=6),
+}
+_value_spellings = st.sampled_from("ifx").flatmap(
+    lambda tag: st.one_of(
+        _SPELLINGS[tag].map(f"{tag}:{{}}".format),
+        st.lists(_SPELLINGS[tag], min_size=1, max_size=3).map(
+            lambda items: f"{tag}[{','.join(items)}]"
+        ),
+    )
+)
+
+
+@settings(max_examples=500)
+@given(_value_spellings)
+def test_value_spellings_decode_exactly_when_they_re_encode_to_themselves(value):
+    _assert_decodes_as_the_oracle_says(f"kind=leaf\na={value}\n".encode("utf-8"))
+
+
+def _swap_lines(draw, text: str) -> str:
+    lines = text.split("\n")
+    i = draw(st.integers(1, len(lines) - 3))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines)
+
+
+def _repeat_line(draw, text: str) -> str:
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 2))
+    lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+_AT_VALUE = r"(?<=[:\[,])"
+# (pattern, replacement): one drawn match of the pattern is replaced by a
+# template for ``Match.expand`` or by text drawn from a strategy.
+_REWRITES = [(re.compile(pattern), replacement) for pattern, replacement in [
+    (_AT_VALUE + r"(?=[0-9])", "0"),  # leading zeros
+    (_AT_VALUE + r"-(?=[0-9])", "-0"),
+    (_AT_VALUE + r"(?=[0-9])", "+"),
+    (_AT_VALUE + r"(?=[0-9i])", "-"),
+    (r"(?<=[0-9])(?=[0-9])", "_"),
+    (r"[a-f]", st.sampled_from("ABCDEF")),  # upper-case hex
+    (r"0x", "0X"),
+    (r"(?<=0x)[01]", st.sampled_from("0123f")),  # other float spellings
+    (r"(?<=0x[0-9])(?:\.[0-9a-f]*)?(?=p)", _FRACTIONS),
+    (r"(?<=p)[+-][0-9]+", _EXPONENTS),
+    (r"-?inf|nan:[0-9a-f]{16}|-?0x[0-9a-f.]+p[+-][0-9]+", _SPELLINGS["f"]),
+    (_AT_VALUE + r"-?[0-9]+(?=[,\]\n])", _SPELLINGS["i"]),
+    (r"\\x([01])([0-9a-f])", r"\\X\1\2"),  # escapes
+    (r"(?<=[\"\\])[A-Za-z0-9 ]", st.sampled_from(["\\x41", "\\x20", "\\q"])),
+]]
+
+
+@st.composite
+def _mutated(draw, payload: Payload) -> bytes:
+    """``payload``'s encoding after one to three drawn mutations.
+
+    Each step draws among the mutations that apply to the text so far:
+    the rewrites whose pattern matches it, and swapping or repeating
+    entry lines.
+    """
+    text = encode_payload(payload).decode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        choices = [rewrite for rewrite in _REWRITES if rewrite[0].search(text)]
+        choices.append(_repeat_line)
+        if text.count("\n") >= 3:
+            choices.append(_swap_lines)
+        choice = draw(st.sampled_from(choices))
+        if not isinstance(choice, tuple):
+            text = choice(draw, text)
+            continue
+        pattern, replacement = choice
+        match = draw(st.sampled_from(list(pattern.finditer(text))))
+        if isinstance(replacement, str):
+            new = match.expand(replacement)
+        else:
+            new = draw(replacement)
+        text = text[: match.start()] + new + text[match.end() :]
+    return text.encode("utf-8")
+
+
+# Leaves of numbers only, so the number grammars get most mutations.  Half
+# the floats come from uniform bit patterns, which have long fractions and
+# exponents of every size.
+_floats = st.one_of(
+    _scalars["f"],
+    st.binary(min_size=8, max_size=8).map(lambda raw: struct.unpack(">d", raw)[0]),
+)
+_numbers = st.one_of(
+    _scalars["i"],
+    _floats,
+    _array_strategy("i"),
+    st.lists(_floats, min_size=1, max_size=3).map(lambda v: Array("f", tuple(v))),
+)
+numeric_leaves = st.dictionaries(names, _numbers, min_size=1, max_size=4).map(Payload.leaf)
+
+
+@settings(max_examples=300)
+@given(st.one_of(payloads, numeric_leaves, numeric_leaves).flatmap(_mutated))
+def test_decode_accepts_exactly_what_a_lenient_read_re_encodes_to(mutated):
+    _assert_decodes_as_the_oracle_says(mutated)
+
+
+@pytest.mark.parametrize("bits", ["7ff0000000000001", "fff8000000000000"])
+def test_nan_bit_patterns_round_trip(bits):
+    # A signalling NaN and a negative quiet NaN keep their bits, in a
+    # scalar and in an array.
+    data = f"kind=leaf\na=f:nan:{bits}\nb=f[0x1p+0,nan:{bits}]\n".encode()
+    payload = decode_payload(data)
+    assert encode_payload(payload) == data
+    assert payload == _canonical_by_re_encoding(data)
+    for value in (payload.get("a"), payload.get("b").items[1]):
+        assert struct.pack(">d", value).hex() == bits

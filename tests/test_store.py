@@ -472,6 +472,7 @@ def _transaction(*objects) -> bytes:
 NON_CANONICAL_RECORDS = [
     (b"kind=leaf\na=i:01\n", b"kind=leaf\na=i:1\n", "not in canonical form"),
     (b"kind=leaf\nb=i:2\na=i:1\n", b"kind=leaf\na=i:1\nb=i:2\n", "unsorted entry name"),
+    (b"kind=leaf\na=f:0x1.0p+0\n", b"kind=leaf\na=f:0x1p+0\n", "not in canonical form"),
 ]
 
 
