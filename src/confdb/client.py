@@ -56,6 +56,7 @@ from .errors import (
     ConfdbError,
     ConnectionFailureError,
     DuplicateRegistrationError,
+    InvalidNameError,
     MalformedPayloadError,
     NoProxyError,
     error_for_code,
@@ -151,7 +152,13 @@ class _Connection:
         return buf, at
 
     def request(self, line: str, body: bool = False) -> tuple[str, bytes]:
-        """Send one request; return (ok_tail, body bytes before the lone ``.``)."""
+        """Send one request; return (ok_tail, body bytes before the lone ``.``).
+
+        A line break in ``line`` would send two requests and read their
+        answers out of step, so such a line is refused before it is sent.
+        """
+        if "\n" in line:
+            raise InvalidNameError(f"line break in request: {line!r}")
         try:
             self._sock.sendall((line + "\n").encode("utf-8"))
         except OSError as exc:

@@ -182,18 +182,21 @@ class DecodeTables:
     :class:`ObjectIdentity`, for a record's own identity and every link
     to it, and ``links`` maps a map or run-type entry line to one shared
     ``(name, identity)`` pair, so the versions of a map share the links
-    they keep.  Both grow with the objects decoded.  A store handle keeps
-    one set for its lifetime and decodes every log record through it:
-    at open, at each catch-up and on a framed record's first read.
-    ``confdb fsck`` keeps one set for its check.
+    they keep.  Both grow with the objects decoded.  ``stamps`` maps a
+    log record's creation-stamp bytes to one shared int; it grows only
+    with distinct stamps.  A store handle keeps one set for its lifetime
+    and decodes every log record through it: at open, at each catch-up
+    and on a framed record's first read.  ``confdb fsck`` keeps one set
+    for its check.
     """
 
-    __slots__ = ("names", "identities", "links")
+    __slots__ = ("names", "identities", "links", "stamps")
 
     def __init__(self):
         self.names: dict[str, str] = {}
         self.identities: dict[str, ObjectIdentity] = {}
         self.links: dict[str, tuple] = {}
+        self.stamps: dict[bytes, int] = {}
 
     def identity(self, text: str) -> ObjectIdentity:
         """The shared identity for ``text``; parses it on first sight."""
@@ -201,6 +204,16 @@ class DecodeTables:
         if identity is None:
             identity = self.identities[text] = parse_identity(text, self.names)
         return identity
+
+    def stamp(self, raw: bytes) -> int:
+        """The shared creation stamp for ``raw``; parses it on first sight."""
+        created_at = self.stamps.get(raw)
+        if created_at is None:
+            created_at = canonical_int(raw.decode("ascii"))
+            if created_at is None:
+                raise ValueError(f"bad creation stamp: {raw!r}")
+            self.stamps[raw] = created_at
+        return created_at
 
 
 @dataclass(frozen=True, slots=True)

@@ -207,7 +207,6 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _reply(self, frame: str):
         self.wfile.write(frame.encode("utf-8"))
-        self.wfile.flush()
 
 
 class ConfigServer(socketserver.ThreadingTCPServer):

@@ -128,27 +128,14 @@ def _object_body(obj: StoredObject) -> bytes:
     return head + encode_payload(obj.payload)
 
 
-class _Framed:
-    """A committed record an open framed but has not decoded yet.
-
-    ``offset`` is where the record starts in the store's ``_image``.
-    """
-
-    __slots__ = ("identity", "offset")
-
-    def __init__(self, identity: ObjectIdentity, offset: int):
-        self.identity = identity
-        self.offset = offset
-
-
 def _decode_record(
-    buf: bytes, offset: int, tables: DecodeTables, stamps: dict, base: int = 0, payload: bool = True
+    buf: bytes, offset: int, tables: DecodeTables, base: int = 0, payload: bool = True
 ):
-    """The object record at ``buf[offset]``, read through ``tables`` and ``stamps``.
+    """The object record at ``buf[offset]``, read through ``tables``.
 
     Checks its identity and creation stamp; then decodes its payload,
     canonical check included, into a ``StoredObject``, or without
-    ``payload`` returns a ``_Framed``.  It never checks the CRC.  A
+    ``payload`` returns its identity.  It never checks the CRC.  A
     failure raises ``CorruptLogError`` naming the log offset (``base`` is
     the log offset of ``buf[0]``).
     """
@@ -158,15 +145,9 @@ def _decode_record(
         identity_end = buf.index(b"\n", start, end)
         stamp_end = buf.index(b"\n", identity_end + 1, end)
         identity = tables.identity(buf[start:identity_end].decode("utf-8"))
-        stamp = buf[identity_end + 1 : stamp_end]
-        created_at = stamps.get(stamp)
-        if created_at is None:
-            created_at = canonical_int(stamp.decode("ascii"))
-            if created_at is None:
-                raise ValueError(f"bad creation stamp: {stamp!r}")
-            stamps[stamp] = created_at
+        created_at = tables.stamp(buf[identity_end + 1 : stamp_end])
         if not payload:
-            return _Framed(identity, offset)
+            return identity
         return StoredObject(identity, decode_payload(buf[stamp_end + 1 : end], tables), created_at)
     except Exception as exc:
         raise CorruptLogError(
@@ -204,15 +185,14 @@ def _check_commit(body: bytes, at: int, pending: int) -> None:
         )
 
 
-def _scan_log(buf: bytes, tables: DecodeTables, stamps: dict, base: int = 0, verified: int = 0):
+def _scan_log(buf: bytes, tables: DecodeTables, base: int = 0, verified: int = 0):
     """Walk a log image into committed transactions; the store's one log walk.
 
-    Returns ``(transactions, committed_end, framed, offsets)``:
-    ``transactions`` lists the decoded transactions, each a list of
-    StoredObject; ``offsets`` holds the log offset of each decoded
-    record, in log order; ``framed`` holds one ``_Framed`` per record
-    left for its first read; ``committed_end`` is the offset in ``buf``
-    just past the last complete transaction.  A truncated tail
+    Returns ``(transactions, committed_end, framed)``: ``transactions``
+    lists the decoded transactions, each a list of ``(StoredObject, log
+    offset)`` pairs; ``framed`` holds an ``(identity, log offset)`` pair
+    per record left for its first read; ``committed_end`` is the offset
+    in ``buf`` just past the last complete transaction.  A truncated tail
     (including a trailing transaction with no commit record) is silently
     ignored; damage before the tail raises ``CorruptLogError`` naming the
     log offset of the bad record; ``base`` is the log offset of
@@ -224,11 +204,11 @@ def _scan_log(buf: bytes, tables: DecodeTables, stamps: dict, base: int = 0, ver
     record ends inside it are only framed.  Every other record is
     CRC-checked and decoded, canonical check included, including those
     of a transaction that the prefix's end cuts.  Records are read
-    through ``tables`` and ``stamps``, so the objects share one identity
-    per identity text, one ``(name, identity)`` pair per link line, one
-    string per name and one int per creation stamp.
+    through ``tables``, so the objects share one identity per identity
+    text, one ``(name, identity)`` pair per link line, one string per
+    name and one int per creation stamp.
     """
-    transactions, framed, pending, offsets = [], [], [], []
+    transactions, framed, pending = [], [], []
     committed_end = offset = 0
     size = len(buf)
     while offset < size:
@@ -248,9 +228,7 @@ def _scan_log(buf: bytes, tables: DecodeTables, stamps: dict, base: int = 0, ver
                     break  # torn tail record
                 raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
         if buf[offset + 1] == REC_OBJECT:
-            pending.append(_decode_record(buf, offset, tables, stamps, base, checked))
-            if checked:
-                offsets.append(base + offset)
+            pending.append((_decode_record(buf, offset, tables, base, checked), base + offset))
         else:
             _check_commit(buf[offset + _HEADER_LEN : end - 4], base + offset, len(pending))
             if checked:
@@ -260,7 +238,7 @@ def _scan_log(buf: bytes, tables: DecodeTables, stamps: dict, base: int = 0, ver
             pending = []
             committed_end = end
         offset = end
-    return transactions, committed_end, framed, offsets
+    return transactions, committed_end, framed
 
 
 def _parse_hint(data: bytes) -> tuple[int, str] | None:
@@ -411,14 +389,14 @@ class Store:
         self._apply_lock = threading.Lock()
         self._flock_depth = 0
         self._active_txn: WriteTransaction | None = None
-        self._objects: dict[ObjectIdentity, StoredObject] = {}
+        self._objects: dict[ObjectIdentity, StoredObject | int] = {}
         self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
         # Every record this handle decodes, at open, catch-up or first read,
         # goes through these tables, so decoded objects share their names,
-        # identities, links and stamps.  Framed records are decoded from
-        # ``_image``, the log bytes the open verified.
+        # identities, links and stamps.  ``_objects`` holds a framed record
+        # as its offset into ``_image``, the log bytes the open verified,
+        # until its first read decodes it from there.
         self._tables = DecodeTables()
-        self._stamps: dict[bytes, int] = {}
         self._image = b""
         # SHA-256 of the applied prefix; the hint this handle last wrote or
         # verified covers ``_hint_len`` bytes; ``_committed_len`` is the
@@ -483,22 +461,20 @@ class Store:
         os.ftruncate(self._log_fd, length)
         os.fsync(self._log_fd)
 
-    def _apply_transactions(self, transactions, new_applied_len: int):
-        batch = [obj for txn_records in transactions for obj in txn_records]
+    def _apply_transactions(self, batch: list, applied_len: int):
+        """Publish ``(identity, object or framed offset)`` pairs, then ``applied_len``."""
         seen = set()
-        for obj in batch:
-            if obj.identity in self._objects or obj.identity in seen:
-                raise CorruptLogError(
-                    f"duplicate identity in log: {format_identity(obj.identity)}"
-                )
-            seen.add(obj.identity)
-        for obj in batch:
-            self._objects[obj.identity] = obj
-        for obj in batch:
-            pair = (obj.identity.class_name, obj.identity.secondary_key)
-            if obj.identity.config_key > self._highs.get(pair, 0):
-                self._highs[pair] = obj.identity.config_key
-        self._applied_len = max(self._applied_len, new_applied_len)
+        for identity, _ in batch:
+            if identity in self._objects or identity in seen:
+                raise CorruptLogError(f"duplicate identity in log: {format_identity(identity)}")
+            seen.add(identity)
+        for identity, obj in batch:
+            self._objects[identity] = obj
+        for identity, _ in batch:
+            pair = (identity.class_name, identity.secondary_key)
+            if identity.config_key > self._highs.get(pair, 0):
+                self._highs[pair] = identity.config_key
+        self._applied_len = applied_len
 
     def _recover(self, truncate: bool):
         """Replay committed records beyond what is already applied.
@@ -523,17 +499,17 @@ class Store:
                 hinted = _hint_matches(data, hint)
                 if hinted is not None:
                     verified, digest = hint[0], hinted
-            transactions, committed_len, framed, _ = _scan_log(
-                data, self._tables, self._stamps, base, verified
-            )
+            transactions, committed_len, framed = _scan_log(data, self._tables, base, verified)
             if committed_len < verified:  # the hint covers an uncommitted tail
                 verified, digest = 0, hashlib.sha256()
-            boundary = base + committed_len
-            self._apply_transactions([framed] + transactions if framed else transactions, boundary)
-            digest.update(memoryview(data)[verified:committed_len])
-            self._digest = digest
             if framed:
                 self._image, self._hint_len = data, verified
+            boundary = base + committed_len
+            # Framed records are published as their offsets, the rest decoded.
+            framed += [(obj.identity, obj) for records in transactions for obj, _ in records]
+            self._apply_transactions(framed, boundary)
+            digest.update(memoryview(data)[verified:committed_len])
+            self._digest = digest
             if truncate and boundary < size:
                 self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
@@ -629,7 +605,9 @@ class Store:
                 # Leave the store in its pre-commit state before re-raising.
                 self._truncate_log(pre_commit_len)
                 raise
-            self._apply_transactions([txn.pending], pre_commit_len + len(data))
+            self._apply_transactions(
+                [(obj.identity, obj) for obj in txn.pending], pre_commit_len + len(data)
+            )
             self._digest.update(data)
             self._committed_len = self._applied_len
         if self._committed_len - self._hint_len >= HINT_EVERY_BYTES:
@@ -651,20 +629,19 @@ class Store:
                     f"no such object: {format_identity(identity)}",
                     detail=format_identity(identity),
                 )
-            obj = self._first_read(obj)
+            obj = self._first_read(identity)
         return obj
 
-    def _first_read(self, framed: _Framed) -> StoredObject:
+    def _first_read(self, identity: ObjectIdentity) -> StoredObject:
         """Decode a framed record, once per handle even under concurrent reads.
 
         Commit marks compare stored objects by ``is``, so each identity
         must become exactly one object.
         """
         with self._apply_lock:
-            obj = self._objects[framed.identity]
-            if type(obj) is _Framed:
-                obj = _decode_record(self._image, obj.offset, self._tables, self._stamps)
-                self._objects[framed.identity] = obj
+            obj = self._objects[identity]
+            if type(obj) is int:
+                obj = self._objects[identity] = _decode_record(self._image, obj, self._tables)
         return obj
 
     def has_object(self, identity: ObjectIdentity) -> bool:
@@ -758,16 +735,14 @@ def check_store(directory: str):
         yield "hint: mismatched"
     else:
         yield f"hint: valid, covering {hint[0]} of {len(buf)} bytes"
-    transactions, committed_end, _, offsets = _scan_log(buf, DecodeTables(), {})
+    transactions, committed_end, _ = _scan_log(buf, DecodeTables())
     if committed_end < len(buf):
         yield (f"torn tail: {len(buf) - committed_end} bytes at offset {committed_end},"
                " left in place")
-    offsets = iter(offsets)
     objects: dict[ObjectIdentity, StoredObject] = {}
     highs: dict[tuple, int] = {}
     for records in transactions:
-        located = [(obj, next(offsets)) for obj in records]
-        for obj, at in located:
+        for obj, at in records:
             identity, text = obj.identity, format_identity(obj.identity)
             pair = (identity.class_name, identity.secondary_key)
             if identity in objects:
@@ -779,7 +754,7 @@ def check_store(directory: str):
                 )
             objects[identity] = obj
             highs[pair] = identity.config_key
-        for obj, at in located:
+        for obj, at in records:
             if obj.kind == KIND_LEAF:
                 continue
             for name, target in obj.payload.entries:

@@ -173,6 +173,25 @@ def test_fetch_manifest_and_runtypes(served):
     assert active_run_types(endpoint) == {"PHYSICS": root}
 
 
+def test_a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step(served):
+    _, _, root, endpoint = served
+    with configure_run(endpoint, "PHYSICS") as handle:
+        manifest = fetch_manifest(handle)
+        with pytest.raises(InvalidNameError):
+            fetch_raw(handle, "dch\nPING")
+        assert fetch_manifest(handle) == manifest
+        assert format_identity(fetch_raw(handle, "dch/hv")[0]) == "DchHV:sector3[1]"
+    with pytest.raises(InvalidNameError):
+        configure_run(endpoint, "PHYSICS\nPING")
+    connection = client._Connection(endpoint)
+    try:
+        with pytest.raises(InvalidNameError):
+            connection.request("RESOLVE PHYSICS\nPING")
+        assert connection.request("RESOLVE PHYSICS") == (format_identity(root), b"")
+    finally:
+        connection.close()
+
+
 # -- malformed answers ------------------------------------------------------------
 
 

@@ -1028,6 +1028,16 @@ FSCK_FAILURES = {
         len(_A1),
         "A[3] at offset {at} breaks its key sequence after key 1",
     ),
+    "dangling-link-second-in-its-transaction": (
+        _transaction(("B[1]", _LEAF), ("M[1]", b"kind=map\nx=B[1]\ny=Z[1]\n")),
+        len(_record(0x01, b"B[1]\n0\n" + _LEAF)),
+        "M[1] at offset {at} links 'y' to missing Z[1]",
+    ),
+    "key-gap-second-in-its-transaction": (
+        _transaction(("A[1]", _LEAF), ("A[3]", _LEAF)),
+        len(_record(0x01, b"A[1]\n0\n" + _LEAF)),
+        "A[3] at offset {at} breaks its key sequence after key 1",
+    ),
 }
 
 
