@@ -16,34 +16,35 @@ request line with one ``sendall``, then receives until the buffer holds
 the status line and, for an answer with a body, the line that is a
 lone ``.``.  Each receive resumes the search where the last one stopped,
 and bytes past the answer stay in the buffer for the next request.  A
-status line that is not UTF-8 or not ``OK``/``ERR``, a failed or
-timed-out receive (``TIMEOUT_S``) and an end of stream in mid-answer
-each give the connection up, so a later request on it fails at once
-with :class:`ConnectionFailureError`.
+failed send, a status line that is not UTF-8 or not ``OK``/``ERR``, a
+failed or timed-out receive (``TIMEOUT_S``) and an end of stream in
+mid-answer each give the connection up, so a later request on it fails
+at once with :class:`ConnectionFailureError`.
 
-Each client process keeps two memos.  ``PAYLOAD_MEMO`` maps the payload
-bytes of a GET answer to the :class:`Payload` that ``decode_payload``
-made of them, so :func:`fetch_raw` decodes each distinct payload once,
-canonical-form check included, however many GETs return it.
-``IDENTITY_MEMO`` maps the identity text of a GET's status line to the
-:class:`ObjectIdentity` that ``parse_identity`` made of it.  A hit
-returns exactly what a parse or decode would: both are pure functions
-of their input, and what they return is immutable.  Input that fails
-to parse or decode is never kept, so it raises again on every fetch.
-Only those two steps are memoised; a :class:`ProxyDictionary` decoder
-runs on every :func:`fetch_object`, since what it returns may be
-mutable.  The identity memo pays off when one process GETs the same
-objects again, as each transition after the first does: over one run of
-the benchmark's configure workload, 875,931 of its 876,960 GETs (99.9%)
-carried an identity text that an earlier GET had carried.
+Each client process keeps one memo of GET answers, ``GET_MEMO``.  It
+maps the ``(status tail, payload bytes)`` pair of an answer to the
+``(ObjectIdentity, Payload)`` pair that ``parse_identity`` and
+``decode_payload`` made of it, canonical check included, so
+:func:`fetch_raw` makes one lookup per GET and parses and decodes each
+distinct answer once, however many handles or threads receive it.  A
+hit returns exactly what a parse and a decode would: both are pure
+functions of their input, and what they return is immutable.  An
+answer that fails to parse or decode is never kept, so it raises again
+on every fetch.  Only those two steps are memoised; a
+:class:`ProxyDictionary` decoder runs on every :func:`fetch_object`,
+since what it returns may be mutable.  The memo pays off when one
+process GETs the same objects again, as each transition after the
+first does: over one run of the benchmark's configure workload,
+1,446,459 of its 1,447,488 GETs (99.9%) returned an answer that an
+earlier GET had returned.
 
-Each memo holds at most ``PAYLOAD_MEMO_BYTES`` (2 MiB) of key text,
-``sys.getsizeof`` of each kept key, and is emptied whole when the next
-key would go over.  Measured with ``tracemalloc`` on the 1,029 distinct
-objects of the benchmark's configure workload, the payloads are 441 KB
-of text and 2.0 MB of decoded values, and the identity texts 69 KB, 270
-KB with their identities; so a full payload memo holds about 11 MiB and
-a full identity memo about 8 MiB.
+The memo holds at most ``GET_MEMO_BYTES`` (2 MiB) of key text,
+``sys.getsizeof`` of each kept tail and body, and is emptied whole when
+the next key would go over.  Measured with ``tracemalloc`` on the 1,029
+distinct answers of the benchmark's configure workload, the keys are
+545 KB of text (69 KB of identities, 475 KB of payloads) and the memo
+holds 2.9 MB with what they decode to, about 5.3 times its key text;
+so a full memo holds about 11 MiB.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from .errors import (
 from .model import ObjectIdentity, Payload, decode_payload, format_identity, parse_identity, validate_name
 from .service import BoundedCache, parse_endpoint
 
-PAYLOAD_MEMO_BYTES = 2 * 2**20
-PAYLOAD_MEMO = BoundedCache(lambda: PAYLOAD_MEMO_BYTES)
-IDENTITY_MEMO = BoundedCache(lambda: PAYLOAD_MEMO_BYTES)
+GET_MEMO_BYTES = 2 * 2**20
+GET_MEMO = BoundedCache(GET_MEMO_BYTES)
 RECV_BYTES = 65536
 TIMEOUT_S = 30.0  # for the connect and for each send and receive
 
@@ -162,6 +162,8 @@ class _Connection:
         try:
             self._sock.sendall((line + "\n").encode("utf-8"))
         except OSError as exc:
+            # Part of the line may have gone out: the next one would join it.
+            self.close()
             raise ConnectionFailureError(f"send failed: {exc}") from exc
         buf, eol = self._find(self._buf, b"\n", 0)
         # A refused status line leaves an answer of unknown length unread,
@@ -232,16 +234,13 @@ def configure_run(endpoint: str, run_type: str) -> TreeHandle:
 
 def fetch_raw(handle: TreeHandle, path: str) -> tuple[ObjectIdentity, Payload]:
     """GET one object by path; returns (identity, payload) undecoded."""
-    tail, body = handle._connection.request(handle._get_prefix + (path or "/"), body=True)
-    identity = IDENTITY_MEMO.entries.get(tail)
-    if identity is None:
-        identity = parse_identity(tail)
-        IDENTITY_MEMO.put(tail, identity, sys.getsizeof(tail))
-    payload = PAYLOAD_MEMO.entries.get(body)
-    if payload is None:
-        payload = decode_payload(body)
-        PAYLOAD_MEMO.put(body, payload, sys.getsizeof(body))
-    return identity, payload
+    answer = handle._connection.request(handle._get_prefix + (path or "/"), body=True)
+    raw = GET_MEMO.entries.get(answer)
+    if raw is None:
+        tail, body = answer
+        raw = parse_identity(tail), decode_payload(body)
+        GET_MEMO.put(answer, raw, sys.getsizeof(tail) + sys.getsizeof(body))
+    return raw
 
 
 def fetch_object(handle: TreeHandle, proxies: ProxyDictionary, path: str):

@@ -45,7 +45,7 @@ import socketserver
 import sys
 import threading
 
-from .errors import ConfdbError, MalformedIdentityError
+from .errors import ConfdbError, MalformedIdentityError, ParseError
 from .model import encode_payload, format_identity, parse_identity
 from .store import Store
 from .tree import active_trees, lookup_path, resolve_run_type, walk_tree
@@ -56,9 +56,10 @@ FRAME_CACHE_BYTES = 8 * 2**20
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
+    """``(host, port)`` from ``host:port``; the port is ASCII decimal, 0 to 65535."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"endpoint must be host:port, got {text!r}")
+    if not sep or not port.isascii() or not port.isdigit() or int(port) > 65535:
+        raise ParseError(f"endpoint must be host:port with a port from 0 to 65535, got {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -89,50 +90,38 @@ class BoundedCache:
     """A dict of answers that never change, emptied whole at a byte budget.
 
     ``entries`` is read without a lock; :meth:`put` takes one.  ``size``
-    is the summed cost of every kept entry, as each caller counts it.
-    ``budget`` is called on every put, so it can follow a module
-    constant.  An entry that costs more than the whole budget is never
-    kept; any other entry that would go over it empties the dict first.
+    is the summed cost of every kept entry, as each caller counts it.  An
+    entry that costs more than the whole ``budget`` is never kept; any
+    other entry that would go over it empties the dict first.
     """
 
-    def __init__(self, budget):
+    def __init__(self, budget: int):
         self.entries: dict = {}
         self.size = 0
-        self._budget = budget
+        self.budget = budget
         self._lock = threading.Lock()
 
     def put(self, key, value, cost: int) -> None:
-        budget = self._budget()
-        if cost > budget:
+        if cost > self.budget:
             return
         with self._lock:
             if key in self.entries:
                 return
-            if self.size + cost > budget:
+            if self.size + cost > self.budget:
                 self.entries.clear()
                 self.size = 0
             self.entries[key] = value
             self.size += cost
 
 
-class FrameCache(BoundedCache):
-    """Finished ``OK`` frames of GET and MANIFEST, keyed by request line.
-
-    The cost of a frame is ``sys.getsizeof`` of its line and of itself.
-    """
-
-    def __init__(self):
-        super().__init__(lambda: FRAME_CACHE_BYTES)
-        self.frames = self.entries  # the same dict: put empties it in place
-
-
-def handle_request(store: Store, line: str, cache: FrameCache | None = None) -> str:
+def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -> str:
     """Process one request line into one complete response frame.
 
-    With a ``cache``, a repeated GET or MANIFEST is answered from it.
+    With a ``cache`` of finished ``OK`` frames keyed by request line, a
+    repeated GET or MANIFEST is answered from it.
     """
     if cache is not None:
-        frame = cache.frames.get(line)
+        frame = cache.entries.get(line)
         if frame is not None:
             return frame
     key = line
@@ -218,7 +207,7 @@ class ConfigServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, store: Store, endpoint: str = DEFAULT_ENDPOINT):
         self.store = store
-        self.cache = FrameCache()
+        self.cache = BoundedCache(FRAME_CACHE_BYTES)
         super().__init__(parse_endpoint(endpoint), _Handler)
 
     @property

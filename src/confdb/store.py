@@ -30,14 +30,15 @@ On disk a store is one directory:
 One walk, ``_scan_log``, reads the log for the open, every catch-up and
 ``confdb fsck``.  It checks the framing of every record (magic, type,
 lengths, commit counts, identities and stamps).  The records of the
-transactions a trusted hint covers are only framed and decoded on first
-read, canonical check included, so a bad record there refuses at that
-read.  Every other record is CRC-checked and decoded, canonical check
-included, as the walk reaches it; ``confdb fsck`` ignores the hint and
-so checks every record.  A handle decodes every record through its one
-set of intern tables, so its objects share their identities and names:
-every link to an object holds that object's own identity, and each
-distinct name is one string.
+transactions a trusted hint covers are only framed: a handle keeps no
+copy of them, and reads each one through its descriptor on its first
+read, CRC-checked and decoded, canonical check included, so a bad
+record there refuses at that read.  Every other record is CRC-checked
+and decoded, canonical check included, as the walk reaches it;
+``confdb fsck`` ignores the hint and so checks every record.  A handle
+decodes every record through its one set of intern tables, so its
+objects share their identities and names: every link to an object holds
+that object's own identity, and each distinct name is one string.
 
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
@@ -65,6 +66,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .errors import (
+    ConfdbError,
     CorruptLogError,
     DanglingLinkError,
     InvalidPayloadError,
@@ -394,10 +396,8 @@ class Store:
         # Every record this handle decodes, at open, catch-up or first read,
         # goes through these tables, so decoded objects share their names,
         # identities, links and stamps.  ``_objects`` holds a framed record
-        # as its offset into ``_image``, the log bytes the open verified,
-        # until its first read decodes it from there.
+        # as its log offset until its first read reads, checks and decodes it.
         self._tables = DecodeTables()
-        self._image = b""
         # SHA-256 of the applied prefix; the hint this handle last wrote or
         # verified covers ``_hint_len`` bytes; ``_committed_len`` is the
         # applied length after this handle's last commit.
@@ -503,7 +503,7 @@ class Store:
             if committed_len < verified:  # the hint covers an uncommitted tail
                 verified, digest = 0, hashlib.sha256()
             if framed:
-                self._image, self._hint_len = data, verified
+                self._hint_len = verified
             boundary = base + committed_len
             # Framed records are published as their offsets, the rest decoded.
             framed += [(obj.identity, obj) for records in transactions for obj, _ in records]
@@ -633,15 +633,29 @@ class Store:
         return obj
 
     def _first_read(self, identity: ObjectIdentity) -> StoredObject:
-        """Decode a framed record, once per handle even under concurrent reads.
+        """Read, CRC-check and decode a framed record, once per handle.
 
-        Commit marks compare stored objects by ``is``, so each identity
-        must become exactly one object.
+        The record's own bytes are read through this handle's
+        descriptor, so damage done to them after the open refuses here,
+        on this and every later read.  Commit marks compare stored
+        objects by ``is``, so each identity must become exactly one
+        object, even under concurrent reads.
         """
         with self._apply_lock:
             obj = self._objects[identity]
             if type(obj) is int:
-                obj = self._objects[identity] = _decode_record(self._image, obj, self._tables)
+                if self._log_fd is None:
+                    raise ConfdbError(f"store is closed: {self.directory}")
+                head = self._read_log(obj, obj + _HEADER_LEN)
+                # Bounded by the applied log, so a length damaged in place
+                # never asks for more bytes than the log holds.
+                end = _record_end(head, 0, self._applied_len - obj, obj)
+                if end is None:
+                    raise CorruptLogError(f"record at offset {obj} runs past the log")
+                record = head + self._read_log(obj + _HEADER_LEN, obj + end)
+                if int.from_bytes(record[-4:], "big") != zlib.crc32(record[_HEADER_LEN:-4]):
+                    raise CorruptLogError(f"CRC mismatch at offset {obj}")
+                obj = self._objects[identity] = _decode_record(record, 0, self._tables, obj)
         return obj
 
     def has_object(self, identity: ObjectIdentity) -> bool:

@@ -265,6 +265,16 @@ def test_new_object_requires_leaf_payload(workdir, capsys):
     assert "leaf payload" in err
 
 
+@pytest.mark.parametrize("listen", ["127.0.0.1:70000", "nonsense"])
+def test_serve_refuses_a_bad_listen_endpoint(workdir, capsys, monkeypatch, listen):
+    from confdb.service import ConfigServer
+
+    monkeypatch.delenv("CONFDB_LISTEN", raising=False)
+    monkeypatch.setattr(ConfigServer, "serve_forever", lambda *a, **k: pytest.fail("served"))
+    out, err = run_cli("--store", "s", "serve", "--listen", listen, expect=1, capsys=capsys)
+    assert out == "" and err.startswith("confdb: error: endpoint must be host:port")
+
+
 def test_serve_with_env_override(workdir):
     run_script = (
         "new-object DchHV:sector3 --from hv.cfg\n"

@@ -51,6 +51,14 @@ def served(tmp_path):
     store.close()
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty GET memo for one test."""
+    memo = BoundedCache(client.GET_MEMO_BYTES)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
+    return memo
+
+
 def hv_decoder(payload):
     return {"volts": payload.fields["hv"]}
 
@@ -192,6 +200,39 @@ def test_a_line_break_in_a_request_is_refused_and_the_connection_stays_in_step(s
         connection.close()
 
 
+class _SendFails:
+    """A socket whose ``sendall`` fails after part of the line went out."""
+
+    def __init__(self):
+        self.sent, self.closed = [], False
+
+    def sendall(self, data):
+        if self.closed:
+            raise OSError(9, "Bad file descriptor")
+        self.sent.append(data[:3])
+        raise OSError(104, "Connection reset by peer")
+
+    def close(self):
+        self.closed = True
+
+
+def test_a_failed_send_gives_the_connection_up(served):
+    _, _, _, endpoint = served
+    with configure_run(endpoint, "PHYSICS") as handle:
+        real, fake = handle._connection._sock, _SendFails()
+        handle._connection._sock = fake
+        try:
+            with pytest.raises(ConnectionFailureError, match="send failed"):
+                fetch_raw(handle, "dch/hv")
+            assert fake.closed and fake.sent == [b"GET"]
+            # The next request would follow the part sent: it fails, sending nothing.
+            with pytest.raises(ConnectionFailureError):
+                fetch_manifest(handle)
+            assert fake.sent == [b"GET"]
+        finally:
+            real.close()
+
+
 # -- malformed answers ------------------------------------------------------------
 
 
@@ -234,8 +275,7 @@ def scripted():
         t.join(timeout=10)
 
 
-def test_non_utf8_answers_raise_confdb_errors(scripted, monkeypatch):
-    monkeypatch.setattr(client, "PAYLOAD_MEMO", BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES))
+def test_non_utf8_answers_raise_confdb_errors(scripted, memo):
     endpoint = scripted(
         b"OK TopMap[1]\n",
         b"OK DchHV:sector3[1]\nkind=leaf\nname=s:\xff\n.\n",
@@ -249,7 +289,7 @@ def test_non_utf8_answers_raise_confdb_errors(scripted, monkeypatch):
             fetch_manifest(handle)
         with pytest.raises(ConfdbError):
             fetch_raw(handle, "dch/hv")
-    assert client.PAYLOAD_MEMO.entries == {}
+    assert memo.entries == {}
 
 
 def test_a_refused_status_line_gives_the_connection_up(scripted):
@@ -276,15 +316,24 @@ def test_a_reset_mid_answer_gives_the_connection_up(scripted):
             fetch_raw(handle, "a")
 
 
-def test_a_non_canonical_payload_raises_on_every_fetch(scripted, monkeypatch):
-    monkeypatch.setattr(client, "PAYLOAD_MEMO", BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES))
+def test_a_non_canonical_payload_raises_on_every_fetch(scripted, memo):
     answer = b"OK Leaf[1]\nkind=leaf\na=i:01\n.\n"
     endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
     with configure_run(endpoint, "PHYSICS") as handle:
         for _ in range(3):
             with pytest.raises(MalformedPayloadError):
                 fetch_raw(handle, "a")
-    assert client.PAYLOAD_MEMO.entries == {} and client.PAYLOAD_MEMO.size == 0
+    assert memo.entries == {} and memo.size == 0
+
+
+def test_a_malformed_identity_raises_on_every_fetch(scripted, memo):
+    answer = b"OK Leaf[01]\nkind=leaf\na=i:1\n.\n"
+    endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        for _ in range(3):
+            with pytest.raises(MalformedIdentityError):
+                fetch_raw(handle, "a")
+    assert memo.entries == {} and memo.size == 0
 
 
 # -- reading answers out of the receive buffer ------------------------------------
@@ -400,11 +449,11 @@ def test_a_large_body_in_small_pieces_is_read_exactly(scripted):
         assert fetch_raw(handle, "a") == _raw(_LEAF)
 
 
-# -- the payload memo -------------------------------------------------------------
+# -- the GET memo -----------------------------------------------------------------
 
 
 @pytest.fixture
-def history(tmp_path, monkeypatch):
+def history(tmp_path, memo):
     """Four generations of figure 1, every GET they answer, and an empty memo."""
     store = open_store(tmp_path / "db", clock=lambda: 0)
     tree, leaves = build_figure1(store)
@@ -416,7 +465,6 @@ def history(tmp_path, monkeypatch):
             assert status.startswith("OK ") and rest.endswith("\n.\n")
             # (root, path, identity and payload bytes the server sends)
             gets.append((root, path, parse_identity(status[3:]), rest[:-2].encode()))
-    monkeypatch.setattr(client, "PAYLOAD_MEMO", BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES))
     yield store, gets
     store.close()
 
@@ -436,43 +484,73 @@ def _fetch(connection, root, path):
     return fetch_raw(TreeHandle("", root, connection), path)
 
 
-def test_memo_answers_equal_a_decode_of_the_sent_bytes(history, connection):
+def _key(identity, body):
+    """The memo key of a GET answer: its status tail and payload bytes."""
+    return format_identity(identity), body
+
+
+def _cost(key):
+    tail, body = key
+    return sys.getsizeof(tail) + sys.getsizeof(body)
+
+
+def _size_of(memo):
+    return sum(_cost(key) for key in memo.entries)
+
+
+def test_memo_answers_equal_a_decode_of_the_sent_bytes(history, connection, memo):
     _, gets = history
     assert len(gets) == 6 + 6 + 8 + 8
     for _ in range(2):  # a first fetch, then a repeat
         for root, path, identity, body in gets:
             assert _fetch(connection, root, path) == (identity, decode_payload(body))
-    assert set(client.PAYLOAD_MEMO.entries) == {body for *_, body in gets}
+    assert set(memo.entries) == {_key(identity, body) for *_, identity, body in gets}
 
 
-def test_a_hit_never_decodes(history, connection, monkeypatch):
+def test_a_hit_never_decodes(history, connection, memo, monkeypatch):
     _, gets = history
-    root, path, _, body = gets[-1]
-    decodes = []
+    root, path, identity, body = gets[-1]
+    decoded = []
 
     def decode_once(data):
-        decodes.append(data)
-        if len(decodes) > 1:
+        decoded.append(data)
+        if len(decoded) > 1:
             raise RuntimeError("decoded again")
         return decode_payload(data)
 
     monkeypatch.setattr(client, "decode_payload", decode_once)
-    _, first = _fetch(connection, root, path)
-    _, again = _fetch(connection, root, path)
-    assert again is first and decodes == [body]
-    assert client.PAYLOAD_MEMO.entries == {body: first}
+    first = _fetch(connection, root, path)
+    again = _fetch(connection, root, path)
+    assert again is first and first == (identity, decode_payload(body))
+    assert decoded == [body]
+    assert memo.entries == {_key(identity, body): first}
 
 
-def _size_of(memo):
-    return sum(sys.getsizeof(key) for key in memo.entries)
+def test_an_identity_hit_never_parses(history, connection, memo, monkeypatch):
+    _, gets = history
+    root, path, identity, body = gets[-1]
+    parsed = []
+
+    def parse_once(text):
+        parsed.append(text)
+        if len(parsed) > 1:
+            raise RuntimeError("parsed again")
+        return parse_identity(text)
+
+    monkeypatch.setattr(client, "parse_identity", parse_once)
+    first, _ = _fetch(connection, root, path)
+    again, _ = _fetch(connection, root, path)
+    assert again is first and first == identity
+    assert parsed == [format_identity(identity)]
+    assert [tail for tail, _ in memo.entries] == [format_identity(identity)]
 
 
 def test_the_memo_stays_within_its_budget(history, connection, monkeypatch):
     _, gets = history
-    costs = sorted({sys.getsizeof(body) for *_, body in gets})
+    costs = sorted({_cost(_key(identity, body)) for *_, identity, body in gets})
     budget = 3 * costs[-1]
-    monkeypatch.setattr(client, "PAYLOAD_MEMO_BYTES", budget)
-    memo = client.PAYLOAD_MEMO
+    memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
     emptied = 0
     for _ in range(3):
         for root, path, identity, body in gets:
@@ -481,10 +559,9 @@ def test_the_memo_stays_within_its_budget(history, connection, monkeypatch):
             emptied += len(memo.entries) < before
             assert memo.size == _size_of(memo) <= budget
     assert emptied > 0
-    # A payload over the whole budget is never kept.
-    monkeypatch.setattr(client, "PAYLOAD_MEMO_BYTES", costs[0] - 1)
-    memo.entries.clear()
-    memo.size = 0
+    # An answer over the whole budget is never kept.
+    memo = BoundedCache(costs[0] - 1)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
     root, path, identity, body = gets[0]
     assert _fetch(connection, root, path) == (identity, decode_payload(body))
     assert memo.entries == {} and memo.size == 0
@@ -503,8 +580,9 @@ class _Direct:
 
 def test_threads_share_one_small_memo(history, monkeypatch):
     store, gets = history
-    budget = 3 * max(sys.getsizeof(body) for *_, body in gets)
-    monkeypatch.setattr(client, "PAYLOAD_MEMO_BYTES", budget)
+    budget = 3 * max(_cost(_key(identity, body)) for *_, identity, body in gets)
+    memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
     direct = _Direct(store)
     wrong = []
 
@@ -529,62 +607,24 @@ def test_threads_share_one_small_memo(history, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     # A lost update of the size would break this.
-    assert client.PAYLOAD_MEMO.size == _size_of(client.PAYLOAD_MEMO) <= budget
+    assert memo.size == _size_of(memo) <= budget
 
 
-# -- the identity memo ------------------------------------------------------------
-
-
-@pytest.fixture
-def identity_memo(monkeypatch):
-    """An empty identity memo for one test."""
-    memo = BoundedCache(lambda: client.PAYLOAD_MEMO_BYTES)
-    monkeypatch.setattr(client, "IDENTITY_MEMO", memo)
-    return memo
-
-
-def test_an_identity_hit_never_parses(history, connection, identity_memo, monkeypatch):
-    _, gets = history
-    root, path, identity, _ = gets[-1]
-    parsed = []
-
-    def parse_once(text):
-        parsed.append(text)
-        if len(parsed) > 1:
-            raise RuntimeError("parsed again")
-        return parse_identity(text)
-
-    monkeypatch.setattr(client, "parse_identity", parse_once)
-    first, _ = _fetch(connection, root, path)
-    again, _ = _fetch(connection, root, path)
-    assert again is first and first == identity
-    assert parsed == [format_identity(identity)]
-    assert identity_memo.entries == {format_identity(identity): first}
-
-
-def test_a_malformed_identity_raises_on_every_fetch(scripted, identity_memo):
-    answer = b"OK Leaf[01]\nkind=leaf\na=i:1\n.\n"
-    endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
-    with configure_run(endpoint, "PHYSICS") as handle:
-        for _ in range(3):
-            with pytest.raises(MalformedIdentityError):
-                fetch_raw(handle, "a")
-    assert identity_memo.entries == {} and identity_memo.size == 0
-
-
-def test_threads_share_one_small_identity_memo(history, identity_memo, monkeypatch):
+def test_threads_share_one_small_identity_memo(history, monkeypatch):
+    """The identity half of every answer stays right while a small memo empties."""
     store, gets = history
     texts = {format_identity(identity) for _, _, identity, _ in gets}
-    budget = 3 * max(sys.getsizeof(text) for text in texts)
     assert len(texts) > 3
-    monkeypatch.setattr(client, "PAYLOAD_MEMO_BYTES", budget)
+    budget = 3 * max(_cost(_key(identity, body)) for *_, identity, body in gets)
+    memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
     direct = _Direct(store)
     emptied = 0
     for root, path, identity, _ in gets:
-        before = len(identity_memo.entries)
+        before = len(memo.entries)
         assert _fetch(direct, root, path)[0] == identity
-        emptied += len(identity_memo.entries) < before
-        assert identity_memo.size == _size_of(identity_memo) <= budget
+        emptied += len(memo.entries) < before
+        assert memo.size == _size_of(memo) <= budget
     assert emptied > 0
     wrong = []
 
@@ -606,4 +646,4 @@ def test_threads_share_one_small_identity_memo(history, identity_memo, monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert identity_memo.size == _size_of(identity_memo) <= budget
+    assert memo.size == _size_of(memo) <= budget

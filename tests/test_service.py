@@ -8,11 +8,12 @@ import threading
 import pytest
 
 from confdb.commitproc import commit_alias_tree
+from confdb.errors import ParseError
 from confdb.model import format_identity
-from confdb import service
 from confdb.service import (
+    FRAME_CACHE_BYTES,
     MAX_REQUEST_LINE,
-    FrameCache,
+    BoundedCache,
     handle_request,
     parse_endpoint,
     start_server,
@@ -156,8 +157,17 @@ def test_requests_never_write(populated):
 def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:7401") == ("127.0.0.1", 7401)
     assert parse_endpoint(":0") == ("127.0.0.1", 0)
-    with pytest.raises(ValueError):
-        parse_endpoint("no-port")
+    assert parse_endpoint("127.0.0.1:65535") == ("127.0.0.1", 65535)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nonsense", "h:", "h:-1", "h:70000", "h:\u0667\u0664\u0660\u0661"],
+    ids=["no-colon", "no-port", "negative", "over-65535", "arabic-indic-digits"],
+)
+def test_parse_endpoint_refuses_all_but_a_decimal_port(text):
+    with pytest.raises(ParseError, match="host:port"):
+        parse_endpoint(text)
 
 
 # -- live socket tests ----------------------------------------------------------
@@ -271,12 +281,12 @@ def test_cached_frames_are_byte_exact(store):
     tree, leaves = build_figure1(store)
     lines = _lines(store, commit_generations(store, tree, leaves))
     assert len(lines) == 4 + 6 + 6 + 8 + 8
-    cache = FrameCache()
+    cache = BoundedCache(FRAME_CACHE_BYTES)
     for _ in range(2):  # a first call, then a hit
         for line in lines:
             assert handle_request(store, line, cache) == handle_request(store, line)
-    assert set(cache.frames) == set(lines)
-    assert all(frame.startswith("OK ") for frame in cache.frames.values())
+    assert set(cache.entries) == set(lines)
+    assert all(frame.startswith("OK ") for frame in cache.entries.values())
 
 
 def test_uncommitted_root_is_404_until_its_commit(tmp_path):
@@ -285,14 +295,14 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
     try:
         tree, _ = build_figure1(writer)
         root = commit_alias_tree(writer, tree, ["PHYSICS"])
-        cache = FrameCache()
+        cache = BoundedCache(FRAME_CACHE_BYTES)
         assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == f"OK {root}\n"
         # The next root the writer will commit: not there yet.
         get_next = "GET TopMap[2] dch/hv\n"
         manifest_next = "MANIFEST TopMap[2]\n"
         assert handle_request(server_side, get_next, cache) == "ERR 404 not-found TopMap[2]\n"
         assert handle_request(server_side, manifest_next, cache).startswith("ERR 404")
-        assert cache.frames == {}
+        assert cache.entries == {}
         hv2 = make_leaf(writer, "DchHV", "sector3", hv=1900.0)
         tree.set_object_alias("dch", "hv", hv2)
         assert format_identity(commit_alias_tree(writer, tree, ["PHYSICS"])) == "TopMap[2]"
@@ -303,7 +313,7 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
         assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == "OK TopMap[2]\n"
         assert handle_request(server_side, "RUNTYPES\n", cache) == "OK 1\nPHYSICS\tTopMap[2]\n.\n"
         assert handle_request(server_side, "PING\n", cache) == "OK pong\n"
-        assert set(cache.frames) == {get_next, manifest_next}
+        assert set(cache.entries) == {get_next, manifest_next}
     finally:
         writer.close()
         server_side.close()
@@ -311,7 +321,7 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
 
 def test_a_hit_never_reaches_the_store(populated, monkeypatch):
     store, _, root = populated
-    cache = FrameCache()
+    cache = BoundedCache(FRAME_CACHE_BYTES)
     get, manifest = f"GET {root} dch/hv\n", f"MANIFEST {root}\n"
     first = {line: handle_request(store, line, cache) for line in (get, manifest)}
 
@@ -324,12 +334,12 @@ def test_a_hit_never_reaches_the_store(populated, monkeypatch):
         assert handle_request(store, line, cache) == first[line]
     # A miss does reach the store, and is not kept.
     assert handle_request(store, f"GET {root} dch/fee\n", cache) == "ERR 500 internal\n"
-    assert set(cache.frames) == {get, manifest}
+    assert set(cache.entries) == {get, manifest}
 
 
 def test_a_hit_is_answered_beside_a_damaged_log(populated):
     store, _, root = populated
-    cache = FrameCache()
+    cache = BoundedCache(FRAME_CACHE_BYTES)
     get = f"GET {root} dch/hv\n"
     frame = handle_request(store, get, cache)
     with open(store.directory + "/objects.log", "ab") as f:
@@ -339,38 +349,35 @@ def test_a_hit_is_answered_beside_a_damaged_log(populated):
     assert handle_request(store, get).startswith("ERR 500 corrupt-log")
 
 
-def test_the_cache_stays_within_its_budget(store, monkeypatch):
+def test_the_cache_stays_within_its_budget(store):
     tree, leaves = build_figure1(store)
     lines = _lines(store, commit_generations(store, tree, leaves))
     expected = {line: handle_request(store, line) for line in lines}
     budget = 2_000
-    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", budget)
-    cache = FrameCache()
+    cache = BoundedCache(budget)
     emptied = 0
     for _ in range(3):
         for line in lines:
-            before = len(cache.frames)
+            before = len(cache.entries)
             assert handle_request(store, line, cache) == expected[line]
-            emptied += len(cache.frames) < before
+            emptied += len(cache.entries) < before
             assert cache.size == sum(
-                sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.frames.items()
+                sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.entries.items()
             )
             assert cache.size <= budget
     assert emptied > 0
     # A frame over the whole budget is never kept.
     manifest = [line for line in lines if line.startswith("MANIFEST")][-1]
-    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", sys.getsizeof(expected[manifest]))
-    cache = FrameCache()
+    cache = BoundedCache(sys.getsizeof(expected[manifest]))
     assert handle_request(store, manifest, cache) == expected[manifest]
-    assert cache.frames == {} and cache.size == 0
+    assert cache.entries == {} and cache.size == 0
 
 
-def test_threads_share_one_small_cache(store, monkeypatch):
+def test_threads_share_one_small_cache(store):
     tree, leaves = build_figure1(store)
     lines = _lines(store, commit_generations(store, tree, leaves))
     expected = {line: handle_request(store, line) for line in lines}
-    monkeypatch.setattr(service, "FRAME_CACHE_BYTES", 3_000)
-    cache = FrameCache()
+    cache = BoundedCache(3_000)
     wrong = []
 
     def reader(offset):
@@ -394,7 +401,7 @@ def test_threads_share_one_small_cache(store, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     # A lost update of the size would break this.
-    assert cache.size == sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.frames.items())
+    assert cache.size == sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.entries.items())
     assert cache.size <= 3_000
 
 
@@ -412,7 +419,7 @@ def test_server_connections_share_one_cache(populated):
                 assert _request_lines(reader, sock, "RESOLVE PHYSICS") == f"OK {root}"
         assert frames[0] == frames[1]
         assert frames[0].decode() + ".\n" == handle_request(store, line + "\n")
-        assert list(server.cache.frames) == [line + "\n"]
+        assert list(server.cache.entries) == [line + "\n"]
     finally:
         server.shutdown()
         server.server_close()

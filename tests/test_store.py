@@ -16,6 +16,7 @@ import pytest
 
 from confdb import store as store_mod
 from confdb.errors import (
+    ConfdbError,
     CorruptLogError,
     DanglingLinkError,
     InvalidPayloadError,
@@ -830,6 +831,55 @@ def test_concurrent_first_reads_make_one_object_per_identity(tmp_path):
                 assert _framed(s) == 0
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_record_damaged_after_a_hinted_open_refuses_at_every_read(tmp_path):
+    path = tmp_path / "db"
+    path.mkdir()
+    first = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
+    log = first + _transaction(("B[1]", b"kind=leaf\nb=i:2\n"))
+    (path / "objects.log").write_bytes(log)
+    (path / "objects.hint").write_bytes(_hint(log))
+    with open_store(path) as s:
+        assert _framed(s) == 2
+        # Still canonical, so only B[1]'s CRC tells the damage.
+        at = log.rindex(b"b=i:2") + 4
+        with open(path / "objects.log", "r+b") as f:
+            f.seek(at)
+            f.write(b"3")
+        for _ in range(2):
+            with pytest.raises(CorruptLogError, match=f"^CRC mismatch at offset {len(first)}$"):
+                s.get_object(ObjectIdentity("B", None, 1))
+        assert _framed(s) == 2  # nothing kept
+        assert s.get_object(ObjectIdentity("A", None, 1)).payload.fields == {"a": 1}
+
+
+def test_a_first_read_reads_only_its_own_record(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    log = (path / "objects.log").read_bytes()
+    with open_store(path) as s:
+        ranges = []
+        read_log = s._read_log
+        s._read_log = lambda offset, end: ranges.append((offset, end)) or read_log(offset, end)
+        for identity, offset in list(s._objects.items()):
+            ranges.clear()
+            obj = s.get_object(identity)
+            end = offset + 6 + int.from_bytes(log[offset + 2 : offset + 6], "big") + 4
+            assert ranges[0][0] == offset and ranges[-1][1] == end
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            ranges.clear()
+            assert s.get_object(identity) is obj and ranges == []
+
+
+def test_a_first_read_on_a_closed_handle_is_a_confdb_error(tmp_path):
+    path = tmp_path / "db"
+    _generations(path)
+    s = open_store(path)
+    identity = next(iter(s._objects))
+    s.close()
+    with pytest.raises(ConfdbError, match="closed"):
+        s.get_object(identity)
 
 
 def test_only_committing_handles_write_the_small_hint(tmp_path, monkeypatch):
