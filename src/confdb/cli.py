@@ -16,7 +16,8 @@ the store, so it neither locks nor repairs anything.
 
 Each command either fully succeeds or leaves the store and alias state
 unchanged; `begin`/`commit`/`abort` group several mutating commands into
-one store transaction.  A script stops at its first error and exits
+one store transaction, and a block that does not commit leaves the alias
+state as it was at `begin`.  A script stops at its first error and exits
 nonzero, reporting the failing line.  The global ``--epoch`` flag pins
 creation timestamps so scripted builds produce byte-identical logs.
 """
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import shlex
 import sys
 
 from . import alias as alias_mod
 from . import commitproc
-from .errors import ConfdbError, ParseError
+from .errors import ConfdbError, DuplicateNameError, NoSuchAliasError, ParseError
 from .model import (
     KIND_LEAF,
     ObjectIdentity,
@@ -51,12 +51,22 @@ class Session:
     def __init__(self, store: Store):
         self.store = store
         self.txn = None
+        self.region = ""  # the alias region's text when the block began
 
     def abort_block(self) -> bool:
-        """Abandon the ``begin`` block, if any; return whether there was one."""
+        """Abandon the ``begin`` block, if any; return whether there was one.
+
+        Alias edits made inside the block are undone with it: the region
+        gets back the text it had at ``begin``.  The block holds the writer
+        lock until its transaction ends, so no other save can have landed.
+        """
         txn, self.txn = self.txn, None
         if txn is not None and txn.state == "open":
-            txn.abort()
+            try:
+                if self.store.read_alias_region() != self.region:
+                    self.store.write_alias_region(self.region)
+            finally:
+                txn.abort()
         return txn is not None
 
 
@@ -165,8 +175,13 @@ def _cmd_lookup(session: Session, args: list[str]) -> str:
 def _cmd_new_alias(session: Session, args: list[str]) -> str:
     name, root_class = _expect(args, 2, "new-alias <name> <root-class>")
     tree = alias_mod.new_alias_tree(name, root_class)
-    alias_mod.save_alias_tree(session.store, tree)
-    return f"created alias {name}\n"
+    with session.store.alias_lock():
+        try:
+            alias_mod.load_alias_tree(session.store, name)
+        except NoSuchAliasError:
+            alias_mod.save_alias_tree(session.store, tree)
+            return f"created alias {name}\n"
+    raise DuplicateNameError(f"alias tree {name!r} already exists")
 
 
 def _with_alias(session: Session, name: str, edit) -> str:
@@ -248,10 +263,9 @@ def _cmd_serve(session: Session, args: list[str]) -> str:
 
     listen = _take_flag(args, "--listen")
     _expect(args, 0, "serve --listen <host:port>")
-    endpoint = os.environ.get("CONFDB_LISTEN") or listen
-    if endpoint is None:
-        raise ParseError("serve needs --listen <host:port> or CONFDB_LISTEN")
-    with ConfigServer(session.store, endpoint) as server:
+    if listen is None:
+        raise ParseError("serve needs --listen <host:port>")
+    with ConfigServer(session.store, listen) as server:
         print(f"listening on {server.endpoint}", flush=True)
         try:
             server.serve_forever()
@@ -264,7 +278,13 @@ def _cmd_begin(session: Session, args: list[str]) -> str:
     _expect(args, 0, "begin")
     if session.txn is not None:
         raise ParseError("a transaction block is already open")
-    session.txn = session.store.begin()
+    txn = session.store.begin()
+    try:
+        session.region = session.store.read_alias_region()
+    except BaseException:
+        txn.abort()
+        raise
+    session.txn = txn
     return ""
 
 
@@ -279,10 +299,8 @@ def _cmd_commit(session: Session, args: list[str]) -> str:
 
 def _cmd_abort(session: Session, args: list[str]) -> str:
     _expect(args, 0, "abort")
-    if session.txn is None:
+    if not session.abort_block():
         raise ParseError("no open transaction block")
-    session.txn.abort()
-    session.txn = None
     return ""
 
 

@@ -33,8 +33,8 @@ re-validation.  Given :class:`DecodeTables`, many decodes share what
 repeats: one string per distinct name, one :class:`ObjectIdentity` per
 identity text and one ``(name, identity)`` pair per link line.  A
 store handle decodes each log record once, canonical check included,
-through its one set of tables: at open or catch-up, or, for the prefix
-a trusted hint covers, on the record's first read (see
+through its one set of tables: a record the open framed on its first
+read, and a record a catch-up adds at that catch-up (see
 ``confdb.store``).
 """
 
@@ -185,9 +185,10 @@ class DecodeTables:
     they keep.  Both grow with the objects decoded.  ``stamps`` maps a
     log record's creation-stamp bytes to one shared int; it grows only
     with distinct stamps.  A store handle keeps one set for its lifetime
-    and decodes every log record through it: at open, at each catch-up
-    and on a framed record's first read.  ``confdb fsck`` keeps one set
-    for its check.
+    and reads every log record through it: the open, which frames each
+    record, interns its identity and stamp; a catch-up and a framed
+    record's first read decode the whole record.  ``confdb fsck`` keeps
+    one set for its check.
     """
 
     __slots__ = ("names", "identities", "links", "stamps")

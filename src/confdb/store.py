@@ -14,31 +14,23 @@ On disk a store is one directory:
   reads, sizes and truncates the log only through the descriptor it
   opened, so a file put in the log's place later is never mixed into
   what it reads.
-* ``objects.hint`` -- one line, ``confdb-hint 1 <covered> <sha256>``:
-  a commit boundary of the log and the SHA-256 hex digest of the log's
-  first ``covered`` bytes (the hint file of Bitcask, without a keydir).
-  A handle that committed writes it after each ``HINT_EVERY_BYTES`` of
-  log growth and when it closes, to ``objects.hint.tmp`` and then by
-  rename, without fsync: it is checked before it is used.  An open
-  trusts a hint only when the log is at least ``covered`` bytes long
-  and those exact bytes have that digest.
 * ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
   atomically via write-temp-then-rename, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
   across processes.
 
 One walk, ``_scan_log``, reads the log for the open, every catch-up and
-``confdb fsck``.  It checks the framing of every record (magic, type,
-lengths, commit counts, identities and stamps).  The records of the
-transactions a trusted hint covers are only framed: a handle keeps no
-copy of them, and reads each one through its descriptor on its first
-read, CRC-checked and decoded, canonical check included, so a bad
-record there refuses at that read.  Every other record is CRC-checked
-and decoded, canonical check included, as the walk reaches it;
-``confdb fsck`` ignores the hint and so checks every record.  A handle
-decodes every record through its one set of intern tables, so its
-objects share their identities and names: every link to an object holds
-that object's own identity, and each distinct name is one string.
+``confdb fsck``.  It checks the framing and the CRC of every record and
+its structure (magic, type, lengths, commit counts, identities and
+stamps).  The open only frames the records: a handle keeps no copy of
+them, and reads each one through its descriptor on its first read,
+CRC-checked again and decoded, canonical check included, so a record
+that is not canonical, or was damaged after the open, refuses at that
+read.  A catch-up and ``confdb fsck`` decode every record they reach,
+canonical check included.  A handle decodes every record through its
+one set of intern tables, so its objects share their identities and
+names: every link to an object holds that object's own identity, and
+each distinct name is one string.
 
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
@@ -56,13 +48,11 @@ and every tree it binds, is already present.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import os
-import re
 import threading
 import time
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import (
@@ -89,15 +79,8 @@ from .model import (
 )
 
 LOG_NAME = "objects.log"
-HINT_NAME = "objects.hint"
 ALIAS_NAME = "aliases.dat"
 LOCK_NAME = "LOCK"
-
-# A committing handle rewrites the hint once the log has grown this much
-# past the last hint it wrote or verified.
-HINT_EVERY_BYTES = 1 << 20
-_HINT_LINE = re.compile(rb"confdb-hint 1 (0|[1-9][0-9]{0,19}) ([0-9a-f]{64})\n")
-_OLD_HINT_TEMP = re.compile(r"objects\.hint\.[0-9]+\.[0-9a-f]+\.tmp")
 
 MAGIC = 0xC7
 REC_OBJECT = 0x01
@@ -187,53 +170,44 @@ def _check_commit(body: bytes, at: int, pending: int) -> None:
         )
 
 
-def _scan_log(buf: bytes, tables: DecodeTables, base: int = 0, verified: int = 0):
+def _scan_log(buf: bytes, tables: DecodeTables, base: int = 0, *, decode: bool):
     """Walk a log image into committed transactions; the store's one log walk.
 
-    Returns ``(transactions, committed_end, framed)``: ``transactions``
-    lists the decoded transactions, each a list of ``(StoredObject, log
-    offset)`` pairs; ``framed`` holds an ``(identity, log offset)`` pair
-    per record left for its first read; ``committed_end`` is the offset
-    in ``buf`` just past the last complete transaction.  A truncated tail
-    (including a trailing transaction with no commit record) is silently
-    ignored; damage before the tail raises ``CorruptLogError`` naming the
-    log offset of the bad record; ``base`` is the log offset of
-    ``buf[0]``.
+    Returns ``(transactions, committed_end, framed)``: with ``decode``,
+    ``transactions`` lists the decoded transactions, each a list of
+    ``(StoredObject, log offset)`` pairs; without it, ``framed`` holds
+    an ``(identity, log offset)`` pair per record, left for its first
+    read.  ``committed_end`` is the offset in ``buf`` just past the last
+    complete transaction.  A truncated tail (including a trailing
+    transaction with no commit record) is silently ignored; damage before
+    the tail raises ``CorruptLogError`` naming the log offset of the bad
+    record; ``base`` is the log offset of ``buf[0]``.
 
-    Every record gets the structural checks: magic, type, lengths, commit
-    counts, identity and stamp.  ``buf[:verified]`` is a prefix whose
-    digest was checked, so the records of a transaction whose commit
-    record ends inside it are only framed.  Every other record is
-    CRC-checked and decoded, canonical check included, including those
-    of a transaction that the prefix's end cuts.  Records are read
-    through ``tables``, so the objects share one identity per identity
-    text, one ``(name, identity)`` pair per link line, one string per
-    name and one int per creation stamp.
+    Every record is CRC-checked and gets the structural checks: magic,
+    type, lengths, commit counts, identity and stamp.  With ``decode``
+    its payload is also decoded, canonical check included.  Records are
+    read through ``tables``, so the objects share one identity per
+    identity text, one ``(name, identity)`` pair per link line, one
+    string per name and one int per creation stamp.
     """
     transactions, framed, pending = [], [], []
     committed_end = offset = 0
     size = len(buf)
+    view = memoryview(buf)  # so the CRC reads each body without a copy
     while offset < size:
         end = _record_end(buf, offset, size, base)
         if end is None:
             break  # torn header or body
-        checked = end > verified
-        if checked:
-            if verified > committed_end:
-                # The verified prefix ends inside this transaction (no writer
-                # puts a hint there): walk the transaction again, checking it.
-                offset, pending, verified = committed_end, [], 0
-                continue
-            crc = int.from_bytes(buf[end - 4 : end], "big")
-            if crc != zlib.crc32(buf[offset + _HEADER_LEN : end - 4]):
-                if end == size:
-                    break  # torn tail record
-                raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
+        crc = int.from_bytes(buf[end - 4 : end], "big")
+        if crc != zlib.crc32(view[offset + _HEADER_LEN : end - 4]):
+            if end == size:
+                break  # torn tail record
+            raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
         if buf[offset + 1] == REC_OBJECT:
-            pending.append((_decode_record(buf, offset, tables, base, checked), base + offset))
+            pending.append((_decode_record(buf, offset, tables, base, decode), base + offset))
         else:
             _check_commit(buf[offset + _HEADER_LEN : end - 4], base + offset, len(pending))
-            if checked:
+            if decode:
                 transactions.append(pending)
             else:
                 framed += pending
@@ -241,31 +215,6 @@ def _scan_log(buf: bytes, tables: DecodeTables, base: int = 0, verified: int = 0
             committed_end = end
         offset = end
     return transactions, committed_end, framed
-
-
-def _parse_hint(data: bytes) -> tuple[int, str] | None:
-    """``(covered length, hex digest)`` from a hint file's bytes, if well formed."""
-    match = _HINT_LINE.fullmatch(data)
-    return None if match is None else (int(match[1]), match[2].decode("ascii"))
-
-
-def _read_hint(directory: str) -> bytes | None:
-    """The hint file's bytes (at most 128 of them), or None if there is none."""
-    try:
-        with open(os.path.join(directory, HINT_NAME), "rb") as f:
-            return f.read(128)
-    except FileNotFoundError:
-        return None
-    except OSError:
-        return b""  # unreadable: never trusted
-
-
-def _hint_matches(buf: bytes, hint: tuple[int, str] | None):
-    """The SHA-256 state of the prefix ``hint`` covers, if its digest matches."""
-    if hint is None or hint[0] > len(buf):
-        return None
-    digest = hashlib.sha256(memoryview(buf)[: hint[0]])
-    return digest if digest.hexdigest() == hint[1] else None
 
 
 class WriteTransaction:
@@ -384,7 +333,6 @@ class Store:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self._log_path = os.path.join(self.directory, LOG_NAME)
-        self._hint_path = os.path.join(self.directory, HINT_NAME)
         self._alias_path = os.path.join(self.directory, ALIAS_NAME)
         self._clock = clock
         self._writer_lock = threading.RLock()
@@ -398,12 +346,6 @@ class Store:
         # identities, links and stamps.  ``_objects`` holds a framed record
         # as its log offset until its first read reads, checks and decodes it.
         self._tables = DecodeTables()
-        # SHA-256 of the applied prefix; the hint this handle last wrote or
-        # verified covers ``_hint_len`` bytes; ``_committed_len`` is the
-        # applied length after this handle's last commit.
-        self._digest = hashlib.sha256()
-        self._hint_len = 0
-        self._committed_len = 0
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
         self._applied_len = 0
@@ -483,7 +425,7 @@ class Store:
         uncommitted tail is physically cut off; without it the tail is
         left alone and simply not applied, so a read-side catch-up never
         interferes with an in-flight writer.  A replay from the start of
-        the log passes ``_scan_log`` the prefix a trusted hint covers.
+        the log frames its records; a catch-up decodes the ones it adds.
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
@@ -492,24 +434,13 @@ class Store:
             if size == self._applied_len:
                 return
             base = self._applied_len
-            data = self._read_log(base, size)
-            verified, digest = 0, self._digest
-            if base == 0:
-                hint = _parse_hint(_read_hint(self.directory) or b"")
-                hinted = _hint_matches(data, hint)
-                if hinted is not None:
-                    verified, digest = hint[0], hinted
-            transactions, committed_len, framed = _scan_log(data, self._tables, base, verified)
-            if committed_len < verified:  # the hint covers an uncommitted tail
-                verified, digest = 0, hashlib.sha256()
-            if framed:
-                self._hint_len = verified
+            transactions, committed_len, framed = _scan_log(
+                self._read_log(base, size), self._tables, base, decode=base > 0
+            )
             boundary = base + committed_len
             # Framed records are published as their offsets, the rest decoded.
             framed += [(obj.identity, obj) for records in transactions for obj, _ in records]
             self._apply_transactions(framed, boundary)
-            digest.update(memoryview(data)[verified:committed_len])
-            self._digest = digest
             if truncate and boundary < size:
                 self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
@@ -521,35 +452,6 @@ class Store:
                     "%s: truncated a torn tail at offset %d, cutting %d bytes",
                     self._log_path, boundary, size - boundary,
                 )
-
-    def _write_hint(self):
-        """Record the applied prefix's length and digest in the hint file.
-
-        Best effort: the hint is checked before it is used, so it needs no
-        fsync, and a failed write only leaves an older hint or none.  It
-        runs under the writer lock, so handles never mix their lines.  The
-        temporary name is fixed, so a killed write leaves one small file
-        that the next write replaces.  Each write also removes the
-        ``objects.hint.<pid>.<hex>.tmp`` files that killed writes of
-        earlier versions, which named their temporaries so, left behind.
-        """
-        with self._exclusive():
-            with suppress(OSError):
-                for name in os.listdir(self.directory):
-                    if _OLD_HINT_TEMP.fullmatch(name):
-                        os.unlink(os.path.join(self.directory, name))
-            with self._apply_lock:
-                covered, digest = self._applied_len, self._digest.hexdigest()
-            tmp_path = self._hint_path + ".tmp"
-            try:
-                with open(tmp_path, "wb") as f:
-                    f.write(f"confdb-hint 1 {covered} {digest}\n".encode("ascii"))
-                os.replace(tmp_path, self._hint_path)
-            except OSError:
-                with suppress(OSError):
-                    os.unlink(tmp_path)
-                return
-            self._hint_len = covered
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""
@@ -608,10 +510,6 @@ class Store:
             self._apply_transactions(
                 [(obj.identity, obj) for obj in txn.pending], pre_commit_len + len(data)
             )
-            self._digest.update(data)
-            self._committed_len = self._applied_len
-        if self._committed_len - self._hint_len >= HINT_EVERY_BYTES:
-            self._write_hint()
 
     def _finish_transaction(self, txn: WriteTransaction):
         if self._active_txn is txn:
@@ -707,8 +605,6 @@ class Store:
 
     def close(self):
         if self._log_fd is not None:
-            if self._committed_len > self._hint_len:
-                self._write_hint()
             os.close(self._log_fd)
             self._log_fd = None
         if self._lock_fd is not None:
@@ -730,26 +626,18 @@ def open_store(directory: str, *, clock=time.time) -> Store:
 def check_store(directory: str):
     """Check a store's whole log offline; yield one line per finding.
 
-    Read-only: it takes no lock and never truncates.  It ignores the
-    hint and scans the log from offset 0 (CRCs, canonical decode, commit
-    counts), then checks, in log order, that each identity is new, that
-    each pair's keys count up from 1 without a gap, and that every map
-    link and run-type binding names an object committed by then, a map
-    for a binding.  It yields the hint's state and any torn tail (left in
-    place), and last ``ok <objects> objects, <bytes> bytes``.  The first
-    failure raises ``CorruptLogError`` naming its log offset.
+    Read-only: it takes no lock and never truncates.  It scans the log
+    from offset 0 and decodes every record (CRCs, canonical decode,
+    commit counts), then checks, in log order, that each identity is
+    new, that each pair's keys count up from 1 without a gap, and that
+    every map link and run-type binding names an object committed by
+    then, a map for a binding.  It yields any torn tail (left in place),
+    and last ``ok <objects> objects, <bytes> bytes``.  The first failure
+    raises ``CorruptLogError`` naming its log offset.
     """
     with open(os.path.join(directory, LOG_NAME), "rb") as f:
         buf = f.read()
-    raw = _read_hint(directory)
-    hint = _parse_hint(raw or b"")
-    if raw is None:
-        yield "hint: absent"
-    elif _hint_matches(buf, hint) is None:
-        yield "hint: mismatched"
-    else:
-        yield f"hint: valid, covering {hint[0]} of {len(buf)} bytes"
-    transactions, committed_end, _ = _scan_log(buf, DecodeTables())
+    transactions, committed_end, _ = _scan_log(buf, DecodeTables(), decode=True)
     if committed_end < len(buf):
         yield (f"torn tail: {len(buf) - committed_end} bytes at offset {committed_end},"
                " left in place")

@@ -145,6 +145,48 @@ def test_unterminated_block_fails(workdir, capsys):
     assert "open transaction" in err
 
 
+# Alias edits inside a block that does not commit: (script tail, exit code).
+UNCOMMITTED_BLOCKS = {
+    "abort": ("abort\n", 0),
+    "error-inside-the-block": ("resolve NOPE\ncommit\n", 1),
+    "script-ends-inside-the-block": ("", 1),
+}
+
+
+@pytest.mark.parametrize("tail, code", UNCOMMITTED_BLOCKS.values(), ids=UNCOMMITTED_BLOCKS.keys())
+def test_a_block_that_does_not_commit_leaves_the_alias_region(workdir, capsys, tail, code):
+    (workdir / "figure1.cmds").write_text((DATA / "figure1.cmds").read_text())
+    run_cli("--store", "s", "--epoch", "0", "script", "figure1.cmds", capsys=capsys)
+    region = (workdir / "s" / "aliases.dat").read_bytes()
+    (workdir / "edit.cmds").write_text(
+        "begin\n"
+        "new-object DchHV:sector3 --from hv.cfg\n"
+        "alias-set golden dch hv DchHV:sector3[2]\n"
+        "new-alias other TopMap\n" + tail
+    )
+    run_cli("--store", "s", "--epoch", "0", "script", "edit.cmds", expect=code, capsys=capsys)
+    assert (workdir / "s" / "aliases.dat").read_bytes() == region
+    # So a later object that takes the unused key is never pinned by accident.
+    run_cli("--store", "s", "--epoch", "0",
+            "new-object", "DchHV:sector3", "--from", "fee.cfg", capsys=capsys)
+    out, _ = run_cli("--store", "s", "--epoch", "0",
+                     "commit-alias", "golden", "--bind", "PHYSICS", capsys=capsys)
+    assert out == "fixed point: 0 objects created\n"
+
+
+def test_new_alias_refuses_an_existing_name(workdir, capsys):
+    (workdir / "figure1.cmds").write_text((DATA / "figure1.cmds").read_text())
+    run_cli("--store", "s", "--epoch", "0", "script", "figure1.cmds", capsys=capsys)
+    region = (workdir / "s" / "aliases.dat").read_bytes()
+    out, err = run_cli("--store", "s", "new-alias", "golden", "TopMap", expect=1, capsys=capsys)
+    assert out == "" and err.startswith("confdb: error:") and "golden" in err
+    assert (workdir / "s" / "aliases.dat").read_bytes() == region
+    out, _ = run_cli("--store", "s", "new-alias", "other", "TopMap", capsys=capsys)
+    assert out == "created alias other\n"
+    out, _ = run_cli("--store", "s", "alias-show", "other", capsys=capsys)
+    assert out == "alias other root_class TopMap\n"
+
+
 def test_commit_alias_inside_block(workdir, capsys):
     script = (DATA / "figure1.cmds").read_text()
     (workdir / "figure1.cmds").write_text(script)
@@ -269,13 +311,12 @@ def test_new_object_requires_leaf_payload(workdir, capsys):
 def test_serve_refuses_a_bad_listen_endpoint(workdir, capsys, monkeypatch, listen):
     from confdb.service import ConfigServer
 
-    monkeypatch.delenv("CONFDB_LISTEN", raising=False)
     monkeypatch.setattr(ConfigServer, "serve_forever", lambda *a, **k: pytest.fail("served"))
     out, err = run_cli("--store", "s", "serve", "--listen", listen, expect=1, capsys=capsys)
     assert out == "" and err.startswith("confdb: error: endpoint must be host:port")
 
 
-def test_serve_with_env_override(workdir):
+def test_serve_listens_where_listen_says(workdir):
     run_script = (
         "new-object DchHV:sector3 --from hv.cfg\n"
         "new-alias t TopMap\n"
@@ -288,11 +329,9 @@ def test_serve_with_env_override(workdir):
         cwd=workdir, env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert setup.returncode == 0, setup.stderr
-    env = child_env()
-    env["CONFDB_LISTEN"] = "127.0.0.1:0"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "confdb", "--store", "s", "serve", "--listen", "ignored:1"],
-        cwd=workdir, env=env, stdout=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "confdb", "--store", "s", "serve", "--listen", "127.0.0.1:0"],
+        cwd=workdir, env=child_env(), stdout=subprocess.PIPE, text=True,
     )
     try:
         banner = proc.stdout.readline()

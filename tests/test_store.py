@@ -5,16 +5,13 @@ import hashlib
 import logging
 import os
 import re
-import subprocess
 import sys
 import threading
 import time
 import zlib
-from pathlib import Path
 
 import pytest
 
-from confdb import store as store_mod
 from confdb.errors import (
     ConfdbError,
     CorruptLogError,
@@ -29,7 +26,7 @@ from confdb.model import ObjectIdentity, Payload, decode_payload, encode_payload
 from confdb.service import handle_request
 from confdb.store import StoredObject, open_store
 from confdb.tree import walk_tree
-from helpers import build_figure1, child_env, clone_store, commit_generations, make_leaf
+from helpers import build_figure1, clone_store, commit_generations, make_leaf
 
 
 @pytest.fixture
@@ -453,7 +450,7 @@ def test_torn_tail_truncation_is_logged(tmp_path, caplog):
     assert not [r for r in caplog.records if r.name == "confdb.store"]
 
 
-# -- canonicality backstop at open --------------------------------------------
+# -- canonicality backstop --------------------------------------------------
 #
 # Records are framed here from the format the store documents (magic 0xC7,
 # type, 4-octet length, body, 4-octet CRC-32), not with the store's own code.
@@ -475,21 +472,6 @@ NON_CANONICAL_RECORDS = [
     (b"kind=leaf\nb=i:2\na=i:1\n", b"kind=leaf\na=i:1\nb=i:2\n", "unsorted entry name"),
     (b"kind=leaf\na=f:0x1.0p+0\n", b"kind=leaf\na=f:0x1p+0\n", "not in canonical form"),
 ]
-
-
-@pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
-def test_open_refuses_a_non_canonical_record_mid_log(tmp_path, payload, canonical, reason):
-    path = tmp_path / "db"
-    path.mkdir()
-    before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
-    after = _transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
-    # The same log with the canonical spelling opens.
-    (path / "objects.log").write_bytes(before + _transaction(("B[1]", canonical)) + after)
-    with open_store(path) as s:
-        assert s.object_count() == 3
-    (path / "objects.log").write_bytes(before + _transaction(("B[1]", payload)) + after)
-    with pytest.raises(CorruptLogError, match=f"offset {len(before)}: .*{reason}"):
-        open_store(path)
 
 
 @pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
@@ -640,12 +622,11 @@ def test_open_shares_link_identities_and_names(tmp_path):
         assert s.get_object(new).payload.entries[0] is s.get_object(old).payload.entries[0]
 
 
-# -- the hint file and lazy decode ----------------------------------------------
+# -- lazy decode, and stale hint files ------------------------------------------
 #
-# A hint is written here from the format the store documents: one line,
-# "confdb-hint 1 <covered length> <SHA-256 hex of those log bytes>".
-
-HERE = Path(__file__).parent
+# Stores written by earlier versions may hold ``objects.hint``, one line
+# "confdb-hint 1 <covered length> <SHA-256 hex of those log bytes>".  No open
+# reads it; tests that write one show that it changes nothing.
 
 
 def _hint(log: bytes, covered: int | None = None) -> bytes:
@@ -682,7 +663,7 @@ def _flip_digest_bit(log: bytes) -> bytes:
     return f"confdb-hint 1 {len(log)} {digest.hex()}\n".encode()
 
 
-# What is left in objects.hint, from the log's bytes; None removes the file.
+# What is left in objects.hint, from the log's bytes; None writes no file.
 BAD_HINTS = {
     "absent": None,
     "empty": lambda log: b"",
@@ -690,54 +671,40 @@ BAD_HINTS = {
     "truncated-mid-line": lambda log: _hint(log)[:50],
     "beyond-the-log": lambda log: _hint(log + b"\x00"),
     "digest-one-bit-off": _flip_digest_bit,
+    "valid": _hint,
+    "inside-the-last-transaction": lambda log: _hint(log, len(log) - 3),
 }
-
-
-def test_close_writes_a_hint_the_next_open_trusts(tmp_path):
-    path = tmp_path / "db"
-    _generations(path)
-    log = (path / "objects.log").read_bytes()
-    assert (path / "objects.hint").read_bytes() == _hint(log)
-    with open_store(path) as s:
-        assert _framed(s) == s.object_count() > 0
 
 
 @pytest.mark.parametrize("make", BAD_HINTS.values(), ids=BAD_HINTS.keys())
 def test_an_untrusted_hint_falls_back_to_the_full_scan(tmp_path, make):
+    # Whatever objects.hint holds, every open CRC-checks and frames every record.
     path = tmp_path / "db"
     _generations(path)
     with clone_store(str(path), str(tmp_path / "full")) as full:
         expected = _contents(full)
     log = (path / "objects.log").read_bytes()
-    if make is None:
-        (path / "objects.hint").unlink()
-    else:
+    if make is not None:
         (path / "objects.hint").write_bytes(make(log))
+    files = sorted(os.listdir(path))
     with open_store(path) as s:
-        assert _framed(s) == 0
+        assert _framed(s) == s.object_count() == len(expected)
         assert _contents(s) == expected
-
-
-@pytest.mark.parametrize("cut", [11, 3], ids=["before-the-commit-record", "inside-it"])
-def test_a_hint_ending_inside_a_transaction_is_not_trusted(tmp_path, cut):
-    path = tmp_path / "db"
-    path.mkdir()
-    log = _transaction(("A[1]", b"kind=leaf\na=i:1\n"), ("A[2]", b"kind=leaf\na=i:2\n"))
-    assert len(_record(0x02, b"2")) == 11
-    (path / "objects.log").write_bytes(log)
-    (path / "objects.hint").write_bytes(_hint(log, len(log) - cut))
-    with open_store(path) as s:
-        assert _framed(s) == 0 and s.object_count() == 2
+    assert sorted(os.listdir(path)) == files
+    if make is not None:
+        assert (path / "objects.hint").read_bytes() == make(log)  # left in place
 
 
 @pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
-def test_records_past_the_hint_are_fully_decoded(tmp_path, payload, canonical, reason):
+def test_records_a_catch_up_adds_are_fully_decoded(tmp_path, payload, canonical, reason):
     path = tmp_path / "db"
     with open_store(path, clock=lambda: 0) as s:
         make_leaf(s, "A", None, a=1)
-    with open(path / "objects.log", "ab") as f:
-        f.write(_transaction(("C[1]", b"kind=leaf\nc=i:3\n")))
     with open_store(path) as s:
+        assert _framed(s) == 1
+        with open(path / "objects.log", "ab") as f:
+            f.write(_transaction(("C[1]", b"kind=leaf\nc=i:3\n")))
+        s.refresh()
         assert _framed(s) == 1
         assert type(s._objects[ObjectIdentity("C", None, 1)]) is StoredObject
         with open(path / "objects.log", "ab") as f:
@@ -746,15 +713,13 @@ def test_records_past_the_hint_are_fully_decoded(tmp_path, payload, canonical, r
         with pytest.raises(CorruptLogError, match=f"offset {bad}: .*{reason}"):
             s.refresh()
         assert not s.has_object(ObjectIdentity("B", None, 1))
-    with pytest.raises(CorruptLogError, match=f"offset {bad}: .*{reason}"):
-        open_store(path)
 
 
 @pytest.mark.parametrize(
     "damage, at, reason", MID_LOG_DAMAGE.values(), ids=MID_LOG_DAMAGE.keys()
 )
 def test_mid_log_damage_under_a_hint_refuses_at_open(tmp_path, damage, at, reason):
-    # The framing of a hinted prefix keeps the scan's structural checks.
+    # The open's framing keeps the scan's structural checks; a stale hint changes nothing.
     path = tmp_path / "db"
     path.mkdir()
     before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
@@ -767,17 +732,22 @@ def test_mid_log_damage_under_a_hint_refuses_at_open(tmp_path, damage, at, reaso
 
 
 def test_a_hinted_open_reads_what_a_full_scan_reads(tmp_path):
+    # A reopened handle, which framed every record, answers as the handle
+    # that wrote and so holds every object decoded.
     path = tmp_path / "db"
-    roots = _generations(path)
-    with clone_store(str(path), str(tmp_path / "full")) as full, open_store(path) as hinted:
-        assert _framed(full) == 0 and _framed(hinted) == hinted.object_count()
-        for root in roots:
-            lines = [f"MANIFEST {root}\n"] + [
-                f"GET {root} {path_text or '/'}\n" for path_text, _ in walk_tree(full, root).entries
-            ]
-            for line in lines:
-                assert handle_request(hinted, line) == handle_request(full, line), line
-        assert _contents(hinted) == _contents(full)
+    with open_store(path, clock=lambda: 1_700_000_000) as writer:
+        tree, leaves = build_figure1(writer)
+        roots = commit_generations(writer, tree, leaves)
+        with open_store(path) as reopened:
+            assert _framed(writer) == 0 and _framed(reopened) == reopened.object_count()
+            for root in roots:
+                lines = [f"MANIFEST {root}\n"] + [
+                    f"GET {root} {path_text or '/'}\n"
+                    for path_text, _ in walk_tree(writer, root).entries
+                ]
+                for line in lines:
+                    assert handle_request(reopened, line) == handle_request(writer, line), line
+            assert _contents(reopened) == _contents(writer)
 
 
 def test_hinted_objects_share_stamps_and_link_identities(tmp_path):
@@ -882,110 +852,14 @@ def test_a_first_read_on_a_closed_handle_is_a_confdb_error(tmp_path):
         s.get_object(identity)
 
 
-def test_only_committing_handles_write_the_small_hint(tmp_path, monkeypatch):
-    path = tmp_path / "db"
-    _generations(path)
-    hint = path / "objects.hint"
-    assert len(hint.read_bytes()) < 128
-    before = (hint.stat().st_ino, hint.stat().st_mtime_ns, sorted(os.listdir(path)))
-    with open_store(path) as reader:
-        _contents(reader)
-        reader.refresh()
-    assert (hint.stat().st_ino, hint.stat().st_mtime_ns, sorted(os.listdir(path))) == before
-    # A committing handle rewrites it once the log has grown enough.
-    monkeypatch.setattr(store_mod, "HINT_EVERY_BYTES", 1)
-    with open_store(path, clock=lambda: 0) as writer:
-        make_leaf(writer, "A", None, v=1)
-        log = (path / "objects.log").read_bytes()
-        assert hint.read_bytes() == _hint(log)
-    assert sorted(os.listdir(path)) == before[2]
-
-
 def test_clone_store_copies_open_correctly(tmp_path):
     path = tmp_path / "db"
     _generations(path)
     with open_store(path) as s:
         expected = _contents(s)
     with clone_store(str(path), str(tmp_path / "clone")) as clone:
-        assert _framed(clone) == 0 and _contents(clone) == expected
-    # With the hint copied along, the copy's open trusts it.
-    (tmp_path / "clone" / "objects.hint").write_bytes((path / "objects.hint").read_bytes())
-    with open_store(tmp_path / "clone") as clone:
         assert _framed(clone) == len(expected)
         assert _contents(clone) == expected
-
-
-def test_a_killed_hint_write_leaves_a_store_that_opens(tmp_path):
-    path = tmp_path / "db"
-    _generations(path)
-    old_hint = (path / "objects.hint").read_bytes()
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "hint_crash_child.py"), str(path)],
-        env=child_env(),
-        capture_output=True,
-        timeout=60,
-    )
-    assert proc.returncode == 17, proc.stderr.decode()
-    [tmp_name] = [n for n in os.listdir(path) if n.endswith(".tmp")]
-    log = (path / "objects.log").read_bytes()
-    assert (path / tmp_name).read_bytes() == _hint(log)  # written, never moved
-    assert (path / "objects.hint").read_bytes() == old_hint
-    with clone_store(str(path), str(tmp_path / "full")) as full:
-        expected = _contents(full)
-    with open_store(path) as s:
-        assert 0 < _framed(s) < s.object_count()
-        assert s.list_versions("Crash") == list(range(1, 21))
-        assert _contents(s) == expected
-
-
-def test_a_killed_hint_write_leaves_no_temporary_file_after_the_next_close(tmp_path):
-    path = tmp_path / "db"
-    _generations(path)
-    proc = subprocess.run(
-        [sys.executable, str(HERE / "hint_crash_child.py"), str(path)],
-        env=child_env(),
-        capture_output=True,
-        timeout=60,
-    )
-    assert proc.returncode == 17, proc.stderr.decode()
-    assert len([n for n in os.listdir(path) if n.endswith(".tmp")]) == 1
-    with open_store(path, clock=lambda: 0) as s:
-        make_leaf(s, "After", None, v=1)
-    assert [n for n in os.listdir(path) if n.endswith(".tmp")] == []
-    with open_store(path) as s:
-        assert _framed(s) == s.object_count() > 0
-
-
-def test_a_hint_write_removes_the_temporaries_of_earlier_versions(tmp_path):
-    # Earlier versions named the temporary hint objects.hint.<pid>.<hex id>.tmp.
-    path = tmp_path / "db"
-    _generations(path)
-    old = path / "objects.hint.16141.7fd0fc19f0d0.tmp"
-    old.write_bytes(b"confdb-hint 1 0 " + b"0" * 64 + b"\n")
-    others = ["objects.hint.16141.tmp", "objects.hint.16141.7fd0fc19f0d0.tmp.bak", "notes.tmp"]
-    for name in others:
-        (path / name).write_bytes(b"kept\n")
-    with open_store(path, clock=lambda: 0) as s:
-        make_leaf(s, "After", None, v=1)
-    assert not old.exists()
-    assert all((path / name).read_bytes() == b"kept\n" for name in others)
-
-
-def test_a_hint_over_an_uncommitted_record_covers_only_the_committed_prefix(tmp_path):
-    path = tmp_path / "db"
-    path.mkdir()
-    committed = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
-    log = committed + _record(0x01, b"B[1]\n0\nkind=leaf\nb=i:2\n")
-    (path / "objects.log").write_bytes(log)
-    (path / "objects.hint").write_bytes(_hint(log))
-    with open_store(path, clock=lambda: 0) as s:
-        assert s.object_count() == 1 and not s.has_object(ObjectIdentity("B", None, 1))
-        assert (path / "objects.log").read_bytes() == committed
-        make_leaf(s, "C", None, c=3)
-    log = (path / "objects.log").read_bytes()
-    assert (path / "objects.hint").read_bytes() == _hint(log)
-    with open_store(path) as s:
-        assert _framed(s) == s.object_count() == 2
 
 
 # -- confdb fsck ------------------------------------------------------------------
@@ -1006,9 +880,7 @@ def test_fsck_passes_a_clean_store_and_writes_nothing(tmp_path, capsys):
     size = len(files["objects.log"])
     code, out, _ = _fsck(path, capsys)
     assert code == 0
-    assert out == (
-        f"hint: valid, covering {size} of {size} bytes\nok {count} objects, {size} bytes\n"
-    )
+    assert out == f"ok {count} objects, {size} bytes\n"
     assert {name: (path / name).read_bytes() for name in os.listdir(path)} == files
 
 
@@ -1019,13 +891,11 @@ def test_fsck_reports_a_torn_tail_and_leaves_it(tmp_path, capsys):
     committed = log.read_bytes()
     torn = committed + _transaction(("Z[1]", b"kind=leaf\nz=i:1\n"))[:-3]
     log.write_bytes(torn)
-    (path / "objects.hint").unlink()
     code, out, _ = _fsck(path, capsys)
     assert code == 0
-    assert out.splitlines()[:2] == [
-        "hint: absent",
-        f"torn tail: {len(torn) - len(committed)} bytes at offset {len(committed)}, left in place",
-    ]
+    assert out.splitlines()[0] == (
+        f"torn tail: {len(torn) - len(committed)} bytes at offset {len(committed)}, left in place"
+    )
     assert out.splitlines()[-1].endswith(f" objects, {len(torn)} bytes")
     assert log.read_bytes() == torn
 
@@ -1034,21 +904,28 @@ def test_fsck_reports_a_torn_tail_and_leaves_it(tmp_path, capsys):
 def test_a_forged_hint_over_a_non_canonical_record_refuses_at_first_read(
     tmp_path, capsys, payload, canonical, reason
 ):
+    # A CRC-valid record that no writer of this program produces: the open
+    # frames it, and its first read refuses it.
     path = tmp_path / "db"
     path.mkdir()
     before = _transaction(("A[1]", b"kind=leaf\na=i:1\n"))
-    log = before + _transaction(("B[1]", payload)) + _transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
-    (path / "objects.log").write_bytes(log)
-    (path / "objects.hint").write_bytes(_hint(log))
+    after = _transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
+    b1 = ObjectIdentity("B", None, 1)
+    # The same log with the canonical spelling reads it.
+    (path / "objects.log").write_bytes(before + _transaction(("B[1]", canonical)) + after)
+    with open_store(path) as s:
+        assert encode_payload(s.get_object(b1).payload) == canonical
+    (path / "objects.log").write_bytes(before + _transaction(("B[1]", payload)) + after)
     with open_store(path) as s:
         assert s.object_count() == 3
-        assert s.get_object(ObjectIdentity("C", None, 1)).payload.fields == {"c": 3}
         for _ in range(2):  # nothing of it is kept
             with pytest.raises(CorruptLogError, match=f"offset {len(before)}: .*{reason}"):
-                s.get_object(ObjectIdentity("B", None, 1))
+                s.get_object(b1)
+        assert s.get_object(ObjectIdentity("A", None, 1)).payload.fields == {"a": 1}
+        assert s.get_object(ObjectIdentity("C", None, 1)).payload.fields == {"c": 3}
     code, out, err = _fsck(path, capsys)
     assert code == 1
-    assert out == f"hint: valid, covering {len(log)} of {len(log)} bytes\n"
+    assert out == ""
     assert re.search(rf"offset {len(before)}: .*{reason}", err)
 
 
@@ -1100,7 +977,7 @@ def test_fsck_names_the_first_failure_and_its_offset(tmp_path, capsys, log, at, 
         assert s.object_count() == 2
     code, out, err = _fsck(path, capsys)
     assert code == 1
-    assert out == "hint: absent\n"
+    assert out == ""
     assert err == f"confdb: error: {message.format(at=at)}\n"
 
 
