@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import shlex
+import signal
 import sys
 
 from . import alias as alias_mod
@@ -259,6 +260,11 @@ def _cmd_resolve(session: Session, args: list[str]) -> str:
 
 
 def _cmd_serve(session: Session, args: list[str]) -> str:
+    """Serve until SIGINT or SIGTERM.
+
+    Both stop it whatever it inherited: a shell without job control
+    starts background commands with SIGINT ignored.
+    """
     from .service import ConfigServer
 
     listen = _take_flag(args, "--listen")
@@ -266,11 +272,16 @@ def _cmd_serve(session: Session, args: list[str]) -> str:
     if listen is None:
         raise ParseError("serve needs --listen <host:port>")
     with ConfigServer(session.store, listen) as server:
-        print(f"listening on {server.endpoint}", flush=True)
+        stops = (signal.SIGINT, signal.SIGTERM)
+        previous = [signal.signal(signum, signal.default_int_handler) for signum in stops]
         try:
+            print(f"listening on {server.endpoint}", flush=True)
             server.serve_forever()
         except KeyboardInterrupt:
             pass
+        finally:
+            for signum, handler in zip(stops, previous):
+                signal.signal(signum, handler)
     return ""
 
 

@@ -183,21 +183,24 @@ class DecodeTables:
     to it, and ``links`` maps a map or run-type entry line to one shared
     ``(name, identity)`` pair, so the versions of a map share the links
     they keep.  Both grow with the objects decoded.  ``stamps`` maps a
-    log record's creation-stamp bytes to one shared int; it grows only
-    with distinct stamps.  A store handle keeps one set for its lifetime
-    and reads every log record through it: the open, which frames each
-    record, interns its identity and stamp; a catch-up and a framed
-    record's first read decode the whole record.  ``confdb fsck`` keeps
-    one set for its check.
+    log record's creation-stamp bytes to one shared int, and ``pairs``
+    maps an identity's prefix bytes (``Class[`` or ``Class:Secondary[``)
+    to one shared ``(class name, secondary key)`` tuple; they grow only
+    with distinct stamps and pairs.  A store handle keeps one set for its
+    lifetime and reads every log record through it: the open, which
+    frames each record, checks its pair and stamp through ``pairs`` and
+    ``stamps``; a catch-up and a framed record's first read decode the
+    whole record.  ``confdb fsck`` keeps one set for its check.
     """
 
-    __slots__ = ("names", "identities", "links", "stamps")
+    __slots__ = ("names", "identities", "links", "stamps", "pairs")
 
     def __init__(self):
         self.names: dict[str, str] = {}
         self.identities: dict[str, ObjectIdentity] = {}
         self.links: dict[str, tuple] = {}
         self.stamps: dict[bytes, int] = {}
+        self.pairs: dict[bytes, tuple] = {}
 
     def identity(self, text: str) -> ObjectIdentity:
         """The shared identity for ``text``; parses it on first sight."""

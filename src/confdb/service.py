@@ -9,6 +9,15 @@ per request line; multi-line bodies end with a lone ``.`` line::
     MANIFEST <identity>      -> OK <count> + manifest lines + .
     RUNTYPES                 -> OK <count> + <runtype>TAB<identity> lines + .
 
+A GET answer's payload is the object's record payload, byte for byte:
+the path is resolved through its maps once, and a leaf the open framed
+is answered from its own CRC-checked log bytes, decoded only to check
+them and never kept (``Store.payload_bytes``); one a catch-up decoded is
+encoded again, to the same bytes.  A MANIFEST walk reads maps only.  So
+a server keeps no decoded leaf of the log it opened, and a CRC-valid
+leaf that is not canonical is listed by a MANIFEST while a GET of it
+answers ``ERR 500``.
+
 Errors are ``ERR <status> <code> [<detail>]`` and never drop the
 connection.  The status is 400 for a malformed request, 404 for a
 lookup that fails and 500 for a damaged store or an internal fault;
@@ -46,9 +55,9 @@ import sys
 import threading
 
 from .errors import ConfdbError, MalformedIdentityError, ParseError
-from .model import encode_payload, format_identity, parse_identity
+from .model import format_identity, parse_identity
 from .store import Store
-from .tree import active_trees, lookup_path, resolve_run_type, walk_tree
+from .tree import active_trees, resolve_path, resolve_run_type, walk_tree
 
 DEFAULT_ENDPOINT = "127.0.0.1:7401"
 MAX_REQUEST_LINE = 64 * 1024
@@ -140,9 +149,9 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
             identity, path = _split_identity_arg(rest)
             if path is None or not path:
                 return "ERR 400 malformed-request missing path\n"
-            obj = lookup_path(store, identity, path)
-            payload = encode_payload(obj.payload).decode("utf-8")
-            frame = f"OK {format_identity(obj.identity)}\n{payload}.\n"
+            target = resolve_path(store, identity, path)
+            payload = store.payload_bytes(target).decode("utf-8")
+            frame = f"OK {format_identity(target)}\n{payload}.\n"
         elif verb == "MANIFEST":
             identity, tail = _split_identity_arg(rest)
             if tail is not None:

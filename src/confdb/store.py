@@ -20,34 +20,49 @@ On disk a store is one directory:
   across processes.
 
 One walk, ``_scan_log``, reads the log for the open, every catch-up and
-``confdb fsck``.  It checks the framing and the CRC of every record and
-its structure (magic, type, lengths, commit counts, identities and
-stamps).  The open only frames the records: a handle keeps no copy of
-them, and reads each one through its descriptor on its first read,
-CRC-checked again and decoded, canonical check included, so a record
-that is not canonical, or was damaged after the open, refuses at that
-read.  A catch-up and ``confdb fsck`` decode every record they reach,
-canonical check included.  A handle decodes every record through its
-one set of intern tables, so its objects share their identities and
-names: every link to an object holds that object's own identity, and
-each distinct name is one string.
+``confdb fsck``, in reads of at most ``CHUNK_BYTES`` (1 MiB) each, so
+none of them holds a copy of the whole log; a record cut by the end of
+one read is read whole by the next.  It checks the framing and the CRC
+of every record and its structure (magic, type, lengths, commit counts,
+identities and stamps).  The open only frames the records: it reads
+each record's (class name, secondary key) pair through a table keyed by
+the identity's prefix bytes, so each distinct pair is parsed and
+validated once, and it notes whether the payload's first line is
+``kind=map``.  A handle keeps no copy of the records; it reads each one
+through its descriptor on its first read, CRC-checked again and decoded,
+canonical check included, so a record that is not canonical, or was
+damaged after the open, refuses at that read.  A catch-up and ``confdb
+fsck`` decode every record they reach, canonical check included.  A
+handle decodes every record through its one set of intern tables, so
+its objects share their identities and names: every link to an object
+holds that object's own identity, and each distinct name is one string.
+
+A handle's index is one dense table: per (class name, secondary key)
+pair, a list whose slot k-1 holds key k's decoded object or, until its
+first read, its framed slot (the log offset, inverted for a map).  The
+list's length is the pair's highest key.  Every open and catch-up
+refuses a record whose key does not continue its pair's sequence, a
+repeat or a gap, naming its offset.  ``Store.payload_bytes`` answers a
+framed leaf from its own record bytes, decoded only to check them, so a
+reader that serves leaves never keeps one decoded.
 
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
 consume keys.  Readers take no lock, but for the first read of a record
 an open only framed.  Committed state is published in place, in a fixed
-order: a batch is first checked for duplicate identities (so a corrupt
-log leaves nothing half-applied), then every object is inserted, then
-the per-pair highest keys are raised, then the applied log length.
-Keys are only ever raised and objects never removed, so anything a
-reader reaches through a highest key, such as the active run-type map
-and every tree it binds, is already present.
+order: a batch is first checked whole, every key continuing its pair's
+sequence (so a corrupt log leaves nothing half-applied), then each
+record is appended to its pair's list in log order, then the applied
+log length is raised.  A writer creates an object only after everything
+it links, so anything a reader reaches through a list's length, such as
+the active run-type map and every tree it binds, is already present.
 """
 
 from __future__ import annotations
 
 import fcntl
+import mmap
 import os
 import threading
 import time
@@ -75,6 +90,7 @@ from .model import (
     decode_payload,
     encode_payload,
     format_identity,
+    parse_identity,
     validate_name,
 )
 
@@ -86,6 +102,9 @@ MAGIC = 0xC7
 REC_OBJECT = 0x01
 REC_COMMIT = 0x02
 _HEADER_LEN = 6  # magic + type + 4-byte length
+CHUNK_BYTES = 2**20  # the most log bytes one scan read holds, unless a record is longer
+# glibc's default mmap threshold: it serves a smaller allocation from its heap.
+_MAPPED_READ_BYTES = 128 * 1024
 
 RUNTYPES_CLASS = "@runtypes"
 
@@ -113,31 +132,54 @@ def _object_body(obj: StoredObject) -> bytes:
     return head + encode_payload(obj.payload)
 
 
-def _decode_record(
-    buf: bytes, offset: int, tables: DecodeTables, base: int = 0, payload: bool = True
-):
-    """The object record at ``buf[offset]``, read through ``tables``.
+def _decode_record(body: bytes, tables: DecodeTables, at: int) -> StoredObject:
+    """The object record whose body is ``body``, decoded through ``tables``.
 
-    Checks its identity and creation stamp; then decodes its payload,
-    canonical check included, into a ``StoredObject``, or without
-    ``payload`` returns its identity.  It never checks the CRC.  A
-    failure raises ``CorruptLogError`` naming the log offset (``base`` is
-    the log offset of ``buf[0]``).
+    Checks its identity and creation stamp, and decodes its payload,
+    canonical check included.  A failure raises ``CorruptLogError``
+    naming the record's log offset ``at``.
     """
-    start = offset + _HEADER_LEN
-    end = start + int.from_bytes(buf[offset + 2 : start], "big")
     try:
-        identity_end = buf.index(b"\n", start, end)
-        stamp_end = buf.index(b"\n", identity_end + 1, end)
-        identity = tables.identity(buf[start:identity_end].decode("utf-8"))
-        created_at = tables.stamp(buf[identity_end + 1 : stamp_end])
-        if not payload:
-            return identity
-        return StoredObject(identity, decode_payload(buf[stamp_end + 1 : end], tables), created_at)
+        identity_end = body.index(b"\n")
+        stamp_end = body.index(b"\n", identity_end + 1)
+        identity = tables.identity(body[:identity_end].decode("utf-8"))
+        created_at = tables.stamp(body[identity_end + 1 : stamp_end])
+        return StoredObject(identity, decode_payload(body[stamp_end + 1 :], tables), created_at)
     except Exception as exc:
-        raise CorruptLogError(
-            f"undecodable object record at offset {base + offset}: {exc}"
-        ) from exc
+        raise CorruptLogError(f"undecodable object record at offset {at}: {exc}") from exc
+
+
+def _frame_record(body: bytes, tables: DecodeTables, at: int):
+    """``(pair, key, slot)`` of the object record whose body is ``body``, payload not decoded.
+
+    The identity's pair is looked up by its prefix bytes (``Class[`` or
+    ``Class:Secondary[``) in ``tables.pairs``, so each distinct pair is
+    parsed and validated once; the key must be canonical decimal and the
+    creation stamp canonical too.  ``slot`` is the record's log offset
+    ``at``, or its bitwise inverse (a negative int) when the payload's
+    first line is ``kind=map``: a walk learns which objects to expand
+    without reading them.  A failure raises ``CorruptLogError`` naming
+    ``at``.
+    """
+    try:
+        line_end = body.index(b"\n")
+        stamp_end = body.index(b"\n", line_end + 1)
+        bracket = body.find(b"[", 0, line_end)
+        prefix, digits = body[: bracket + 1], body[bracket + 1 : line_end - 1]
+        pair = tables.pairs.get(prefix)
+        # ASCII digits with no leading 0, and "]" ends the line.
+        canonical_key = digits.isdigit() and digits[0] != 0x30 and body[line_end - 1] == 0x5D
+        if pair is not None and canonical_key:
+            key = int(digits)
+        else:
+            # A new pair, or a fault that the full parse names.
+            identity = parse_identity(body[:line_end].decode("utf-8"), tables.names)
+            pair = tables.pairs[prefix] = (identity.class_name, identity.secondary_key)
+            key = identity.config_key
+        tables.stamp(body[line_end + 1 : stamp_end])
+    except Exception as exc:
+        raise CorruptLogError(f"undecodable object record at offset {at}: {exc}") from exc
+    return pair, key, ~at if body.startswith(b"kind=map\n", stamp_end + 1) else at
 
 
 def _record_end(buf: bytes, offset: int, size: int, base: int) -> int | None:
@@ -170,51 +212,151 @@ def _check_commit(body: bytes, at: int, pending: int) -> None:
         )
 
 
-def _scan_log(buf: bytes, tables: DecodeTables, base: int = 0, *, decode: bool):
-    """Walk a log image into committed transactions; the store's one log walk.
+def _check_keys(records: list, index: dict) -> None:
+    """Refuse a record whose key does not continue its pair's dense sequence.
 
-    Returns ``(transactions, committed_end, framed)``: with ``decode``,
-    ``transactions`` lists the decoded transactions, each a list of
-    ``(StoredObject, log offset)`` pairs; without it, ``framed`` holds
-    an ``(identity, log offset)`` pair per record, left for its first
-    read.  ``committed_end`` is the offset in ``buf`` just past the last
-    complete transaction.  A truncated tail (including a trailing
-    transaction with no commit record) is silently ignored; damage before
-    the tail raises ``CorruptLogError`` naming the log offset of the bad
-    record; ``base`` is the log offset of ``buf[0]``.
+    ``records`` are ``(pair, key, value, log offset)`` in log order, and
+    ``index`` maps each pair already applied to a list as long as its
+    highest key.
+    """
+    highs = {}
+    for pair, key, _, at in records:
+        high = highs.get(pair)
+        if high is None:
+            high = len(index.get(pair, ()))
+        if key != high + 1:
+            text = format_identity(ObjectIdentity(*pair, key))
+            if key <= high:
+                raise CorruptLogError(f"duplicate identity {text} at offset {at}")
+            raise CorruptLogError(f"{text} at offset {at} breaks its key sequence after key {high}")
+        highs[pair] = key
+
+
+def _scan_log(buf: bytes, tables: DecodeTables, base: int, pending: list, *, decode: bool):
+    """Walk one read of the log into committed records; the store's one log walk.
+
+    ``buf`` holds the log bytes from offset ``base``.  Each object record
+    becomes ``(pair, key, value, log offset)``: with ``decode`` the value
+    is the decoded ``StoredObject``, canonical check included; without
+    it, the framed slot of :func:`_frame_record`.  ``pending`` holds the
+    records of a transaction begun before ``buf``, and is left holding
+    those of a transaction ``buf`` does not commit.
+
+    Returns ``(transactions, framed, committed_end, stop)``: with
+    ``decode``, ``transactions`` lists the transactions committed in
+    ``buf``, each a list of records; without it, ``framed`` lists their
+    records.  ``committed_end`` is the offset in ``buf`` just past its
+    last commit record, 0 if there is none; ``stop`` is the offset of the
+    first record ``buf`` does not hold whole.  A last record whose CRC
+    fails is left unread like a cut one: where the log ends there, it is
+    a torn tail.  Damage before that raises ``CorruptLogError`` naming
+    the log offset of the bad record.
 
     Every record is CRC-checked and gets the structural checks: magic,
-    type, lengths, commit counts, identity and stamp.  With ``decode``
-    its payload is also decoded, canonical check included.  Records are
-    read through ``tables``, so the objects share one identity per
-    identity text, one ``(name, identity)`` pair per link line, one
-    string per name and one int per creation stamp.
+    type, lengths, commit counts, identity and stamp.  Records are read
+    through ``tables``, so the objects share one identity per identity
+    text, one ``(name, identity)`` pair per link line, one string per
+    name, one tuple per pair and one int per creation stamp.
     """
-    transactions, framed, pending = [], [], []
+    transactions, framed = [], []
     committed_end = offset = 0
     size = len(buf)
-    view = memoryview(buf)  # so the CRC reads each body without a copy
     while offset < size:
         end = _record_end(buf, offset, size, base)
         if end is None:
-            break  # torn header or body
-        crc = int.from_bytes(buf[end - 4 : end], "big")
-        if crc != zlib.crc32(view[offset + _HEADER_LEN : end - 4]):
+            break  # a header or body the next read holds, or a torn tail
+        at = base + offset
+        body = buf[offset + _HEADER_LEN : end - 4]
+        if int.from_bytes(buf[end - 4 : end], "big") != zlib.crc32(body):
             if end == size:
-                break  # torn tail record
-            raise CorruptLogError(f"CRC mismatch at offset {base + offset}")
+                break  # torn, if no more of the log follows
+            raise CorruptLogError(f"CRC mismatch at offset {at}")
         if buf[offset + 1] == REC_OBJECT:
-            pending.append((_decode_record(buf, offset, tables, base, decode), base + offset))
-        else:
-            _check_commit(buf[offset + _HEADER_LEN : end - 4], base + offset, len(pending))
             if decode:
-                transactions.append(pending)
+                obj = _decode_record(body, tables, at)
+                identity = obj.identity
+                pair = (identity.class_name, identity.secondary_key)
+                pending.append((pair, identity.config_key, obj, at))
+            else:
+                pending.append((*_frame_record(body, tables, at), at))
+        else:
+            _check_commit(body, at, len(pending))
+            if decode:
+                transactions.append(pending[:])
             else:
                 framed += pending
-            pending = []
+            pending.clear()
             committed_end = end
         offset = end
-    return transactions, committed_end, framed
+    return transactions, framed, committed_end, offset
+
+
+def _read_exact(fd: int, offset: int, end: int) -> bytes:
+    """The log bytes in ``[offset, end)``, read through ``fd``."""
+    chunks = []
+    while offset < end:
+        # One pread returns at most about 2 GiB; a zero-byte read means
+        # the log is now shorter than ``end``.
+        chunk = os.pread(fd, end - offset, offset)
+        if not chunk:
+            raise CorruptLogError("log shrank outside recovery")
+        chunks.append(chunk)
+        offset += len(chunk)
+    return b"".join(chunks)
+
+
+@contextmanager
+def _read_chunk(fd: int, offset: int, end: int):
+    """The log bytes in ``[offset, end)``, read through ``fd``, for the ``with`` block.
+
+    A read of ``_MAPPED_READ_BYTES`` or more goes into an anonymous
+    mapping of its own, which gives its memory back to the system when
+    the block ends.  The C allocator may keep the memory of a ``bytes``
+    that large after it is freed, where the threads that serve requests
+    never reuse it.  A shorter read, such as a catch-up's, is one plain
+    ``pread``, which costs a fraction of a mapping.
+    """
+    if end - offset < _MAPPED_READ_BYTES:
+        yield _read_exact(fd, offset, end)
+        return
+    with mmap.mmap(-1, end - offset) as buf:
+        with memoryview(buf) as view:
+            done = 0
+            while done < len(view):
+                got = os.preadv(fd, [view[done:]], offset + done)
+                if not got:
+                    raise CorruptLogError("log shrank outside recovery")
+                done += got
+        yield buf
+
+
+def _scan_chunks(fd: int, start: int, size: int, tables: DecodeTables, *, decode: bool):
+    """Scan the log bytes ``[start, size)`` through ``fd``, one bounded read at a time.
+
+    A read holds at most ``CHUNK_BYTES``, or twice the one before when
+    that held no whole record.  Each read starts at the first record the
+    one before did not hold whole, so a record cut by a read's end is
+    read again, whole, by the next.  Yields ``(transactions, framed,
+    committed_end)`` per read, as :func:`_scan_log` returns them, with
+    ``committed_end`` the log offset just past the last complete
+    transaction so far; what lies past it at the end is a torn or
+    uncommitted tail.
+    """
+    pending = []
+    committed_end = pos = start
+    length = CHUNK_BYTES
+    while pos < size:
+        end = min(size, pos + length)
+        with _read_chunk(fd, pos, end) as buf:
+            result = _scan_log(buf, tables, pos, pending, decode=decode)
+        transactions, framed, committed, stop = result
+        if committed:
+            committed_end = pos + committed
+        yield transactions, framed, committed_end
+        if end == size:
+            return
+        length = CHUNK_BYTES if stop else 2 * length
+        pos += stop
 
 
 class WriteTransaction:
@@ -339,12 +481,14 @@ class Store:
         self._apply_lock = threading.Lock()
         self._flock_depth = 0
         self._active_txn: WriteTransaction | None = None
-        self._objects: dict[ObjectIdentity, StoredObject | int] = {}
-        self._highs: dict[tuple, int] = {}  # (class, secondary) -> highest config key
-        # Every record this handle decodes, at open, catch-up or first read,
+        # (class, secondary) -> one slot per config key: slot k-1 holds key
+        # k's decoded StoredObject, or its framed slot (see _frame_record)
+        # until its first read reads, checks and decodes it.  A list's
+        # length is its pair's highest key.
+        self._index: dict[tuple, list] = {}
+        # Every record this handle reads, at open, catch-up or first read,
         # goes through these tables, so decoded objects share their names,
-        # identities, links and stamps.  ``_objects`` holds a framed record
-        # as its log offset until its first read reads, checks and decodes it.
+        # identities, links and stamps.
         self._tables = DecodeTables()
         # Owned by alias.py: the last alias region text read and its parse.
         self._alias_parsed = ("", {})
@@ -388,34 +532,28 @@ class Store:
 
     def _read_log(self, offset: int, end: int) -> bytes:
         """The log bytes in ``[offset, end)``, read through this handle's descriptor."""
-        chunks = []
-        while offset < end:
-            # One pread returns at most about 2 GiB; a zero-byte read means
-            # the log is now shorter than ``end``.
-            chunk = os.pread(self._log_fd, end - offset, offset)
-            if not chunk:
-                raise CorruptLogError("log shrank outside recovery")
-            chunks.append(chunk)
-            offset += len(chunk)
-        return b"".join(chunks)
+        if self._log_fd is None:
+            raise ConfdbError(f"store is closed: {self.directory}")
+        return _read_exact(self._log_fd, offset, end)
 
     def _truncate_log(self, length: int):
         os.ftruncate(self._log_fd, length)
         os.fsync(self._log_fd)
 
     def _apply_transactions(self, batch: list, applied_len: int):
-        """Publish ``(identity, object or framed offset)`` pairs, then ``applied_len``."""
-        seen = set()
-        for identity, _ in batch:
-            if identity in self._objects or identity in seen:
-                raise CorruptLogError(f"duplicate identity in log: {format_identity(identity)}")
-            seen.add(identity)
-        for identity, obj in batch:
-            self._objects[identity] = obj
-        for identity, _ in batch:
-            pair = (identity.class_name, identity.secondary_key)
-            if identity.config_key > self._highs.get(pair, 0):
-                self._highs[pair] = identity.config_key
+        """Publish ``(pair, key, object or framed slot, log offset)`` records, then ``applied_len``.
+
+        Every key is checked before anything is published, so a refused
+        batch applies nothing.
+        """
+        index = self._index
+        _check_keys(batch, index)
+        for pair, _, value, _ in batch:
+            slots = index.get(pair)
+            if slots is None:
+                index[pair] = [value]
+            else:
+                slots.append(value)
         self._applied_len = applied_len
 
     def _recover(self, truncate: bool):
@@ -426,6 +564,8 @@ class Store:
         left alone and simply not applied, so a read-side catch-up never
         interferes with an in-flight writer.  A replay from the start of
         the log frames its records; a catch-up decodes the ones it adds.
+        The log is read in bounded chunks, and nothing is published until
+        the whole tail has been scanned and its keys checked.
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
@@ -434,13 +574,14 @@ class Store:
             if size == self._applied_len:
                 return
             base = self._applied_len
-            transactions, committed_len, framed = _scan_log(
-                self._read_log(base, size), self._tables, base, decode=base > 0
-            )
-            boundary = base + committed_len
-            # Framed records are published as their offsets, the rest decoded.
-            framed += [(obj.identity, obj) for records in transactions for obj, _ in records]
-            self._apply_transactions(framed, boundary)
+            batch = []
+            for transactions, framed, boundary in _scan_chunks(
+                self._log_fd, base, size, self._tables, decode=base > 0
+            ):
+                batch += framed
+                for records in transactions:
+                    batch += records
+            self._apply_transactions(batch, boundary)
             if truncate and boundary < size:
                 self._truncate_log(boundary)
                 # Imported on first use: truncation is rare, and importing
@@ -507,9 +648,13 @@ class Store:
                 # Leave the store in its pre-commit state before re-raising.
                 self._truncate_log(pre_commit_len)
                 raise
-            self._apply_transactions(
-                [(obj.identity, obj) for obj in txn.pending], pre_commit_len + len(data)
-            )
+            batch, at = [], pre_commit_len
+            for obj, record in zip(txn.pending, chunks):
+                identity = obj.identity
+                pair = (identity.class_name, identity.secondary_key)
+                batch.append((pair, identity.config_key, obj, at))
+                at += len(record)
+            self._apply_transactions(batch, pre_commit_len + len(data))
 
     def _finish_transaction(self, txn: WriteTransaction):
         if self._active_txn is txn:
@@ -518,57 +663,98 @@ class Store:
 
     # -- reads ----------------------------------------------------------
 
+    def _slot(self, identity: ObjectIdentity) -> tuple[list, int]:
+        """The identity's pair list and its index in it; NotFoundError if it has none."""
+        slots = self._index.get((identity.class_name, identity.secondary_key))
+        key = identity.config_key
+        if slots is None or not 0 < key <= len(slots):
+            raise NotFoundError(
+                f"no such object: {format_identity(identity)}",
+                detail=format_identity(identity),
+            )
+        return slots, key - 1
+
     def get_object(self, identity: ObjectIdentity) -> StoredObject:
         """Return the committed object; repeated reads are byte-identical."""
-        obj = self._objects.get(identity)
+        slots, i = self._slot(identity)
+        obj = slots[i]
         if type(obj) is not StoredObject:
-            if obj is None:
-                raise NotFoundError(
-                    f"no such object: {format_identity(identity)}",
-                    detail=format_identity(identity),
-                )
-            obj = self._first_read(identity)
+            obj = self._first_read(slots, i)
         return obj
 
-    def _first_read(self, identity: ObjectIdentity) -> StoredObject:
-        """Read, CRC-check and decode a framed record, once per handle.
+    def _read_body(self, offset: int) -> bytes:
+        """The body of the framed record at ``offset``, read again and CRC-checked.
 
-        The record's own bytes are read through this handle's
-        descriptor, so damage done to them after the open refuses here,
-        on this and every later read.  Commit marks compare stored
-        objects by ``is``, so each identity must become exactly one
-        object, even under concurrent reads.
+        The record's own bytes are read through this handle's descriptor,
+        so damage done to them after the open refuses here.
+        """
+        head = self._read_log(offset, offset + _HEADER_LEN)
+        # Bounded by the applied log, so a length damaged in place never
+        # asks for more bytes than the log holds.
+        end = _record_end(head, 0, self._applied_len - offset, offset)
+        if end is None:
+            raise CorruptLogError(f"record at offset {offset} runs past the log")
+        rest = self._read_log(offset + _HEADER_LEN, offset + end)
+        body = rest[:-4]
+        if int.from_bytes(rest[-4:], "big") != zlib.crc32(body):
+            raise CorruptLogError(f"CRC mismatch at offset {offset}")
+        return body
+
+    def _first_read(self, slots: list, i: int) -> StoredObject:
+        """Read, check and decode a framed record, once per handle.
+
+        A record that fails refuses on this and every later read.  Commit
+        marks compare stored objects by ``is``, so each identity must
+        become exactly one object, even under concurrent reads.
         """
         with self._apply_lock:
-            obj = self._objects[identity]
-            if type(obj) is int:
-                if self._log_fd is None:
-                    raise ConfdbError(f"store is closed: {self.directory}")
-                head = self._read_log(obj, obj + _HEADER_LEN)
-                # Bounded by the applied log, so a length damaged in place
-                # never asks for more bytes than the log holds.
-                end = _record_end(head, 0, self._applied_len - obj, obj)
-                if end is None:
-                    raise CorruptLogError(f"record at offset {obj} runs past the log")
-                record = head + self._read_log(obj + _HEADER_LEN, obj + end)
-                if int.from_bytes(record[-4:], "big") != zlib.crc32(record[_HEADER_LEN:-4]):
-                    raise CorruptLogError(f"CRC mismatch at offset {obj}")
-                obj = self._objects[identity] = _decode_record(record, 0, self._tables, obj)
+            obj = slots[i]
+            if type(obj) is not StoredObject:
+                offset = obj if obj >= 0 else ~obj
+                obj = slots[i] = _decode_record(self._read_body(offset), self._tables, offset)
         return obj
 
+    def is_map(self, identity: ObjectIdentity) -> bool:
+        """Whether the committed object is a map; a framed record is not read."""
+        slots, i = self._slot(identity)
+        slot = slots[i]
+        if type(slot) is StoredObject:
+            return slot.kind == KIND_MAP
+        return slot < 0
+
+    def payload_bytes(self, identity: ObjectIdentity) -> bytes:
+        """The committed object's canonical payload bytes.
+
+        A framed record that is not a map is read from the log, CRC-checked
+        and decoded to check it, and the decode is dropped: the answer is
+        the record's own payload bytes, and nothing is kept.  A map or a
+        decoded object is encoded from its decoded payload, which is the
+        same bytes.
+        """
+        slots, i = self._slot(identity)
+        slot = slots[i]
+        if type(slot) is StoredObject:
+            return encode_payload(slot.payload)
+        if slot < 0:  # a map, decoded and kept as every map read is
+            return encode_payload(self._first_read(slots, i).payload)
+        body = self._read_body(slot)
+        _decode_record(body, DecodeTables(), slot)
+        return body[body.index(b"\n", body.index(b"\n") + 1) + 1 :]
+
     def has_object(self, identity: ObjectIdentity) -> bool:
-        return identity in self._objects
+        slots = self._index.get((identity.class_name, identity.secondary_key))
+        return slots is not None and 0 < identity.config_key <= len(slots)
 
     def highest_key(self, class_name: str, secondary_key: str | None = None) -> int:
         """Highest committed config key for a pair; 0 if unknown."""
-        return self._highs.get((class_name, secondary_key), 0)
+        return len(self._index.get((class_name, secondary_key), ()))
 
     def list_versions(self, class_name: str, secondary_key: str | None = None) -> list[int]:
         """Dense ascending config keys for one pair; `[]` if unknown."""
         return list(range(1, self.highest_key(class_name, secondary_key) + 1))
 
     def object_count(self) -> int:
-        return len(self._objects)
+        return sum(map(len, list(self._index.values())))
 
     def log_size(self) -> int:
         return os.fstat(self._log_fd).st_size
@@ -627,48 +813,50 @@ def check_store(directory: str):
     """Check a store's whole log offline; yield one line per finding.
 
     Read-only: it takes no lock and never truncates.  It scans the log
-    from offset 0 and decodes every record (CRCs, canonical decode,
-    commit counts), then checks, in log order, that each identity is
-    new, that each pair's keys count up from 1 without a gap, and that
-    every map link and run-type binding names an object committed by
-    then, a map for a binding.  It yields any torn tail (left in place),
+    from offset 0 in bounded chunks and decodes every record (CRCs,
+    canonical decode, commit counts), then checks, in log order, that
+    each identity is new, that each pair's keys count up from 1 without a
+    gap, and that every map link and run-type binding names an object
+    committed by then, a map for a binding.  Of each object it keeps only
+    its kind, one list per pair.  It yields any torn tail (left in place),
     and last ``ok <objects> objects, <bytes> bytes``.  The first failure
     raises ``CorruptLogError`` naming its log offset.
     """
+    tables = DecodeTables()
+    kinds: dict[tuple, list] = {}  # pair -> the kind of each key's object
+    committed_end = 0
     with open(os.path.join(directory, LOG_NAME), "rb") as f:
-        buf = f.read()
-    transactions, committed_end, _ = _scan_log(buf, DecodeTables(), decode=True)
-    if committed_end < len(buf):
-        yield (f"torn tail: {len(buf) - committed_end} bytes at offset {committed_end},"
+        size = os.fstat(f.fileno()).st_size
+        for transactions, _, committed_end in _scan_chunks(
+            f.fileno(), 0, size, tables, decode=True
+        ):
+            for records in transactions:
+                _check_keys(records, kinds)
+                for pair, _, obj, _ in records:
+                    kinds.setdefault(pair, []).append(obj.kind)
+                for _, _, obj, at in records:
+                    if obj.kind != KIND_LEAF:
+                        _check_links(obj, at, kinds)
+            # Identities and link lines are shared within a chunk only.
+            tables.identities.clear()
+            tables.links.clear()
+    if committed_end < size:
+        yield (f"torn tail: {size - committed_end} bytes at offset {committed_end},"
                " left in place")
-    objects: dict[ObjectIdentity, StoredObject] = {}
-    highs: dict[tuple, int] = {}
-    for records in transactions:
-        for obj, at in records:
-            identity, text = obj.identity, format_identity(obj.identity)
-            pair = (identity.class_name, identity.secondary_key)
-            if identity in objects:
-                raise CorruptLogError(f"duplicate identity {text} at offset {at}")
-            if identity.config_key != highs.get(pair, 0) + 1:
-                raise CorruptLogError(
-                    f"{text} at offset {at} breaks its key sequence after key"
-                    f" {highs.get(pair, 0)}"
-                )
-            objects[identity] = obj
-            highs[pair] = identity.config_key
-        for obj, at in records:
-            if obj.kind == KIND_LEAF:
-                continue
-            for name, target in obj.payload.entries:
-                linked = objects.get(target)
-                if linked is None:
-                    raise CorruptLogError(
-                        f"{format_identity(obj.identity)} at offset {at} links {name!r}"
-                        f" to missing {format_identity(target)}"
-                    )
-                if obj.kind == KIND_RUNTYPES and linked.kind != KIND_MAP:
-                    raise CorruptLogError(
-                        f"{format_identity(obj.identity)} at offset {at} binds {name!r}"
-                        f" to {format_identity(target)}, which is not a map"
-                    )
-    yield f"ok {len(objects)} objects, {len(buf)} bytes"
+    yield f"ok {sum(map(len, kinds.values()))} objects, {size} bytes"
+
+
+def _check_links(obj: StoredObject, at: int, kinds: dict) -> None:
+    """Refuse a link to an object not committed by then, or a binding to a non-map."""
+    for name, target in obj.payload.entries:
+        linked = kinds.get((target.class_name, target.secondary_key), ())
+        if len(linked) < target.config_key:
+            raise CorruptLogError(
+                f"{format_identity(obj.identity)} at offset {at} links {name!r}"
+                f" to missing {format_identity(target)}"
+            )
+        if obj.kind == KIND_RUNTYPES and linked[target.config_key - 1] != KIND_MAP:
+            raise CorruptLogError(
+                f"{format_identity(obj.identity)} at offset {at} binds {name!r}"
+                f" to {format_identity(target)}, which is not a map"
+            )

@@ -37,18 +37,24 @@ from .store import RUNTYPES_CLASS, Store, StoredObject, WriteTransaction
 MAX_TREE_DEPTH = 64
 
 
-def lookup_path(store: Store, root: ObjectIdentity, path) -> StoredObject:
-    """Follow named links from ``root``; the empty path is the root itself."""
+def resolve_path(store: Store, root: ObjectIdentity, path) -> ObjectIdentity:
+    """The identity that named links from ``root`` lead to; the empty path is ``root``.
+
+    The maps along the path are read; the object at its end is not.
+    """
     segments = parse_path(path)
     current = store.get_object(root)
     if current.kind != KIND_MAP:
         raise NotAMapError(
             f"{format_identity(root)} is not a map", detail=format_identity(root)
         )
+    target = root
     for depth, segment in enumerate(segments):
-        if current.kind != KIND_MAP:
-            prefix = display_path(segments[:depth])
-            raise NotAMapError(f"{prefix!r} is not a map", detail=prefix)
+        if depth:
+            current = store.get_object(target)
+            if current.kind != KIND_MAP:
+                prefix = display_path(segments[:depth])
+                raise NotAMapError(f"{prefix!r} is not a map", detail=prefix)
         try:
             target = current.payload.get(segment)
         except KeyError:
@@ -56,8 +62,12 @@ def lookup_path(store: Store, root: ObjectIdentity, path) -> StoredObject:
             raise NoSuchLinkError(
                 f"no link {segment!r} under {prefix!r}", detail=prefix
             ) from None
-        current = store.get_object(target)
-    return current
+    return target
+
+
+def lookup_path(store: Store, root: ObjectIdentity, path) -> StoredObject:
+    """Follow named links from ``root``; the empty path is the root itself."""
+    return store.get_object(resolve_path(store, root, path))
 
 
 @dataclass(frozen=True)
@@ -84,22 +94,23 @@ def _visit(store: Store, identity: ObjectIdentity, segments: tuple, depth: int, 
         raise DepthExceededError(
             f"tree deeper than {MAX_TREE_DEPTH} at {display_path(segments)!r}"
         )
-    obj = store.get_object(identity)
+    expand = store.is_map(identity)
     entries.append((path_text(segments), identity))
-    if obj.kind == KIND_MAP:
-        for name, target in obj.payload.entries:
+    if expand:
+        for name, target in store.get_object(identity).payload.entries:
             _visit(store, target, segments + (name,), depth + 1, entries)
 
 
 def walk_tree(store: Store, root: ObjectIdentity) -> TreeManifest:
     """Expand the whole tree under ``root`` into a manifest.
 
-    The recursion is a module-level function, not a closure: a nested
-    function that calls itself is a reference cycle, which would keep the
-    store and the entries alive until the cyclic collector ran.
+    Only maps are read: whether an object is a map is known without
+    reading it, so a walk decodes no leaf.  The recursion is a
+    module-level function, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep the store and the
+    entries alive until the cyclic collector ran.
     """
-    root_obj = store.get_object(root)
-    if root_obj.kind != KIND_MAP:
+    if not store.is_map(root):
         raise NotAMapError(
             f"{format_identity(root)} is not a map", detail=format_identity(root)
         )

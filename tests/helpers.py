@@ -15,6 +15,7 @@ import os
 import random
 import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import confdb
@@ -190,6 +191,25 @@ def clone_store(src_dir: str, dst_dir: str) -> Store:
         if os.path.exists(src):
             shutil.copy(src, os.path.join(dst_dir, name))
     return open_store(dst_dir, clock=lambda: 0)
+
+
+# ---------------------------------------------------------------------------
+# log records framed by hand
+
+
+def log_record(rtype: int, body: bytes) -> bytes:
+    """A record framed from the format the store documents (magic 0xC7, type,
+    4-octet length, body, 4-octet CRC-32), not with the store's own code."""
+    crc = zlib.crc32(body).to_bytes(4, "big")
+    return bytes((0xC7, rtype)) + len(body).to_bytes(4, "big") + body + crc
+
+
+def log_transaction(*objects) -> bytes:
+    """Object records for ``(identity text, payload bytes)`` pairs, stamped 0, then their commit."""
+    records = [
+        log_record(0x01, f"{identity}\n0\n".encode() + payload) for identity, payload in objects
+    ]
+    return b"".join(records) + log_record(0x02, str(len(objects)).encode())
 
 
 # ---------------------------------------------------------------------------

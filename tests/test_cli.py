@@ -1,5 +1,6 @@
 """Operator tool tests: commands, scripts, golden files, replayability."""
 
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -362,4 +363,23 @@ def test_serve_listens_where_listen_says(workdir):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_stops_on_a_signal_even_if_started_with_sigint_ignored(workdir, signum):
+    # A shell without job control starts background commands so.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confdb", "--store", "s", "serve", "--listen", "127.0.0.1:0"],
+        cwd=workdir, env=child_env(), stdout=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
         proc.stdout.close()

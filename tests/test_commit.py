@@ -389,11 +389,19 @@ def test_diff_and_commit_agree_on_random_edit_scripts(tmp_path):
                 txn.abort()
 
 
+class _YieldingList(list):
+    """A list that lets other threads run after every append."""
+
+    def append(self, value):
+        super().append(value)
+        time.sleep(0.0001)
+
+
 class _YieldingDict(dict):
-    """A dict that lets other threads run after every insert."""
+    """A dict of yielding lists that lets other threads run after every insert."""
 
     def __setitem__(self, key, value):
-        super().__setitem__(key, value)
+        super().__setitem__(key, _YieldingList(value))
         time.sleep(0.0001)
 
 
@@ -413,10 +421,12 @@ def test_readers_walk_only_committed_trees_while_commits_land(store):
     for i in range(4):
         tree.add_map_alias("/", f"m{i}")
     edit_and_commit(0)
-    # Publishing then pauses after each insert, so the reader runs between
-    # any two steps of it.
-    store._objects = _YieldingDict(store._objects)
-    store._highs = _YieldingDict(store._highs)
+    # Publishing then pauses after each insert into the dense index, a new
+    # pair or a new key, so the reader runs between any two steps of it.
+    index = _YieldingDict()
+    for pair, slots in store._index.items():
+        index[pair] = slots
+    store._index = index
     stop = threading.Event()
     walks = []
     errors = []

@@ -1,6 +1,7 @@
 """Service tests: protocol frames, read-only guarantee, concurrent access."""
 
 import logging
+import os
 import socket
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from confdb.commitproc import commit_alias_tree
 from confdb.errors import ParseError
-from confdb.model import format_identity
+from confdb.model import display_path, encode_payload, format_identity
 from confdb.service import (
     FRAME_CACHE_BYTES,
     MAX_REQUEST_LINE,
@@ -18,9 +19,11 @@ from confdb.service import (
     parse_endpoint,
     start_server,
 )
-from confdb.store import open_store
+from confdb.store import StoredObject, open_store
 from confdb.tree import walk_tree
-from helpers import build_figure1, commit_generations, make_leaf
+from helpers import build_figure1, commit_generations, log_transaction, make_leaf
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture
@@ -423,3 +426,101 @@ def test_server_connections_share_one_cache(populated):
     finally:
         server.shutdown()
         server.server_close()
+
+
+# -- GET answers from record bytes, MANIFEST walks over maps ---------------------
+
+
+def _decoded_entries(store, identity, segments=()):
+    """``(path segments, identity, object)`` depth first, every object decoded."""
+    obj = store.get_object(identity)
+    yield segments, identity, obj
+    if obj.kind == "map":
+        for name, target in obj.payload.entries:
+            yield from _decoded_entries(store, target, segments + (name,))
+
+
+def _decoded_frames(store, roots) -> dict:
+    """Each root's MANIFEST and GET lines, answered from a full decode plus encode_payload."""
+    frames = {}
+    for root in roots:
+        entries = list(_decoded_entries(store, root))
+        body = "".join(f"{display_path(path)}\t{identity}\n" for path, identity, _ in entries)
+        frames[f"MANIFEST {root}\n"] = f"OK {len(entries)}\n{body}.\n"
+        for path, identity, obj in entries:
+            payload = encode_payload(obj.payload).decode("utf-8")
+            frames[f"GET {root} {display_path(path)}\n"] = f"OK {identity}\n{payload}.\n"
+    return frames
+
+
+def _decoded_leaves(store) -> int:
+    return sum(
+        type(slot) is StoredObject and slot.kind != "map"
+        for slots in store._index.values()
+        for slot in slots
+    )
+
+
+def _assert_frames_match_a_full_decode(path, roots):
+    with open_store(path) as oracle:
+        frames = _decoded_frames(oracle, roots)
+    with open_store(path) as s:
+        cache = BoundedCache(FRAME_CACHE_BYTES)
+        for _ in range(2):  # a first call, then a hit
+            for line, frame in frames.items():
+                assert handle_request(s, line, cache) == frame, line
+        assert _decoded_leaves(s) == 0  # answering kept no leaf
+    return frames
+
+
+def test_frames_equal_a_full_decode_on_figure1_generations(tmp_path):
+    with open_store(tmp_path / "db", clock=lambda: 1_700_000_000) as writer:
+        tree, leaves = build_figure1(writer)
+        roots = commit_generations(writer, tree, leaves)
+    frames = _assert_frames_match_a_full_decode(tmp_path / "db", roots)
+    assert len(frames) == 4 + 6 + 6 + 8 + 8
+
+
+def test_frames_equal_a_full_decode_on_a_benchmark_store(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+
+    detector = gen.Detector(7)
+    with open_store(tmp_path / "db", clock=lambda: gen.EPOCH) as writer:
+        gen.build_store(writer, detector, 1)
+    frames = _assert_frames_match_a_full_decode(
+        tmp_path / "db", [detector.root, detector.cosmics_root]
+    )
+    assert len(frames) == 2 * (1 + len(detector.map_paths) + len(detector.leaf_paths))
+
+
+def test_a_non_canonical_leaf_is_listed_but_never_served(tmp_path):
+    # A CRC-valid record that no writer of this program produces.
+    path = tmp_path / "db"
+    path.mkdir()
+    (path / "objects.log").write_bytes(log_transaction(
+        ("B[1]", b"kind=leaf\na=i:01\n"), ("C[1]", b"kind=leaf\nc=i:3\n"),
+        ("M[1]", b"kind=map\nb=B[1]\nc=C[1]\n"),
+    ))
+    with open_store(path) as s:
+        assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
+        for _ in range(2):
+            assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
+        assert handle_request(s, "GET M[1] c\n") == "OK C[1]\nkind=leaf\nc=i:3\n.\n"
+        assert handle_request(s, "GET M[1] /\n") == "OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
+
+
+def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
+    path = tmp_path / "db"
+    path.mkdir()
+    leaf = log_transaction(("B[1]", b"kind=leaf\nb=i:2\n"))
+    (path / "objects.log").write_bytes(leaf + log_transaction(("M[1]", b"kind=map\nb=B[1]\n")))
+    with open_store(path) as s:
+        assert handle_request(s, "GET M[1] b\n") == "OK B[1]\nkind=leaf\nb=i:2\n.\n"
+        # Still canonical, so only the CRC tells the damage.
+        with open(path / "objects.log", "r+b") as f:
+            f.seek(leaf.index(b"b=i:2") + 4)
+            f.write(b"3")
+        for _ in range(2):
+            assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
+        assert handle_request(s, "MANIFEST M[1]\n") == "OK 2\n/\tM[1]\nb\tB[1]\n.\n"
