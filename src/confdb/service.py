@@ -9,6 +9,10 @@ per request line; multi-line bodies end with a lone ``.`` line::
     MANIFEST <identity>      -> OK <count> + manifest lines + .
     RUNTYPES                 -> OK <count> + <runtype>TAB<identity> lines + .
 
+``PING`` and ``RUNTYPES`` take no argument and ``MANIFEST`` takes only
+the identity: any text after it, a lone space included, is refused with
+``ERR 400 malformed-request trailing data``.
+
 A GET answer's payload is the object's record payload, byte for byte:
 the path is resolved through its maps once, and a leaf the open framed
 is answered from its own CRC-checked log bytes, decoded only to check
@@ -24,7 +28,10 @@ lookup that fails and 500 for a damaged store or an internal fault;
 each error class carries its own as ``status``.  An internal fault is
 logged with its traceback on the ``confdb.service`` logger.  A request
 line longer than ``MAX_REQUEST_LINE`` bytes (its LF included) gets
-``ERR 400 line-too-long``; the rest of it is read and dropped.
+``ERR 400 line-too-long``; the rest of it is read and dropped.  A
+client that resets or closes its connection mid-answer ends only that
+connection, quietly; any other fault in a connection's handler still
+reaches ``ConfigServer.handle_error``.
 
 A server answers repeated ``GET`` and ``MANIFEST`` lines from one frame
 cache shared by all its connections: request line to finished response
@@ -135,7 +142,9 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
             return frame
     key = line
     line = line.rstrip("\r\n")
-    verb, _, rest = line.partition(" ")
+    verb, sep, rest = line.partition(" ")
+    if sep and verb in ("PING", "RUNTYPES"):
+        return "ERR 400 malformed-request trailing data\n"
     try:
         store.refresh()
         if verb == "PING":
@@ -185,6 +194,14 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
+        try:
+            self._serve()
+        except ConnectionError:
+            # The client reset or closed its end mid-answer: only this
+            # connection ends, and nothing is reported.
+            pass
+
+    def _serve(self):
         while True:
             raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
             if not raw:

@@ -3,6 +3,8 @@
 import hashlib
 import re
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -30,7 +32,7 @@ from confdb.model import (
     path_text,
     payload_digest,
 )
-from helpers import pure_sha256, shortest_hexfloat
+from helpers import child_env, pure_sha256, shortest_hexfloat
 
 DCH = ObjectIdentity("DchHV", "sector3", 12)
 
@@ -162,6 +164,24 @@ def test_digest_empty_map_against_independent_sha256():
     assert digest == pure_sha256(b"kind=map\n")
     # frozen value, cross-checked against hashlib at freeze time
     assert digest.hex() == "fbecad0bb562560028e4755e9d5c1176d4cfa5e1073315c4520691bf412cc18d"
+
+
+def test_importing_confdb_loads_neither_hashlib_nor_logging():
+    # hashlib maps OpenSSL into the process and logging costs RSS; serving
+    # never uses either, so both are imported on first use only.
+    script = """if True:
+        import sys
+        import confdb, confdb.cli, confdb.service
+        loaded = sorted({"hashlib", "_hashlib", "logging"} & set(sys.modules))
+        assert not loaded, loaded
+        from confdb.model import Payload, payload_digest
+        print(payload_digest(Payload.map({})).hex())
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert bytes.fromhex(result.stdout.strip()) == pure_sha256(b"kind=map\n")
 
 
 def test_pure_sha256_agrees_with_hashlib():

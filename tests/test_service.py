@@ -3,11 +3,14 @@
 import logging
 import os
 import socket
+import struct
 import sys
 import threading
+import time
 
 import pytest
 
+from confdb import service
 from confdb.commitproc import commit_alias_tree
 from confdb.errors import ParseError
 from confdb.model import display_path, encode_payload, format_identity
@@ -15,6 +18,7 @@ from confdb.service import (
     FRAME_CACHE_BYTES,
     MAX_REQUEST_LINE,
     BoundedCache,
+    ConfigServer,
     handle_request,
     parse_endpoint,
     start_server,
@@ -115,6 +119,13 @@ def test_runtypes_frame(populated):
 
 def test_runtypes_empty(store):
     assert handle_request(store, "RUNTYPES\n") == "OK 0\n.\n"
+
+
+@pytest.mark.parametrize("verb", ["PING", "RUNTYPES", "MANIFEST TopMap[1]"])
+@pytest.mark.parametrize("tail", [" x", " "])
+def test_trailing_text_after_a_request_is_refused(populated, verb, tail):
+    store, _, _ = populated
+    assert handle_request(store, f"{verb}{tail}\n") == "ERR 400 malformed-request trailing data\n"
 
 
 def test_unknown_verb(store):
@@ -243,6 +254,69 @@ def test_internal_fault_is_logged_with_its_traceback(populated, monkeypatch, cap
     assert record.exc_info[0] is RuntimeError
     assert "store handle went away" in caplog.text
     assert "Traceback" in caplog.text
+
+
+@pytest.fixture
+def handler_faults(monkeypatch):
+    """Every ``ConfigServer.handle_error`` call, and every connection the server closed."""
+    faults, closed = [], []
+    shutdown_request = ConfigServer.shutdown_request
+
+    def record_close(server, request):
+        shutdown_request(server, request)
+        closed.append(request)
+
+    def record_fault(server, request, address):
+        faults.append(address)
+
+    monkeypatch.setattr(ConfigServer, "handle_error", record_fault)
+    monkeypatch.setattr(ConfigServer, "shutdown_request", record_close)
+    return faults, closed
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_a_client_reset_mid_answer_ends_only_its_connection_quietly(populated, handler_faults):
+    store, _, root = populated
+    faults, closed = handler_faults
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            # Linger 0: close sends a reset, not a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(f"MANIFEST {root}\n".encode() * 50)
+        _wait_for(lambda: len(closed) == 1)
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            assert _request_lines(sock.makefile("rb"), sock, "PING") == "OK pong"
+        assert faults == []
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_any_other_handler_fault_still_reaches_handle_error(populated, handler_faults, monkeypatch):
+    store, _, _ = populated
+    faults, closed = handler_faults
+
+    def broken(store, line, cache):
+        raise RuntimeError("handler went away")
+
+    monkeypatch.setattr(service, "handle_request", broken)
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            sock.sendall(b"PING\n")
+            assert sock.makefile("rb").readline() == b""  # the server closed it
+        _wait_for(lambda: len(closed) == 1)
+        assert len(faults) == 1
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_over_long_request_line_is_refused_and_the_connection_kept(store):
