@@ -910,7 +910,7 @@ def test_fsck_reports_a_torn_tail_and_leaves_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
-def test_a_crc_valid_non_canonical_record_refuses_at_first_read(
+def test_a_forged_hint_over_a_non_canonical_record_refuses_at_first_read(
     tmp_path, capsys, payload, canonical, reason
 ):
     # A CRC-valid record that no writer of this program produces: the open
