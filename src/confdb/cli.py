@@ -16,10 +16,11 @@ the store, so it neither locks nor repairs anything.
 
 Each command either fully succeeds or leaves the store and alias state
 unchanged; `begin`/`commit`/`abort` group several mutating commands into
-one store transaction, and a block that does not commit leaves the alias
-state as it was at `begin`.  A script stops at its first error and exits
-nonzero, reporting the failing line.  The global ``--epoch`` flag pins
-creation timestamps so scripted builds produce byte-identical logs.
+one store transaction, and a block that does not commit, its failed
+`commit` included, leaves the alias state as it was at `begin`.  A
+script stops at its first error and exits nonzero, reporting the failing
+line.  The global ``--epoch`` flag pins creation timestamps so scripted
+builds produce byte-identical logs.
 """
 
 from __future__ import annotations
@@ -54,20 +55,22 @@ class Session:
         self.txn = None
         self.region = ""  # the alias region's text when the block began
 
-    def abort_block(self) -> bool:
-        """Abandon the ``begin`` block, if any; return whether there was one.
+    def end_block(self) -> bool:
+        """End the ``begin`` block, if any; return whether there was one.
 
-        Alias edits made inside the block are undone with it: the region
-        gets back the text it had at ``begin``.  The block holds the writer
-        lock until its transaction ends, so no other save can have landed.
+        Unless its transaction committed, its alias edits are undone: the
+        region gets back its text at ``begin`` and an open transaction is
+        aborted.  The block holds the writer lock until then, a failed
+        commit included (see ``_cmd_commit``), so no other save landed.
         """
         txn, self.txn = self.txn, None
-        if txn is not None and txn.state == "open":
+        if txn is not None and txn.state != "committed":
             try:
                 if self.store.read_alias_region() != self.region:
                     self.store.write_alias_region(self.region)
             finally:
-                txn.abort()
+                if txn.state == "open":
+                    txn.abort()
         return txn is not None
 
 
@@ -289,13 +292,9 @@ def _cmd_begin(session: Session, args: list[str]) -> str:
     _expect(args, 0, "begin")
     if session.txn is not None:
         raise ParseError("a transaction block is already open")
-    txn = session.store.begin()
-    try:
+    with session.store.alias_lock():
         session.region = session.store.read_alias_region()
-    except BaseException:
-        txn.abort()
-        raise
-    session.txn = txn
+        session.txn = session.store.begin()
     return ""
 
 
@@ -303,14 +302,19 @@ def _cmd_commit(session: Session, args: list[str]) -> str:
     _expect(args, 0, "commit")
     if session.txn is None:
         raise ParseError("no open transaction block")
-    session.txn.commit()
-    session.txn = None
+    # A failed commit releases its writer lock; the alias lock, held
+    # around it, keeps every other writer out until the region is back.
+    with session.store.alias_lock():
+        try:
+            session.txn.commit()
+        finally:
+            session.end_block()
     return ""
 
 
 def _cmd_abort(session: Session, args: list[str]) -> str:
     _expect(args, 0, "abort")
-    if not session.abort_block():
+    if not session.end_block():
         raise ParseError("no open transaction block")
     return ""
 
@@ -349,7 +353,7 @@ def execute_tokens(session: Session, tokens: list[str]) -> str:
         return handler(session, args)
     except ConfdbError:
         # Any failure inside an explicit block abandons the whole block.
-        session.abort_block()
+        session.end_block()
         raise
 
 
@@ -372,7 +376,7 @@ def execute_script(session: Session, text: str, out) -> int:
             return 1
         if output:
             out.write(output)
-    if session.abort_block():
+    if session.end_block():
         print("error: script ended with an open transaction block", file=sys.stderr)
         return 1
     return 0
@@ -432,12 +436,12 @@ def main(argv=None) -> int:
             return 1
         if output:
             sys.stdout.write(output)
-        if session.abort_block():
+        if session.end_block():
             print("confdb: error: begin without commit", file=sys.stderr)
             return 1
         return 0
     finally:
-        session.abort_block()
+        session.end_block()
         store.close()
 
 

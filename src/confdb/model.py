@@ -33,8 +33,7 @@ re-validation.  Given :class:`DecodeTables`, many decodes share what
 repeats: one string per distinct name, one :class:`ObjectIdentity` per
 identity text and one ``(name, identity)`` pair per link line.  A
 store handle decodes each log record once, canonical check included,
-through its one set of tables: a record the open framed on its first
-read, and a record a catch-up adds at that catch-up (see
+through its one set of tables, on the record's first read (see
 ``confdb.store``).
 """
 
@@ -186,10 +185,10 @@ class DecodeTables:
     maps an identity's prefix bytes (``Class[`` or ``Class:Secondary[``)
     to one shared ``(class name, secondary key)`` tuple; they grow only
     with distinct stamps and pairs.  A store handle keeps one set for its
-    lifetime and reads every log record through it: the open, which
-    frames each record, checks its pair and stamp through ``pairs`` and
-    ``stamps``; a catch-up and a framed record's first read decode the
-    whole record.  ``confdb fsck`` keeps one set for its check.
+    lifetime and reads every log record through it: the open and every
+    catch-up, which frame each record, check its pair and stamp through
+    ``pairs`` and ``stamps``; a record's first read decodes it whole.
+    ``confdb fsck`` keeps one set for its check.
     """
 
     __slots__ = ("names", "identities", "links", "stamps", "pairs")

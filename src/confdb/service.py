@@ -14,13 +14,13 @@ the identity: any text after it, a lone space included, is refused with
 ``ERR 400 malformed-request trailing data``.
 
 A GET answer's payload is the object's record payload, byte for byte:
-the path is resolved through its maps once, and a leaf the open framed
-is answered from its own CRC-checked log bytes, decoded only to check
-them and never kept (``Store.payload_bytes``); one a catch-up decoded is
-encoded again, to the same bytes.  A MANIFEST walk reads maps only.  So
-a server keeps no decoded leaf of the log it opened, and a CRC-valid
-leaf that is not canonical is listed by a MANIFEST while a GET of it
-answers ``ERR 500``.
+the path is resolved through its maps once, and a leaf is answered
+from its own CRC-checked log bytes, decoded only to check them and
+never kept (``Store.payload_bytes``), whether the open or a catch-up
+framed it.  A MANIFEST walk reads maps only.  So a server keeps no
+decoded leaf, and a CRC-valid leaf that is not canonical is listed by
+a MANIFEST while a GET of it answers ``ERR 500``; the requests around
+it are answered as before.
 
 Errors are ``ERR <status> <code> [<detail>]`` and never drop the
 connection.  The status is 400 for a malformed request, 404 for a

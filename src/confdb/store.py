@@ -24,18 +24,18 @@ One walk, ``_scan_log``, reads the log for the open, every catch-up and
 none of them holds a copy of the whole log; a record cut by the end of
 one read is read whole by the next.  It checks the framing and the CRC
 of every record and its structure (magic, type, lengths, commit counts,
-identities and stamps).  The open only frames the records: it reads
-each record's (class name, secondary key) pair through a table keyed by
-the identity's prefix bytes, so each distinct pair is parsed and
-validated once, and it notes whether the payload's first line is
-``kind=map``.  A handle keeps no copy of the records; it reads each one
-through its descriptor on its first read, CRC-checked again and decoded,
-canonical check included, so a record that is not canonical, or was
-damaged after the open, refuses at that read.  A catch-up and ``confdb
-fsck`` decode every record they reach, canonical check included.  A
-handle decodes every record through its one set of intern tables, so
-its objects share their identities and names: every link to an object
-holds that object's own identity, and each distinct name is one string.
+identities and stamps).  The open and every catch-up only frame the
+records: each (class name, secondary key) pair is parsed and validated
+once, through a table keyed by the identity's prefix bytes, and the
+scan notes whether the payload's first line is ``kind=map``.  A handle
+keeps no copy of the records.  It reads each one through its descriptor
+on its first read, CRC-checked again and decoded, canonical check
+included, so a record that is not canonical, or was damaged after it
+was framed, refuses at that read and every later one.  ``confdb fsck``
+decodes every record it reaches.  A handle decodes every record through
+its one set of intern tables, so its objects share their identities and
+names: every link to an object holds that object's own identity, and
+each distinct name is one string.
 
 A handle's index is one dense table: per (class name, secondary key)
 pair, a list whose slot k-1 holds key k's decoded object or, until its
@@ -50,7 +50,7 @@ Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
 consume keys.  Readers take no lock, but for the first read of a record
-an open only framed.  Committed state is published in place, in a fixed
+a scan only framed.  Committed state is published in place, in a fixed
 order: a batch is first checked whole, every key continuing its pair's
 sequence (so a corrupt log leaves nothing half-applied), then each
 record is appended to its pair's list in log order, then the applied
@@ -236,21 +236,21 @@ def _scan_log(buf: bytes, tables: DecodeTables, base: int, pending: list, *, dec
     """Walk one read of the log into committed records; the store's one log walk.
 
     ``buf`` holds the log bytes from offset ``base``.  Each object record
-    becomes ``(pair, key, value, log offset)``: with ``decode`` the value
-    is the decoded ``StoredObject``, canonical check included; without
-    it, the framed slot of :func:`_frame_record`.  ``pending`` holds the
-    records of a transaction begun before ``buf``, and is left holding
-    those of a transaction ``buf`` does not commit.
+    becomes ``(pair, key, value, log offset)``, the value being the
+    framed slot of :func:`_frame_record`, or with ``decode`` (only
+    ``check_store`` asks for it) the decoded ``StoredObject``, canonical
+    check included.  ``pending`` holds the records of a transaction begun
+    before ``buf``, and is left holding those of one ``buf`` does not
+    commit.
 
-    Returns ``(transactions, framed, committed_end, stop)``: with
-    ``decode``, ``transactions`` lists the transactions committed in
-    ``buf``, each a list of records; without it, ``framed`` lists their
-    records.  ``committed_end`` is the offset in ``buf`` just past its
-    last commit record, 0 if there is none; ``stop`` is the offset of the
-    first record ``buf`` does not hold whole.  A last record whose CRC
-    fails is left unread like a cut one: where the log ends there, it is
-    a torn tail.  Damage before that raises ``CorruptLogError`` naming
-    the log offset of the bad record.
+    Returns ``(transactions, framed, committed_end, stop)``: the records
+    committed in ``buf``, with ``decode`` one list per transaction in
+    ``transactions``, else all in ``framed``.  ``committed_end`` is the
+    offset in ``buf`` just past its last commit record, 0 if there is
+    none; ``stop`` is the offset of the first record ``buf`` does not
+    hold whole.  A last record whose CRC fails is left unread like a cut
+    one: where the log ends there, it is a torn tail.  Damage before that
+    raises ``CorruptLogError`` naming the log offset of the bad record.
 
     Every record is CRC-checked and gets the structural checks: magic,
     type, lengths, commit counts, identity and stamp.  Records are read
@@ -454,12 +454,11 @@ class WriteTransaction:
         self._require_open()
         try:
             self._store._commit_transaction(self)
-        except BaseException:
-            self.state = "aborted"
+            self.state = "committed"
+        finally:
+            if self.state == "open":
+                self.state = "aborted"
             self._store._finish_transaction(self)
-            raise
-        self.state = "committed"
-        self._store._finish_transaction(self)
 
     def abort(self):
         """Discard pending creations; their keys are never consumed."""
@@ -562,10 +561,9 @@ class Store:
         With ``truncate`` (which requires the exclusive lock) a torn or
         uncommitted tail is physically cut off; without it the tail is
         left alone and simply not applied, so a read-side catch-up never
-        interferes with an in-flight writer.  A replay from the start of
-        the log frames its records; a catch-up decodes the ones it adds.
-        The log is read in bounded chunks, and nothing is published until
-        the whole tail has been scanned and its keys checked.
+        interferes with an in-flight writer.  The open and a catch-up alike
+        frame every record; a record is decoded on its first read.  Nothing
+        is published until the whole tail has been scanned and checked.
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
@@ -573,14 +571,11 @@ class Store:
                 raise CorruptLogError("log shrank outside recovery")
             if size == self._applied_len:
                 return
-            base = self._applied_len
             batch = []
-            for transactions, framed, boundary in _scan_chunks(
-                self._log_fd, base, size, self._tables, decode=base > 0
+            for _, framed, boundary in _scan_chunks(
+                self._log_fd, self._applied_len, size, self._tables, decode=False
             ):
                 batch += framed
-                for records in transactions:
-                    batch += records
             self._apply_transactions(batch, boundary)
             if truncate and boundary < size:
                 self._truncate_log(boundary)

@@ -1,13 +1,19 @@
 """Operator tool tests: commands, scripts, golden files, replayability."""
 
+import errno
+import fcntl
+import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from confdb.cli import main
+from confdb.cli import Session, execute_command, main
+from confdb.model import ObjectIdentity
+from confdb.store import open_store
 from helpers import child_env
 
 DATA = Path(__file__).parent / "data"
@@ -173,6 +179,63 @@ def test_a_block_that_does_not_commit_leaves_the_alias_region(workdir, capsys, t
     out, _ = run_cli("--store", "s", "--epoch", "0",
                      "commit-alias", "golden", "--bind", "PHYSICS", capsys=capsys)
     assert out == "fixed point: 0 objects created\n"
+
+
+def test_a_block_whose_commit_fails_leaves_the_alias_region(workdir, monkeypatch):
+    store = open_store(workdir / "s")
+    session = Session(store)
+    try:
+        execute_command(session, "new-alias golden Top")
+        region = (workdir / "s" / "aliases.dat").read_bytes()
+        for line in ("begin", "new-object A --from fee.cfg", "alias-set golden / a A[1]"):
+            execute_command(session, line)
+        assert (workdir / "s" / "aliases.dat").read_bytes() != region
+        real, calls = os.fsync, []
+
+        def fail_first_log_fsync(fd):
+            if fd == store._log_fd and not calls:
+                calls.append(fd)
+                raise OSError(errno.EIO, "injected fsync failure")
+            return real(fd)
+
+        locked, write_region = [], store.write_alias_region
+
+        def write_region_noting_the_lock(text):
+            # Whether a writer holds the LOCK file while the region is put back.
+            fd = os.open(workdir / "s" / "LOCK", os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                locked.append(False)
+            except BlockingIOError:
+                locked.append(True)
+            finally:
+                os.close(fd)
+            write_region(text)
+
+        monkeypatch.setattr(os, "fsync", fail_first_log_fsync)
+        monkeypatch.setattr(store, "write_alias_region", write_region_noting_the_lock)
+        with pytest.raises(OSError, match="injected"):
+            execute_command(session, "commit")
+        monkeypatch.undo()
+        assert calls and locked == [True]
+        # No saved alias pins the object the failed commit never made.
+        assert (workdir / "s" / "aliases.dat").read_bytes() == region
+        assert not store.has_object(ObjectIdentity("A", None, 1))
+        # The writer lock is free: a second handle can begin.
+        begun = []
+
+        def begin_elsewhere():
+            with open_store(workdir / "s") as other:
+                other.begin().abort()
+                begun.append(True)
+
+        other = threading.Thread(target=begin_elsewhere)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive() and begun
+    finally:
+        session.end_block()
+        store.close()
 
 
 def test_new_alias_refuses_an_existing_name(workdir, capsys):

@@ -535,15 +535,15 @@ def _decoded_leaves(store) -> int:
     )
 
 
-def _assert_frames_match_a_full_decode(path, roots):
-    with open_store(path) as oracle:
+def _assert_frames_match_a_full_decode(s, roots):
+    """Every MANIFEST and GET frame of ``roots`` from the handle ``s`` equals a full decode."""
+    with open_store(s.directory) as oracle:
         frames = _decoded_frames(oracle, roots)
-    with open_store(path) as s:
-        cache = BoundedCache(FRAME_CACHE_BYTES)
-        for _ in range(2):  # a first call, then a hit
-            for line, frame in frames.items():
-                assert handle_request(s, line, cache) == frame, line
-        assert _decoded_leaves(s) == 0  # answering kept no leaf
+    cache = BoundedCache(FRAME_CACHE_BYTES)
+    for _ in range(2):  # a first call, then a hit
+        for line, frame in frames.items():
+            assert handle_request(s, line, cache) == frame, line
+    assert _decoded_leaves(s) == 0  # answering kept no leaf
     return frames
 
 
@@ -551,7 +551,19 @@ def test_frames_equal_a_full_decode_on_figure1_generations(tmp_path):
     with open_store(tmp_path / "db", clock=lambda: 1_700_000_000) as writer:
         tree, leaves = build_figure1(writer)
         roots = commit_generations(writer, tree, leaves)
-    frames = _assert_frames_match_a_full_decode(tmp_path / "db", roots)
+    with open_store(tmp_path / "db") as s:
+        frames = _assert_frames_match_a_full_decode(s, roots)
+    assert len(frames) == 4 + 6 + 6 + 8 + 8
+
+
+def test_frames_equal_a_full_decode_after_a_catch_up(tmp_path):
+    # The serving handle opens on figure 1's leaves alone and reaches every
+    # generation through the catch-up inside handle_request.
+    with open_store(tmp_path / "db", clock=lambda: 1_700_000_000) as writer:
+        tree, leaves = build_figure1(writer)
+        with open_store(tmp_path / "db") as s:
+            roots = commit_generations(writer, tree, leaves)
+            frames = _assert_frames_match_a_full_decode(s, roots)
     assert len(frames) == 4 + 6 + 6 + 8 + 8
 
 
@@ -562,26 +574,46 @@ def test_frames_equal_a_full_decode_on_a_benchmark_store(tmp_path, monkeypatch):
     detector = gen.Detector(7)
     with open_store(tmp_path / "db", clock=lambda: gen.EPOCH) as writer:
         gen.build_store(writer, detector, 1)
-    frames = _assert_frames_match_a_full_decode(
-        tmp_path / "db", [detector.root, detector.cosmics_root]
-    )
+    with open_store(tmp_path / "db") as s:
+        frames = _assert_frames_match_a_full_decode(s, [detector.root, detector.cosmics_root])
     assert len(frames) == 2 * (1 + len(detector.map_paths) + len(detector.leaf_paths))
 
 
+# A CRC-valid record that no writer of this program produces, B[1], and
+# a map M[1] that links it beside a canonical leaf C[1].
+NON_CANONICAL_LEAF_LOG = log_transaction(
+    ("B[1]", b"kind=leaf\na=i:01\n"), ("C[1]", b"kind=leaf\nc=i:3\n"),
+    ("M[1]", b"kind=map\nb=B[1]\nc=C[1]\n"),
+)
+
+
+def _assert_the_non_canonical_leaf_is_listed_but_never_served(s):
+    assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
+    for _ in range(2):
+        assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
+    assert handle_request(s, "GET M[1] c\n") == "OK C[1]\nkind=leaf\nc=i:3\n.\n"
+    assert handle_request(s, "GET M[1] /\n") == "OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
+
+
 def test_a_non_canonical_leaf_is_listed_but_never_served(tmp_path):
-    # A CRC-valid record that no writer of this program produces.
     path = tmp_path / "db"
     path.mkdir()
-    (path / "objects.log").write_bytes(log_transaction(
-        ("B[1]", b"kind=leaf\na=i:01\n"), ("C[1]", b"kind=leaf\nc=i:3\n"),
-        ("M[1]", b"kind=map\nb=B[1]\nc=C[1]\n"),
-    ))
+    (path / "objects.log").write_bytes(NON_CANONICAL_LEAF_LOG)
     with open_store(path) as s:
-        assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
-        for _ in range(2):
-            assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
+        _assert_the_non_canonical_leaf_is_listed_but_never_served(s)
+
+
+def test_a_non_canonical_leaf_a_catch_up_adds_is_listed_but_never_served(tmp_path):
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "A", None, a=1)
+        with open(path / "objects.log", "ab") as f:
+            f.write(NON_CANONICAL_LEAF_LOG)
+        # The catch-up applies the tail, so the server keeps answering.
+        assert handle_request(s, "PING\n") == "OK pong\n"
         assert handle_request(s, "GET M[1] c\n") == "OK C[1]\nkind=leaf\nc=i:3\n.\n"
-        assert handle_request(s, "GET M[1] /\n") == "OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
+        _assert_the_non_canonical_leaf_is_listed_but_never_served(s)
+        assert handle_request(s, "PING\n") == "OK pong\n"
 
 
 def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
