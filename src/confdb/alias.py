@@ -7,7 +7,8 @@ setting means retargeting one object alias; the commit procedure turns
 the result back into immutable numeric maps.
 
 Alias trees live in the store's mutable side region (``aliases.dat``),
-serialized as indented text::
+which a save stages in a write transaction and only its commit writes
+(see ``save_alias_tree``), serialized as indented text::
 
     alias golden root_class TopMap
     map dch
@@ -37,6 +38,7 @@ serialization reuses, and carries the commit mark described in
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -56,7 +58,7 @@ from .model import (
     parse_path,
     validate_name,
 )
-from .store import Store
+from .store import Store, WriteTransaction
 
 
 @dataclass
@@ -278,64 +280,73 @@ def _shared(tree: AliasTree) -> AliasTree:
     return view
 
 
-def _read_region(store: Store) -> dict:
-    """The side region's trees, parsed only when its text has changed.
+def _scope(source: Store | WriteTransaction):
+    """The open transaction ``source`` is, or a new one on the store it is."""
+    if isinstance(source, Store):
+        return source.transaction()
+    return nullcontext(source)
 
-    ``store._alias_parsed`` holds the last text read and its parse as one
-    tuple, replaced whole and never mutated, so a reader without the lock
-    never sees a text paired with another text's trees.  Callers must not
-    mutate the returned trees.
+
+def _read_region(source: Store | WriteTransaction) -> tuple[str, dict]:
+    """The region's text as ``source`` sees it, and its trees, parsed once per text.
+
+    The store's ``_alias_parsed`` holds the last text read and its parse as
+    one tuple, replaced whole and never mutated, so a reader without the
+    lock never sees a text paired with another text's trees.  Callers must
+    not mutate the returned trees.
     """
-    text = store.read_alias_region()
+    store = source if isinstance(source, Store) else source._store
+    text = source.read_alias_region()
     cached_text, trees = store._alias_parsed
     if text != cached_text:
         trees = parse_alias_region(text)
         store._alias_parsed = (text, trees)
-    return trees
+    return text, trees
 
 
-def save_alias_tree(store: Store, tree: AliasTree):
-    """Persist the tree's latest state; last save wins, the log is untouched.
+def save_alias_tree(source: Store | WriteTransaction, tree: AliasTree):
+    """Stage the tree's latest state, written at commit; last save wins.
 
     The region keeps the tree's nodes, not a copy, so the tree stops
     owning them: its next edit copies the path it changes.  A save that
-    would write back the text just read writes nothing.
+    would stage the text just read stages nothing.
     """
-    with store.alias_lock():
-        trees = dict(_read_region(store))
+    with _scope(source) as txn:
+        read, trees = _read_region(txn)
+        trees = dict(trees)
         trees[tree.alias_name] = _shared(tree)
         tree._token = object()
         text = serialize_alias_region(trees)
-        if text != store._alias_parsed[0]:  # else it equals the text just read
-            store.write_alias_region(text)
-        store._alias_parsed = (text, trees)
+        if text != read:
+            txn.write_alias_region(text)
+        txn._store._alias_parsed = (text, trees)
 
 
-def load_alias_tree(store: Store, alias_name: str) -> AliasTree:
-    """Return the most recently saved state of one alias tree.
+def load_alias_tree(source: Store | WriteTransaction, alias_name: str) -> AliasTree:
+    """Return the latest saved state of one alias tree.
 
     The tree shares the region's nodes; its edits copy the paths they
     change, so neither the region nor another loaded tree sees them.
-    Takes no lock: the region is replaced by atomic rename, so a read
-    sees either the whole old file or the whole new one.
+    Given a store it takes no lock: the region is replaced by atomic
+    rename, so a read sees the whole old file or the whole new one.
     """
-    trees = _read_region(store)
+    _, trees = _read_region(source)
     if alias_name not in trees:
         raise NoSuchAliasError(f"no alias tree named {alias_name!r}")
     return _shared(trees[alias_name])
 
 
-def edit_alias_tree(store: Store, alias_name: str, edit):
-    """Load, ``edit(tree)`` and save one alias tree under one lock.
+def edit_alias_tree(source: Store | WriteTransaction, alias_name: str, edit):
+    """Load, ``edit(tree)`` and save one alias tree in one transaction.
 
     Concurrent operators should edit through this: a separate load and
     save lets another handle's save land in between and be overwritten.
     Nothing is saved if ``edit`` raises.
     """
-    with store.alias_lock():
-        tree = load_alias_tree(store, alias_name)
+    with _scope(source) as txn:
+        tree = load_alias_tree(txn, alias_name)
         edit(tree)
-        save_alias_tree(store, tree)
+        save_alias_tree(txn, tree)
 
 
 def new_alias_tree(alias_name: str, root_class: str) -> AliasTree:

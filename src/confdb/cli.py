@@ -15,12 +15,13 @@ and scripts (LF-separated commands, ``#`` comments) run via::
 the store, so it neither locks nor repairs anything.
 
 Each command either fully succeeds or leaves the store and alias state
-unchanged; `begin`/`commit`/`abort` group several mutating commands into
-one store transaction, and a block that does not commit, its failed
-`commit` included, leaves the alias state as it was at `begin`.  A
-script stops at its first error and exits nonzero, reporting the failing
-line.  The global ``--epoch`` flag pins creation timestamps so scripted
-builds produce byte-identical logs.
+unchanged; `begin`/`commit`/`abort` group several mutating commands,
+alias edits included, into one store transaction.  Its alias edits are
+written only when it commits, after its objects: a block that does not
+commit, its failed `commit` included, writes no alias state.  A script
+stops at its first error and exits nonzero, reporting the failing line.
+The global ``--epoch`` flag pins creation timestamps so scripted builds
+produce byte-identical logs.
 """
 
 from __future__ import annotations
@@ -53,24 +54,12 @@ class Session:
     def __init__(self, store: Store):
         self.store = store
         self.txn = None
-        self.region = ""  # the alias region's text when the block began
 
     def end_block(self) -> bool:
-        """End the ``begin`` block, if any; return whether there was one.
-
-        Unless its transaction committed, its alias edits are undone: the
-        region gets back its text at ``begin`` and an open transaction is
-        aborted.  The block holds the writer lock until then, a failed
-        commit included (see ``_cmd_commit``), so no other save landed.
-        """
+        """End the ``begin`` block, if any, aborting it if open; return whether there was one."""
         txn, self.txn = self.txn, None
-        if txn is not None and txn.state != "committed":
-            try:
-                if self.store.read_alias_region() != self.region:
-                    self.store.write_alias_region(self.region)
-            finally:
-                if txn.state == "open":
-                    txn.abort()
+        if txn is not None and txn.state == "open":
+            txn.abort()
         return txn is not None
 
 
@@ -179,17 +168,17 @@ def _cmd_lookup(session: Session, args: list[str]) -> str:
 def _cmd_new_alias(session: Session, args: list[str]) -> str:
     name, root_class = _expect(args, 2, "new-alias <name> <root-class>")
     tree = alias_mod.new_alias_tree(name, root_class)
-    with session.store.alias_lock():
+    with _scope(session) as txn:
         try:
-            alias_mod.load_alias_tree(session.store, name)
+            alias_mod.load_alias_tree(txn, name)
         except NoSuchAliasError:
-            alias_mod.save_alias_tree(session.store, tree)
+            alias_mod.save_alias_tree(txn, tree)
             return f"created alias {name}\n"
     raise DuplicateNameError(f"alias tree {name!r} already exists")
 
 
 def _with_alias(session: Session, name: str, edit) -> str:
-    alias_mod.edit_alias_tree(session.store, name, edit)
+    alias_mod.edit_alias_tree(session.txn or session.store, name, edit)
     return ""
 
 
@@ -213,13 +202,14 @@ def _cmd_alias_rm(session: Session, args: list[str]) -> str:
 
 def _cmd_alias_show(session: Session, args: list[str]) -> str:
     (name,) = _expect(args, 1, "alias-show <alias>")
-    return alias_mod.serialize_alias_tree(alias_mod.load_alias_tree(session.store, name))
+    tree = alias_mod.load_alias_tree(session.txn or session.store, name)
+    return alias_mod.serialize_alias_tree(tree)
 
 
 def _cmd_diff(session: Session, args: list[str]) -> str:
     if len(args) not in (1, 2):
         raise ParseError("usage: diff <alias> [<runtype>]")
-    tree = alias_mod.load_alias_tree(session.store, args[0])
+    tree = alias_mod.load_alias_tree(session.txn or session.store, args[0])
     baseline = None
     if len(args) == 2:
         baseline = resolve_run_type(session.store, args[1])
@@ -231,8 +221,8 @@ def _cmd_commit_alias(session: Session, args: list[str]) -> str:
     bind = _take_flag(args, "--bind")
     (name,) = _expect(args, 1, "commit-alias <alias> [--bind <rt>[,rt...]]")
     run_types = [validate_name(rt, "run type") for rt in bind.split(",")] if bind else []
-    tree = alias_mod.load_alias_tree(session.store, name)
     with _scope(session) as txn:
+        tree = alias_mod.load_alias_tree(txn, name)
         before = len(txn.pending)
         root = commitproc.commit_alias_tree_in(session.store, txn, tree, run_types)
         created = len(txn.pending) - before
@@ -290,11 +280,7 @@ def _cmd_serve(session: Session, args: list[str]) -> str:
 
 def _cmd_begin(session: Session, args: list[str]) -> str:
     _expect(args, 0, "begin")
-    if session.txn is not None:
-        raise ParseError("a transaction block is already open")
-    with session.store.alias_lock():
-        session.region = session.store.read_alias_region()
-        session.txn = session.store.begin()
+    session.txn = session.store.begin()
     return ""
 
 
@@ -302,13 +288,10 @@ def _cmd_commit(session: Session, args: list[str]) -> str:
     _expect(args, 0, "commit")
     if session.txn is None:
         raise ParseError("no open transaction block")
-    # A failed commit releases its writer lock; the alias lock, held
-    # around it, keeps every other writer out until the region is back.
-    with session.store.alias_lock():
-        try:
-            session.txn.commit()
-        finally:
-            session.end_block()
+    try:
+        session.txn.commit()
+    finally:
+        session.end_block()
     return ""
 
 

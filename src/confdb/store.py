@@ -14,8 +14,9 @@ On disk a store is one directory:
   reads, sizes and truncates the log only through the descriptor it
   opened, so a file put in the log's place later is never mixed into
   what it reads.
-* ``aliases.dat`` -- the one mutable side region (alias trees), rewritten
-  atomically via write-temp-then-rename, never touching the log.
+* ``aliases.dat`` -- the one mutable side region (alias trees), staged
+  by a write transaction and rewritten atomically (write-temp-then-rename)
+  only by its commit, after its log records, never touching the log.
 * ``LOCK`` -- flock target guarding single-writer access, including
   across processes.
 
@@ -360,16 +361,18 @@ def _scan_chunks(fd: int, start: int, size: int, tables: DecodeTables, *, decode
 
 
 class WriteTransaction:
-    """A batch of pending creations, invisible until :meth:`commit`.
+    """A batch of pending creations and alias region text, invisible until :meth:`commit`.
 
     Confined to the thread that called ``Store.begin()``; the store-wide
     writer lock is held for the transaction's whole lifetime.  It reads
-    like a ``Store`` (``get_object``, ``has_object``, ``highest_key``)
-    that also sees its own staged creations.
+    like a ``Store`` (``get_object``, ``has_object``, ``highest_key``,
+    ``read_alias_region``) that also sees what it has staged.
     """
 
     def __init__(self, store: "Store"):
         self._store = store
+        self._thread = threading.get_ident()
+        self._region: str | None = None  # the staged alias region text
         self.state = "open"
         self.pending: list[StoredObject] = []
         self._by_identity: dict[ObjectIdentity, StoredObject] = {}
@@ -449,20 +452,32 @@ class WriteTransaction:
         self._local_highs[pair] = identity.config_key
         return identity
 
+    def read_alias_region(self) -> str:
+        """The alias region text this transaction staged, else the committed text."""
+        return self._store.read_alias_region() if self._region is None else self._region
+
+    def write_alias_region(self, text: str):
+        """Stage the whole alias region; only the commit writes it."""
+        self._require_open()
+        self._region = text
+
     def commit(self):
-        """Make all pending creations durable and visible atomically."""
+        """Make pending creations durable and visible atomically, then write the staged region.
+
+        If the region write fails, the creations stay committed and it raises.
+        """
         self._require_open()
         try:
             self._store._commit_transaction(self)
-            self.state = "committed"
         finally:
             if self.state == "open":
                 self.state = "aborted"
             self._store._finish_transaction(self)
 
     def abort(self):
-        """Discard pending creations; their keys are never consumed."""
+        """Discard pending creations and the staged region; keys are never consumed."""
         self._require_open()
+        self._region = None
         self.state = "aborted"
         self._store._finish_transaction(self)
 
@@ -476,9 +491,8 @@ class Store:
         self._log_path = os.path.join(self.directory, LOG_NAME)
         self._alias_path = os.path.join(self.directory, ALIAS_NAME)
         self._clock = clock
-        self._writer_lock = threading.RLock()
+        self._writer_lock = threading.Lock()
         self._apply_lock = threading.Lock()
-        self._flock_depth = 0
         self._active_txn: WriteTransaction | None = None
         # (class, secondary) -> one slot per config key: slot k-1 holds key
         # k's decoded StoredObject, or its framed slot (see _frame_record)
@@ -499,33 +513,26 @@ class Store:
                 os.path.join(self.directory, LOCK_NAME), os.O_CREAT | os.O_RDWR, 0o644
             )
             self._log_fd = os.open(self._log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
-            with self._exclusive():
+            self._acquire_exclusive()
+            try:
                 self._recover(truncate=True)
+            finally:
+                self._release_exclusive()
         except BaseException:
             self.close()
             raise
 
     # -- locking ------------------------------------------------------
 
+    # One thread of one process holds the writer lock, never re-entered:
+    # the thread lock inside this process, one flock of LOCK across them.
     def _acquire_exclusive(self):
         self._writer_lock.acquire()
-        if self._flock_depth == 0:
-            fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
-        self._flock_depth += 1
+        fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
 
     def _release_exclusive(self):
-        self._flock_depth -= 1
-        if self._flock_depth == 0:
-            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+        fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
         self._writer_lock.release()
-
-    @contextmanager
-    def _exclusive(self):
-        self._acquire_exclusive()
-        try:
-            yield
-        finally:
-            self._release_exclusive()
 
     # -- recovery and catch-up ----------------------------------------
 
@@ -597,11 +604,11 @@ class Store:
     # -- transactions --------------------------------------------------
 
     def begin(self) -> WriteTransaction:
-        """Open the store-wide single write transaction (blocks on peers)."""
-        self._acquire_exclusive()
-        if self._active_txn is not None:
-            self._release_exclusive()
+        """Open the store-wide single write transaction (blocks on other threads and handles)."""
+        active = self._active_txn
+        if active is not None and active._thread == threading.get_ident():
             raise TransactionClosedError("a transaction is already open on this handle")
+        self._acquire_exclusive()
         try:
             self._recover(truncate=True)
         except BaseException:
@@ -625,8 +632,13 @@ class Store:
                 txn.commit()
 
     def _commit_transaction(self, txn: WriteTransaction):
-        if not txn.pending:
-            return  # nothing staged: leave the log byte-identical
+        if txn.pending:  # else leave the log byte-identical
+            self._append_records(txn)
+        txn.state = "committed"
+        if txn._region is not None:
+            self.write_alias_region(txn._region)
+
+    def _append_records(self, txn: WriteTransaction):
         chunks = [_encode_record(REC_OBJECT, _object_body(obj)) for obj in txn.pending]
         chunks.append(_encode_record(REC_COMMIT, str(len(txn.pending)).encode("ascii")))
         data = b"".join(chunks)
@@ -652,8 +664,7 @@ class Store:
             self._apply_transactions(batch, pre_commit_len + len(data))
 
     def _finish_transaction(self, txn: WriteTransaction):
-        if self._active_txn is txn:
-            self._active_txn = None
+        self._active_txn = None
         self._release_exclusive()
 
     # -- reads ----------------------------------------------------------
@@ -775,12 +786,6 @@ class Store:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
-
-    @contextmanager
-    def alias_lock(self):
-        """Serialize alias read-modify-write through the writer lock."""
-        with self._exclusive():
-            yield
 
     # -- lifecycle --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Alias tree editing, serialization, and the mutable side region."""
 
+import errno
 import os
 import random
 import threading
@@ -26,8 +27,9 @@ from confdb.errors import (
     NoSuchNodeError,
     NotAMapAliasError,
     ParseError,
+    TransactionClosedError,
 )
-from confdb.model import ObjectIdentity, format_identity
+from confdb.model import ObjectIdentity, Payload, format_identity
 from confdb.store import open_store
 from helpers import make_leaf, random_edit
 
@@ -306,7 +308,7 @@ def test_load_takes_no_lock(store):
     released_in_time = []
 
     def hold_lock():
-        with store.alias_lock():
+        with store.transaction():
             held.set()
             released_in_time.append(release.wait(timeout=5))
 
@@ -320,6 +322,75 @@ def test_load_takes_no_lock(store):
         holder.join(timeout=10)
     assert not holder.is_alive()
     assert released_in_time == [True]
+
+
+def test_a_failed_region_write_leaves_the_objects_committed(store, tmp_path, monkeypatch):
+    region = tmp_path / "db" / "aliases.dat"
+    save_alias_tree(store, new_alias_tree("golden", "TopMap"))
+    before = region.read_bytes()
+    txn = store.begin()
+    leaf = txn.create_object("A", None, Payload.leaf({"v": 1}))
+    edit_alias_tree(txn, "golden", lambda tree: tree.set_object_alias("/", "a", leaf))
+
+    def fail(text):
+        raise OSError(errno.EIO, "injected region write failure")
+
+    monkeypatch.setattr(store, "write_alias_region", fail)
+    with pytest.raises(OSError, match="injected"):
+        txn.commit()
+    monkeypatch.undo()
+    assert txn.state == "committed"
+    assert store.get_object(leaf).payload.fields == {"v": 1}
+    assert region.read_bytes() == before
+    # The writer lock is free: a second handle opens, sees the object, and can begin.
+    seen = []
+
+    def begin_elsewhere():
+        with open_store(tmp_path / "db") as other:
+            seen.append(other.has_object(leaf))
+            other.begin().abort()
+
+    thread = threading.Thread(target=begin_elsewhere)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and seen == [True]
+
+
+def test_a_save_on_the_store_inside_its_open_transaction_is_refused(store):
+    save_alias_tree(store, new_alias_tree("golden", "TopMap"))
+    region = store.read_alias_region()
+    raised = []
+
+    def save_inside():
+        with store.transaction():
+            with pytest.raises(TransactionClosedError, match="already open"):
+                save_alias_tree(store, new_alias_tree("golden", "Other"))
+            raised.append(True)
+
+    # A re-entered writer lock would hang; the timeout turns that into a failure.
+    thread = threading.Thread(target=save_inside, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and raised == [True]
+    assert store.read_alias_region() == region
+
+
+def test_a_begin_from_another_thread_on_the_same_handle_waits(store):
+    txn = store.begin()
+    begun = threading.Event()
+
+    def begin_elsewhere():
+        store.begin().abort()
+        begun.set()
+
+    thread = threading.Thread(target=begin_elsewhere)
+    thread.start()
+    try:
+        assert not begun.wait(timeout=0.2)
+    finally:
+        txn.abort()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and begun.is_set()
 
 
 def test_region_parse_errors():

@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from confdb.alias import load_alias_tree
 from confdb.cli import Session, execute_command, main
 from confdb.model import ObjectIdentity
 from confdb.store import open_store
 from helpers import child_env
 
 DATA = Path(__file__).parent / "data"
+HV1 = ObjectIdentity("DchHV", "sector3", 1)
+HV2 = ObjectIdentity("DchHV", "sector3", 2)
 
 
 def run_cli(*args, expect=0, capsys=None):
@@ -189,7 +192,8 @@ def test_a_block_whose_commit_fails_leaves_the_alias_region(workdir, monkeypatch
         region = (workdir / "s" / "aliases.dat").read_bytes()
         for line in ("begin", "new-object A --from fee.cfg", "alias-set golden / a A[1]"):
             execute_command(session, line)
-        assert (workdir / "s" / "aliases.dat").read_bytes() != region
+        # The block's alias edit is staged, not written.
+        assert (workdir / "s" / "aliases.dat").read_bytes() == region
         real, calls = os.fsync, []
 
         def fail_first_log_fsync(fd):
@@ -217,7 +221,8 @@ def test_a_block_whose_commit_fails_leaves_the_alias_region(workdir, monkeypatch
         with pytest.raises(OSError, match="injected"):
             execute_command(session, "commit")
         monkeypatch.undo()
-        assert calls and locked == [True]
+        # The failed commit never reaches the region write.
+        assert calls and locked == []
         # No saved alias pins the object the failed commit never made.
         assert (workdir / "s" / "aliases.dat").read_bytes() == region
         assert not store.has_object(ObjectIdentity("A", None, 1))
@@ -236,6 +241,97 @@ def test_a_block_whose_commit_fails_leaves_the_alias_region(workdir, monkeypatch
     finally:
         session.end_block()
         store.close()
+
+
+# Runs a block's first commands on the store named by argv[1], in the
+# current directory, then dies without ending the block or closing anything.
+KILLED_BLOCK_CHILD = """
+import os, sys
+from confdb.cli import Session, execute_command
+from confdb.store import open_store
+
+session = Session(open_store(sys.argv[1], clock=lambda: 0))
+for line in sys.argv[2:]:
+    execute_command(session, line)
+os._exit(9)
+"""
+
+
+def test_a_killed_block_leaves_the_alias_region(workdir, capsys):
+    (workdir / "figure1.cmds").write_text((DATA / "figure1.cmds").read_text())
+    run_cli("--store", "s", "--epoch", "0", "script", "figure1.cmds", capsys=capsys)
+    region = (workdir / "s" / "aliases.dat").read_bytes()
+    block = ["begin", "new-object DchHV:sector3 --from hv.cfg",
+             "alias-set golden dch hv DchHV:sector3[2]"]
+    child = subprocess.run([sys.executable, "-c", KILLED_BLOCK_CHILD, "s", *block],
+                           cwd=workdir, env=child_env(), capture_output=True, timeout=60)
+    assert child.returncode == 9, child.stderr.decode()
+    assert (workdir / "s" / "aliases.dat").read_bytes() == region
+    # A later, unrelated object takes the key the killed block never committed.
+    out, _ = run_cli("--store", "s", "--epoch", "0",
+                     "new-object", "DchHV:sector3", "--from", "fee.cfg", capsys=capsys)
+    assert out == "created DchHV:sector3[2]\n"
+    out, _ = run_cli("--store", "s", "alias-show", "golden", capsys=capsys)
+    assert "DchHV:sector3[2]" not in out
+    out, _ = run_cli("--store", "s", "--epoch", "0",
+                     "commit-alias", "golden", "--bind", "PHYSICS", capsys=capsys)
+    assert out == "fixed point: 0 objects created\n"
+    out, _ = run_cli("--store", "s", "resolve", "PHYSICS", capsys=capsys)
+    out, _ = run_cli("--store", "s", "lookup", out.strip(), "dch/hv", capsys=capsys)
+    assert out.startswith("DchHV:sector3[1]\n")
+
+
+def _figure1_session(workdir, capsys):
+    """A session on the figure-1 store, with the region's path and bytes."""
+    (workdir / "figure1.cmds").write_text((DATA / "figure1.cmds").read_text())
+    run_cli("--store", "s", "--epoch", "0", "script", "figure1.cmds", capsys=capsys)
+    region = workdir / "s" / "aliases.dat"
+    return Session(open_store(workdir / "s", clock=lambda: 0)), region, region.read_bytes()
+
+
+def test_an_aborted_block_writes_no_alias_region(workdir, capsys):
+    session, region, before = _figure1_session(workdir, capsys)
+    stat = region.stat()
+    try:
+        for line in ("begin", "alias-map golden / x", "alias-rm golden emc", "abort"):
+            execute_command(session, line)
+    finally:
+        session.end_block()
+        session.store.close()
+    assert region.read_bytes() == before
+    assert (region.stat().st_ino, region.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+
+def test_other_handles_see_block_alias_edits_only_after_commit(workdir, capsys):
+    session, region, before = _figure1_session(workdir, capsys)
+    other = open_store(workdir / "s")
+    try:
+        for line in ("begin", "new-object DchHV:sector3 --from hv.cfg",
+                     "alias-set golden dch hv DchHV:sector3[2]"):
+            execute_command(session, line)
+        assert load_alias_tree(other, "golden").node_at("dch/hv").target == HV1
+        assert region.read_bytes() == before
+        # The block itself sees its own edit.
+        assert "obj hv = DchHV:sector3[2]" in execute_command(session, "alias-show golden")
+        execute_command(session, "commit")
+        assert load_alias_tree(other, "golden").node_at("dch/hv").target == HV2
+    finally:
+        session.end_block()
+        session.store.close()
+        other.close()
+
+
+def test_a_region_only_commit_leaves_the_log_byte_identical(workdir, capsys):
+    session, region, before = _figure1_session(workdir, capsys)
+    log = (workdir / "s" / "objects.log").read_bytes()
+    try:
+        for line in ("begin", "alias-map golden / x", "commit"):
+            execute_command(session, line)
+    finally:
+        session.end_block()
+        session.store.close()
+    assert region.read_bytes() == before + b"map x\n"
+    assert (workdir / "s" / "objects.log").read_bytes() == log
 
 
 def test_new_alias_refuses_an_existing_name(workdir, capsys):
