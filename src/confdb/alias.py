@@ -38,7 +38,6 @@ serialization reuses, and carries the commit mark described in
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -280,13 +279,6 @@ def _shared(tree: AliasTree) -> AliasTree:
     return view
 
 
-def _scope(source: Store | WriteTransaction):
-    """The open transaction ``source`` is, or a new one on the store it is."""
-    if isinstance(source, Store):
-        return source.transaction()
-    return nullcontext(source)
-
-
 def _read_region(source: Store | WriteTransaction) -> tuple[str, dict]:
     """The region's text as ``source`` sees it, and its trees, parsed once per text.
 
@@ -311,7 +303,7 @@ def save_alias_tree(source: Store | WriteTransaction, tree: AliasTree):
     owning them: its next edit copies the path it changes.  A save that
     would stage the text just read stages nothing.
     """
-    with _scope(source) as txn:
+    with source.transaction() as txn:
         read, trees = _read_region(txn)
         trees = dict(trees)
         trees[tree.alias_name] = _shared(tree)
@@ -339,11 +331,13 @@ def load_alias_tree(source: Store | WriteTransaction, alias_name: str) -> AliasT
 def edit_alias_tree(source: Store | WriteTransaction, alias_name: str, edit):
     """Load, ``edit(tree)`` and save one alias tree in one transaction.
 
+    An open transaction ``source`` is joined; a store opens one of its own.
+
     Concurrent operators should edit through this: a separate load and
     save lets another handle's save land in between and be overwritten.
     Nothing is saved if ``edit`` raises.
     """
-    with _scope(source) as txn:
+    with source.transaction() as txn:
         tree = load_alias_tree(txn, alias_name)
         edit(tree)
         save_alias_tree(txn, tree)

@@ -27,7 +27,6 @@ produce byte-identical logs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import shlex
 import signal
 import sys
@@ -44,7 +43,7 @@ from .model import (
     parse_identity,
     validate_name,
 )
-from .store import Store, check_store, open_store
+from .store import Store, WriteTransaction, check_store, open_store
 from .tree import activate, active_trees, lookup_path, resolve_run_type, walk_tree
 
 
@@ -55,19 +54,17 @@ class Session:
         self.store = store
         self.txn = None
 
+    @property
+    def view(self) -> Store | WriteTransaction:
+        """The block's transaction, else the store: what writes and alias commands go through."""
+        return self.txn or self.store
+
     def end_block(self) -> bool:
         """End the ``begin`` block, if any, aborting it if open; return whether there was one."""
         txn, self.txn = self.txn, None
         if txn is not None and txn.state == "open":
             txn.abort()
         return txn is not None
-
-
-def _scope(session: Session):
-    """Run a mutator in the block transaction or a fresh one."""
-    if session.txn is not None:
-        return contextlib.nullcontext(session.txn)
-    return session.store.transaction()
 
 
 def _parse_class_spec(text: str) -> tuple[str, str | None]:
@@ -135,7 +132,7 @@ def _cmd_new_object(session: Session, args: list[str]) -> str:
         payload = decode_payload(f.read())
     if payload.kind != KIND_LEAF:
         raise ParseError(f"new-object takes a leaf payload, got kind={payload.kind}")
-    with _scope(session) as txn:
+    with session.view.transaction() as txn:
         identity = txn.create_object(class_name, secondary, payload)
     return f"created {format_identity(identity)}\n"
 
@@ -168,7 +165,7 @@ def _cmd_lookup(session: Session, args: list[str]) -> str:
 def _cmd_new_alias(session: Session, args: list[str]) -> str:
     name, root_class = _expect(args, 2, "new-alias <name> <root-class>")
     tree = alias_mod.new_alias_tree(name, root_class)
-    with _scope(session) as txn:
+    with session.view.transaction() as txn:
         try:
             alias_mod.load_alias_tree(txn, name)
         except NoSuchAliasError:
@@ -178,7 +175,7 @@ def _cmd_new_alias(session: Session, args: list[str]) -> str:
 
 
 def _with_alias(session: Session, name: str, edit) -> str:
-    alias_mod.edit_alias_tree(session.txn or session.store, name, edit)
+    alias_mod.edit_alias_tree(session.view, name, edit)
     return ""
 
 
@@ -202,18 +199,17 @@ def _cmd_alias_rm(session: Session, args: list[str]) -> str:
 
 def _cmd_alias_show(session: Session, args: list[str]) -> str:
     (name,) = _expect(args, 1, "alias-show <alias>")
-    tree = alias_mod.load_alias_tree(session.txn or session.store, name)
+    tree = alias_mod.load_alias_tree(session.view, name)
     return alias_mod.serialize_alias_tree(tree)
 
 
 def _cmd_diff(session: Session, args: list[str]) -> str:
     if len(args) not in (1, 2):
         raise ParseError("usage: diff <alias> [<runtype>]")
-    tree = alias_mod.load_alias_tree(session.txn or session.store, args[0])
-    baseline = None
-    if len(args) == 2:
-        baseline = resolve_run_type(session.store, args[1])
-    changes = commitproc.diff_alias_vs_numeric(session.store, tree, baseline)
+    view = session.view
+    tree = alias_mod.load_alias_tree(view, args[0])
+    baseline = resolve_run_type(view, args[1]) if len(args) == 2 else None
+    changes = commitproc.diff_alias_vs_numeric(view, tree, baseline)
     return changes.to_text()
 
 
@@ -221,10 +217,10 @@ def _cmd_commit_alias(session: Session, args: list[str]) -> str:
     bind = _take_flag(args, "--bind")
     (name,) = _expect(args, 1, "commit-alias <alias> [--bind <rt>[,rt...]]")
     run_types = [validate_name(rt, "run type") for rt in bind.split(",")] if bind else []
-    with _scope(session) as txn:
+    with session.view.transaction() as txn:
         tree = alias_mod.load_alias_tree(txn, name)
         before = len(txn.pending)
-        root = commitproc.commit_alias_tree_in(session.store, txn, tree, run_types)
+        root = commitproc.commit_alias_tree(txn, tree, run_types)
         created = len(txn.pending) - before
     if created == 0:
         return "fixed point: 0 objects created\n"
@@ -234,7 +230,7 @@ def _cmd_commit_alias(session: Session, args: list[str]) -> str:
 def _cmd_activate(session: Session, args: list[str]) -> str:
     (spec,) = _expect(args, 1, "activate <rt>=<identity>[,...]")
     bindings = _parse_bindings(spec)
-    with _scope(session) as txn:
+    with session.view.transaction() as txn:
         identity = activate(session.store, txn, bindings)
     return f"activated {format_identity(identity)}\n"
 

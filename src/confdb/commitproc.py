@@ -42,9 +42,9 @@ store's published objects only when their transaction commits, so a
 mark from an aborted or failed commit, or from another handle, never
 matches, even once its keys name other objects.  Nothing is left
 unchecked by a match either: every pin inside equals its numeric link,
-so no lookup would have run there.  Commits through
-``commit_alias_tree_in``, the CLI's path, leave marks too.  An edit
-clears the marks along its path (see ``alias``).
+so no lookup would have run there.  A commit that joins an open
+transaction, the CLI's path, leaves marks too.  An edit clears the
+marks along its path (see ``alias``).
 ``diff_alias_vs_numeric`` ignores marks, so its rows stay complete.
 """
 
@@ -171,16 +171,16 @@ def _analyze(
 
 
 def diff_alias_vs_numeric(
-    store: Store, tree: AliasTree, numeric_root: ObjectIdentity | None = None
+    view: Store | WriteTransaction, tree: AliasTree, numeric_root: ObjectIdentity | None = None
 ) -> ChangeSet:
     """Preview what a commit would rebuild; read-only and advisory.
 
     With ``numeric_root`` absent everything is reported as added (the
-    bootstrap case).  The commit itself recomputes the comparison under
-    the write lock.
+    bootstrap case); an open transaction's staged objects count.  The
+    commit itself recomputes the comparison under the write lock.
     """
     rows: list = []
-    _analyze(store, tree.root, numeric_root, (), rows)
+    _analyze(view, tree.root, numeric_root, (), rows)
     return ChangeSet(tuple(
         ChangeEntry("/".join(segments), status, is_map, old, None if is_map else new)
         for segments, status, is_map, old, new in rows
@@ -220,33 +220,24 @@ def _materialize(
     return identity
 
 
-def commit_alias_tree(store: Store, tree: AliasTree, bind_run_types=()) -> ObjectIdentity:
+def commit_alias_tree(source: Store | WriteTransaction, tree: AliasTree, bind_run_types=()):
     """Diff, minimally rebuild, and re-activate -- in one transaction.
 
-    The baseline numeric tree is whatever the first requested run type
-    is currently bound to (nothing bound means bootstrap).  Returns the
-    new or reused root identity; a true fixed point creates no records
-    at all.  On any error nothing is committed.
+    An open transaction ``source`` is joined, a store opens its own.  The
+    baseline numeric tree is whatever the first requested run type is
+    currently bound to (nothing bound means bootstrap).  Returns the new
+    or reused root identity; a true fixed point creates no records at
+    all.  On any error nothing is committed.
     """
-    with store.transaction() as txn:
-        return commit_alias_tree_in(store, txn, tree, bind_run_types)
-
-
-def commit_alias_tree_in(
-    store: Store, txn: WriteTransaction, tree: AliasTree, bind_run_types=()
-) -> ObjectIdentity:
-    """The commit procedure staged into an already-open transaction."""
     bind_run_types = list(bind_run_types)
-    current = active_trees(txn)
-    baseline = current.get(bind_run_types[0]) if bind_run_types else None
-    rows: list = []
-    _analyze(txn, tree.root, baseline, (), rows, True)
-    maps = {row[0]: row for row in rows if row[2]}
-    root_id = _materialize(txn, tree.root, maps, tree.root_class, ())
-    if bind_run_types:
-        rebound = dict(current)
-        for run_type in bind_run_types:
-            rebound[run_type] = root_id
+    with source.transaction() as txn:
+        current = active_trees(txn)
+        baseline = current.get(bind_run_types[0]) if bind_run_types else None
+        rows: list = []
+        _analyze(txn, tree.root, baseline, (), rows, True)
+        maps = {row[0]: row for row in rows if row[2]}
+        root_id = _materialize(txn, tree.root, maps, tree.root_class, ())
+        rebound = {**current, **dict.fromkeys(bind_run_types, root_id)}
         if rebound != current:
-            activate(store, txn, rebound)
+            activate(txn._store, txn, rebound)
     return root_id

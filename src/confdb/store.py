@@ -8,12 +8,12 @@ On disk a store is one directory:
   identity text, a creation-timestamp line, then the canonical payload;
   a transaction is closed by a commit record whose body is its object
   record count, at least 1.  Torn tails (a crash mid-append) are
-  detected by the framing plus CRC and truncated away on the next open,
-  with a warning on the ``confdb.store`` logger; a bad record that is
-  *not* the tail means real damage and refuses to open.  A handle
-  reads, sizes and truncates the log only through the descriptor it
-  opened, so a file put in the log's place later is never mixed into
-  what it reads.
+  detected by the framing plus CRC and truncated away on the next open
+  or ``begin()``, under the writer lock, with a warning on the
+  ``confdb.store`` logger; a bad record that is *not* the tail means
+  real damage and refuses to open.  A handle reads, sizes and truncates
+  the log only through the descriptor it opened, so a file put in the
+  log's place later is never mixed into what it reads.
 * ``aliases.dat`` -- the one mutable side region (alias trees), staged
   by a write transaction and rewritten atomically (write-temp-then-rename)
   only by its commit, after its log records, never touching the log.
@@ -50,14 +50,16 @@ reader that serves leaves never keeps one decoded.
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
 writer lock is held from ``begin()`` and aborted transactions never
-consume keys.  Readers take no lock, but for the first read of a record
-a scan only framed.  Committed state is published in place, in a fixed
-order: a batch is first checked whole, every key continuing its pair's
-sequence (so a corrupt log leaves nothing half-applied), then each
-record is appended to its pair's list in log order, then the applied
-log length is raised.  A writer creates an object only after everything
-it links, so anything a reader reaches through a list's length, such as
-the active run-type map and every tree it binds, is already present.
+consume keys.  Readers never take the writer lock, and the open takes
+it only to cut a tail; a first read of a record a scan only framed
+takes the handle's apply lock.  Committed state is published in place,
+in a fixed order: a batch is first checked whole, every key continuing
+its pair's sequence (so a corrupt log leaves nothing half-applied), then
+each record is appended to its pair's list in log order, then the
+applied log length is raised.  A writer creates an object only after
+everything it links, so anything a reader reaches through a list's
+length, such as the active run-type map and every tree it binds, is
+already present.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import os
 import threading
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from .errors import (
@@ -452,6 +454,11 @@ class WriteTransaction:
         self._local_highs[pair] = identity.config_key
         return identity
 
+    def transaction(self):
+        """Join this transaction: the ``with`` block's end neither commits nor aborts it."""
+        self._require_open()
+        return nullcontext(self)
+
     def read_alias_region(self) -> str:
         """The alias region text this transaction staged, else the committed text."""
         return self._store.read_alias_region() if self._region is None else self._region
@@ -472,14 +479,14 @@ class WriteTransaction:
         finally:
             if self.state == "open":
                 self.state = "aborted"
-            self._store._finish_transaction(self)
+            self._store._release_exclusive()
 
     def abort(self):
         """Discard pending creations and the staged region; keys are never consumed."""
         self._require_open()
         self._region = None
         self.state = "aborted"
-        self._store._finish_transaction(self)
+        self._store._release_exclusive()
 
 
 class Store:
@@ -513,11 +520,15 @@ class Store:
                 os.path.join(self.directory, LOCK_NAME), os.O_CREAT | os.O_RDWR, 0o644
             )
             self._log_fd = os.open(self._log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
-            self._acquire_exclusive()
+            # Unlocked; a tail, or a scan broken by a writer cutting one, takes
+            # begin()'s recovery, which cuts and logs it or refuses damage.
             try:
-                self._recover(truncate=True)
-            finally:
-                self._release_exclusive()
+                self._recover(truncate=False)
+                torn = self._applied_len < self.log_size()
+            except CorruptLogError:
+                torn = True
+            if torn:
+                self.begin().abort()
         except BaseException:
             self.close()
             raise
@@ -528,19 +539,31 @@ class Store:
     # the thread lock inside this process, one flock of LOCK across them.
     def _acquire_exclusive(self):
         self._writer_lock.acquire()
-        fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+        try:
+            self._log()  # a closed handle has no LOCK descriptor either
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+        except BaseException:
+            self._writer_lock.release()
+            raise
 
     def _release_exclusive(self):
-        fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
-        self._writer_lock.release()
+        self._active_txn = None
+        try:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+        finally:
+            self._writer_lock.release()
 
     # -- recovery and catch-up ----------------------------------------
 
-    def _read_log(self, offset: int, end: int) -> bytes:
-        """The log bytes in ``[offset, end)``, read through this handle's descriptor."""
+    def _log(self) -> int:
+        """This handle's log descriptor; ``ConfdbError`` once the handle is closed."""
         if self._log_fd is None:
             raise ConfdbError(f"store is closed: {self.directory}")
-        return _read_exact(self._log_fd, offset, end)
+        return self._log_fd
+
+    def _read_log(self, offset: int, end: int) -> bytes:
+        """The log bytes in ``[offset, end)``, read through this handle's descriptor."""
+        return _read_exact(self._log(), offset, end)
 
     def _truncate_log(self, length: int):
         os.ftruncate(self._log_fd, length)
@@ -598,7 +621,7 @@ class Store:
 
     def refresh(self):
         """Pick up transactions committed by other store handles."""
-        if os.fstat(self._log_fd).st_size > self._applied_len:
+        if os.fstat(self._log()).st_size > self._applied_len:
             self._recover(truncate=False)
 
     # -- transactions --------------------------------------------------
@@ -614,12 +637,12 @@ class Store:
         except BaseException:
             self._release_exclusive()
             raise
-        txn = WriteTransaction(self)
-        self._active_txn = txn
+        txn = self._active_txn = WriteTransaction(self)
         return txn
 
     @contextmanager
     def transaction(self):
+        """Open a transaction that commits when the ``with`` block ends, or aborts if it raises."""
         txn = self.begin()
         try:
             yield txn
@@ -627,9 +650,8 @@ class Store:
             if txn.state == "open":
                 txn.abort()
             raise
-        else:
-            if txn.state == "open":
-                txn.commit()
+        if txn.state == "open":
+            txn.commit()
 
     def _commit_transaction(self, txn: WriteTransaction):
         if txn.pending:  # else leave the log byte-identical
@@ -662,10 +684,6 @@ class Store:
                 batch.append((pair, identity.config_key, obj, at))
                 at += len(record)
             self._apply_transactions(batch, pre_commit_len + len(data))
-
-    def _finish_transaction(self, txn: WriteTransaction):
-        self._active_txn = None
-        self._release_exclusive()
 
     # -- reads ----------------------------------------------------------
 
@@ -763,7 +781,7 @@ class Store:
         return sum(map(len, list(self._index.values())))
 
     def log_size(self) -> int:
-        return os.fstat(self._log_fd).st_size
+        return os.fstat(self._log()).st_size
 
     # -- alias side region ----------------------------------------------
 

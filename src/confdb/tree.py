@@ -147,9 +147,9 @@ def active_trees(view: Store | WriteTransaction) -> dict:
     return active.payload.bindings
 
 
-def resolve_run_type(store: Store, run_type: str) -> ObjectIdentity:
-    """Map a run type to its active tree root via the highest-key run-type map."""
-    active = _active_runtype_map(store)
+def resolve_run_type(view: Store | WriteTransaction, run_type: str) -> ObjectIdentity:
+    """Map a run type to its root via the highest-key run-type map ``view`` holds."""
+    active = _active_runtype_map(view)
     if active is None:
         raise NoActiveMapError("no run-type map has been activated")
     try:

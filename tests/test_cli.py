@@ -365,6 +365,28 @@ def test_commit_alias_inside_block(workdir, capsys):
     assert "TopMap[2]" in out
 
 
+# (command, its output): diff inside a block reads the block, so it sees
+# the pin of an object the block created and the activation it staged.
+BLOCK_DIFF = [
+    ("begin", ""),
+    ("new-object X --from fee.cfg", "created X[1]\n"),
+    ("new-alias golden Top", "created alias golden\n"),
+    ("alias-set golden / x X[1]", ""),
+    ("diff golden", "added\t/\t-\t-\nadded\tx\t-\tX[1]\n"),
+    ("commit-alias golden --bind PHYSICS", "committed root Top[1]: 2 objects created\n"),
+    ("diff golden PHYSICS", "unchanged\t/\tTop[1]\t-\nunchanged\tx\tX[1]\tX[1]\n"),
+    ("commit", ""),
+]
+
+
+@pytest.mark.parametrize("skip", [None, 4], ids=["pin-and-activation", "activation"])
+def test_diff_inside_a_block_sees_the_block(workdir, capsys, skip):
+    steps = [step for i, step in enumerate(BLOCK_DIFF) if i != skip]
+    (workdir / "block.cmds").write_text("".join(f"{line}\n" for line, _ in steps))
+    out, _ = run_cli("--store", "s", "--epoch", "0", "script", "block.cmds", capsys=capsys)
+    assert out == "".join(output for _, output in steps)
+
+
 def test_activate_and_runtypes(workdir, capsys):
     script = (DATA / "figure1.cmds").read_text()
     (workdir / "figure1.cmds").write_text(script)

@@ -9,13 +9,15 @@ import time
 
 import pytest
 
-from confdb.alias import new_alias_tree, serialize_alias_region, serialize_alias_tree
-from confdb.commitproc import (
-    ChangeSet,
-    commit_alias_tree,
-    commit_alias_tree_in,
-    diff_alias_vs_numeric,
+from confdb.alias import (
+    edit_alias_tree,
+    load_alias_tree,
+    new_alias_tree,
+    save_alias_tree,
+    serialize_alias_region,
+    serialize_alias_tree,
 )
+from confdb.commitproc import ChangeSet, commit_alias_tree, diff_alias_vs_numeric
 from confdb.errors import DanglingAliasTargetError
 from confdb.model import ObjectIdentity, Payload
 from confdb.store import open_store
@@ -384,7 +386,7 @@ def test_diff_and_commit_agree_on_random_edit_scripts(tmp_path):
                 staged = txn.create_object("Staged", None, Payload.leaf({"n": trial}))
                 pending = list(txn.pending)
                 with pytest.raises(DanglingAliasTargetError):
-                    commit_alias_tree_in(trial_store, txn, tree, ["PHYSICS"])
+                    commit_alias_tree(txn, tree, ["PHYSICS"])
                 assert txn.pending == pending and txn.has_object(staged)
                 txn.abort()
 
@@ -414,7 +416,7 @@ def test_readers_walk_only_committed_trees_while_commits_land(store):
             for crate, leaf in paths:
                 target = txn.create_object("Leaf", f"{crate}.{leaf}", Payload.leaf({"r": round_no}))
                 tree.set_object_alias(crate, leaf, target)
-            root = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+            root = commit_alias_tree(txn, tree, ["PHYSICS"])
         manifests[root] = walk_tree(store, root).entries
 
     manifests = {}
@@ -526,7 +528,7 @@ def test_a_tree_committed_in_one_store_is_rebuilt_in_another(tmp_path):
 
 def _abort(store, tree, monkeypatch):
     txn = store.begin()
-    staged = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+    staged = commit_alias_tree(txn, tree, ["PHYSICS"])
     txn.abort()
     return staged
 
@@ -617,7 +619,7 @@ def test_a_commit_inside_an_open_transaction_leaves_marks(store, monkeypatch):
         tree.add_map_alias("/", crate)
         tree.set_object_alias(crate, "v", make_leaf(store, "Leaf", None, v=1))
     with store.transaction() as txn:
-        root = commit_alias_tree_in(store, txn, tree, ["PHYSICS"])
+        root = commit_alias_tree(txn, tree, ["PHYSICS"])
 
     visited = []
     analyze = commitproc._analyze
@@ -629,3 +631,70 @@ def test_a_commit_inside_an_open_transaction_leaves_marks(store, monkeypatch):
     monkeypatch.setattr(commitproc, "_analyze", counting)
     assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
     assert visited == [""]
+
+
+# (edit applied to the saved tree, run types its commit binds), one per generation.
+GENERATIONS = [
+    (lambda tree, leaves: None, ["PHYSICS"]),
+    (lambda tree, leaves: tree.set_object_alias("dch", "hv", leaves["hv2"]), ["PHYSICS"]),
+    (
+        lambda tree, leaves: tree.add_map_alias("emc", "crate 2").set_object_alias(
+            "emc/crate 2", "fee", leaves["fee2"]
+        ),
+        ["PHYSICS", "COSMICS"],
+    ),
+    (lambda tree, leaves: tree.set_object_alias("dch", "fee", leaves["emc"]), ["COSMICS"]),
+    (lambda tree, leaves: None, ["COSMICS"]),  # a fixed point
+]
+
+
+def _store_files(path) -> tuple:
+    """The bytes of ``objects.log`` and ``aliases.dat``; None for a file not yet written."""
+    files = [path / "objects.log", path / "aliases.dat"]
+    return tuple(f.read_bytes() if f.exists() else None for f in files)
+
+
+def _run_generations(path, way: str):
+    """Save, edit and commit figure 1 over ``GENERATIONS``; the roots and the store's files.
+
+    ``way`` gives each call the store ("store"), or each generation's calls
+    one open transaction that then commits ("joined"); "rehearsed" first runs
+    each generation in a transaction that aborts, and checks that no call in
+    it writes anything.
+    """
+    roots = []
+    with open_store(path, clock=lambda: 0) as store:
+        tree, leaves = build_figure1(store)
+        leaves["hv2"] = make_leaf(store, "DchHV", "sector3", hv=1900.0)
+        leaves["fee2"] = make_leaf(store, "EmcFee", "crate 2", gain=2)
+
+        def generation(source, edit, bind):
+            save_alias_tree(source, tree)
+            edit_alias_tree(source, "golden", lambda tree: edit(tree, leaves))
+            edited = load_alias_tree(source, "golden")
+            return edited, commit_alias_tree(source, edited, bind)
+
+        for edit, bind in GENERATIONS:
+            if way == "store":
+                tree, root = generation(store, edit, bind)
+                roots.append(root)
+                continue
+            if way == "rehearsed":
+                before = _store_files(path)
+                txn = store.begin()
+                generation(txn, edit, bind)
+                assert _store_files(path) == before
+                txn.abort()
+                assert _store_files(path) == before
+            txn = store.begin()
+            tree, root = generation(txn, edit, bind)
+            roots.append(root)
+            txn.commit()
+    return roots, _store_files(path)
+
+
+def test_a_store_and_a_joined_transaction_write_the_same_bytes(tmp_path):
+    expected = _run_generations(tmp_path / "store", "store")
+    assert len(set(expected[0])) == 4  # the fixed point reuses its root
+    for way in ("joined", "rehearsed"):
+        assert _run_generations(tmp_path / way, way) == expected, way

@@ -185,9 +185,14 @@ def test_begin_twice_on_one_handle_is_refused(store):
     identity = txn.create_object("A", None, Payload.leaf({"v": 1}))
     txn.commit()
     assert store.get_object(identity).payload.fields == {"v": 1}
-    # Each begin released what it took: another handle can open the store.
+    # Each begin released what it took: another handle can begin.
     opened = []
-    other = threading.Thread(target=lambda: opened.append(open_store(store.directory)))
+
+    def open_and_begin():
+        opened.append(open_store(store.directory))
+        opened[0].begin().abort()
+
+    other = threading.Thread(target=open_and_begin, daemon=True)
     other.start()
     other.join(timeout=10)
     assert not other.is_alive() and len(opened) == 1
@@ -273,6 +278,91 @@ def test_two_writers_serialize(store):
     t2.join(timeout=10)
     assert order == ["one-begin", "one-commit", "two-begin"]
     assert store.list_versions("A") == [1, 2]
+
+
+def test_an_open_does_not_wait_for_another_handles_transaction(tmp_path):
+    path = tmp_path / "db"
+    writer = open_store(path, clock=lambda: 0)
+    make_leaf(writer, "A", None, v=1)
+    txn = writer.begin()
+    opened = []
+    # A daemon thread, so an open that waits fails the test instead of hanging it.
+    reader = threading.Thread(target=lambda: opened.append(open_store(path)), daemon=True)
+    try:
+        reader.start()
+        reader.join(timeout=5)
+        assert len(opened) == 1, "the open waited for the other handle's transaction"
+        assert opened[0].list_versions("A") == [1]
+    finally:
+        txn.abort()
+        reader.join(timeout=10)
+        for s in opened:
+            s.close()
+        writer.close()
+
+
+@pytest.mark.parametrize("tail, locks", [(0, 0), (3, 1)], ids=["clean", "torn"])
+def test_an_open_takes_the_writer_lock_only_to_cut_a_tail(tmp_path, monkeypatch, tail, locks):
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "A", None, v=1)
+        committed = s.log_size()
+        make_leaf(s, "A", None, v=2)
+    log = path / "objects.log"
+    full = len(log.read_bytes())
+    log.write_bytes(log.read_bytes()[: full - tail])
+    taken = []
+    acquire = store_module.Store._acquire_exclusive
+    monkeypatch.setattr(
+        store_module.Store, "_acquire_exclusive", lambda self: taken.append(1) or acquire(self)
+    )
+    with open_store(path) as s:
+        assert s.list_versions("A") == ([1] if tail else [1, 2])
+        assert s.log_size() == (committed if tail else full)
+    assert len(taken) == locks
+
+
+def test_an_open_whose_scan_a_cut_breaks_recovers_under_the_lock(tmp_path, monkeypatch):
+    # A writer cutting a torn tail while the open scans it without the
+    # lock makes the scan read past the log's end; the open then recovers
+    # again under the lock, and a real fault still refuses there.
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 0) as s:
+        make_leaf(s, "A", None, v=1)
+    recover, calls = store_module.Store._recover, []
+
+    def cut_under_the_scan(self, truncate):
+        calls.append(truncate)
+        if not truncate:
+            raise CorruptLogError("log shrank outside recovery")
+        return recover(self, truncate)
+
+    monkeypatch.setattr(store_module.Store, "_recover", cut_under_the_scan)
+    with open_store(path) as s:
+        assert s.list_versions("A") == [1]
+    assert calls == [False, True]
+
+
+def test_a_closed_handle_refuses_and_leaves_its_lock_free(tmp_path):
+    s = open_store(tmp_path / "db")
+    s.close()
+    for call in (s.begin, s.refresh, s.log_size):
+        with pytest.raises(ConfdbError, match="store is closed"):
+            call()
+        assert not s._writer_lock.locked()
+
+
+def test_an_interrupted_flock_leaves_the_lock_free(store, monkeypatch):
+    def interrupted(fd, operation):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(store_module.fcntl, "flock", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        store.begin()
+    monkeypatch.undo()
+    assert not store._writer_lock.locked()
+    make_leaf(store, "A", None, v=1)
+    assert store.list_versions("A") == [1]
 
 
 def test_reads_are_repeatable_and_digest_checked(tmp_path):
