@@ -57,7 +57,7 @@ from .model import (
     parse_path,
     validate_name,
 )
-from .store import Store, WriteTransaction
+from .store import View
 
 
 @dataclass
@@ -279,30 +279,32 @@ def _shared(tree: AliasTree) -> AliasTree:
     return view
 
 
-def _read_region(source: Store | WriteTransaction) -> tuple[str, dict]:
-    """The region's text as ``source`` sees it, and its trees, parsed once per text.
+# The last region text read or saved, and its trees: one tuple, replaced
+# whole and never mutated, so a reader without the lock never sees a text
+# paired with another text's trees.  The trees depend on the text alone,
+# so one parse serves every store handle and transaction.
+_parsed: tuple[str, dict] = ("", {})
 
-    The store's ``_alias_parsed`` holds the last text read and its parse as
-    one tuple, replaced whole and never mutated, so a reader without the
-    lock never sees a text paired with another text's trees.  Callers must
-    not mutate the returned trees.
-    """
-    store = source if isinstance(source, Store) else source._store
-    text = source.read_alias_region()
-    cached_text, trees = store._alias_parsed
+
+def _read_region(view: View) -> tuple[str, dict]:
+    """The region's text as ``view`` sees it, and its trees; callers must not mutate them."""
+    global _parsed
+    text = view.read_alias_region()
+    cached_text, trees = _parsed
     if text != cached_text:
         trees = parse_alias_region(text)
-        store._alias_parsed = (text, trees)
+        _parsed = (text, trees)
     return text, trees
 
 
-def save_alias_tree(source: Store | WriteTransaction, tree: AliasTree):
+def save_alias_tree(source: View, tree: AliasTree):
     """Stage the tree's latest state, written at commit; last save wins.
 
     The region keeps the tree's nodes, not a copy, so the tree stops
     owning them: its next edit copies the path it changes.  A save that
     would stage the text just read stages nothing.
     """
+    global _parsed
     with source.transaction() as txn:
         read, trees = _read_region(txn)
         trees = dict(trees)
@@ -311,10 +313,10 @@ def save_alias_tree(source: Store | WriteTransaction, tree: AliasTree):
         text = serialize_alias_region(trees)
         if text != read:
             txn.write_alias_region(text)
-        txn._store._alias_parsed = (text, trees)
+        _parsed = (text, trees)
 
 
-def load_alias_tree(source: Store | WriteTransaction, alias_name: str) -> AliasTree:
+def load_alias_tree(source: View, alias_name: str) -> AliasTree:
     """Return the latest saved state of one alias tree.
 
     The tree shares the region's nodes; its edits copy the paths they
@@ -328,7 +330,7 @@ def load_alias_tree(source: Store | WriteTransaction, alias_name: str) -> AliasT
     return _shared(trees[alias_name])
 
 
-def edit_alias_tree(source: Store | WriteTransaction, alias_name: str, edit):
+def edit_alias_tree(source: View, alias_name: str, edit):
     """Load, ``edit(tree)`` and save one alias tree in one transaction.
 
     An open transaction ``source`` is joined; a store opens one of its own.

@@ -16,10 +16,12 @@ the store, so it neither locks nor repairs anything.
 
 Each command either fully succeeds or leaves the store and alias state
 unchanged; `begin`/`commit`/`abort` group several mutating commands,
-alias edits included, into one store transaction.  Its alias edits are
-written only when it commits, after its objects: a block that does not
-commit, its failed `commit` included, writes no alias state.  A script
-stops at its first error and exits nonzero, reporting the failing line.
+alias edits included, into one store transaction.  Every read inside
+the block reads the block: its staged objects, activations and alias
+edits over the store's.  Its alias edits are written only when it
+commits, after its objects: a block that does not commit, its failed
+`commit` included, writes no alias state.  A script stops at its first
+error and exits nonzero, reporting the failing line.
 The global ``--epoch`` flag pins creation timestamps so scripted builds
 produce byte-identical logs.
 """
@@ -43,7 +45,7 @@ from .model import (
     parse_identity,
     validate_name,
 )
-from .store import Store, WriteTransaction, check_store, open_store
+from .store import Store, View, check_store, open_store
 from .tree import activate, active_trees, lookup_path, resolve_run_type, walk_tree
 
 
@@ -55,8 +57,8 @@ class Session:
         self.txn = None
 
     @property
-    def view(self) -> Store | WriteTransaction:
-        """The block's transaction, else the store: what writes and alias commands go through."""
+    def view(self) -> View:
+        """The block's transaction, else the store: what every read and write goes through."""
         return self.txn or self.store
 
     def end_block(self) -> bool:
@@ -139,26 +141,26 @@ def _cmd_new_object(session: Session, args: list[str]) -> str:
 
 def _cmd_show(session: Session, args: list[str]) -> str:
     (identity_text,) = _expect(args, 1, "show <identity>")
-    obj = session.store.get_object(parse_identity(identity_text))
+    obj = session.view.get_object(parse_identity(identity_text))
     return _show_object(obj)
 
 
 def _cmd_versions(session: Session, args: list[str]) -> str:
     (spec,) = _expect(args, 1, "versions <class[:sec]>")
     class_name, secondary = _parse_class_spec(spec)
-    keys = session.store.list_versions(class_name, secondary)
+    keys = session.view.list_versions(class_name, secondary)
     return "".join(f"{key}\n" for key in keys)
 
 
 def _cmd_manifest(session: Session, args: list[str]) -> str:
     (identity_text,) = _expect(args, 1, "manifest <identity>")
-    manifest = walk_tree(session.store, parse_identity(identity_text))
+    manifest = walk_tree(session.view, parse_identity(identity_text))
     return manifest.to_text()
 
 
 def _cmd_lookup(session: Session, args: list[str]) -> str:
     identity_text, path = _expect(args, 2, "lookup <identity> <path>")
-    obj = lookup_path(session.store, parse_identity(identity_text), path)
+    obj = lookup_path(session.view, parse_identity(identity_text), path)
     return _show_object(obj)
 
 
@@ -231,13 +233,13 @@ def _cmd_activate(session: Session, args: list[str]) -> str:
     (spec,) = _expect(args, 1, "activate <rt>=<identity>[,...]")
     bindings = _parse_bindings(spec)
     with session.view.transaction() as txn:
-        identity = activate(session.store, txn, bindings)
+        identity = activate(txn, txn, bindings)
     return f"activated {format_identity(identity)}\n"
 
 
 def _cmd_runtypes(session: Session, args: list[str]) -> str:
     _expect(args, 0, "runtypes")
-    bindings = active_trees(session.store)
+    bindings = active_trees(session.view)
     return "".join(
         f"{run_type}\t{format_identity(target)}\n" for run_type, target in bindings.items()
     )
@@ -245,7 +247,7 @@ def _cmd_runtypes(session: Session, args: list[str]) -> str:
 
 def _cmd_resolve(session: Session, args: list[str]) -> str:
     (run_type,) = _expect(args, 1, "resolve <rt>")
-    return f"{format_identity(resolve_run_type(session.store, run_type))}\n"
+    return f"{format_identity(resolve_run_type(session.view, run_type))}\n"
 
 
 def _cmd_serve(session: Session, args: list[str]) -> str:

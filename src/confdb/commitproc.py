@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from .alias import AliasTree, MapAlias, ObjectAlias
 from .errors import DanglingAliasTargetError, NotAMapError
 from .model import KIND_MAP, ObjectIdentity, Payload, display_path, format_identity
-from .store import Store, WriteTransaction
+from .store import View, WriteTransaction
 from .tree import activate, active_trees
 
 STATUS_UNCHANGED = "unchanged"
@@ -101,7 +101,7 @@ class ChangeSet:
 
 
 def _analyze(
-    view: Store | WriteTransaction,
+    view: View,
     node: MapAlias,
     numeric: ObjectIdentity | None,
     segments: tuple,
@@ -171,7 +171,7 @@ def _analyze(
 
 
 def diff_alias_vs_numeric(
-    view: Store | WriteTransaction, tree: AliasTree, numeric_root: ObjectIdentity | None = None
+    view: View, tree: AliasTree, numeric_root: ObjectIdentity | None = None
 ) -> ChangeSet:
     """Preview what a commit would rebuild; read-only and advisory.
 
@@ -220,7 +220,7 @@ def _materialize(
     return identity
 
 
-def commit_alias_tree(source: Store | WriteTransaction, tree: AliasTree, bind_run_types=()):
+def commit_alias_tree(source: View, tree: AliasTree, bind_run_types=()):
     """Diff, minimally rebuild, and re-activate -- in one transaction.
 
     An open transaction ``source`` is joined, a store opens its own.  The
@@ -239,5 +239,5 @@ def commit_alias_tree(source: Store | WriteTransaction, tree: AliasTree, bind_ru
         root_id = _materialize(txn, tree.root, maps, tree.root_class, ())
         rebound = {**current, **dict.fromkeys(bind_run_types, root_id)}
         if rebound != current:
-            activate(txn._store, txn, rebound)
+            activate(txn, txn, rebound)
     return root_id

@@ -366,9 +366,9 @@ class WriteTransaction:
     """A batch of pending creations and alias region text, invisible until :meth:`commit`.
 
     Confined to the thread that called ``Store.begin()``; the store-wide
-    writer lock is held for the transaction's whole lifetime.  It reads
-    like a ``Store`` (``get_object``, ``has_object``, ``highest_key``,
-    ``read_alias_region``) that also sees what it has staged.
+    writer lock is held for the transaction's whole lifetime.  It answers
+    every read a ``Store`` answers, its staged objects and region laid
+    over the store's: a staged object's answer, else the store's own.
     """
 
     def __init__(self, store: "Store"):
@@ -387,19 +387,30 @@ class WriteTransaction:
     def get_object(self, identity: ObjectIdentity) -> StoredObject:
         """The staged object if there is one, else the committed one."""
         staged = self._by_identity.get(identity)
-        if staged is not None:
-            return staged
-        return self._store.get_object(identity)
+        return self._store.get_object(identity) if staged is None else staged
+
+    def is_map(self, identity: ObjectIdentity) -> bool:
+        staged = self._by_identity.get(identity)
+        return self._store.is_map(identity) if staged is None else staged.kind == KIND_MAP
+
+    def payload_bytes(self, identity: ObjectIdentity) -> bytes:
+        """A staged object's payload as its commit writes it, else the committed bytes."""
+        staged = self._by_identity.get(identity)
+        if staged is None:
+            return self._store.payload_bytes(identity)
+        return encode_payload(staged.payload)
 
     def has_object(self, identity: ObjectIdentity) -> bool:
         return identity in self._by_identity or self._store.has_object(identity)
 
     def highest_key(self, class_name: str, secondary_key: str | None = None) -> int:
         """Highest config key for a pair, counting staged creations."""
-        return max(
-            self._store.highest_key(class_name, secondary_key),
-            self._local_highs.get((class_name, secondary_key), 0),
-        )
+        staged = self._local_highs.get((class_name, secondary_key), 0)
+        return max(self._store.highest_key(class_name, secondary_key), staged)
+
+    def list_versions(self, class_name: str, secondary_key: str | None = None) -> list[int]:
+        """Dense ascending config keys for one pair; `[]` if unknown."""
+        return list(range(1, self.highest_key(class_name, secondary_key) + 1))
 
     def create_object(
         self, class_name: str, secondary_key: str | None, payload: Payload
@@ -411,7 +422,8 @@ class WriteTransaction:
             validate_name(secondary_key, "secondary key")
         if not isinstance(payload, Payload):
             raise InvalidPayloadError(f"not a payload: {payload!r}")
-        if payload.kind == KIND_RUNTYPES:
+        binds = payload.kind == KIND_RUNTYPES
+        if binds:
             if class_name != RUNTYPES_CLASS or secondary_key is not None:
                 raise InvalidPayloadError(
                     f"run-type payloads live under {RUNTYPES_CLASS!r} with no secondary key"
@@ -419,25 +431,14 @@ class WriteTransaction:
         elif class_name.startswith("@"):
             raise InvalidPayloadError(f"class names starting with '@' are reserved: {class_name!r}")
 
-        if payload.kind == KIND_MAP:
-            for name, target in payload.entries:
-                if not self.has_object(target):
-                    raise DanglingLinkError(
-                        f"link {name!r} targets missing object {format_identity(target)}",
-                        detail=format_identity(target),
-                    )
-        elif payload.kind == KIND_RUNTYPES:
-            for run_type, target in payload.entries:
-                if not self.has_object(target):
-                    raise DanglingLinkError(
-                        f"run type {run_type!r} binds missing object {format_identity(target)}",
-                        detail=format_identity(target),
-                    )
-                if self.get_object(target).kind != KIND_MAP:
-                    raise NotAMapError(
-                        f"run type {run_type!r} must bind a map, got {format_identity(target)}",
-                        detail=format_identity(target),
-                    )
+        for name, target in () if payload.kind == KIND_LEAF else payload.entries:
+            if not self.has_object(target):
+                link = f"run type {name!r} binds" if binds else f"link {name!r} targets"
+                text = format_identity(target)
+                raise DanglingLinkError(f"{link} missing object {text}", detail=text)
+            if binds and not self.is_map(target):
+                text = format_identity(target)
+                raise NotAMapError(f"run type {name!r} must bind a map, got {text}", detail=text)
 
         # Checked now, so shared through the name table like decoded names.
         names = self._store._tables.names
@@ -510,8 +511,6 @@ class Store:
         # goes through these tables, so decoded objects share their names,
         # identities, links and stamps.
         self._tables = DecodeTables()
-        # Owned by alias.py: the last alias region text read and its parse.
-        self._alias_parsed = ("", {})
         self._applied_len = 0
         self._lock_fd = None
         self._log_fd = None
@@ -549,7 +548,8 @@ class Store:
     def _release_exclusive(self):
         self._active_txn = None
         try:
-            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+            if self._lock_fd is not None:  # closing LOCK's descriptor dropped its flock
+                fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
         finally:
             self._writer_lock.release()
 
@@ -654,6 +654,7 @@ class Store:
             txn.commit()
 
     def _commit_transaction(self, txn: WriteTransaction):
+        self._log()  # a closed handle commits nothing
         if txn.pending:  # else leave the log byte-identical
             self._append_records(txn)
         txn.state = "committed"
@@ -773,9 +774,7 @@ class Store:
         """Highest committed config key for a pair; 0 if unknown."""
         return len(self._index.get((class_name, secondary_key), ()))
 
-    def list_versions(self, class_name: str, secondary_key: str | None = None) -> list[int]:
-        """Dense ascending config keys for one pair; `[]` if unknown."""
-        return list(range(1, self.highest_key(class_name, secondary_key) + 1))
+    list_versions = WriteTransaction.list_versions  # read through this handle's highest_key
 
     def object_count(self) -> int:
         return sum(map(len, list(self._index.values())))
@@ -820,6 +819,10 @@ class Store:
 
     def __exit__(self, *exc):
         self.close()
+
+
+# The one read view: every reader takes a store or a transaction over one.
+View = Store | WriteTransaction
 
 
 def open_store(directory: str, *, clock=time.time) -> Store:

@@ -29,7 +29,7 @@ from .model import (
     parse_path,
     path_text,
 )
-from .store import RUNTYPES_CLASS, Store, StoredObject, WriteTransaction
+from .store import RUNTYPES_CLASS, StoredObject, View, WriteTransaction
 
 # Legitimate trees are a few levels deep; the cap only guards against
 # walking a store corrupted outside this library (the create-time
@@ -37,7 +37,7 @@ from .store import RUNTYPES_CLASS, Store, StoredObject, WriteTransaction
 MAX_TREE_DEPTH = 64
 
 
-def resolve_path(store: Store, root: ObjectIdentity, path) -> ObjectIdentity:
+def resolve_path(store: View, root: ObjectIdentity, path) -> ObjectIdentity:
     """The identity that named links from ``root`` lead to; the empty path is ``root``.
 
     The maps along the path are read; the object at its end is not.
@@ -65,7 +65,7 @@ def resolve_path(store: Store, root: ObjectIdentity, path) -> ObjectIdentity:
     return target
 
 
-def lookup_path(store: Store, root: ObjectIdentity, path) -> StoredObject:
+def lookup_path(store: View, root: ObjectIdentity, path) -> StoredObject:
     """Follow named links from ``root``; the empty path is the root itself."""
     return store.get_object(resolve_path(store, root, path))
 
@@ -89,7 +89,7 @@ class TreeManifest:
         return "\n".join(lines) + "\n"
 
 
-def _visit(store: Store, identity: ObjectIdentity, segments: tuple, depth: int, entries: list):
+def _visit(store: View, identity: ObjectIdentity, segments: tuple, depth: int, entries: list):
     if depth > MAX_TREE_DEPTH:
         raise DepthExceededError(
             f"tree deeper than {MAX_TREE_DEPTH} at {display_path(segments)!r}"
@@ -101,7 +101,7 @@ def _visit(store: Store, identity: ObjectIdentity, segments: tuple, depth: int, 
             _visit(store, target, segments + (name,), depth + 1, entries)
 
 
-def walk_tree(store: Store, root: ObjectIdentity) -> TreeManifest:
+def walk_tree(store: View, root: ObjectIdentity) -> TreeManifest:
     """Expand the whole tree under ``root`` into a manifest.
 
     Only maps are read: whether an object is a map is known without
@@ -119,24 +119,25 @@ def walk_tree(store: Store, root: ObjectIdentity) -> TreeManifest:
     return TreeManifest(root, tuple(entries))
 
 
-def activate(store: Store, txn: WriteTransaction, bindings: dict) -> ObjectIdentity:
+def activate(store: View, txn: WriteTransaction, bindings: dict) -> ObjectIdentity:
     """Write a new run-type map version carrying the complete binding set.
 
     The new version's key supersedes all prior ones; target maps must
-    already exist (checked at creation, along with their kind).
+    already exist (checked at creation, along with their kind).  Only
+    ``txn`` is read, so ``store`` may be any view, ``txn`` itself included.
     """
     payload = Payload.runtypes(bindings)
     return txn.create_object(RUNTYPES_CLASS, None, payload)
 
 
-def _active_runtype_map(view: Store | WriteTransaction) -> StoredObject | None:
+def _active_runtype_map(view: View) -> StoredObject | None:
     high = view.highest_key(RUNTYPES_CLASS)
     if high == 0:
         return None
     return view.get_object(ObjectIdentity(RUNTYPES_CLASS, None, high))
 
 
-def active_trees(view: Store | WriteTransaction) -> dict:
+def active_trees(view: View) -> dict:
     """Bindings of the highest-key run-type map; empty when none exists.
 
     Given an open transaction, run-type maps it has staged count too.
@@ -147,7 +148,7 @@ def active_trees(view: Store | WriteTransaction) -> dict:
     return active.payload.bindings
 
 
-def resolve_run_type(view: Store | WriteTransaction, run_type: str) -> ObjectIdentity:
+def resolve_run_type(view: View, run_type: str) -> ObjectIdentity:
     """Map a run type to its root via the highest-key run-type map ``view`` holds."""
     active = _active_runtype_map(view)
     if active is None:

@@ -387,6 +387,29 @@ def test_diff_inside_a_block_sees_the_block(workdir, capsys, skip):
     assert out == "".join(output for _, output in steps)
 
 
+# The block that BLOCK_DIFF commits, then (read, its output): every read
+# inside a block reads the block, before and after its commit alike.
+BLOCK_SETUP = [line for line, _ in BLOCK_DIFF[:4]] + ["commit-alias golden --bind PHYSICS"]
+BLOCK_READS = [
+    ("resolve PHYSICS", "Top[1]\n"),
+    ("runtypes", "PHYSICS\tTop[1]\n"),
+    ("show Top[1]", "Top[1]\nkind=map\nx=X[1]\n"),
+    ("versions X", "1\n"),
+    ("manifest Top[1]", "/\tTop[1]\nx\tX[1]\n"),
+    ("lookup Top[1] x", "X[1]\nkind=leaf\ngain=i:4\n"),
+    ("diff golden PHYSICS", BLOCK_DIFF[6][1]),
+]
+
+
+@pytest.mark.parametrize("read,output", BLOCK_READS, ids=[r.split()[0] for r, _ in BLOCK_READS])
+def test_every_read_inside_a_block_reads_the_block(workdir, capsys, read, output):
+    lines = BLOCK_SETUP + [read, "commit", read]
+    (workdir / "block.cmds").write_text("".join(f"{line}\n" for line in lines))
+    out, _ = run_cli("--store", "s", "--epoch", "0", "script", "block.cmds", capsys=capsys)
+    head = "created X[1]\ncreated alias golden\ncommitted root Top[1]: 2 objects created\n"
+    assert out == head + output + output
+
+
 def test_activate_and_runtypes(workdir, capsys):
     script = (DATA / "figure1.cmds").read_text()
     (workdir / "figure1.cmds").write_text(script)

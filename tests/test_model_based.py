@@ -8,10 +8,18 @@ commit.  After every step the real store is compared with a plain
 in-memory model of what it must hold: dense keys per pair, the RESOLVE
 frame of every run type, the manifest under every root ever bound, and
 an untouched log after a commit that changes nothing.
+
+A second state machine runs the operator tool's commands inside one
+``begin`` block and, one command at a time, on a twin store that
+commits each command on its own.  After every step each read command
+answers the same in the block as on the twin; once the block commits a
+fresh handle reads what the twin reads, and after an abort every read
+answers what it did before the block.
 """
 
 import copy
 import os
+import shlex
 import shutil
 import tempfile
 
@@ -21,9 +29,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from confdb.alias import ObjectAlias, load_alias_tree, new_alias_tree, save_alias_tree
+from confdb.cli import COMMANDS, Session, execute_command
 from confdb.commitproc import commit_alias_tree
-from confdb.errors import DuplicateNameError, NameIsMapAliasError
-from confdb.model import ObjectIdentity, Payload, format_identity
+from confdb.errors import ConfdbError, DuplicateNameError, NameIsMapAliasError
+from confdb.model import ObjectIdentity, Payload, format_identity, parse_identity
 from confdb.service import handle_request
 from confdb.store import open_store
 from confdb.tree import activate, walk_tree
@@ -317,3 +326,143 @@ StoreMachine.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_store_matches_model = StoreMachine.TestCase
+
+
+BLOCK_LEAF_CLASSES = ["A", "B:s1"]
+BLOCK_PAYLOADS = [b"kind=leaf\nv=i:1\n", b"kind=leaf\nv=i:2\n"]
+
+
+def _read(session: Session, line: str) -> str:
+    """What a read command prints, or its error; a failed read leaves the block open."""
+    verb, *args = shlex.split(line)
+    try:
+        return COMMANDS[verb](session, args)
+    except ConfdbError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class BlockReadsMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="confdb-block-")
+        self.files = []
+        for i, data in enumerate(BLOCK_PAYLOADS):
+            self.files.append(os.path.join(self.directory, f"p{i}.cfg"))
+            with open(self.files[-1], "wb") as f:
+                f.write(data)
+        self.block = self._open("block")
+        self.twin = self._open("twin")
+        self._run("new-alias golden Top")
+        # The model: what the reads name.  ``saved`` holds it and the
+        # reads from before the open block.
+        self.leaves, self.roots, self.work = [], [], {}
+        self.saved = None
+
+    def _open(self, name) -> Session:
+        return Session(open_store(os.path.join(self.directory, name), clock=lambda: 0))
+
+    def teardown(self):
+        self.block.end_block()
+        for session in (self.block, self.twin):
+            session.store.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _run(self, line) -> str:
+        """Run one command in the block, or alone if none is open, and alone on the twin."""
+        out = execute_command(self.block, line)
+        assert execute_command(self.twin, line) == out
+        return out
+
+    def _reads(self, session) -> dict:
+        lines = ["runtypes", "alias-show golden", "diff golden"]
+        lines += [f"{verb} {rt}" for verb in ("resolve", "diff golden") for rt in RUN_TYPES]
+        lines += [f"versions {spec}" for spec in BLOCK_LEAF_CLASSES + ["Top"]]
+        lines += [f"show {format_identity(i)}" for i in self.leaves + self.roots]
+        for root in map(format_identity, self.roots):
+            lines.append(f"manifest {root}")
+            lines += [f"lookup {root} {name}" for name in NAMES]
+        return {line: _read(session, line) for line in lines}
+
+    # -- rules ---------------------------------------------------------------
+
+    @precondition(lambda self: self.block.txn is None)
+    @rule()
+    def begin(self):
+        shutil.copytree(self.twin.store.directory, os.path.join(self.directory, "saved"))
+        model = copy.deepcopy((self.leaves, self.roots, self.work))
+        self.saved = (model, self._reads(self.block))
+        execute_command(self.block, "begin")
+
+    @rule(spec=st.sampled_from(BLOCK_LEAF_CLASSES), index=st.sampled_from([0, 1]))
+    def new_object(self, spec, index):
+        out = self._run(f"new-object {spec} --from {self.files[index]}")
+        self.leaves.append(parse_identity(out.split()[1]))
+
+    @rule(data=st.data())
+    def alias_edit(self, data):
+        parent = data.draw(st.sampled_from(list(_map_paths(self.work))))
+        name = data.draw(st.sampled_from(NAMES))
+        node = _node_at(self.work, parent)
+        if name in node:
+            self._run(f"alias-rm golden {_path(parent + (name,))}")
+            del node[name]
+        elif self.leaves and data.draw(st.booleans()):
+            target = data.draw(st.sampled_from(self.leaves))
+            self._run(f"alias-set golden {_path(parent)} {name} {format_identity(target)}")
+            node[name] = target
+        else:
+            self._run(f"alias-map golden {_path(parent)} {name}")
+            node[name] = {}
+
+    @rule(binds=st.sampled_from(BINDS))
+    def commit_alias(self, binds):
+        self._run(f"commit-alias golden --bind {','.join(binds)}")
+        root = parse_identity(_read(self.twin, f"resolve {binds[0]}").strip())
+        if root not in self.roots:
+            self.roots.append(root)
+
+    @precondition(lambda self: self.roots)
+    @rule(data=st.data())
+    def activate(self, data):
+        bindings = data.draw(st.dictionaries(
+            st.sampled_from(RUN_TYPES), st.sampled_from(self.roots), min_size=1, max_size=2))
+        self._run("activate " + ",".join(
+            f"{rt}={format_identity(root)}" for rt, root in bindings.items()))
+
+    @precondition(lambda self: self.block.txn is not None)
+    @rule()
+    def commit(self):
+        execute_command(self.block, "commit")
+        shutil.rmtree(os.path.join(self.directory, "saved"))
+        fresh = self._open("block")
+        try:
+            assert self._reads(fresh) == self._reads(self.twin)
+        finally:
+            fresh.store.close()
+
+    @precondition(lambda self: self.block.txn is not None)
+    @rule()
+    def abort(self):
+        execute_command(self.block, "abort")
+        (self.leaves, self.roots, self.work), before = self.saved
+        assert self._reads(self.block) == before
+        # The twin goes back to where the block began.
+        self.twin.store.close()
+        shutil.rmtree(os.path.join(self.directory, "twin"))
+        os.rename(os.path.join(self.directory, "saved"), os.path.join(self.directory, "twin"))
+        self.twin = self._open("twin")
+
+    # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def the_block_reads_what_the_twin_reads(self):
+        assert self._reads(self.block) == self._reads(self.twin)
+
+
+BlockReadsMachine.TestCase.settings = settings(
+    max_examples=40,
+    stateful_step_count=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_block_reads_match_a_twin_that_commits_each_command = BlockReadsMachine.TestCase

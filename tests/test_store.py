@@ -36,6 +36,9 @@ from helpers import (
 )
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
 @pytest.fixture
 def store(tmp_path):
     s = open_store(tmp_path / "db", clock=lambda: 0)
@@ -350,6 +353,68 @@ def test_a_closed_handle_refuses_and_leaves_its_lock_free(tmp_path):
         with pytest.raises(ConfdbError, match="store is closed"):
             call()
         assert not s._writer_lock.locked()
+
+
+def test_a_transaction_answers_every_read_a_store_answers(tmp_path):
+    s = open_store(tmp_path / "db", clock=lambda: 0)
+    committed = make_leaf(s, "A", None, v=1)
+    with s.transaction() as txn:
+        staged = txn.create_object("A", None, Payload.leaf({"v": 2}))
+        top = txn.create_object("M", None, Payload.map({"a": committed, "b": staged}))
+        reads = {
+            identity: (txn.is_map(identity), txn.payload_bytes(identity),
+                       txn.get_object(identity).payload)
+            for identity in (committed, staged, top)
+        }
+        assert (txn.list_versions("A"), s.list_versions("A")) == ([1, 2], [1])
+        assert (txn.list_versions("M"), s.list_versions("M")) == ([1], [])
+    s.close()
+    # A fresh handle answers a leaf's payload_bytes from the bytes the
+    # commit wrote, read before get_object decodes the record.
+    with open_store(tmp_path / "db") as fresh:
+        for identity, read in reads.items():
+            assert (fresh.is_map(identity), fresh.payload_bytes(identity),
+                    fresh.get_object(identity).payload) == read
+
+
+def _log_bytes(directory) -> bytes:
+    with open(os.path.join(directory, "objects.log"), "rb") as f:
+        return f.read()
+
+
+def test_a_commit_after_close_writes_nothing_and_frees_the_lock(tmp_path):
+    s = open_store(tmp_path / "db", clock=lambda: 0)
+    make_leaf(s, "A", None, v=1)
+    before = _log_bytes(s.directory)
+    txn = s.begin()
+    txn.create_object("A", None, Payload.leaf({"v": 2}))
+    txn.write_alias_region("alias a root_class T\n")
+    s.close()
+    with pytest.raises(ConfdbError, match="store is closed"):
+        txn.commit()
+    assert txn.state == "aborted" and not s._writer_lock.locked()
+    assert _log_bytes(s.directory) == before
+    assert not os.path.exists(os.path.join(s.directory, "aliases.dat"))
+    with open_store(tmp_path / "db") as fresh:
+        fresh.begin().abort()
+        assert fresh.list_versions("A") == [1]
+
+
+def test_an_abort_after_close_succeeds_and_frees_the_lock(tmp_path):
+    s = open_store(tmp_path / "db", clock=lambda: 0)
+    make_leaf(s, "A", None, v=1)
+    before = _log_bytes(s.directory)
+    # The block's own error is what propagates, not one from its abort.
+    with pytest.raises(KeyError):
+        with s.transaction() as txn:
+            txn.create_object("A", None, Payload.leaf({"v": 2}))
+            s.close()
+            raise KeyError("the block's own error")
+    assert txn.state == "aborted" and not s._writer_lock.locked()
+    assert _log_bytes(s.directory) == before
+    with open_store(tmp_path / "db") as fresh:
+        fresh.begin().abort()
+        assert fresh.list_versions("A") == [1]
 
 
 def test_an_interrupted_flock_leaves_the_lock_free(store, monkeypatch):
@@ -1198,3 +1263,33 @@ def test_a_chunked_open_still_cuts_a_torn_tail(tmp_path, monkeypatch, cut):
     with open_store(path) as s:
         assert s.log_size() == len(committed)
         assert _contents(s) == expected
+
+
+# SHA-256 of objects.log and aliases.dat as perfbench/gen.py's build_store
+# writes them, by seed.
+GEN_STORE_DIGESTS = {
+    3: ("e606c8a3bd19fad977fd0c0c20e915b75f95c86833e9a748aa6f02a49bf56ee0",
+        "801d1e1dc2ba29f26ba338f98533d03ff0c478ac7871bc070cfcb31f167fb0e8"),
+    7: ("0f7241b5e6414fb0e028756d6955ee6e76df125527d5610a00b684e0a988e6e2",
+        "d1d506911c0967c06acad948a4b3da2129a1801f4ec3dcf25ed596dca8bcc1d0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_STORE_DIGESTS))
+def test_the_benchmark_store_keeps_its_bytes(tmp_path, monkeypatch, seed):
+    """The benchmark's store, built at its pinned clock, is byte-for-byte the one it always was.
+
+    ``build_store`` at 125 rounds writes about 20k records.  These digests
+    change only with a change to the log or alias-region format, which
+    CHANGES.md records together with the new digests.
+    """
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+
+    with open_store(tmp_path / "db", clock=lambda: gen.EPOCH) as s:
+        gen.build_store(s, gen.Detector(seed), 125)
+    digests = tuple(
+        hashlib.sha256((tmp_path / "db" / name).read_bytes()).hexdigest()
+        for name in ("objects.log", "aliases.dat")
+    )
+    assert digests == GEN_STORE_DIGESTS[seed]
