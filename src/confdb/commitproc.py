@@ -37,10 +37,13 @@ became, staged or reused: its sub-tree's entries equal that object's
 entries.  A commit's comparison takes a node as unchanged, without
 visiting its sub-tree, when its mark is the very object its view holds
 under the node's name.  Object identity is what makes that safe: each
-store handle decodes its own objects, and staged objects enter a
-store's published objects only when their transaction commits, so a
-mark from an aborted or failed commit, or from another handle, never
-matches, even once its keys name other objects.  Nothing is left
+store handle decodes its own objects, and a staged map enters a store's
+published objects, as the very object staged, only when its transaction
+commits, so a mark from an aborted or failed commit, or from another
+handle, never matches, even once its keys name other objects.  (A
+committed leaf is published as its log offset, and no mark names a
+leaf, so a commit reads no leaf's object: pins are compared by
+identity and looked up with ``has_object``.)  Nothing is left
 unchecked by a match either: every pin inside equals its numeric link,
 so no lookup would have run there.  A commit that joins an open
 transaction, the CLI's path, leaves marks too.  An edit clears the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 from .alias import AliasTree, MapAlias, ObjectAlias
 from .errors import DanglingAliasTargetError, NotAMapError
-from .model import KIND_MAP, ObjectIdentity, Payload, display_path, format_identity
+from .model import ObjectIdentity, Payload, display_path, format_identity
 from .store import View, WriteTransaction
 from .tree import activate, active_trees
 
@@ -115,20 +118,19 @@ def _analyze(
     nothing and reported changed.  With ``marks``, a node marked with the
     object ``view`` holds as ``numeric`` adds only its own unchanged row.
     """
-    obj = None if numeric is None else view.get_object(numeric)
+    # A kind flip's numeric object is never read, so a commit decodes no leaf.
+    is_map = numeric is None or view.is_map(numeric)
+    obj = view.get_object(numeric) if numeric is not None and is_map else None
     if marks and obj is not None and node._mark is obj:
         rows.append((segments, STATUS_UNCHANGED, True, numeric, obj.payload.entries))
         return STATUS_UNCHANGED
     entries = ()
-    is_map = True
     if obj is not None:
-        is_map = obj.kind == KIND_MAP
-        if is_map:
-            entries = obj.payload.entries
-        elif not segments:
-            raise NotAMapError(
-                f"{format_identity(numeric)} is not a map", detail=format_identity(numeric)
-            )
+        entries = obj.payload.entries
+    elif not is_map and not segments:
+        raise NotAMapError(
+            f"{format_identity(numeric)} is not a map", detail=format_identity(numeric)
+        )
     links = dict(entries)
     at = len(rows)
     rows.append(None)  # this map's row, written once its children are compared

@@ -45,7 +45,10 @@ it is answered even while a damaged log tail would make a miss answer
 ``ERR 500``, because the kept frame is still the committed answer, byte
 for byte.  The cache holds at most ``FRAME_CACHE_BYTES`` (8 MiB) of
 string memory, ``sys.getsizeof`` of each line and frame; when the next
-frame would go over, the cache is emptied first.  So a client cycling
+frame would go over, the cache is emptied first.  Equal frames share one
+string: a GET of a leaf through the PHYSICS root and a GET of it through
+the COSMICS root keep one frame between them, while the budget still
+counts it per line.  So a client cycling
 through historical roots costs no more memory than that, and no more
 time than an uncached server.
 
@@ -108,7 +111,12 @@ class BoundedCache:
     ``entries`` is read without a lock; :meth:`put` takes one.  ``size``
     is the summed cost of every kept entry, as each caller counts it.  An
     entry that costs more than the whole ``budget`` is never kept; any
-    other entry that would go over it empties the dict first.
+    other entry that would go over it empties the dict first.  A ``str``
+    value, a server's frame, is kept once per distinct text, so request
+    lines whose frames are equal, such as GETs of one leaf through two
+    roots, share one string; ``size`` still counts it per entry.  Other
+    values are kept as given: a client's decoded answers differ per key,
+    and hashing a ``Payload`` encodes it.
     """
 
     def __init__(self, budget: int):
@@ -116,6 +124,7 @@ class BoundedCache:
         self.size = 0
         self.budget = budget
         self._lock = threading.Lock()
+        self._frames: dict[str, str] = {}  # each kept frame text to its one string
 
     def put(self, key, value, cost: int) -> None:
         if cost > self.budget:
@@ -125,7 +134,10 @@ class BoundedCache:
                 return
             if self.size + cost > self.budget:
                 self.entries.clear()
+                self._frames.clear()
                 self.size = 0
+            if type(value) is str:
+                value = self._frames.setdefault(value, value)
             self.entries[key] = value
             self.size += cost
 

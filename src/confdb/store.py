@@ -34,18 +34,26 @@ on its first read, CRC-checked again and decoded, canonical check
 included, so a record that is not canonical, or was damaged after it
 was framed, refuses at that read and every later one.  ``confdb fsck``
 decodes every record it reaches.  A handle decodes every record through
-its one set of intern tables, so its objects share their identities and
-names: every link to an object holds that object's own identity, and
-each distinct name is one string.
+its one set of intern tables, so the objects it decodes share their
+identities and names: every link it decodes to an object holds one
+identity per identity text, and each distinct name is one string.  The
+maps a handle commits link the identities their transaction was given,
+so a later first read of a leaf the handle committed itself makes a
+second, equal identity.
 
 A handle's index is one dense table: per (class name, secondary key)
-pair, a list whose slot k-1 holds key k's decoded object or, until its
-first read, its framed slot (the log offset, inverted for a map).  The
-list's length is the pair's highest key.  Every open and catch-up
-refuses a record whose key does not continue its pair's sequence, a
-repeat or a gap, naming its offset.  ``Store.payload_bytes`` answers a
-framed leaf from its own record bytes, decoded only to check them, so a
-reader that serves leaves never keeps one decoded.
+pair, a list whose slot k-1 holds key k's framed slot (the log offset,
+inverted for a map) until its first read, and its decoded object after.
+A handle's own commit publishes each leaf as its framed slot too, as an
+open or a catch-up would, so a writer keeps no leaf decoded that it has
+not read; it publishes each map and run-type map decoded, the very
+object it staged, because commit marks compare maps by ``is`` (see
+``commitproc``).  The list's length is the pair's highest key.  Every
+open and catch-up refuses a record whose key does not continue its
+pair's sequence, a repeat or a gap, naming its offset.
+``Store.payload_bytes`` answers a framed leaf from its own record bytes,
+decoded only to check them, so a reader that serves leaves never keeps
+one decoded.
 
 Objects are immutable once committed: there is no update or delete.
 Config keys are dense per (class name, secondary key) pair because the
@@ -503,9 +511,10 @@ class Store:
         self._apply_lock = threading.Lock()
         self._active_txn: WriteTransaction | None = None
         # (class, secondary) -> one slot per config key: slot k-1 holds key
-        # k's decoded StoredObject, or its framed slot (see _frame_record)
-        # until its first read reads, checks and decodes it.  A list's
-        # length is its pair's highest key.
+        # k's framed slot (see _frame_record) until its first read reads,
+        # checks and decodes it, and the decoded StoredObject after; a map
+        # this handle committed is published decoded.  A list's length is
+        # its pair's highest key.
         self._index: dict[tuple, list] = {}
         # Every record this handle reads, at open, catch-up or first read,
         # goes through these tables, so decoded objects share their names,
@@ -678,11 +687,15 @@ class Store:
                 # Leave the store in its pre-commit state before re-raising.
                 self._truncate_log(pre_commit_len)
                 raise
+            # A leaf is published as its framed slot, as an open or a
+            # catch-up frames it, and decoded only if it is read.  Maps and
+            # run-type maps stay decoded: commit marks compare maps by ``is``.
             batch, at = [], pre_commit_len
             for obj, record in zip(txn.pending, chunks):
                 identity = obj.identity
                 pair = (identity.class_name, identity.secondary_key)
-                batch.append((pair, identity.config_key, obj, at))
+                value = at if obj.kind == KIND_LEAF else obj
+                batch.append((pair, identity.config_key, value, at))
                 at += len(record)
             self._apply_transactions(batch, pre_commit_len + len(data))
 

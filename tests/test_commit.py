@@ -633,6 +633,62 @@ def test_a_commit_inside_an_open_transaction_leaves_marks(store, monkeypatch):
     assert visited == [""]
 
 
+@pytest.mark.parametrize("handle", ["writer", "reopened"])
+def test_a_commit_decodes_no_leaf(tmp_path, monkeypatch, handle):
+    import confdb.commitproc as commitproc
+    from confdb import store as store_module
+
+    path = tmp_path / "db"
+    store = open_store(path, clock=lambda: 0)
+    tree, leaves = build_figure1(store)
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    if handle == "reopened":  # every record framed, and no mark matches
+        store.close()
+        store = open_store(path, clock=lambda: 0)
+        assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
+
+    decoded = []
+    first_read = store_module.Store._first_read
+
+    def recording(self, slots, i):
+        obj = first_read(self, slots, i)
+        decoded.append(obj.kind)
+        return obj
+
+    visited = []
+    analyze = commitproc._analyze
+
+    def counting(view, node, numeric, segments, rows, marks=False):
+        visited.append("/".join(segments))
+        return analyze(view, node, numeric, segments, rows, marks)
+
+    monkeypatch.setattr(store_module.Store, "_first_read", recording)
+    monkeypatch.setattr(commitproc, "_analyze", counting)
+    try:
+        # A zero-edit commit compares one node and writes nothing.
+        size = store.log_size()
+        assert commit_alias_tree(store, tree, ["PHYSICS"]) == root
+        assert visited == [""] and store.log_size() == size
+        # An edit.
+        tree.set_object_alias("dch", "hv", make_leaf(store, "DchHV", "sector3", hv=1900.0))
+        root = commit_alias_tree(store, tree, ["PHYSICS"])
+        # An activation alone: only a run-type record.
+        assert commit_alias_tree(store, tree, ["PHYSICS", "COSMICS"]) == root
+        assert active_trees(store) == {"PHYSICS": root, "COSMICS": root}
+        # A kind flip: a map alias where the numeric map links a leaf.
+        tree.remove_node("emc/hv")
+        tree.add_map_alias("emc", "hv")
+        tree.set_object_alias("emc/hv", "inner", leaves["emc"])
+        root = commit_alias_tree(store, tree, ["PHYSICS"])
+        is_map = {path: store.is_map(identity) for path, identity in walk_tree(store, root).entries}
+        assert (is_map["emc/hv"], is_map["emc/hv/inner"]) == (True, False)
+        assert "leaf" not in decoded
+        if handle == "writer":  # it holds every map it committed decoded
+            assert decoded == []
+    finally:
+        store.close()
+
+
 # (edit applied to the saved tree, run types its commit binds), one per generation.
 GENERATIONS = [
     (lambda tree, leaves: None, ["PHYSICS"]),

@@ -24,7 +24,7 @@ from confdb.service import (
     start_server,
 )
 from confdb.store import StoredObject, open_store
-from confdb.tree import walk_tree
+from confdb.tree import resolve_run_type, walk_tree
 from helpers import build_figure1, commit_generations, log_transaction, make_leaf
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -424,6 +424,26 @@ def test_a_hit_is_answered_beside_a_damaged_log(populated):
     assert handle_request(store, get, cache) == frame
     assert handle_request(store, f"GET {root} dch/fee\n", cache).startswith("ERR 500 corrupt-log")
     assert handle_request(store, get).startswith("ERR 500 corrupt-log")
+
+
+def test_equal_frames_of_two_roots_share_one_string(store):
+    tree, leaves = build_figure1(store)
+    commit_generations(store, tree, leaves)
+    roots = [resolve_run_type(store, run_type) for run_type in ("PHYSICS", "COSMICS")]
+    assert roots[0] != roots[1]
+    lines = [f"GET {format_identity(root)} dch/hv\n" for root in roots]
+    cache = BoundedCache(FRAME_CACHE_BYTES)
+    frames = [handle_request(store, line, cache) for line in lines]
+    assert frames[0] == frames[1] and frames[0] is not frames[1]
+    assert cache.entries[lines[0]] is cache.entries[lines[1]]
+    # The budget still counts the shared frame once per line.
+    assert cache.size == sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.entries.items())
+    # Emptying the cache lets go of every kept frame.
+    manifest = f"MANIFEST {format_identity(roots[0])}\n"
+    cache.budget = cache.size
+    handle_request(store, manifest, cache)
+    assert list(cache.entries) == [manifest]
+    assert list(cache._frames.values()) == [cache.entries[manifest]]
 
 
 def test_the_cache_stays_within_its_budget(store):

@@ -21,10 +21,10 @@ from confdb.errors import (
     TransactionClosedError,
 )
 from confdb.cli import main as cli_main
-from confdb.model import ObjectIdentity, Payload, decode_payload, encode_payload
+from confdb.model import Array, ObjectIdentity, Payload, decode_payload, encode_payload
 from confdb.service import handle_request
 from confdb import store as store_module
-from confdb.store import StoredObject, open_store
+from confdb.store import RUNTYPES_CLASS, StoredObject, open_store
 from confdb.tree import walk_tree
 from helpers import (
     build_figure1,
@@ -807,9 +807,22 @@ def _slots(store) -> list:
     ]
 
 
+def _framed_identities(store) -> set:
+    """The identities whose records no read has decoded yet."""
+    return {identity for identity, slot in _slots(store) if type(slot) is not StoredObject}
+
+
 def _framed(store) -> int:
-    """How many records a scan framed that no read has decoded yet."""
-    return sum(type(slot) is not StoredObject for _, slot in _slots(store))
+    """How many records no read has decoded yet."""
+    return len(_framed_identities(store))
+
+
+def _leaf_identities(store) -> set:
+    """The identities of every leaf, found without reading a record."""
+    return {
+        identity for identity, _ in _slots(store)
+        if identity.class_name != RUNTYPES_CLASS and not store.is_map(identity)
+    }
 
 
 def _contents(store) -> dict:
@@ -886,13 +899,15 @@ def test_mid_log_damage_under_a_hint_refuses_at_open(tmp_path, damage, at, reaso
 
 def test_a_reopened_handle_reads_what_the_writer_reads(tmp_path):
     # A reopened handle, which framed every record, answers as the handle
-    # that wrote and so holds every object decoded.
+    # that wrote, which holds its committed leaves framed and its maps decoded.
     path = tmp_path / "db"
     with open_store(path, clock=lambda: 1_700_000_000) as writer:
         tree, leaves = build_figure1(writer)
         roots = commit_generations(writer, tree, leaves)
         with open_store(path) as reopened:
-            assert _framed(writer) == 0 and _framed(reopened) == reopened.object_count()
+            assert _framed_identities(writer) == _leaf_identities(writer)
+            assert len(_leaf_identities(writer)) == 5
+            assert _framed(reopened) == reopened.object_count()
             for root in roots:
                 lines = [f"MANIFEST {root}\n"] + [
                     f"GET {root} {path_text or '/'}\n"
@@ -901,6 +916,61 @@ def test_a_reopened_handle_reads_what_the_writer_reads(tmp_path):
                 for line in lines:
                     assert handle_request(reopened, line) == handle_request(writer, line), line
             assert _contents(reopened) == _contents(writer)
+
+
+def _answers(store, identity) -> tuple:
+    """Every read of one identity: kind and bytes first, then the decoded object, then bytes again."""
+    before = store.is_map(identity), store.payload_bytes(identity)
+    obj = store.get_object(identity)
+    return before, (obj.payload, obj.created_at, obj.kind), store.payload_bytes(identity)
+
+
+@pytest.mark.parametrize("build", ["figure1", "benchmark"])
+def test_a_writer_answers_every_read_as_a_fresh_handle(tmp_path, monkeypatch, build):
+    # The writer holds its committed leaves framed, and reads them as any
+    # handle reads a record a scan framed.
+    path = tmp_path / "db"
+    with open_store(path, clock=lambda: 1_700_000_000) as writer:
+        if build == "figure1":
+            tree, leaves = build_figure1(writer)
+            commit_generations(writer, tree, leaves)
+        else:
+            monkeypatch.syspath_prepend(PERFBENCH)
+            import gen
+
+            gen.build_store(writer, gen.Detector(5), 2)
+        identities = [identity for identity, _ in _slots(writer)]
+        assert _framed_identities(writer) == _leaf_identities(writer)
+        with open_store(path) as fresh:
+            for identity in identities:
+                assert _answers(writer, identity) == _answers(fresh, identity), identity
+        assert _framed(writer) == 0
+
+
+def test_a_writer_keeps_no_decoded_leaf_per_commit(tmp_path):
+    import gc
+    import tracemalloc
+
+    def commit_one(s, n):
+        make_leaf(s, "Module", "c0",
+                  ped=Array("f", tuple(200.0 + n + i / 64 for i in range(64))),
+                  thr=Array("i", tuple(range(n * 64, n * 64 + 64))))
+
+    with open_store(tmp_path / "db", clock=lambda: 0) as s:
+        commit_one(s, 0)  # the pair's list and its names now exist
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 501):
+                commit_one(s, n)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert s.highest_key("Module", "c0") == 501
+    # A framed slot is a list slot and an int; a decoded leaf kept about 5.2 KB.
+    assert kept <= 500 * 512, kept / 500
 
 
 def test_framed_objects_share_stamps_and_link_identities(tmp_path):
