@@ -212,6 +212,14 @@ def log_transaction(*objects) -> bytes:
     return b"".join(records) + log_record(0x02, str(len(objects)).encode())
 
 
+# A CRC-valid record that no writer of this program produces, B[1], and
+# a map M[1] that links it beside a canonical leaf C[1].
+NON_CANONICAL_LEAF_LOG = log_transaction(
+    ("B[1]", b"kind=leaf\na=i:01\n"), ("C[1]", b"kind=leaf\nc=i:3\n"),
+    ("M[1]", b"kind=map\nb=B[1]\nc=C[1]\n"),
+)
+
+
 # ---------------------------------------------------------------------------
 # the naive full-rebuild-plus-dedup committer (oracle for commitproc)
 

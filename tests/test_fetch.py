@@ -1,0 +1,393 @@
+"""FETCH: a handle that listed its tree reads it in one frame.
+
+A listed handle must answer exactly what per-path GETs answer, send
+RESOLVE, MANIFEST and FETCH and nothing more, fall back to GETs when a
+FETCH is refused, and refuse a malformed frame without keeping any of it.
+"""
+
+import os
+import socket
+import sys
+import threading
+
+import pytest
+
+from confdb import client, service
+from confdb.client import TreeHandle, configure_run, fetch_manifest, fetch_raw
+from confdb.commitproc import commit_alias_tree
+from confdb.errors import (
+    ConfdbError,
+    ConnectionFailureError,
+    CorruptLogError,
+    MalformedPayloadError,
+)
+from confdb.model import (
+    ObjectIdentity,
+    decode_payload,
+    encode_payload,
+    format_identity,
+    parse_identity,
+)
+from confdb.service import BoundedCache, handle_request, start_server
+from confdb.store import RUNTYPES_CLASS, open_store
+from confdb.tree import walk_tree
+from helpers import NON_CANONICAL_LEAF_LOG, build_figure1, commit_generations
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty GET memo for one test."""
+    memo = BoundedCache(client.GET_MEMO_BYTES)
+    monkeypatch.setattr(client, "GET_MEMO", memo)
+    return memo
+
+
+@pytest.fixture
+def verbs(monkeypatch):
+    """The verb of every request line the server's request handler answers."""
+    seen = []
+    handle = service.handle_request
+
+    def counted(store, line, cache=None):
+        seen.append(line.split(" ", 1)[0].strip())
+        return handle(store, line, cache)
+
+    monkeypatch.setattr(service, "handle_request", counted)
+    return seen
+
+
+def _serve(store):
+    server = start_server(store, "127.0.0.1:0")
+    return server, server.endpoint
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+def _handle(endpoint, root):
+    """A handle pinned to ``root``, which need not be active."""
+    return TreeHandle(endpoint, root, client._Connection(endpoint))
+
+
+def _activated_roots(store) -> list:
+    """Every root any run-type map version ever bound, oldest first, once each."""
+    roots = {}
+    for key in store.list_versions(RUNTYPES_CLASS):
+        bindings = store.get_object(ObjectIdentity(RUNTYPES_CLASS, None, key)).payload.bindings
+        roots.update(dict.fromkeys(bindings.values()))
+    return list(roots)
+
+
+def _frame_entries(frame: bytes) -> list:
+    """``(path, identity text, payload bytes)`` of each entry of a FETCH ``OK`` frame."""
+    status, _, body = frame.partition(b"\n")
+    assert status.startswith(b"OK ") and body.endswith(b".\n")
+    entries, at = [], 0
+    for _ in range(int(status[3:])):
+        eol = body.index(b"\n", at)
+        path, identity, length = body[at:eol].decode().split("\t")
+        at = eol + 1 + int(length)
+        entries.append((path, identity, body[eol + 1 : at]))
+    assert body[at:] == b".\n"
+    return entries
+
+
+def _assert_same_answers(store, roots):
+    """Listed and unlisted handles agree on every path of every root, and so do the frames."""
+    server, endpoint = _serve(store)
+    try:
+        for root in roots:
+            manifest = handle_request(store, f"MANIFEST {root}\n")
+            lines = manifest.split("\n")[1:-2]
+            fetched = handle_request(store, f"FETCH {root}\n")
+            entries = _frame_entries(fetched)
+            assert [f"{path}\t{identity}" for path, identity, _ in entries] == lines
+            for path, identity, payload in entries:
+                get = handle_request(store, f"GET {root} {path}\n")
+                assert f"OK {identity}\n".encode() + payload + b".\n" == get.encode()
+            with _handle(endpoint, root) as listed, _handle(endpoint, root) as unlisted:
+                assert fetch_manifest(listed) == lines
+                for path, _, payload in entries:
+                    got = fetch_raw(listed, path)
+                    assert got == fetch_raw(unlisted, path)
+                    assert format_identity(got[0]) == dict(line.split("\t") for line in lines)[path]
+                    assert encode_payload(got[1]) == payload
+                assert listed._answers.keys() == {path for path, _, _ in entries}
+                assert fetch_manifest(listed) == lines
+    finally:
+        _stop(server)
+
+
+def test_a_listed_handle_answers_as_gets_do_on_figure1_generations(tmp_path, memo):
+    with open_store(tmp_path / "db", clock=lambda: 0) as store:
+        tree, leaves = build_figure1(store)
+        roots = commit_generations(store, tree, leaves)
+        assert len(roots) == 4
+        _assert_same_answers(store, roots)
+
+
+def test_a_listed_handle_answers_as_gets_do_on_a_benchmark_store(tmp_path, memo, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+
+    detector = gen.Detector(7)
+    with open_store(tmp_path / "db", clock=lambda: gen.EPOCH) as store:
+        gen.build_store(store, detector, 2)
+        roots = _activated_roots(store)
+        assert len(roots) == 4 and detector.cosmics_root in roots
+        _assert_same_answers(store, roots)
+
+
+# -- the wire -------------------------------------------------------------------
+
+
+@pytest.fixture
+def served(tmp_path):
+    store = open_store(tmp_path / "db", clock=lambda: 0)
+    tree, _ = build_figure1(store)
+    root = commit_alias_tree(store, tree, ["PHYSICS"])
+    yield store, root
+    store.close()
+
+
+def test_a_listed_transition_is_three_requests(served, verbs, memo):
+    store, root = served
+    server, endpoint = _serve(store)
+    try:
+        paths = [path or "/" for path, _ in walk_tree(store, root).entries]
+        with configure_run(endpoint, "PHYSICS") as handle:
+            assert len(fetch_manifest(handle)) == len(paths) == 6
+            for _ in range(2):
+                for path in paths:
+                    fetch_raw(handle, path)
+            fetch_raw(handle, "")  # the root, spelt as the empty path
+        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"]
+        # Each handle sends its own FETCH, once; the server answers the
+        # second from its frame cache.
+        with configure_run(endpoint, "PHYSICS") as handle:
+            fetch_manifest(handle)
+            fetch_raw(handle, "dch/hv")
+            fetch_raw(handle, "dch/fee")
+        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"] * 2
+        assert type(server.cache.entries[f"FETCH {root}\n"]) is bytes
+    finally:
+        _stop(server)
+
+
+def test_unlisted_paths_and_handles_still_get(served, verbs, memo):
+    store, root = served
+    server, endpoint = _serve(store)
+    try:
+        with configure_run(endpoint, "PHYSICS") as handle:
+            fetch_raw(handle, "dch/hv")  # never listed: a GET
+            fetch_manifest(handle)
+            fetch_raw(handle, "dch/hv")  # listed: the handle's FETCH
+            for path in ("dch/", "/dch/hv", "dch/nope"):  # spelt otherwise or absent: GETs
+                with pytest.raises(ConfdbError):
+                    fetch_raw(handle, path)
+            fetch_raw(handle, "emc/hv")
+        assert verbs == ["RESOLVE", "GET", "MANIFEST", "FETCH", "GET", "GET", "GET"]
+    finally:
+        _stop(server)
+
+
+def test_a_tree_with_a_non_canonical_leaf_falls_back_to_gets(tmp_path, verbs, memo):
+    path = tmp_path / "db"
+    path.mkdir()
+    (path / "objects.log").write_bytes(NON_CANONICAL_LEAF_LOG)
+    root = parse_identity("M[1]")
+    with open_store(path) as store:
+        assert handle_request(store, "FETCH M[1]\n") == "ERR 500 corrupt-log\n"
+        server, endpoint = _serve(store)
+        try:
+            verbs.clear()
+            with _handle(endpoint, root) as listed, _handle(endpoint, root) as unlisted:
+                fetch_manifest(listed)
+                for handle in (listed, unlisted):
+                    assert fetch_raw(handle, "c") == _raw(b"kind=leaf\nc=i:3\n", "C[1]")
+                    with pytest.raises(CorruptLogError):
+                        fetch_raw(handle, "b")
+                    assert fetch_raw(handle, "/")[0] == root
+            assert verbs == ["MANIFEST", "FETCH", "GET", "GET", "GET", "GET", "GET", "GET"]
+            assert f"FETCH {root}\n" not in server.cache.entries
+        finally:
+            _stop(server)
+
+
+# -- a scripted server ----------------------------------------------------------
+
+
+@pytest.fixture
+def scripted():
+    """One connection, each request line answered by the next frame; the lines it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    received, threads = [], []
+
+    def start(*frames):
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                for frame in frames:
+                    line = reader.readline()
+                    if not line:
+                        return
+                    received.append(line.decode().rstrip("\n"))
+                    conn.sendall(frame)
+                # Wait for the client's close, so none of its requests meets a reset.
+                reader.read()
+
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[0].start()
+        host, port = listener.getsockname()
+        return f"{host}:{port}", received
+
+    yield start
+    listener.close()
+    for t in threads:
+        t.join(timeout=10)
+
+
+_ROOT = b"kind=map\na=Leaf[1]\n"
+_A = b"kind=leaf\na=i:1\n"
+_MANIFEST = b"OK 2\n/\tTopMap[1]\na\tLeaf[1]\n.\n"
+_GET_A = b"OK Leaf[1]\n" + _A + b".\n"
+
+
+def _entry(path, identity, payload, length=None):
+    length = len(payload) if length is None else length
+    return f"{path}\t{identity}\t{length}\n".encode() + payload
+
+
+def _fetch_frame(*entries, count=None, tail=b""):
+    count = len(entries) if count is None else count
+    return f"OK {count}\n".encode() + b"".join(entries) + tail + b".\n"
+
+
+def _raw(payload, identity="Leaf[1]"):
+    return parse_identity(identity), decode_payload(payload)
+
+
+def test_a_server_without_fetch_is_answered_by_gets(scripted, memo):
+    endpoint, received = scripted(
+        b"OK TopMap[1]\n", _MANIFEST, b"ERR 400 unknown-verb\n", _GET_A,
+        b"OK TopMap[1]\n" + _ROOT + b".\n",
+    )
+    with configure_run(endpoint, "PHYSICS") as handle:
+        assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]"]
+        assert fetch_raw(handle, "a") == _raw(_A)
+        assert fetch_raw(handle, "/") == _raw(_ROOT, "TopMap[1]")
+    assert received == ["RESOLVE PHYSICS", "MANIFEST TopMap[1]", "FETCH TopMap[1]",
+                        "GET TopMap[1] a", "GET TopMap[1] /"]
+
+
+def test_a_well_formed_frame_answers_every_listed_path(scripted, memo):
+    frame = _fetch_frame(_entry("/", "TopMap[1]", _ROOT), _entry("a", "Leaf[1]", _A))
+    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        fetch_manifest(handle)
+        for _ in range(2):
+            assert fetch_raw(handle, "a") == _raw(_A)
+            assert fetch_raw(handle, "") == _raw(_ROOT, "TopMap[1]")
+    assert received == ["RESOLVE PHYSICS", "MANIFEST TopMap[1]", "FETCH TopMap[1]"]
+    # Kept under the keys GET answers have.
+    assert set(memo.entries) == {("Leaf[1]", _A), ("TopMap[1]", _ROOT)}
+
+
+_GOOD_ROOT = _entry("/", "TopMap[1]", _ROOT)
+
+MALFORMED = {
+    "letters-for-length": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, "x")),
+    "leading-zero": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, f"0{len(_A)}")),
+    "plus-sign": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, f"+{len(_A)}")),
+    "space": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, f" {len(_A)}")),
+    "underscore": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, "1_6")),
+    "negative": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", b"", "-1")),
+    "arabic-indic-digits": _fetch_frame(
+        _GOOD_ROOT, _entry("a", "Leaf[1]", _A, "".join(chr(0x660 + int(d)) for d in str(len(_A))))),
+    "two-fields": _fetch_frame(_GOOD_ROOT, b"a\tLeaf[1]\n" + _A),
+    "four-fields": _fetch_frame(_GOOD_ROOT, _entry("a\tx", "Leaf[1]", _A)),
+    "trailing-bytes": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), tail=b"junk\n"),
+    "repeated-path": _fetch_frame(_entry("a", "Leaf[1]", _A), _entry("a", "Leaf[1]", _A)),
+    "unlisted-path": _fetch_frame(_GOOD_ROOT, _entry("b", "Leaf[1]", _A)),
+    "other-identity": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[2]", _A)),
+    "too-few-entries": _fetch_frame(_GOOD_ROOT),
+    "count-over": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count=3),
+    "count-leading-zero": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count="02"),
+    "not-utf8-path": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A).replace(b"a", b"\xff", 1)),
+    "malformed-identity": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[01]", _A)),
+}
+
+
+@pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_frame_is_refused_and_nothing_kept(scripted, memo, frame):
+    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame, _GET_A)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        fetch_manifest(handle)
+        with pytest.raises(ConfdbError):
+            fetch_raw(handle, "a")
+        assert memo.entries == {} and memo.size == 0
+        assert handle._answers == {}
+        # The connection is still in step, and the handle GETs from now on.
+        assert fetch_raw(handle, "a") == _raw(_A)
+    assert received[2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+
+
+def test_a_non_canonical_payload_raises_as_a_get_would(scripted, memo):
+    bad = b"kind=leaf\na=i:01\n"
+    endpoint, _ = scripted(
+        b"OK TopMap[1]\n", _MANIFEST, _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", bad)),
+    )
+    with configure_run(endpoint, "PHYSICS") as handle:
+        fetch_manifest(handle)
+        with pytest.raises(MalformedPayloadError):
+            fetch_raw(handle, "a")
+    assert memo.entries == {}
+
+
+CUT_SHORT = {
+    "inside-a-payload": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, len(_A) + 5)),
+    "before-an-entry": _fetch_frame(_GOOD_ROOT, count=2),
+}
+
+
+@pytest.mark.parametrize("frame", CUT_SHORT.values(), ids=CUT_SHORT.keys())
+def test_entries_past_the_terminator_give_the_connection_up(scripted, memo, frame):
+    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame, _GET_A)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        fetch_manifest(handle)
+        with pytest.raises(ConfdbError, match="cut short"):
+            fetch_raw(handle, "a")
+        assert memo.entries == {}
+        with pytest.raises(ConnectionFailureError):
+            fetch_raw(handle, "a")
+    assert received[2:] == ["FETCH TopMap[1]"]
+
+
+# -- the server's side ----------------------------------------------------------
+
+
+def test_fetch_refuses_what_manifest_refuses(served):
+    store, root = served
+    for arg in (f"{root} x", f"{root} ", "junk", "TopMap[7]", "DchHV:sector3[1]"):
+        refused = handle_request(store, f"FETCH {arg}\n")
+        assert refused.startswith("ERR ") and refused == handle_request(store, f"MANIFEST {arg}\n")
+
+
+def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monkeypatch):
+    store, root = served
+    cache = BoundedCache(service.FRAME_CACHE_BYTES)
+    line = f"FETCH {root}\n"
+    frame = handle_request(store, line, cache)
+    assert type(frame) is bytes and frame == handle_request(store, line)
+    assert cache.entries == {line: frame}
+    assert cache.size == sys.getsizeof(line) + sys.getsizeof(frame)
+
+    def unreachable(*args):
+        raise RuntimeError("the store was asked")
+
+    monkeypatch.setattr(store, "refresh", unreachable)
+    assert handle_request(store, line, cache) is frame

@@ -25,7 +25,13 @@ from confdb.service import (
 )
 from confdb.store import StoredObject, open_store
 from confdb.tree import resolve_run_type, walk_tree
-from helpers import build_figure1, commit_generations, log_transaction, make_leaf
+from helpers import (
+    NON_CANONICAL_LEAF_LOG,
+    build_figure1,
+    commit_generations,
+    log_transaction,
+    make_leaf,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -599,14 +605,6 @@ def test_frames_equal_a_full_decode_on_a_benchmark_store(tmp_path, monkeypatch):
     assert len(frames) == 2 * (1 + len(detector.map_paths) + len(detector.leaf_paths))
 
 
-# A CRC-valid record that no writer of this program produces, B[1], and
-# a map M[1] that links it beside a canonical leaf C[1].
-NON_CANONICAL_LEAF_LOG = log_transaction(
-    ("B[1]", b"kind=leaf\na=i:01\n"), ("C[1]", b"kind=leaf\nc=i:3\n"),
-    ("M[1]", b"kind=map\nb=B[1]\nc=C[1]\n"),
-)
-
-
 def _assert_the_non_canonical_leaf_is_listed_but_never_served(s):
     assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
     for _ in range(2):
@@ -650,3 +648,45 @@ def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
         for _ in range(2):
             assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
         assert handle_request(s, "MANIFEST M[1]\n") == "OK 2\n/\tM[1]\nb\tB[1]\n.\n"
+
+
+def _socket_buffer_max() -> int:
+    """The most a TCP send buffer may grow to here; 4 MiB where that cannot be read."""
+    try:
+        with open("/proc/sys/net/ipv4/tcp_wmem", encoding="ascii") as f:
+            return int(f.read().split()[2])
+    except (OSError, ValueError, IndexError):
+        return 4 * 2**20
+
+
+def test_a_client_that_stops_reading_ends_only_its_connection(
+    populated, handler_faults, monkeypatch, caplog
+):
+    store, _, _ = populated
+    faults, closed = handler_faults
+    monkeypatch.setattr(service, "SEND_TIMEOUT_S", 0.2)
+    # More than the server's send buffer and the client's receive buffer hold.
+    big = b"OK 0\n" + b"x" * (2 * _socket_buffer_max()) + b"\n.\n"
+    answer = service.handle_request
+    monkeypatch.setattr(
+        service, "handle_request",
+        lambda store, line, cache: big if line == "BIG\n" else answer(store, line, cache),
+    )
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with caplog.at_level(logging.WARNING, logger="confdb.service"):
+            with socket.socket() as stalled:
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.connect(parse_endpoint(server.endpoint))
+                started = time.monotonic()
+                stalled.sendall(b"BIG\n")  # and never read
+                _wait_for(lambda: len(closed) == 1, timeout=10)
+                assert time.monotonic() - started >= 0.2
+                with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+                    assert _request_lines(sock.makefile("rb"), sock, "PING") == "OK pong"
+        assert faults == []
+        [record] = [r for r in caplog.records if r.name == "confdb.service"]
+        assert record.levelno == logging.WARNING and "0.2 s" in record.getMessage()
+    finally:
+        server.shutdown()
+        server.server_close()
