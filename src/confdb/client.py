@@ -25,15 +25,15 @@ A handle that listed its tree reads it whole.  :func:`fetch_manifest`
 keeps the listed paths on the handle, and the handle's first
 :func:`fetch_raw` of a listed path sends one ``FETCH``: one frame with
 the GET answer of every listed path.  The handle checks the whole frame
-and keeps it, and from then on answers every listed path from it, each
-through the memo below under the key its GET answer would have, so the
-parse, the decode and every error are a GET's.  A frame is refused with
-a :class:`ConfdbError`, and the memo is left as it was, when its count,
-a path or an identity differs from the listing, a path repeats, a length
-is not plain ASCII decimal, bytes follow the last entry, or a payload
-does not decode; an entry that runs past the terminator also gives the
-connection up.  A path the handle did not list, a handle that never
-listed, and a ``FETCH`` answered with ``ERR`` (an older server's
+and answers every listed path from it, each decoded through the memo
+below under the key its GET answer would have, so the parse, the decode
+and every error are a GET's.  A frame is refused with a
+:class:`ConfdbError`, and the memos are left as they were, when its
+count, a path or an identity differs from the listing, a path repeats,
+a length is not plain ASCII decimal, bytes follow the last entry, or a
+payload does not decode; an entry that runs past the terminator also
+gives the connection up.  A path the handle did not list, a handle that
+never listed, and a ``FETCH`` answered with ``ERR`` (an older server's
 ``unknown-verb``, or a tree with a leaf that a GET would refuse) are
 answered by one GET per path, as before.  A handle sends at most one
 ``FETCH``.  On the benchmark's configure store a transition is 3
@@ -45,19 +45,15 @@ only a few leaves should not call :func:`fetch_manifest` first.
 Each client process keeps one memo of GET answers, ``GET_MEMO``.  It
 maps the ``(status tail, payload bytes)`` pair of an answer to the
 ``(ObjectIdentity, Payload)`` pair that ``parse_identity`` and
-``decode_payload`` made of it, canonical check included, so
-:func:`fetch_raw` makes one lookup per GET and parses and decodes each
-distinct answer once, however many handles or threads receive it.  A
-hit returns exactly what a parse and a decode would: both are pure
-functions of their input, and what they return is immutable.  An
-answer that fails to parse or decode is never kept, so it raises again
-on every fetch.  Only those two steps are memoised; a
-:class:`ProxyDictionary` decoder runs on every :func:`fetch_object`,
-since what it returns may be mutable.  The memo pays off when one
-process GETs the same objects again, as each transition after the
-first does: over one run of the benchmark's configure workload,
-1,446,459 of its 1,447,488 GETs (99.9%) returned an answer that an
-earlier GET had returned.
+``decode_payload`` made of it, canonical check included, so a GET
+costs one lookup and each distinct answer is parsed and decoded once,
+however many handles or threads receive it.  A hit returns exactly
+what a parse and a decode would: both are pure functions of their
+input, and what they return is immutable.  An answer that fails to
+parse or decode is never kept, so it raises again on every fetch.
+Only those two steps are memoised; a :class:`ProxyDictionary` decoder
+runs on every :func:`fetch_object`, since what it returns may be
+mutable.
 
 The memo holds at most ``GET_MEMO_BYTES`` (2 MiB) of key text,
 ``sys.getsizeof`` of each kept tail and body, and is emptied whole when
@@ -66,6 +62,33 @@ distinct answers of the benchmark's configure workload, the keys are
 545 KB of text (69 KB of identities, 475 KB of payloads) and the memo
 holds 2.9 MB with what they decode to, about 5.3 times its key text;
 so a full memo holds about 11 MiB.
+
+A second memo, ``TREE_MEMO``, keeps whole-tree answers by their exact
+bytes, so a repeated transition checks and decodes nothing again.  A
+MANIFEST body, under ``("MANIFEST", body)``, maps to its lines and the
+``{path: identity text}`` listing a handle keeps; :func:`fetch_manifest`
+returns a new list of the lines on every call.  A FETCH answer, under
+``(count, body)``, maps to the listing its frame was checked against and
+to ``{path: (ObjectIdentity, Payload)}``, made through ``GET_MEMO`` so
+that equal answers share one decoded pair.  A FETCH hit counts only
+when that listing is the handle's own or equal to it: the check is a
+pure function of the listing, the count and the body, so a hit answers
+exactly what a full check and decode would.  Any other answer is
+checked in full and kept only when its frame is accepted, so a refused
+frame, a frame cut short and an ``ERR`` answer are never kept, and
+every refusal and fallback to GET is as before.  Then :func:`fetch_raw`
+of a listed path is one lookup in the handle's decoded map.  The memo
+shares the ``GET_MEMO_BYTES`` budget rule, each kept answer costing
+``sys.getsizeof`` of its body, and is emptied whole as ``GET_MEMO`` is.
+One benchmark detector tree costs 0.49 MB of FETCH body and 31 KB of
+MANIFEST body.  Measured with ``tracemalloc`` after one transition per
+run type on the seed-1 store, the memo holds 1.72 MB beyond
+``GET_MEMO``'s 3.16 MB: two bodies of each kind (1.05 MB as counted),
+the lines, the listings and the decoded maps.  Over a 10 s run of the
+benchmark's configure workload, 440 of its 442 MANIFEST answers and
+440 of its 442 FETCH answers (99.5%) repeated an earlier answer byte
+for byte; the operator workload makes no client handle, so it never
+uses the memo.
 """
 
 from __future__ import annotations
@@ -87,6 +110,7 @@ from .service import BoundedCache, parse_endpoint, timeval
 
 GET_MEMO_BYTES = 2 * 2**20
 GET_MEMO = BoundedCache(GET_MEMO_BYTES)
+TREE_MEMO = BoundedCache(GET_MEMO_BYTES)
 RECV_BYTES = 65536
 TIMEOUT_S = 30.0  # for the connect and for each send and receive
 
@@ -208,7 +232,8 @@ class _Connection:
         # starts at the status line's LF, so an empty body is "\n.\n" too.
         buf, end = self._find(buf, b"\n.\n", eol)
         self._buf = bytes(buf[end + 3 :])
-        return tail, bytes(buf[eol + 1 : end + 1])
+        # Through a view, a body is copied once: a bytearray's slice is a copy.
+        return tail, bytes(memoryview(buf)[eol + 1 : end + 1])
 
 
 def _body_lines(body: bytes) -> list[str]:
@@ -225,9 +250,11 @@ class TreeHandle:
 
     ``_listed`` maps each path of the handle's last MANIFEST to its
     identity text.  ``_answers`` is ``None`` until the handle sends its
-    one FETCH; then it maps each listed path to the ``(tail, body)`` GET
-    answer the FETCH frame carried, and it is empty when the FETCH was
-    refused or its frame was malformed.
+    one FETCH; then it maps each listed path to the ``(ObjectIdentity,
+    Payload)`` pair its GET answer in the FETCH frame decodes to, and it
+    is empty when the FETCH was refused or its frame was malformed.  Both
+    may be shared with ``TREE_MEMO`` and other handles, so neither is
+    ever changed in place.
     """
 
     def __init__(self, endpoint: str, root: ObjectIdentity, connection: _Connection):
@@ -236,7 +263,7 @@ class TreeHandle:
         self._connection = connection
         self._get_prefix = f"GET {format_identity(root)} "
         self._listed: dict[str, str] = {}
-        self._answers: dict[str, tuple[str, bytes]] | None = None
+        self._answers: dict[str, tuple[ObjectIdentity, Payload]] | None = None
 
     def close(self):
         self._connection.close()
@@ -269,6 +296,15 @@ def _decoded(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
 def _memo_cost(answer: tuple[str, bytes]) -> int:
     tail, body = answer
     return sys.getsizeof(tail) + sys.getsizeof(body)
+
+
+def _memoised(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
+    """What a GET answer decodes to, through ``GET_MEMO``."""
+    raw = GET_MEMO.entries.get(answer)
+    if raw is None:
+        raw = _decoded(answer)
+        GET_MEMO.put(answer, raw, _memo_cost(answer))
+    return raw
 
 
 def _cut_short(handle: TreeHandle, at: int):
@@ -322,12 +358,15 @@ def _frame_answers(handle: TreeHandle, count: str, body: bytes) -> dict[str, tup
     return answers
 
 
-def _fetch_tree(handle: TreeHandle) -> dict[str, tuple[str, bytes]]:
-    """Send the handle's one FETCH; its answers by path, or ``{}`` to GET each path.
+def _fetch_tree(handle: TreeHandle) -> dict[str, tuple[ObjectIdentity, Payload]]:
+    """Send the handle's one FETCH; what it answers by path, or ``{}`` to GET each path.
 
     An ``ERR`` answer leaves the connection in step: an older server's
     ``unknown-verb``, or a tree holding a leaf that a GET would refuse,
     so the handle GETs each path and every answer and error is a GET's.
+    A frame ``TREE_MEMO`` kept is checked again only when the listing it
+    was checked against is not the handle's; a kept MANIFEST's value is
+    never equal to a listing, so it cannot pass for a FETCH's.
     """
     handle._answers = {}
     connection = handle._connection
@@ -337,7 +376,14 @@ def _fetch_tree(handle: TreeHandle) -> dict[str, tuple[str, bytes]]:
         if connection._sock.fileno() == -1:  # given up: no GET would be answered
             raise
         return {}
-    handle._answers = _frame_answers(handle, count, body)
+    key = count, body
+    kept = TREE_MEMO.entries.get(key)
+    if kept is not None and (kept[0] is handle._listed or kept[0] == handle._listed):
+        handle._answers = kept[1]
+    else:
+        answers = _frame_answers(handle, count, body)
+        handle._answers = {path: _memoised(answer) for path, answer in answers.items()}
+        TREE_MEMO.put(key, (handle._listed, handle._answers), sys.getsizeof(body))
     return handle._answers
 
 
@@ -351,13 +397,9 @@ def fetch_raw(handle: TreeHandle, path: str) -> tuple[ObjectIdentity, Payload]:
     answers = handle._answers
     if answers is None and path in handle._listed:
         answers = _fetch_tree(handle)
-    answer = answers.get(path) if answers else None
-    if answer is None:
-        answer = handle._connection.request(handle._get_prefix + path, body=True)
-    raw = GET_MEMO.entries.get(answer)
+    raw = answers.get(path) if answers else None
     if raw is None:
-        raw = _decoded(answer)
-        GET_MEMO.put(answer, raw, _memo_cost(answer))
+        raw = _memoised(handle._connection.request(handle._get_prefix + path, body=True))
     return raw
 
 
@@ -369,13 +411,22 @@ def fetch_object(handle: TreeHandle, proxies: ProxyDictionary, path: str):
 
 
 def fetch_manifest(handle: TreeHandle) -> list[str]:
-    """MANIFEST lines for the handle's tree; the handle keeps the paths they list."""
+    """MANIFEST lines for the handle's tree; the handle keeps the paths they list.
+
+    The lines are a new list on every call; the listing is kept by
+    ``TREE_MEMO`` and shared.
+    """
     _, body = handle._connection.request(
         f"MANIFEST {format_identity(handle.root)}", body=True
     )
-    lines = _body_lines(body)
-    handle._listed = dict(line.split("\t", 1) for line in lines if "\t" in line)
-    return lines
+    key = "MANIFEST", body
+    kept = TREE_MEMO.entries.get(key)
+    if kept is None:
+        lines = tuple(_body_lines(body))
+        kept = lines, dict(line.split("\t", 1) for line in lines if "\t" in line)
+        TREE_MEMO.put(key, kept, sys.getsizeof(body))
+    lines, handle._listed = kept
+    return list(lines)
 
 
 def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:

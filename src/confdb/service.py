@@ -45,8 +45,9 @@ client that resets or closes its connection mid-answer ends only that
 connection, quietly.  So does a client that stops reading: each send
 waits at most ``SEND_TIMEOUT_S`` for room in the socket buffer (the
 kernel's ``SO_SNDTIMEO``), and when it runs out one warning is logged on
-``confdb.service``.  Any other fault in a connection's handler still
-reaches ``ConfigServer.handle_error``.
+``confdb.service``.  So does a client that sends nothing for
+``IDLE_TIMEOUT_S`` (``SO_RCVTIMEO``).  Any other fault in a
+connection's handler still reaches ``ConfigServer.handle_error``.
 
 A server answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from
 one frame cache shared by all its connections: request line to finished
@@ -96,6 +97,7 @@ DEFAULT_ENDPOINT = "127.0.0.1:7401"
 MAX_REQUEST_LINE = 64 * 1024
 FRAME_CACHE_BYTES = 8 * 2**20
 SEND_TIMEOUT_S = 30.0  # for each send of an answer to a connection
+IDLE_TIMEOUT_S = 300.0  # for each wait for the next bytes of a request
 
 
 def timeval(seconds: float) -> bytes:
@@ -253,6 +255,7 @@ class _Handler(socketserver.StreamRequestHandler):
         # to a client that stopped reading fails with EAGAIN once it has
         # waited this long for room in the socket buffer.
         self.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval(SEND_TIMEOUT_S))
+        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval(IDLE_TIMEOUT_S))
         super().setup()
 
     def handle(self):
@@ -271,16 +274,38 @@ class _Handler(socketserver.StreamRequestHandler):
                 "closed %s: an answer waited over %g s to be read",
                 self.client_address, SEND_TIMEOUT_S,
             )
+        except TimeoutError:
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "closed %s: no request came for %g s", self.client_address, IDLE_TIMEOUT_S,
+            )
+
+    def _readline(self) -> bytes:
+        """The next request line, or what the client sent before closing.
+
+        A receive that times out ends ``readline`` as an end of stream
+        would, so a line that stops short of its LF and of the limit is
+        the idle timeout unless a peek finds the stream ended.
+        """
+        raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
+        if len(raw) <= MAX_REQUEST_LINE and not raw.endswith(b"\n"):
+            try:
+                if self.request.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT):
+                    raise TimeoutError  # bytes that came after it
+            except BlockingIOError:
+                raise TimeoutError from None
+        return raw
 
     def _serve(self):
         while True:
-            raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
+            raw = self._readline()
             if not raw:
                 return
             if len(raw) > MAX_REQUEST_LINE:
                 self._reply("ERR 400 line-too-long\n")
                 while not raw.endswith(b"\n"):
-                    raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
+                    raw = self._readline()
                     if not raw:
                         return
                 continue

@@ -391,3 +391,233 @@ def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monk
 
     monkeypatch.setattr(store, "refresh", unreachable)
     assert handle_request(store, line, cache) is frame
+
+
+# -- the tree memo --------------------------------------------------------------
+
+
+@pytest.fixture
+def tree_memo(monkeypatch):
+    """An empty tree memo for one test."""
+    memo = BoundedCache(client.GET_MEMO_BYTES)
+    monkeypatch.setattr(client, "TREE_MEMO", memo)
+    return memo
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The client's ``decode_payload`` and ``_frame_answers`` calls, by name."""
+    calls = []
+    for name in ("decode_payload", "_frame_answers"):
+        real = getattr(client, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(client, name, counted)
+    return calls
+
+
+def _tree_memo_size(memo) -> int:
+    return sum(sys.getsizeof(body) for _, body in memo.entries)
+
+
+def _decoded_frame(store, root) -> dict:
+    """Each path of a FETCH of ``root``, parsed and decoded here, without the client."""
+    frame = handle_request(store, f"FETCH {root}\n")
+    return {path: (parse_identity(identity), decode_payload(payload))
+            for path, identity, payload in _frame_entries(frame)}
+
+
+def _transition(handle) -> dict:
+    """MANIFEST, then ``fetch_raw`` of every listed path."""
+    paths = [line.split("\t")[0] for line in fetch_manifest(handle)]
+    return {path: fetch_raw(handle, path) for path in paths}
+
+
+def test_a_repeated_transition_decodes_and_checks_nothing(
+    served, verbs, memo, tree_memo, checks
+):
+    store, root = served
+    server, endpoint = _serve(store)
+    try:
+        with configure_run(endpoint, "PHYSICS") as first:
+            got = _transition(first)
+        assert got == _decoded_frame(store, root)
+        assert checks.count("_frame_answers") == 1 and "decode_payload" in checks
+        checks.clear()
+        with configure_run(endpoint, "PHYSICS") as again:
+            repeated = _transition(again)
+        assert checks == []
+        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"] * 2
+        assert repeated.keys() == got.keys()
+        assert all(repeated[path] is got[path] for path in got)
+        assert again._listed is first._listed and again._answers is first._answers
+        assert len(tree_memo.entries) == 2
+    finally:
+        _stop(server)
+
+
+def test_fresh_lines_from_every_manifest(served, memo, tree_memo):
+    store, _ = served
+    server, endpoint = _serve(store)
+    try:
+        with configure_run(endpoint, "PHYSICS") as handle:
+            lines = fetch_manifest(handle)
+            kept = list(lines)
+            lines[0] = "x\tX[1]"
+            lines.append("y\tY[1]")
+            again = fetch_manifest(handle)
+            assert again == kept and again is not lines
+            assert handle._listed == dict(line.split("\t") for line in kept)
+            assert fetch_manifest(handle) == kept
+    finally:
+        _stop(server)
+
+
+_FRAME = _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A))
+_MANIFEST_LEAF_2 = b"OK 2\n/\tTopMap[1]\na\tLeaf[2]\n.\n"
+
+
+def _kept_then(scripted, manifest, frame):
+    """A handle that keeps ``_FRAME``, then one on its connection that lists
+    ``manifest`` and is sent ``frame``; the second handle, its fetch raises."""
+    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, _FRAME, manifest, frame, _GET_A)
+    first = configure_run(endpoint, "PHYSICS")
+    fetch_manifest(first)
+    assert fetch_raw(first, "a") == _raw(_A)
+    second = TreeHandle(endpoint, first.root, first._connection)
+    fetch_manifest(second)
+    return second, received
+
+
+def test_kept_bytes_under_another_listing_are_checked_and_refused(
+    scripted, memo, tree_memo
+):
+    second, received = _kept_then(scripted, _MANIFEST_LEAF_2, _FRAME)
+    with second:
+        kept = dict(tree_memo.entries)
+        assert len(kept) == 3  # two MANIFESTs, one FETCH
+        with pytest.raises(ConfdbError, match="not a listed path"):
+            fetch_raw(second, "a")
+        assert second._answers == {}
+        assert tree_memo.entries == kept
+        assert fetch_raw(second, "a") == _raw(_A)  # a GET
+    assert received[-3:] == ["MANIFEST TopMap[1]", "FETCH TopMap[1]", "GET TopMap[1] a"]
+
+
+ONE_BYTE_CHANGED = {
+    "identity": _FRAME.replace(b"\tLeaf[1]\t", b"\tLeaf[2]\t"),
+    "payload": _FRAME.replace(b"a=i:1", b"a=i:!"),
+    "path": _FRAME.replace(b"\na\t", b"\nb\t"),
+}
+
+
+@pytest.mark.parametrize("frame", ONE_BYTE_CHANGED.values(), ids=ONE_BYTE_CHANGED.keys())
+def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, frame):
+    assert len(frame) == len(_FRAME) and frame != _FRAME
+    second, received = _kept_then(scripted, _MANIFEST, frame)
+    with second:
+        kept = dict(tree_memo.entries)
+        assert len(kept) == 2  # one MANIFEST, one FETCH
+        with pytest.raises(ConfdbError):
+            fetch_raw(second, "a")
+        assert second._answers == {}
+        assert tree_memo.entries == kept
+        assert fetch_raw(second, "a") == _raw(_A)
+    assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+
+
+def test_a_hit_answers_exactly_with_a_tiny_get_memo(served, tree_memo, monkeypatch, checks):
+    store, root = served
+    get_memo = BoundedCache(64)  # keeps no answer
+    monkeypatch.setattr(client, "GET_MEMO", get_memo)
+    server, endpoint = _serve(store)
+    try:
+        with configure_run(endpoint, "PHYSICS") as first:
+            got = _transition(first)
+        assert get_memo.entries == {}
+        checks.clear()
+        with configure_run(endpoint, "PHYSICS") as again:
+            assert _transition(again) == got == _decoded_frame(store, root)
+        assert checks == []
+    finally:
+        _stop(server)
+
+
+@pytest.fixture
+def generations(tmp_path):
+    """Four generations of figure 1, served; each root with what a FETCH of it decodes to."""
+    store = open_store(tmp_path / "db", clock=lambda: 0)
+    tree, leaves = build_figure1(store)
+    roots = commit_generations(store, tree, leaves)
+    expected = {root: _decoded_frame(store, root) for root in roots}
+    server, endpoint = _serve(store)
+    yield endpoint, expected
+    _stop(server)
+    store.close()
+
+
+def _frame_size(endpoint, root) -> int:
+    """What ``TREE_MEMO`` counts for the FETCH answer of ``root``."""
+    connection = client._Connection(endpoint)
+    try:
+        return sys.getsizeof(connection.request(f"FETCH {root}", body=True)[1])
+    finally:
+        connection.close()
+
+
+def test_the_tree_memo_stays_within_its_budget(generations, memo, monkeypatch):
+    endpoint, expected = generations
+    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
+    tree_memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    emptied = 0
+    for _ in range(3):
+        for root, want in expected.items():
+            before = len(tree_memo.entries)
+            with _handle(endpoint, root) as handle:
+                assert _transition(handle) == want
+            emptied += len(tree_memo.entries) < before
+            assert tree_memo.size == _tree_memo_size(tree_memo) <= budget
+    assert emptied > 0
+    # An answer over the whole budget is never kept.
+    tree_memo = BoundedCache(min(_frame_size(endpoint, root) for root in expected) // 2)
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    for root, want in expected.items():
+        with _handle(endpoint, root) as handle:
+            assert _transition(handle) == want
+    assert all(key[0] == "MANIFEST" for key in tree_memo.entries)
+    assert tree_memo.size == _tree_memo_size(tree_memo)
+
+
+def test_threads_transition_at_once_through_one_small_tree_memo(generations, memo, monkeypatch):
+    endpoint, expected = generations
+    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
+    tree_memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    roots = list(expected)
+    wrong = []
+
+    def transitions(offset):
+        for i in range(24):
+            root = roots[(offset + i) % len(roots)]
+            with _handle(endpoint, root) as handle:
+                if _transition(handle) != expected[root]:
+                    wrong.append(root)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=transitions, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # A lost update of the size would break this.
+    assert tree_memo.size == _tree_memo_size(tree_memo) <= budget

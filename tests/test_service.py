@@ -690,3 +690,44 @@ def test_a_client_that_stops_reading_ends_only_its_connection(
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_an_idle_connection_ends_only_itself(populated, handler_faults, monkeypatch, caplog):
+    store, _, _ = populated
+    faults, closed = handler_faults
+    monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    threads = {}
+    setup = service._Handler.setup
+
+    def record_thread(handler):
+        threads[handler.client_address] = threading.current_thread()
+        setup(handler)
+
+    monkeypatch.setattr(service._Handler, "setup", record_thread)
+    server = start_server(store, "127.0.0.1:0")
+    endpoint = parse_endpoint(server.endpoint)
+    try:
+        with caplog.at_level(logging.WARNING, logger="confdb.service"):
+            with socket.create_connection(endpoint, timeout=5) as idle, \
+                    socket.create_connection(endpoint, timeout=5) as busy:
+                reader = busy.makefile("rb")
+                started = time.monotonic()
+                while time.monotonic() - started < 0.7:  # over three idle timeouts
+                    assert _request_lines(reader, busy, "PING") == "OK pong"
+                    time.sleep(0.1)
+                assert idle.recv(1) == b""  # closed by the server
+                _wait_for(lambda: len(closed) == 1)
+                idle_thread = threads[idle.getsockname()]
+                idle_thread.join(timeout=5)
+                assert not idle_thread.is_alive()
+                assert threads[busy.getsockname()].is_alive()
+                assert _request_lines(reader, busy, "PING") == "OK pong"
+                with socket.create_connection(endpoint, timeout=5) as other:
+                    assert _request_lines(other.makefile("rb"), other, "PING") == "OK pong"
+                reader.close()
+        assert faults == []
+        [record] = [r for r in caplog.records if r.name == "confdb.service"]
+        assert record.levelno == logging.WARNING and "0.2 s" in record.getMessage()
+    finally:
+        server.shutdown()
+        server.server_close()
