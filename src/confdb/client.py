@@ -17,9 +17,9 @@ the status line and, for an answer with a body, the line that is a
 lone ``.``.  Each receive resumes the search where the last one stopped,
 and bytes past the answer stay in the buffer for the next request.  A
 failed send, a status line that is not UTF-8 or not ``OK``/``ERR``, a
-failed or timed-out receive (``TIMEOUT_S``) and an end of stream in
-mid-answer each give the connection up, so a later request on it fails
-at once with :class:`ConnectionFailureError`.
+failed or timed-out receive (``TIMEOUT_S``, the socket's own timeout)
+and an end of stream in mid-answer each give the connection up, so a
+later request on it fails at once with :class:`ConnectionFailureError`.
 
 A handle that listed its tree reads it whole.  :func:`fetch_manifest`
 keeps the listed paths on the handle, and the handle's first
@@ -55,13 +55,13 @@ Only those two steps are memoised; a :class:`ProxyDictionary` decoder
 runs on every :func:`fetch_object`, since what it returns may be
 mutable.
 
-The memo holds at most ``GET_MEMO_BYTES`` (2 MiB) of key text,
-``sys.getsizeof`` of each kept tail and body, and is emptied whole when
-the next key would go over.  Measured with ``tracemalloc`` on the 1,029
-distinct answers of the benchmark's configure workload, the keys are
-545 KB of text (69 KB of identities, 475 KB of payloads) and the memo
-holds 2.9 MB with what they decode to, about 5.3 times its key text;
-so a full memo holds about 11 MiB.
+The memo's budget, ``GET_MEMO_BYTES`` (2 MiB), counts kept key text
+only, ``sys.getsizeof`` of each kept tail and body, and the memo is
+emptied whole when the next key would go over.  Measured with
+``tracemalloc`` on the 1,029 distinct answers of the benchmark's
+configure workload, the keys are 545 KB of text (69 KB of identities,
+475 KB of payloads) and the memo holds 2.9 MB with what they decode
+to, about 5.3 times its key text; so a full memo holds about 11 MiB.
 
 A second memo, ``TREE_MEMO``, keeps whole-tree answers by their exact
 bytes, so a repeated transition checks and decodes nothing again.  A
@@ -79,12 +79,13 @@ frame, a frame cut short and an ``ERR`` answer are never kept, and
 every refusal and fallback to GET is as before.  Then :func:`fetch_raw`
 of a listed path is one lookup in the handle's decoded map.  The memo
 shares the ``GET_MEMO_BYTES`` budget rule, each kept answer costing
-``sys.getsizeof`` of its body, and is emptied whole as ``GET_MEMO`` is.
-One benchmark detector tree costs 0.49 MB of FETCH body and 31 KB of
-MANIFEST body.  Measured with ``tracemalloc`` after one transition per
-run type on the seed-1 store, the memo holds 1.72 MB beyond
-``GET_MEMO``'s 3.16 MB: two bodies of each kind (1.05 MB as counted),
-the lines, the listings and the decoded maps.  Over a 10 s run of the
+only ``sys.getsizeof`` of its body, and is emptied whole as
+``GET_MEMO`` is.  One benchmark detector tree costs 0.49 MB of FETCH
+body and 31 KB of MANIFEST body.  Measured with ``tracemalloc`` after
+one transition per run type on the seed-1 store, the memo holds
+1.72 MB beyond ``GET_MEMO``'s 3.16 MB: two bodies of each kind
+(1.05 MB as counted), the lines, the listings and the decoded maps; so
+a full memo holds about 3.4 MB.  Over a 10 s run of the
 benchmark's configure workload, 440 of its 442 MANIFEST answers and
 440 of its 442 FETCH answers (99.5%) repeated an earlier answer byte
 for byte; the operator workload makes no client handle, so it never
@@ -106,13 +107,13 @@ from .errors import (
     error_for_code,
 )
 from .model import ObjectIdentity, Payload, decode_payload, format_identity, parse_identity, validate_name
-from .service import BoundedCache, parse_endpoint, timeval
+from .service import BoundedCache, parse_endpoint
 
 GET_MEMO_BYTES = 2 * 2**20
 GET_MEMO = BoundedCache(GET_MEMO_BYTES)
 TREE_MEMO = BoundedCache(GET_MEMO_BYTES)
 RECV_BYTES = 65536
-TIMEOUT_S = 30.0  # for the connect and for each send and receive
+TIMEOUT_S = 30.0  # for the connect, each whole request line's send and each receive
 
 
 class ProxyDictionary:
@@ -151,13 +152,6 @@ class _Connection:
             self._sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
         except OSError as exc:
             raise ConnectionFailureError(f"cannot connect to {endpoint}: {exc}") from exc
-        # Each send and receive keeps the same bound, held by the kernel: a
-        # Python-side timeout polls before every call, one more system call
-        # and GIL release per send and per receive.
-        bound = timeval(TIMEOUT_S)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, bound)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, bound)
-        self._sock.settimeout(None)
         self._buf = b""
 
     def close(self):
@@ -318,18 +312,22 @@ def _cut_short(handle: TreeHandle, at: int):
     raise ConfdbError(f"FETCH entry at byte {at} is cut short")
 
 
-def _frame_answers(handle: TreeHandle, count: str, body: bytes) -> dict[str, tuple[str, bytes]]:
-    """The GET answers a FETCH frame carries, by path, once every entry is checked.
+def _frame_answers(
+    handle: TreeHandle, count: str, body: bytes
+) -> dict[str, tuple[ObjectIdentity, Payload]]:
+    """What the GET answers a FETCH frame carries decode to, by path, once every entry is checked.
 
     The frame must list exactly the handle's listed paths, each once with
     its identity, and every payload must parse and decode as a GET
-    answer's would.  Only then are the answers the memo lacks put in it,
-    so a frame that is refused leaves the memo as it was.
+    answer's would.  Each answer ``GET_MEMO`` lacks is decoded once,
+    however many paths share it, and put in the memo only once the whole
+    frame is checked, so a frame that is refused leaves the memo as it
+    was.
     """
     listed = handle._listed
     if count != str(len(listed)):
         raise ConfdbError(f"FETCH frame of {count!r} entries for {len(listed)} listed paths")
-    answers, new, at = {}, [], 0
+    answers, new, at = {}, {}, 0
     memo = GET_MEMO.entries
     for _ in listed:
         eol = body.find(b"\n", at)
@@ -348,12 +346,14 @@ def _frame_answers(handle: TreeHandle, count: str, body: bytes) -> dict[str, tup
             _cut_short(handle, start)
         if listed.get(path) != identity or path in answers:
             raise ConfdbError(f"FETCH entry {path!r} {identity!r} is not a listed path, once")
-        answer = answers[path] = identity, body[start:at]
-        if answer not in memo:
-            new.append((answer, _decoded(answer)))
+        answer = identity, body[start:at]
+        raw = memo.get(answer) or new.get(answer)
+        if raw is None:
+            raw = new[answer] = _decoded(answer)
+        answers[path] = raw
     if at != len(body):
         raise ConfdbError(f"{len(body) - at} bytes after the last FETCH entry")
-    for answer, raw in new:
+    for answer, raw in new.items():
         GET_MEMO.put(answer, raw, _memo_cost(answer))
     return answers
 
@@ -381,8 +381,7 @@ def _fetch_tree(handle: TreeHandle) -> dict[str, tuple[ObjectIdentity, Payload]]
     if kept is not None and (kept[0] is handle._listed or kept[0] == handle._listed):
         handle._answers = kept[1]
     else:
-        answers = _frame_answers(handle, count, body)
-        handle._answers = {path: _memoised(answer) for path, answer in answers.items()}
+        handle._answers = _frame_answers(handle, count, body)
         TREE_MEMO.put(key, (handle._listed, handle._answers), sys.getsizeof(body))
     return handle._answers
 

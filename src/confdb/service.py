@@ -42,12 +42,12 @@ logged with its traceback on the ``confdb.service`` logger.  A request
 line longer than ``MAX_REQUEST_LINE`` bytes (its LF included) gets
 ``ERR 400 line-too-long``; the rest of it is read and dropped.  A
 client that resets or closes its connection mid-answer ends only that
-connection, quietly.  So does a client that stops reading: each send
-waits at most ``SEND_TIMEOUT_S`` for room in the socket buffer (the
-kernel's ``SO_SNDTIMEO``), and when it runs out one warning is logged on
-``confdb.service``.  So does a client that sends nothing for
-``IDLE_TIMEOUT_S`` (``SO_RCVTIMEO``).  Any other fault in a
-connection's handler still reaches ``ConfigServer.handle_error``.
+connection, quietly.  So, with one warning on ``confdb.service``, do a
+client that does not take a whole answer within ``SEND_TIMEOUT_S`` (a
+0.49 MB FETCH needs about 16 KB/s or more) and one that sends no bytes
+of a request for ``IDLE_TIMEOUT_S``: both are the socket's own timeout,
+set before each reply and each read of a request line.  Any other fault
+in a connection's handler still reaches ``ConfigServer.handle_error``.
 
 A server answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from
 one frame cache shared by all its connections: request line to finished
@@ -82,9 +82,7 @@ makes every handed-out identity permanently valid).
 
 from __future__ import annotations
 
-import socket
 import socketserver
-import struct
 import sys
 import threading
 
@@ -96,14 +94,8 @@ from .tree import active_trees, resolve_path, resolve_run_type, walk_tree
 DEFAULT_ENDPOINT = "127.0.0.1:7401"
 MAX_REQUEST_LINE = 64 * 1024
 FRAME_CACHE_BYTES = 8 * 2**20
-SEND_TIMEOUT_S = 30.0  # for each send of an answer to a connection
+SEND_TIMEOUT_S = 30.0  # for each whole answer to a connection
 IDLE_TIMEOUT_S = 300.0  # for each wait for the next bytes of a request
-
-
-def timeval(seconds: float) -> bytes:
-    """``seconds`` as the ``struct timeval`` that ``SO_SNDTIMEO`` and ``SO_RCVTIMEO`` take."""
-    whole, fraction = divmod(seconds, 1)
-    return struct.pack("ll", int(whole), int(fraction * 1e6))
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -250,14 +242,6 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    def setup(self):
-        # Held by the kernel, as the client holds its own bounds: a send
-        # to a client that stopped reading fails with EAGAIN once it has
-        # waited this long for room in the socket buffer.
-        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval(SEND_TIMEOUT_S))
-        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval(IDLE_TIMEOUT_S))
-        super().setup()
-
     def handle(self):
         try:
             self._serve()
@@ -265,49 +249,33 @@ class _Handler(socketserver.StreamRequestHandler):
             # The client reset or closed its end mid-answer: only this
             # connection ends, and nothing is reported.
             pass
-        except BlockingIOError:
-            # The send timed out: the client stopped reading.  Only this
-            # connection ends, and its thread with it.
+        except TimeoutError:
+            # A bound ran out: only this connection ends, and its thread.
             import logging  # on first use, as in Store._recover
 
+            what, seconds = self._waiting
             logging.getLogger(__name__).warning(
-                "closed %s: an answer waited over %g s to be read",
-                self.client_address, SEND_TIMEOUT_S,
-            )
-        except TimeoutError:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "closed %s: no request came for %g s", self.client_address, IDLE_TIMEOUT_S,
+                "closed %s: " + what, self.client_address, seconds
             )
 
-    def _readline(self) -> bytes:
-        """The next request line, or what the client sent before closing.
-
-        A receive that times out ends ``readline`` as an end of stream
-        would, so a line that stops short of its LF and of the limit is
-        the idle timeout unless a peek finds the stream ended.
-        """
-        raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
-        if len(raw) <= MAX_REQUEST_LINE and not raw.endswith(b"\n"):
-            try:
-                if self.request.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT):
-                    raise TimeoutError  # bytes that came after it
-            except BlockingIOError:
-                raise TimeoutError from None
-        return raw
+    def _bound(self, what: str, seconds: float):
+        """Bound the next wait on this connection; ``what`` is logged if it runs out."""
+        self._waiting = what, seconds
+        self.connection.settimeout(seconds)
 
     def _serve(self):
+        dropping = False  # reading the rest of an over-long line
         while True:
-            raw = self._readline()
+            self._bound("no request came for %g s", IDLE_TIMEOUT_S)
+            raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
             if not raw:
                 return
+            if dropping:
+                dropping = not raw.endswith(b"\n")
+                continue
             if len(raw) > MAX_REQUEST_LINE:
+                dropping = not raw.endswith(b"\n")
                 self._reply("ERR 400 line-too-long\n")
-                while not raw.endswith(b"\n"):
-                    raw = self._readline()
-                    if not raw:
-                        return
                 continue
             try:
                 line = raw.decode("utf-8")
@@ -317,6 +285,8 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply(handle_request(self.server.store, line, self.server.cache))
 
     def _reply(self, frame: str | bytes):
+        # One deadline for the whole answer, however slowly it is read.
+        self._bound("an answer was not read within %g s", SEND_TIMEOUT_S)
         self.wfile.write(frame if type(frame) is bytes else frame.encode("utf-8"))
 
 

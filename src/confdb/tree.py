@@ -21,7 +21,6 @@ from .errors import (
     UnknownRunTypeError,
 )
 from .model import (
-    KIND_MAP,
     ObjectIdentity,
     Payload,
     display_path,
@@ -40,23 +39,21 @@ MAX_TREE_DEPTH = 64
 def resolve_path(store: View, root: ObjectIdentity, path) -> ObjectIdentity:
     """The identity that named links from ``root`` lead to; the empty path is ``root``.
 
-    The maps along the path are read; the object at its end is not.
+    The maps along the path are read and no other object is: whether an
+    object is a map is known without reading it.
     """
     segments = parse_path(path)
-    current = store.get_object(root)
-    if current.kind != KIND_MAP:
+    if not store.is_map(root):
         raise NotAMapError(
             f"{format_identity(root)} is not a map", detail=format_identity(root)
         )
     target = root
     for depth, segment in enumerate(segments):
-        if depth:
-            current = store.get_object(target)
-            if current.kind != KIND_MAP:
-                prefix = display_path(segments[:depth])
-                raise NotAMapError(f"{prefix!r} is not a map", detail=prefix)
+        if depth and not store.is_map(target):
+            prefix = display_path(segments[:depth])
+            raise NotAMapError(f"{prefix!r} is not a map", detail=prefix)
         try:
-            target = current.payload.get(segment)
+            target = store.get_object(target).payload.get(segment)
         except KeyError:
             prefix = display_path(segments[:depth])
             raise NoSuchLinkError(

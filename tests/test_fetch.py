@@ -297,6 +297,23 @@ def test_a_well_formed_frame_answers_every_listed_path(scripted, memo):
     assert set(memo.entries) == {("Leaf[1]", _A), ("TopMap[1]", _ROOT)}
 
 
+def test_a_frame_decodes_each_answer_once(scripted, monkeypatch, tree_memo, checks):
+    # A GET memo that keeps nothing, as when a frame's own puts empty it.
+    monkeypatch.setattr(client, "GET_MEMO", BoundedCache(64))
+    root = b"kind=map\na=Leaf[1]\nb=Leaf[1]\n"
+    manifest = b"OK 3\n/\tTopMap[1]\na\tLeaf[1]\nb\tLeaf[1]\n.\n"
+    frame = _fetch_frame(
+        _entry("/", "TopMap[1]", root), _entry("a", "Leaf[1]", _A), _entry("b", "Leaf[1]", _A)
+    )
+    endpoint, _ = scripted(b"OK TopMap[1]\n", manifest, frame)
+    with configure_run(endpoint, "PHYSICS") as handle:
+        fetch_manifest(handle)
+        assert fetch_raw(handle, "a") is fetch_raw(handle, "b")
+        assert fetch_raw(handle, "b") == _raw(_A)
+        assert fetch_raw(handle, "/") == _raw(root, "TopMap[1]")
+    assert checks == ["_frame_answers", "decode_payload", "decode_payload"]
+
+
 _GOOD_ROOT = _entry("/", "TopMap[1]", _ROOT)
 
 MALFORMED = {

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from confdb import service
+from confdb import store as store_module
 from confdb.commitproc import commit_alias_tree
 from confdb.errors import ParseError
 from confdb.model import display_path, encode_payload, format_identity
@@ -605,6 +606,27 @@ def test_frames_equal_a_full_decode_on_a_benchmark_store(tmp_path, monkeypatch):
     assert len(frames) == 2 * (1 + len(detector.map_paths) + len(detector.leaf_paths))
 
 
+def test_a_get_through_a_leaf_decodes_no_leaf(tmp_path, monkeypatch):
+    with open_store(tmp_path / "db", clock=lambda: 0) as writer:
+        tree, _ = build_figure1(writer)
+        root = format_identity(commit_alias_tree(writer, tree, ["PHYSICS"]))
+    with open_store(tmp_path / "db") as s:
+        assert handle_request(s, f"GET {root} dch/hv/x\n") == "ERR 404 not-a-map dch/hv\n"
+        assert handle_request(s, "GET DchHV:sector3[1] a\n") == (
+            "ERR 404 not-a-map DchHV:sector3[1]\n"
+        )
+        assert _decoded_leaves(s) == 0
+        encodes = []
+        encode = store_module.encode_payload
+        monkeypatch.setattr(
+            store_module, "encode_payload", lambda payload: encodes.append(payload) or encode(payload)
+        )
+        assert handle_request(s, f"GET {root} dch/hv\n") == (
+            "OK DchHV:sector3[1]\nkind=leaf\nhv=f:0x1.c2p+10\n.\n"
+        )
+        assert encodes == []
+
+
 def _assert_the_non_canonical_leaf_is_listed_but_never_served(s):
     assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
     for _ in range(2):
@@ -687,6 +709,47 @@ def test_a_client_that_stops_reading_ends_only_its_connection(
         assert faults == []
         [record] = [r for r in caplog.records if r.name == "confdb.service"]
         assert record.levelno == logging.WARNING and "0.2 s" in record.getMessage()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_that_reads_too_slowly_ends_only_its_connection(
+    populated, handler_faults, monkeypatch, caplog
+):
+    store, _, _ = populated
+    faults, closed = handler_faults
+    monkeypatch.setattr(service, "SEND_TIMEOUT_S", 0.3)
+    # More than the server's send buffer and the client's receive buffer hold.
+    big = b"OK 0\n" + b"x" * (2 * _socket_buffer_max()) + b"\n.\n"
+    answer = service.handle_request
+    monkeypatch.setattr(
+        service, "handle_request",
+        lambda store, line, cache: big if line == "BIG\n" else answer(store, line, cache),
+    )
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with caplog.at_level(logging.WARNING, logger="confdb.service"):
+            with socket.socket() as slow:
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                slow.connect(parse_endpoint(server.endpoint))
+                slow.settimeout(5)
+                started = time.monotonic()
+                slow.sendall(b"BIG\n")
+                received = 0
+                while not closed:  # 4 KB every 30 ms, about 130 KB/s
+                    assert time.monotonic() - started < 5, "the slow reader was never closed"
+                    chunk = slow.recv(4096)
+                    assert chunk, "the answer ended"
+                    received += len(chunk)
+                    time.sleep(0.03)
+                assert time.monotonic() - started >= 0.3
+                assert 0 < received < len(big)
+                with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+                    assert _request_lines(sock.makefile("rb"), sock, "PING") == "OK pong"
+        assert faults == []
+        [record] = [r for r in caplog.records if r.name == "confdb.service"]
+        assert record.levelno == logging.WARNING and "0.3 s" in record.getMessage()
     finally:
         server.shutdown()
         server.server_close()
