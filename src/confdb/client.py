@@ -18,29 +18,26 @@ lone ``.``.  Each receive resumes the search where the last one stopped,
 and bytes past the answer stay in the buffer for the next request.  A
 failed send, a status line that is not UTF-8 or not ``OK``/``ERR``, a
 failed or timed-out receive (``TIMEOUT_S``, the socket's own timeout)
-and an end of stream in mid-answer each give the connection up, so a
-later request on it fails at once with :class:`ConnectionFailureError`.
+and an end of stream in mid-answer each give the connection up and
+raise :class:`ConnectionFailureError`, as every later request on it
+then does at once.
 
-A handle that listed its tree reads it whole.  :func:`fetch_manifest`
-keeps the listed paths on the handle, and the handle's first
-:func:`fetch_raw` of a listed path sends one ``FETCH``: one frame with
-the GET answer of every listed path.  The handle checks the whole frame
-and answers every listed path from it, each decoded through the memo
-below under the key its GET answer would have, so the parse, the decode
-and every error are a GET's.  A frame is refused with a
-:class:`ConfdbError`, and the memos are left as they were, when its
-count, a path or an identity differs from the listing, a path repeats,
-a length is not plain ASCII decimal, bytes follow the last entry, or a
-payload does not decode; an entry that runs past the terminator also
-gives the connection up.  A path the handle did not list, a handle that
-never listed, and a ``FETCH`` answered with ``ERR`` (an older server's
-``unknown-verb``, or a tree with a leaf that a GET would refuse) are
-answered by one GET per path, as before.  A handle sends at most one
-``FETCH``.  On the benchmark's configure store a transition is 3
-requests, not 1,010, but a listed handle that reads a single leaf waits
-for the whole 0.47 MB frame: 3.2 ms against 0.03 ms for one GET
-(single client, serve child on the same host).  So a handle that reads
-only a few leaves should not call :func:`fetch_manifest` first.
+A handle reads its tree whole.  :func:`fetch_manifest` sends one
+``FETCH``, whose frame holds the GET answer of every path of the tree
+under the path and identity of its MANIFEST line, and returns the lines
+read from those entry heads.  It checks the whole frame and keeps on
+the handle what each entry decodes to, through the memo below under the
+key its GET answer would have, so the parse, the decode and every error
+are a GET's, and :func:`fetch_raw` of a path of the frame is one lookup.
+A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
+one cut short also gives the connection up.  A ``FETCH`` answered with ``ERR`` on a
+connection still in step (an older server, or a tree with a leaf that a
+GET refuses) is followed by one ``MANIFEST``, and the handle GETs each
+path.  A transition on the benchmark's configure store is 2 requests,
+not 1,010; but the frame is 0.49 MB, where a MANIFEST is 31 KB, and
+takes 3.2 ms, where one GET takes 0.03 ms (single client, serve child on
+the same host).  So a handle that reads only a few leaves should GET
+them without :func:`fetch_manifest`.
 
 Each client process keeps one memo of GET answers, ``GET_MEMO``.  It
 maps the ``(status tail, payload bytes)`` pair of an answer to the
@@ -63,33 +60,19 @@ configure workload, the keys are 545 KB of text (69 KB of identities,
 475 KB of payloads) and the memo holds 2.9 MB with what they decode
 to, about 5.3 times its key text; so a full memo holds about 11 MiB.
 
-A second memo, ``TREE_MEMO``, keeps whole-tree answers by their exact
-bytes, so a repeated transition checks and decodes nothing again.  A
-MANIFEST body, under ``("MANIFEST", body)``, maps to its lines and the
-``{path: identity text}`` listing a handle keeps; :func:`fetch_manifest`
-returns a new list of the lines on every call.  A FETCH answer, under
-``(count, body)``, maps to the listing its frame was checked against and
-to ``{path: (ObjectIdentity, Payload)}``, made through ``GET_MEMO`` so
-that equal answers share one decoded pair.  A FETCH hit counts only
-when that listing is the handle's own or equal to it: the check is a
-pure function of the listing, the count and the body, so a hit answers
-exactly what a full check and decode would.  Any other answer is
-checked in full and kept only when its frame is accepted, so a refused
-frame, a frame cut short and an ``ERR`` answer are never kept, and
-every refusal and fallback to GET is as before.  Then :func:`fetch_raw`
-of a listed path is one lookup in the handle's decoded map.  The memo
-shares the ``GET_MEMO_BYTES`` budget rule, each kept answer costing
-only ``sys.getsizeof`` of its body, and is emptied whole as
-``GET_MEMO`` is.  One benchmark detector tree costs 0.49 MB of FETCH
-body and 31 KB of MANIFEST body.  Measured with ``tracemalloc`` after
-one transition per run type on the seed-1 store, the memo holds
-1.72 MB beyond ``GET_MEMO``'s 3.16 MB: two bodies of each kind
-(1.05 MB as counted), the lines, the listings and the decoded maps; so
-a full memo holds about 3.4 MB.  Over a 10 s run of the
-benchmark's configure workload, 440 of its 442 MANIFEST answers and
-440 of its 442 FETCH answers (99.5%) repeated an earlier answer byte
-for byte; the operator workload makes no client handle, so it never
-uses the memo.
+A second memo, ``TREE_MEMO``, keeps each accepted FETCH answer, under
+its ``(count, body)``, as the frame's lines and its ``{path:
+(ObjectIdentity, Payload)}`` map, made through ``GET_MEMO`` so that
+equal answers share one decoded pair.  Both are pure functions of the
+key, so a hit, which checks and decodes nothing, answers exactly what a
+full check and decode would.  It shares the ``GET_MEMO_BYTES`` budget
+rule, each answer costing ``sys.getsizeof`` of its body, and is emptied
+whole as ``GET_MEMO`` is.  After one transition per run type on the
+seed-1 store, the memo holds 1.34 MB (``tracemalloc``) beyond
+``GET_MEMO``'s 3.16 MB, of which 0.98 MB are the two counted bodies; so
+a full memo holds about 2.9 MB.  Over 10 s of the benchmark's configure
+workload, 440 of its 442 FETCH answers (99.5%) repeated an earlier one
+byte for byte; the operator workload makes no client handle.
 """
 
 from __future__ import annotations
@@ -106,7 +89,8 @@ from .errors import (
     NoProxyError,
     error_for_code,
 )
-from .model import ObjectIdentity, Payload, decode_payload, format_identity, parse_identity, validate_name
+from .model import ObjectIdentity, Payload, canonical_int, decode_payload, format_identity
+from .model import parse_identity, validate_name
 from .service import BoundedCache, parse_endpoint
 
 GET_MEMO_BYTES = 2 * 2**20
@@ -209,7 +193,9 @@ class _Connection:
             status = buf[:eol].decode("utf-8")
         except UnicodeDecodeError:
             self.close()
-            raise ConfdbError(f"response is not UTF-8: {bytes(buf[: eol + 1])!r}") from None
+            raise ConnectionFailureError(
+                f"response is not UTF-8: {bytes(buf[: eol + 1])!r}"
+            ) from None
         if status.startswith("ERR "):
             self._buf = bytes(buf[eol + 1 :])
             parts = status.split(" ", 2)
@@ -217,7 +203,7 @@ class _Connection:
             raise error_for_code(code_name, status)
         if not status.startswith("OK"):
             self.close()
-            raise ConfdbError(f"unexpected response: {status!r}")
+            raise ConnectionFailureError(f"unexpected response: {status!r}")
         tail = status[3:] if status.startswith("OK ") else ""
         if not body:
             self._buf = bytes(buf[eol + 1 :])
@@ -242,13 +228,9 @@ def _body_lines(body: bytes) -> list[str]:
 class TreeHandle:
     """A resolved configuration tree; owns one connection.
 
-    ``_listed`` maps each path of the handle's last MANIFEST to its
-    identity text.  ``_answers`` is ``None`` until the handle sends its
-    one FETCH; then it maps each listed path to the ``(ObjectIdentity,
-    Payload)`` pair its GET answer in the FETCH frame decodes to, and it
-    is empty when the FETCH was refused or its frame was malformed.  Both
-    may be shared with ``TREE_MEMO`` and other handles, so neither is
-    ever changed in place.
+    ``_answers`` maps each path of the FETCH frame the handle last
+    accepted to what its GET answer decodes to, and is empty until then.
+    It may be shared with ``TREE_MEMO``, so it is never changed in place.
     """
 
     def __init__(self, endpoint: str, root: ObjectIdentity, connection: _Connection):
@@ -256,8 +238,7 @@ class TreeHandle:
         self.root = root
         self._connection = connection
         self._get_prefix = f"GET {format_identity(root)} "
-        self._listed: dict[str, str] = {}
-        self._answers: dict[str, tuple[ObjectIdentity, Payload]] | None = None
+        self._answers: dict[str, tuple[ObjectIdentity, Payload]] = {}
 
     def close(self):
         self._connection.close()
@@ -301,102 +282,61 @@ def _memoised(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
     return raw
 
 
-def _cut_short(handle: TreeHandle, at: int):
-    """Refuse a FETCH frame whose entries run past its terminator, at byte ``at``.
-
-    The terminator came before the last entry ended, so where the answer
-    ends is unknown: the connection is given up, as for a refused status
-    line.
-    """
-    handle._connection.close()
-    raise ConfdbError(f"FETCH entry at byte {at} is cut short")
-
-
 def _frame_answers(
-    handle: TreeHandle, count: str, body: bytes
-) -> dict[str, tuple[ObjectIdentity, Payload]]:
-    """What the GET answers a FETCH frame carries decode to, by path, once every entry is checked.
+    count: str, body: bytes
+) -> tuple[tuple[str, ...], dict[str, tuple[ObjectIdentity, Payload]]]:
+    """A FETCH frame's manifest lines, and what its GET answers decode to by path.
 
-    The frame must list exactly the handle's listed paths, each once with
-    its identity, and every payload must parse and decode as a GET
-    answer's would.  Each answer ``GET_MEMO`` lacks is decoded once,
-    however many paths share it, and put in the memo only once the whole
-    frame is checked, so a frame that is refused leaves the memo as it
-    was.
+    The count is canonical decimal and exactly that many entries follow,
+    each path once, each length plain ASCII decimal, and every payload
+    must parse and decode as a GET answer's would.  Answers ``GET_MEMO``
+    lacks are decoded once each and put in it only once the whole frame
+    is checked.  An entry that runs past the terminator raises
+    :class:`ConnectionFailureError`: where the answer ends is unknown.
     """
-    listed = handle._listed
-    if count != str(len(listed)):
-        raise ConfdbError(f"FETCH frame of {count!r} entries for {len(listed)} listed paths")
-    answers, new, at = {}, {}, 0
+    entries = canonical_int(count)
+    if entries is None or entries < 0:
+        raise ConfdbError(f"FETCH frame count {count!r} is not canonical")
+    lines, answers, new, at = [], {}, {}, 0
     memo = GET_MEMO.entries
-    for _ in listed:
+    for _ in range(entries):
         eol = body.find(b"\n", at)
         if eol < 0:
-            _cut_short(handle, at)
+            raise ConnectionFailureError(f"FETCH entry at byte {at} is cut short")
         try:
             path, identity, length = body[at:eol].decode("utf-8").split("\t")
-            size = int(length)
         except ValueError:  # UnicodeDecodeError included
             raise ConfdbError(f"FETCH entry at byte {at} is not path, identity, length") from None
         # Only plain ASCII decimal is canonical: no sign, space, "_" or leading 0.
-        if size < 0 or str(size) != length:
+        size = canonical_int(length)
+        if size is None or size < 0:
             raise ConfdbError(f"FETCH entry {path!r} has a bad length {length!r}")
         start, at = eol + 1, eol + 1 + size
         if at > len(body):
-            _cut_short(handle, start)
-        if listed.get(path) != identity or path in answers:
-            raise ConfdbError(f"FETCH entry {path!r} {identity!r} is not a listed path, once")
+            raise ConnectionFailureError(f"FETCH entry at byte {start} is cut short")
+        if path in answers:
+            raise ConfdbError(f"FETCH entry {path!r} repeats a path")
         answer = identity, body[start:at]
         raw = memo.get(answer) or new.get(answer)
         if raw is None:
             raw = new[answer] = _decoded(answer)
         answers[path] = raw
+        lines.append(f"{path}\t{identity}")
     if at != len(body):
         raise ConfdbError(f"{len(body) - at} bytes after the last FETCH entry")
     for answer, raw in new.items():
         GET_MEMO.put(answer, raw, _memo_cost(answer))
-    return answers
-
-
-def _fetch_tree(handle: TreeHandle) -> dict[str, tuple[ObjectIdentity, Payload]]:
-    """Send the handle's one FETCH; what it answers by path, or ``{}`` to GET each path.
-
-    An ``ERR`` answer leaves the connection in step: an older server's
-    ``unknown-verb``, or a tree holding a leaf that a GET would refuse,
-    so the handle GETs each path and every answer and error is a GET's.
-    A frame ``TREE_MEMO`` kept is checked again only when the listing it
-    was checked against is not the handle's; a kept MANIFEST's value is
-    never equal to a listing, so it cannot pass for a FETCH's.
-    """
-    handle._answers = {}
-    connection = handle._connection
-    try:
-        count, body = connection.request(f"FETCH {format_identity(handle.root)}", body=True)
-    except ConfdbError:
-        if connection._sock.fileno() == -1:  # given up: no GET would be answered
-            raise
-        return {}
-    key = count, body
-    kept = TREE_MEMO.entries.get(key)
-    if kept is not None and (kept[0] is handle._listed or kept[0] == handle._listed):
-        handle._answers = kept[1]
-    else:
-        handle._answers = _frame_answers(handle, count, body)
-        TREE_MEMO.put(key, (handle._listed, handle._answers), sys.getsizeof(body))
-    return handle._answers
+    return tuple(lines), answers
 
 
 def fetch_raw(handle: TreeHandle, path: str) -> tuple[ObjectIdentity, Payload]:
-    """GET one object by path; returns (identity, payload) undecoded.
+    """One object by path, as (identity, payload) undecoded by any proxy.
 
-    A path that the handle's MANIFEST listed is answered from the
-    handle's one FETCH frame, sent on the first such call.
+    A path of the handle's accepted FETCH frame is answered from it;
+    any other path is one GET.
     """
     path = path or "/"
-    answers = handle._answers
-    if answers is None and path in handle._listed:
-        answers = _fetch_tree(handle)
-    raw = answers.get(path) if answers else None
+    raw = handle._answers.get(path)
     if raw is None:
         raw = _memoised(handle._connection.request(handle._get_prefix + path, body=True))
     return raw
@@ -410,21 +350,31 @@ def fetch_object(handle: TreeHandle, proxies: ProxyDictionary, path: str):
 
 
 def fetch_manifest(handle: TreeHandle) -> list[str]:
-    """MANIFEST lines for the handle's tree; the handle keeps the paths they list.
+    """The manifest lines of the handle's tree, read from one FETCH frame.
 
-    The lines are a new list on every call; the listing is kept by
-    ``TREE_MEMO`` and shared.
+    The handle then answers each path of the frame without a request.
+    An ``ERR`` answer on a connection still in step is followed by one
+    MANIFEST, whose lines are returned, and a refused frame raises;
+    either way the handle GETs each path.  The lines are a new list on
+    every call.
     """
-    _, body = handle._connection.request(
-        f"MANIFEST {format_identity(handle.root)}", body=True
-    )
-    key = "MANIFEST", body
+    connection = handle._connection
+    root = format_identity(handle.root)
+    try:
+        key = connection.request(f"FETCH {root}", body=True)
+    except ConnectionFailureError:
+        raise
+    except ConfdbError:
+        return _body_lines(connection.request(f"MANIFEST {root}", body=True)[1])
     kept = TREE_MEMO.entries.get(key)
     if kept is None:
-        lines = tuple(_body_lines(body))
-        kept = lines, dict(line.split("\t", 1) for line in lines if "\t" in line)
-        TREE_MEMO.put(key, kept, sys.getsizeof(body))
-    lines, handle._listed = kept
+        try:
+            kept = _frame_answers(*key)
+        except ConnectionFailureError:
+            connection.close()
+            raise
+        TREE_MEMO.put(key, kept, sys.getsizeof(key[1]))
+    lines, handle._answers = kept
     return list(lines)
 
 

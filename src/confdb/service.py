@@ -178,7 +178,7 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
         if frame is not None:
             return frame
     key = line
-    line = line.rstrip("\r\n")
+    line = line.removesuffix("\n")
     verb, sep, rest = line.partition(" ")
     if sep and verb in ("PING", "RUNTYPES"):
         return "ERR 400 malformed-request trailing data\n"

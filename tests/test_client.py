@@ -279,15 +279,19 @@ def test_non_utf8_answers_raise_confdb_errors(scripted, memo):
     endpoint = scripted(
         b"OK TopMap[1]\n",
         b"OK DchHV:sector3[1]\nkind=leaf\nname=s:\xff\n.\n",
+        b"OK 1\n/\tTopMap[1]\xff\t0\n.\n",
+        b"ERR 400 unknown-verb\n",  # a server without FETCH: the MANIFEST below
         b"OK 1\n/\tTopMap[1]\xff\n.\n",
         b"OK DchHV:sector3[1]\xff\nkind=leaf\nhv=i:1\n.\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(MalformedPayloadError):
             fetch_raw(handle, "dch/hv")
+        with pytest.raises(ConfdbError, match="not path, identity, length"):
+            fetch_manifest(handle)
         with pytest.raises(MalformedPayloadError):
             fetch_manifest(handle)
-        with pytest.raises(ConfdbError):
+        with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "dch/hv")
     assert memo.entries == {}
 
@@ -301,7 +305,7 @@ def test_a_refused_status_line_gives_the_connection_up(scripted):
         b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
-        with pytest.raises(ConfdbError, match="not UTF-8"):
+        with pytest.raises(ConnectionFailureError, match="not UTF-8"):
             fetch_raw(handle, "a")
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")
@@ -348,6 +352,12 @@ def _raw(answer):
     return parse_identity(status[3:].decode()), decode_payload(rest[:-2])
 
 
+def _manifest_lines(handle) -> list:
+    """The lines of a MANIFEST of the handle's root, read on its connection."""
+    _, body = handle._connection.request(f"MANIFEST {format_identity(handle.root)}", body=True)
+    return client._body_lines(body)
+
+
 def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
     endpoint = scripted(
         b"OK TopMap[1]\n",
@@ -361,8 +371,8 @@ def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
     with configure_run(endpoint, "PHYSICS") as handle:
         assert handle.root == parse_identity("TopMap[1]")
         assert fetch_raw(handle, "a") == _raw(_LEAF)
-        assert fetch_manifest(handle) == ["/\tTopMap[1]", ".a\tLeaf[1]", "a.\tLeaf[2]"]
-        assert fetch_manifest(handle) == []
+        assert _manifest_lines(handle) == ["/\tTopMap[1]", ".a\tLeaf[1]", "a.\tLeaf[2]"]
+        assert _manifest_lines(handle) == []
         with pytest.raises(NoSuchLinkError):
             fetch_raw(handle, "b")
         assert fetch_raw(handle, "c") == _raw(_DOT)
@@ -445,7 +455,7 @@ def test_a_large_body_in_small_pieces_is_read_exactly(scripted):
     assert len(frame) % 4096 == 2 and len(frame) > 2**20
     endpoint = scripted(b"OK TopMap[1]\n", frame.encode(), _LEAF, piece=4096)
     with configure_run(endpoint, "PHYSICS") as handle:
-        assert fetch_manifest(handle) == lines
+        assert _manifest_lines(handle) == lines
         assert fetch_raw(handle, "a") == _raw(_LEAF)
 
 

@@ -1,16 +1,21 @@
-"""FETCH: a handle that listed its tree reads it in one frame.
+"""FETCH: a handle lists and reads its tree from one frame.
 
-A listed handle must answer exactly what per-path GETs answer, send
-RESOLVE, MANIFEST and FETCH and nothing more, fall back to GETs when a
-FETCH is refused, and refuse a malformed frame without keeping any of it.
+``fetch_manifest`` must return exactly the server's MANIFEST lines, and
+a handle must then answer exactly what per-path GETs answer.  A
+transition sends RESOLVE and FETCH and nothing more; a FETCH answered
+with ERR falls back to one MANIFEST and GETs; a malformed frame is
+refused without keeping any of it.
 """
 
 import os
 import socket
 import sys
 import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confdb import client, service
 from confdb.client import TreeHandle, configure_run, fetch_manifest, fetch_raw
@@ -23,6 +28,7 @@ from confdb.errors import (
 )
 from confdb.model import (
     ObjectIdentity,
+    Payload,
     decode_payload,
     encode_payload,
     format_identity,
@@ -154,7 +160,7 @@ def served(tmp_path):
     store.close()
 
 
-def test_a_listed_transition_is_three_requests(served, verbs, memo):
+def test_a_listed_transition_is_two_requests(served, verbs, memo):
     store, root = served
     server, endpoint = _serve(store)
     try:
@@ -165,14 +171,14 @@ def test_a_listed_transition_is_three_requests(served, verbs, memo):
                 for path in paths:
                     fetch_raw(handle, path)
             fetch_raw(handle, "")  # the root, spelt as the empty path
-        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"]
+        assert verbs == ["RESOLVE", "FETCH"]
         # Each handle sends its own FETCH, once; the server answers the
         # second from its frame cache.
         with configure_run(endpoint, "PHYSICS") as handle:
             fetch_manifest(handle)
             fetch_raw(handle, "dch/hv")
             fetch_raw(handle, "dch/fee")
-        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"] * 2
+        assert verbs == ["RESOLVE", "FETCH"] * 2
         assert type(server.cache.entries[f"FETCH {root}\n"]) is bytes
     finally:
         _stop(server)
@@ -185,12 +191,12 @@ def test_unlisted_paths_and_handles_still_get(served, verbs, memo):
         with configure_run(endpoint, "PHYSICS") as handle:
             fetch_raw(handle, "dch/hv")  # never listed: a GET
             fetch_manifest(handle)
-            fetch_raw(handle, "dch/hv")  # listed: the handle's FETCH
+            fetch_raw(handle, "dch/hv")  # listed: from the handle's FETCH
             for path in ("dch/", "/dch/hv", "dch/nope"):  # spelt otherwise or absent: GETs
                 with pytest.raises(ConfdbError):
                     fetch_raw(handle, path)
             fetch_raw(handle, "emc/hv")
-        assert verbs == ["RESOLVE", "GET", "MANIFEST", "FETCH", "GET", "GET", "GET"]
+        assert verbs == ["RESOLVE", "GET", "FETCH", "GET", "GET", "GET"]
     finally:
         _stop(server)
 
@@ -206,13 +212,15 @@ def test_a_tree_with_a_non_canonical_leaf_falls_back_to_gets(tmp_path, verbs, me
         try:
             verbs.clear()
             with _handle(endpoint, root) as listed, _handle(endpoint, root) as unlisted:
-                fetch_manifest(listed)
+                # The FETCH is refused, so the lines come from one MANIFEST.
+                assert fetch_manifest(listed) == ["/\tM[1]", "b\tB[1]", "c\tC[1]"]
+                assert listed._answers == {}
                 for handle in (listed, unlisted):
                     assert fetch_raw(handle, "c") == _raw(b"kind=leaf\nc=i:3\n", "C[1]")
                     with pytest.raises(CorruptLogError):
                         fetch_raw(handle, "b")
                     assert fetch_raw(handle, "/")[0] == root
-            assert verbs == ["MANIFEST", "FETCH", "GET", "GET", "GET", "GET", "GET", "GET"]
+            assert verbs == ["FETCH", "MANIFEST", "GET", "GET", "GET", "GET", "GET", "GET"]
             assert f"FETCH {root}\n" not in server.cache.entries
         finally:
             _stop(server)
@@ -273,26 +281,26 @@ def _raw(payload, identity="Leaf[1]"):
 
 def test_a_server_without_fetch_is_answered_by_gets(scripted, memo):
     endpoint, received = scripted(
-        b"OK TopMap[1]\n", _MANIFEST, b"ERR 400 unknown-verb\n", _GET_A,
+        b"OK TopMap[1]\n", b"ERR 400 unknown-verb\n", _MANIFEST, _GET_A,
         b"OK TopMap[1]\n" + _ROOT + b".\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
         assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]"]
         assert fetch_raw(handle, "a") == _raw(_A)
         assert fetch_raw(handle, "/") == _raw(_ROOT, "TopMap[1]")
-    assert received == ["RESOLVE PHYSICS", "MANIFEST TopMap[1]", "FETCH TopMap[1]",
+    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]", "MANIFEST TopMap[1]",
                         "GET TopMap[1] a", "GET TopMap[1] /"]
 
 
 def test_a_well_formed_frame_answers_every_listed_path(scripted, memo):
     frame = _fetch_frame(_entry("/", "TopMap[1]", _ROOT), _entry("a", "Leaf[1]", _A))
-    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame)
+    endpoint, received = scripted(b"OK TopMap[1]\n", frame)
     with configure_run(endpoint, "PHYSICS") as handle:
-        fetch_manifest(handle)
+        assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]"]
         for _ in range(2):
             assert fetch_raw(handle, "a") == _raw(_A)
             assert fetch_raw(handle, "") == _raw(_ROOT, "TopMap[1]")
-    assert received == ["RESOLVE PHYSICS", "MANIFEST TopMap[1]", "FETCH TopMap[1]"]
+    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]"]
     # Kept under the keys GET answers have.
     assert set(memo.entries) == {("Leaf[1]", _A), ("TopMap[1]", _ROOT)}
 
@@ -301,13 +309,12 @@ def test_a_frame_decodes_each_answer_once(scripted, monkeypatch, tree_memo, chec
     # A GET memo that keeps nothing, as when a frame's own puts empty it.
     monkeypatch.setattr(client, "GET_MEMO", BoundedCache(64))
     root = b"kind=map\na=Leaf[1]\nb=Leaf[1]\n"
-    manifest = b"OK 3\n/\tTopMap[1]\na\tLeaf[1]\nb\tLeaf[1]\n.\n"
     frame = _fetch_frame(
         _entry("/", "TopMap[1]", root), _entry("a", "Leaf[1]", _A), _entry("b", "Leaf[1]", _A)
     )
-    endpoint, _ = scripted(b"OK TopMap[1]\n", manifest, frame)
+    endpoint, _ = scripted(b"OK TopMap[1]\n", frame)
     with configure_run(endpoint, "PHYSICS") as handle:
-        fetch_manifest(handle)
+        assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]", "b\tLeaf[1]"]
         assert fetch_raw(handle, "a") is fetch_raw(handle, "b")
         assert fetch_raw(handle, "b") == _raw(_A)
         assert fetch_raw(handle, "/") == _raw(root, "TopMap[1]")
@@ -329,10 +336,8 @@ MALFORMED = {
     "four-fields": _fetch_frame(_GOOD_ROOT, _entry("a\tx", "Leaf[1]", _A)),
     "trailing-bytes": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), tail=b"junk\n"),
     "repeated-path": _fetch_frame(_entry("a", "Leaf[1]", _A), _entry("a", "Leaf[1]", _A)),
-    "unlisted-path": _fetch_frame(_GOOD_ROOT, _entry("b", "Leaf[1]", _A)),
-    "other-identity": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[2]", _A)),
-    "too-few-entries": _fetch_frame(_GOOD_ROOT),
-    "count-over": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count=3),
+    "count-under": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count=1),
+    "count-negative": _fetch_frame(count=-1),
     "count-leading-zero": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count="02"),
     "not-utf8-path": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A).replace(b"a", b"\xff", 1)),
     "malformed-identity": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[01]", _A)),
@@ -340,48 +345,112 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
-def test_a_malformed_frame_is_refused_and_nothing_kept(scripted, memo, frame):
-    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame, _GET_A)
+def test_a_malformed_frame_is_refused_and_nothing_kept(scripted, memo, tree_memo, frame):
+    endpoint, received = scripted(b"OK TopMap[1]\n", frame, _GET_A)
     with configure_run(endpoint, "PHYSICS") as handle:
-        fetch_manifest(handle)
-        with pytest.raises(ConfdbError):
-            fetch_raw(handle, "a")
+        with pytest.raises(ConfdbError) as refused:
+            fetch_manifest(handle)
+        assert not isinstance(refused.value, ConnectionFailureError)
         assert memo.entries == {} and memo.size == 0
+        assert tree_memo.entries == {} and tree_memo.size == 0
         assert handle._answers == {}
         # The connection is still in step, and the handle GETs from now on.
         assert fetch_raw(handle, "a") == _raw(_A)
-    assert received[2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+    assert received[1:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
 
 
 def test_a_non_canonical_payload_raises_as_a_get_would(scripted, memo):
     bad = b"kind=leaf\na=i:01\n"
     endpoint, _ = scripted(
-        b"OK TopMap[1]\n", _MANIFEST, _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", bad)),
+        b"OK TopMap[1]\n", _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", bad)),
     )
     with configure_run(endpoint, "PHYSICS") as handle:
-        fetch_manifest(handle)
         with pytest.raises(MalformedPayloadError):
-            fetch_raw(handle, "a")
+            fetch_manifest(handle)
     assert memo.entries == {}
 
 
 CUT_SHORT = {
     "inside-a-payload": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A, len(_A) + 5)),
     "before-an-entry": _fetch_frame(_GOOD_ROOT, count=2),
+    # With no listing to hold it against, a count above the entries is
+    # the same cut: the body ends where an entry should begin.
+    "count-over": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count=3),
 }
 
 
 @pytest.mark.parametrize("frame", CUT_SHORT.values(), ids=CUT_SHORT.keys())
-def test_entries_past_the_terminator_give_the_connection_up(scripted, memo, frame):
-    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, frame, _GET_A)
+def test_entries_past_the_terminator_give_the_connection_up(scripted, memo, tree_memo, frame):
+    endpoint, received = scripted(b"OK TopMap[1]\n", frame, _GET_A)
     with configure_run(endpoint, "PHYSICS") as handle:
-        fetch_manifest(handle)
-        with pytest.raises(ConfdbError, match="cut short"):
-            fetch_raw(handle, "a")
-        assert memo.entries == {}
+        with pytest.raises(ConnectionFailureError, match="cut short"):
+            fetch_manifest(handle)
+        assert memo.entries == {} and tree_memo.entries == {}
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")
-    assert received[2:] == ["FETCH TopMap[1]"]
+    assert received[1:] == ["FETCH TopMap[1]"]
+
+
+# -- the frame parser, by property ---------------------------------------------
+
+_NAMES = st.text(alphabet=st.sampled_from("abz09_.- éß星"), min_size=1, max_size=5)
+_IDENTITIES = st.builds(
+    ObjectIdentity,
+    class_name=_NAMES,
+    secondary_key=st.one_of(st.none(), _NAMES),
+    config_key=st.integers(min_value=1, max_value=10**6),
+)
+_VALUES = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.text(alphabet=st.sampled_from('a."\\\n\t'), max_size=4),
+)
+_PAYLOADS = st.one_of(
+    st.dictionaries(_NAMES, _VALUES, max_size=3).map(Payload.leaf),
+    st.dictionaries(_NAMES, _IDENTITIES, max_size=3).map(Payload.map),
+)
+# (path, identity, payload); "/" is the root's path, as a FETCH spells it.
+_FRAME_ENTRIES = st.lists(
+    st.tuples(
+        st.one_of(st.just("/"), st.lists(_NAMES, min_size=1, max_size=3).map("/".join)),
+        _IDENTITIES,
+        _PAYLOADS,
+    ),
+    max_size=5,
+    unique_by=lambda entry: entry[0],
+)
+
+
+def _framed(entries, lengths=None) -> bytes:
+    """The body of a FETCH frame of ``entries``, each with its own length unless given."""
+    lengths = lengths or [None] * len(entries)
+    return b"".join(
+        _entry(path, format_identity(identity), encode_payload(payload), length)
+        for (path, identity, payload), length in zip(entries, lengths)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FRAME_ENTRIES, st.data())
+def test_the_frame_parser_reads_what_was_framed_and_refuses_any_change(entries, data):
+    count, body = str(len(entries)), _framed(entries)
+    refused = [(str(len(entries) + 1), body), (str(len(entries) - 1), body), (count, body + b"x")]
+    if entries:
+        at = data.draw(st.integers(0, len(entries) - 1), label="changed entry")
+        lengths = [None] * len(entries)
+        lengths[at] = len(encode_payload(entries[at][2])) + data.draw(st.sampled_from([-1, 1]))
+        refused.append((count, _framed(entries, lengths)))
+        repeated = entries + [entries[at]]
+        refused.append((str(len(repeated)), _framed(repeated)))
+    # A refusal keeps nothing; only the accepted frame fills the memo.
+    with mock.patch.object(client, "GET_MEMO", BoundedCache(client.GET_MEMO_BYTES)) as memo:
+        for frame in refused:
+            with pytest.raises(ConfdbError):
+                client._frame_answers(*frame)
+            assert memo.entries == {} and memo.size == 0
+        lines, answers = client._frame_answers(count, body)
+        assert lines == tuple(f"{path}\t{identity}" for path, identity, _ in entries)
+        assert answers == {path: (identity, payload) for path, identity, payload in entries}
+        assert len(memo.entries) == len({(str(i), encode_payload(p)) for _, i, p in entries})
 
 
 # -- the server's side ----------------------------------------------------------
@@ -448,7 +517,7 @@ def _decoded_frame(store, root) -> dict:
 
 
 def _transition(handle) -> dict:
-    """MANIFEST, then ``fetch_raw`` of every listed path."""
+    """``fetch_manifest``, then ``fetch_raw`` of every listed path."""
     paths = [line.split("\t")[0] for line in fetch_manifest(handle)]
     return {path: fetch_raw(handle, path) for path in paths}
 
@@ -467,11 +536,11 @@ def test_a_repeated_transition_decodes_and_checks_nothing(
         with configure_run(endpoint, "PHYSICS") as again:
             repeated = _transition(again)
         assert checks == []
-        assert verbs == ["RESOLVE", "MANIFEST", "FETCH"] * 2
+        assert verbs == ["RESOLVE", "FETCH"] * 2
         assert repeated.keys() == got.keys()
         assert all(repeated[path] is got[path] for path in got)
-        assert again._listed is first._listed and again._answers is first._answers
-        assert len(tree_memo.entries) == 2
+        assert again._answers is first._answers
+        assert len(tree_memo.entries) == 1
     finally:
         _stop(server)
 
@@ -487,41 +556,23 @@ def test_fresh_lines_from_every_manifest(served, memo, tree_memo):
             lines.append("y\tY[1]")
             again = fetch_manifest(handle)
             assert again == kept and again is not lines
-            assert handle._listed == dict(line.split("\t") for line in kept)
+            assert handle._answers.keys() == {line.split("\t")[0] for line in kept}
             assert fetch_manifest(handle) == kept
     finally:
         _stop(server)
 
 
 _FRAME = _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A))
-_MANIFEST_LEAF_2 = b"OK 2\n/\tTopMap[1]\na\tLeaf[2]\n.\n"
 
 
-def _kept_then(scripted, manifest, frame):
-    """A handle that keeps ``_FRAME``, then one on its connection that lists
-    ``manifest`` and is sent ``frame``; the second handle, its fetch raises."""
-    endpoint, received = scripted(b"OK TopMap[1]\n", _MANIFEST, _FRAME, manifest, frame, _GET_A)
+def _kept_then(scripted, frame):
+    """A handle that keeps ``_FRAME``, then one on its connection that is
+    sent ``frame``; the second handle, its fetch_manifest not yet called."""
+    endpoint, received = scripted(b"OK TopMap[1]\n", _FRAME, frame, _GET_A)
     first = configure_run(endpoint, "PHYSICS")
     fetch_manifest(first)
     assert fetch_raw(first, "a") == _raw(_A)
-    second = TreeHandle(endpoint, first.root, first._connection)
-    fetch_manifest(second)
-    return second, received
-
-
-def test_kept_bytes_under_another_listing_are_checked_and_refused(
-    scripted, memo, tree_memo
-):
-    second, received = _kept_then(scripted, _MANIFEST_LEAF_2, _FRAME)
-    with second:
-        kept = dict(tree_memo.entries)
-        assert len(kept) == 3  # two MANIFESTs, one FETCH
-        with pytest.raises(ConfdbError, match="not a listed path"):
-            fetch_raw(second, "a")
-        assert second._answers == {}
-        assert tree_memo.entries == kept
-        assert fetch_raw(second, "a") == _raw(_A)  # a GET
-    assert received[-3:] == ["MANIFEST TopMap[1]", "FETCH TopMap[1]", "GET TopMap[1] a"]
+    return TreeHandle(endpoint, first.root, first._connection), received
 
 
 ONE_BYTE_CHANGED = {
@@ -531,19 +582,33 @@ ONE_BYTE_CHANGED = {
 }
 
 
-@pytest.mark.parametrize("frame", ONE_BYTE_CHANGED.values(), ids=ONE_BYTE_CHANGED.keys())
-def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, frame):
+@pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
+def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, checks, change):
+    """The kept frame never answers for it: it is checked in full, and
+    it answers its own entries or, with a bad payload, is refused."""
+    frame = ONE_BYTE_CHANGED[change]
     assert len(frame) == len(_FRAME) and frame != _FRAME
-    second, received = _kept_then(scripted, _MANIFEST, frame)
+    second, received = _kept_then(scripted, frame)
     with second:
         kept = dict(tree_memo.entries)
-        assert len(kept) == 2  # one MANIFEST, one FETCH
-        with pytest.raises(ConfdbError):
-            fetch_raw(second, "a")
-        assert second._answers == {}
-        assert tree_memo.entries == kept
-        assert fetch_raw(second, "a") == _raw(_A)
-    assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+        assert len(kept) == 1
+        checks.clear()
+        if change == "payload":
+            with pytest.raises(MalformedPayloadError):
+                fetch_manifest(second)
+            assert second._answers == {}
+            assert tree_memo.entries == kept
+            assert fetch_raw(second, "a") == _raw(_A)  # a GET
+            assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+        else:
+            lines = fetch_manifest(second)
+            entries = _frame_entries(frame)
+            assert lines == [f"{path}\t{identity}" for path, identity, _ in entries]
+            assert second._answers == {
+                path: _raw(payload, identity) for path, identity, payload in entries}
+            assert len(tree_memo.entries) == 2
+            assert received[-1] == "FETCH TopMap[1]"
+        assert checks[0] == "_frame_answers"
 
 
 def test_a_hit_answers_exactly_with_a_tiny_get_memo(served, tree_memo, monkeypatch, checks):
@@ -605,8 +670,7 @@ def test_the_tree_memo_stays_within_its_budget(generations, memo, monkeypatch):
     for root, want in expected.items():
         with _handle(endpoint, root) as handle:
             assert _transition(handle) == want
-    assert all(key[0] == "MANIFEST" for key in tree_memo.entries)
-    assert tree_memo.size == _tree_memo_size(tree_memo)
+    assert tree_memo.entries == {} and tree_memo.size == 0
 
 
 def test_threads_transition_at_once_through_one_small_tree_memo(generations, memo, monkeypatch):

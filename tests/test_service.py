@@ -139,6 +139,15 @@ def test_unknown_verb(store):
     assert handle_request(store, "FROB x\n") == "ERR 400 unknown-verb\n"
 
 
+def test_a_carriage_return_is_part_of_the_request(populated):
+    """Lines end with LF alone: a CR before it is the last argument's, not the line end's."""
+    store, _, root = populated
+    get = handle_request(store, f"GET {format_identity(root)} dch/hv\r\n")
+    assert get.startswith("ERR 400 invalid-name")
+    assert handle_request(store, "RESOLVE PHYSICS\r\n").startswith("ERR ")
+    assert handle_request(store, "PING\n") == "OK pong\n"
+
+
 def test_malformed_identity_is_400(store):
     assert handle_request(store, "MANIFEST junk\n").startswith("ERR 400 malformed-identity")
 
