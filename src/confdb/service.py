@@ -49,30 +49,20 @@ of a request for ``IDLE_TIMEOUT_S``: both are the socket's own timeout,
 set before each reply and each read of a request line.  Any other fault
 in a connection's handler still reaches ``ConfigServer.handle_error``.
 
-A server answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from
-one frame cache shared by all its connections: request line to finished
-response frame.  A committed object never changes, so the ``OK`` frame
-of a GET, MANIFEST or FETCH naming it is the same for ever, whatever is
-activated later.  Only those frames are kept.  ``PING``, ``RESOLVE`` and
+Every frame is ``bytes``, built once and sent as it is kept.  A server
+answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from one frame
+cache shared by all its connections: request line to finished response
+frame.  A committed object never changes, so the ``OK`` frame of a GET,
+MANIFEST or FETCH naming it is the same for ever, whatever is activated
+later.  Only those frames are kept.  ``PING``, ``RESOLVE`` and
 ``RUNTYPES`` depend on the current generation, and an ``ERR`` frame can
 turn into ``OK`` (a root that is committed later), so none of them is
-kept.  A hit skips the catch-up, the parse, the lookup and the encode;
+kept.  A hit skips the catch-up, the parse, the lookup and the build;
 it is answered even while a damaged log tail would make a miss answer
 ``ERR 500``, because the kept frame is still the committed answer, byte
-for byte.  The cache holds at most ``FRAME_CACHE_BYTES`` (8 MiB) of
-string memory, ``sys.getsizeof`` of each line and frame; when the next
-frame would go over, the cache is emptied first.  Equal frames share one
-string: a GET of a leaf through the PHYSICS root and a GET of it through
-the COSMICS root keep one frame between them, while the budget still
-counts it per line.  So a client cycling through historical roots costs
-no more memory than that, and no more time than an uncached server.
-
-A FETCH frame, about 0.47 MB for a benchmark detector tree, is kept as
-the ``bytes`` it is sent as: kept as text, it would be encoded again on
-every hit, one more copy of it for every answer in flight.  It is built
-in one ``bytearray``, so no payload outlives its append: a join of its
-parts kept every payload until the end, and a benchmark serve child
-peaked 0.3 to 0.5 MiB higher.
+for byte.  The cache holds at most ``FRAME_CACHE_BYTES`` (8 MiB),
+``sys.getsizeof`` of each line and frame; when the next frame would go
+over, the cache is emptied first.
 
 The server performs no writes; activations land through the CLI or
 library on the store host and become visible here immediately, while
@@ -106,9 +96,9 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _err(exc: ConfdbError) -> str:
+def _err(exc: ConfdbError) -> bytes:
     detail = f" {exc.detail}" if exc.detail else ""
-    return f"ERR {exc.status} {exc.code}{detail}\n"
+    return f"ERR {exc.status} {exc.code}{detail}\n".encode("utf-8")
 
 
 def _split_identity_arg(rest: str):
@@ -135,12 +125,7 @@ class BoundedCache:
     ``entries`` is read without a lock; :meth:`put` takes one.  ``size``
     is the summed cost of every kept entry, as each caller counts it.  An
     entry that costs more than the whole ``budget`` is never kept; any
-    other entry that would go over it empties the dict first.  A ``str``
-    value, a server's text frame, is kept once per distinct text, so request
-    lines whose frames are equal, such as GETs of one leaf through two
-    roots, share one string; ``size`` still counts it per entry.  Other
-    values are kept as given: a client's decoded answers differ per key,
-    and hashing a ``Payload`` encodes it.
+    other entry that would go over it empties the dict first.
     """
 
     def __init__(self, budget: int):
@@ -148,7 +133,6 @@ class BoundedCache:
         self.size = 0
         self.budget = budget
         self._lock = threading.Lock()
-        self._frames: dict[str, str] = {}  # each kept frame text to its one string
 
     def put(self, key, value, cost: int) -> None:
         if cost > self.budget:
@@ -158,54 +142,49 @@ class BoundedCache:
                 return
             if self.size + cost > self.budget:
                 self.entries.clear()
-                self._frames.clear()
                 self.size = 0
-            if type(value) is str:
-                value = self._frames.setdefault(value, value)
             self.entries[key] = value
             self.size += cost
 
 
-def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -> str | bytes:
+def handle_request(store: Store, line: str, cache: BoundedCache) -> bytes:
     """Process one request line into one complete response frame.
 
-    A FETCH ``OK`` frame is ``bytes``; every other frame is text.  With a
-    ``cache`` of finished ``OK`` frames keyed by request line, a repeated
+    ``cache`` keeps finished ``OK`` frames by request line, and a repeated
     GET, MANIFEST or FETCH is answered from it.
     """
-    if cache is not None:
-        frame = cache.entries.get(line)
-        if frame is not None:
-            return frame
+    frame = cache.entries.get(line)
+    if frame is not None:
+        return frame
     key = line
     line = line.removesuffix("\n")
     verb, sep, rest = line.partition(" ")
     if sep and verb in ("PING", "RUNTYPES"):
-        return "ERR 400 malformed-request trailing data\n"
+        return b"ERR 400 malformed-request trailing data\n"
     try:
         store.refresh()
         if verb == "PING":
-            return "OK pong\n"
+            return b"OK pong\n"
         if verb == "RESOLVE":
             if not rest:
-                return "ERR 400 malformed-request missing run type\n"
+                return b"ERR 400 malformed-request missing run type\n"
             identity = resolve_run_type(store, rest)
-            return f"OK {format_identity(identity)}\n"
+            return f"OK {format_identity(identity)}\n".encode("utf-8")
         if verb == "GET":
             identity, path = _split_identity_arg(rest)
-            if path is None or not path:
-                return "ERR 400 malformed-request missing path\n"
+            if not path:
+                return b"ERR 400 malformed-request missing path\n"
             target = resolve_path(store, identity, path)
-            payload = store.payload_bytes(target).decode("utf-8")
-            frame = f"OK {format_identity(target)}\n{payload}.\n"
+            status = f"OK {format_identity(target)}\n".encode("utf-8")
+            frame = status + store.payload_bytes(target) + b".\n"
         elif verb in ("MANIFEST", "FETCH"):
             identity, tail = _split_identity_arg(rest)
             if tail is not None:
-                return "ERR 400 malformed-request trailing data\n"
+                return b"ERR 400 malformed-request trailing data\n"
             manifest = walk_tree(store, identity)
             status = f"OK {len(manifest.entries)}\n"
             if verb == "MANIFEST":
-                frame = f"{status}{manifest.to_text()}.\n"
+                frame = f"{status}{manifest.to_text()}.\n".encode("utf-8")
             else:
                 # Each payload is dropped once appended, so the build holds
                 # no more than the frame and its one copy into ``bytes``.
@@ -224,13 +203,12 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
                 for run_type, target in bindings.items()
             ]
             body = "".join(line + "\n" for line in lines)
-            return f"OK {len(lines)}\n{body}.\n"
+            return f"OK {len(lines)}\n{body}.\n".encode("utf-8")
         else:
-            return "ERR 400 unknown-verb\n"
+            return b"ERR 400 unknown-verb\n"
         # Only the OK frames of GET, MANIFEST and FETCH get here: they
         # name committed objects, so they hold for ever.
-        if cache is not None:
-            cache.put(key, frame, sys.getsizeof(key) + sys.getsizeof(frame))
+        cache.put(key, frame, sys.getsizeof(key) + sys.getsizeof(frame))
         return frame
     except ConfdbError as exc:
         return _err(exc)
@@ -238,7 +216,7 @@ def handle_request(store: Store, line: str, cache: BoundedCache | None = None) -
         import logging  # on first use, as in Store._recover
 
         logging.getLogger(__name__).exception("internal fault handling %r", line)
-        return "ERR 500 internal\n"
+        return b"ERR 500 internal\n"
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -275,19 +253,19 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             if len(raw) > MAX_REQUEST_LINE:
                 dropping = not raw.endswith(b"\n")
-                self._reply("ERR 400 line-too-long\n")
+                self._reply(b"ERR 400 line-too-long\n")
                 continue
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                self._reply("ERR 400 malformed-request not utf-8\n")
+                self._reply(b"ERR 400 malformed-request not utf-8\n")
                 continue
             self._reply(handle_request(self.server.store, line, self.server.cache))
 
-    def _reply(self, frame: str | bytes):
+    def _reply(self, frame: bytes):
         # One deadline for the whole answer, however slowly it is read.
         self._bound("an answer was not read within %g s", SEND_TIMEOUT_S)
-        self.wfile.write(frame if type(frame) is bytes else frame.encode("utf-8"))
+        self.wfile.write(frame)
 
 
 class ConfigServer(socketserver.ThreadingTCPServer):

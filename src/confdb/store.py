@@ -851,7 +851,7 @@ def check_store(directory: str):
     canonical decode, commit counts), then checks, in log order, that
     each identity is new, that each pair's keys count up from 1 without a
     gap, and that every map link and run-type binding names an object
-    committed by then, a map for a binding.  Of each object it keeps only
+    earlier in the log, a map for a binding.  Of each object it keeps only
     its kind, one list per pair.  It yields any torn tail (left in place),
     and last ``ok <objects> objects, <bytes> bytes``.  The first failure
     raises ``CorruptLogError`` naming its log offset.
@@ -866,11 +866,10 @@ def check_store(directory: str):
         ):
             for records in transactions:
                 _check_keys(records, kinds)
-                for pair, _, obj, _ in records:
-                    kinds.setdefault(pair, []).append(obj.kind)
-                for _, _, obj, at in records:
+                for pair, _, obj, at in records:
                     if obj.kind != KIND_LEAF:
                         _check_links(obj, at, kinds)
+                    kinds.setdefault(pair, []).append(obj.kind)
             # Identities and link lines are shared within a chunk only.
             tables.identities.clear()
             tables.links.clear()
@@ -881,7 +880,7 @@ def check_store(directory: str):
 
 
 def _check_links(obj: StoredObject, at: int, kinds: dict) -> None:
-    """Refuse a link to an object not committed by then, or a binding to a non-map."""
+    """Refuse a link to an object not earlier in the log, or a binding to a non-map."""
     for name, target in obj.payload.entries:
         linked = kinds.get((target.class_name, target.secondary_key), ())
         if len(linked) < target.config_key:

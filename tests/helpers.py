@@ -6,7 +6,8 @@ hex-floats straight from the raw IEEE bits, and ``naive_commit`` rebuilds
 every map of an alias tree bottom-up with plain content comparison
 (no change tracking), which is the reference the minimal-rebuild
 implementation must agree with. ``child_env`` gives ``python -m confdb``
-child processes the same package the tests import.
+child processes the same package the tests import, and ``answer`` sends
+one request line through a server's own answer path.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 import confdb
 from confdb.alias import AliasTree, MapAlias, ObjectAlias, new_alias_tree
 from confdb.model import ObjectIdentity, Payload
+from confdb.service import FRAME_CACHE_BYTES, BoundedCache, handle_request
 from confdb.store import Store, open_store
 from confdb.tree import active_trees
 
@@ -42,6 +44,15 @@ def child_env() -> dict:
         entries.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(entries)
     return env
+
+
+# ---------------------------------------------------------------------------
+# one request line, answered as a server answers it
+
+
+def answer(store: Store, line: str) -> bytes:
+    """The frame a server answers ``line`` with as a miss: through a fresh frame cache."""
+    return handle_request(store, line, BoundedCache(FRAME_CACHE_BYTES))
 
 
 # ---------------------------------------------------------------------------

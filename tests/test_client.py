@@ -33,10 +33,10 @@ from confdb.errors import (
     UnknownRunTypeError,
 )
 from confdb.model import decode_payload, format_identity, parse_identity
-from confdb.service import BoundedCache, handle_request, start_server
+from confdb.service import BoundedCache, start_server
 from confdb.store import open_store
 from confdb.tree import walk_tree
-from helpers import build_figure1, commit_generations, make_leaf
+from helpers import answer, build_figure1, commit_generations, make_leaf
 
 
 @pytest.fixture
@@ -311,6 +311,20 @@ def test_a_refused_status_line_gives_the_connection_up(scripted):
             fetch_raw(handle, "a")
 
 
+def test_a_status_line_neither_ok_nor_err_gives_the_connection_up(scripted):
+    endpoint = scripted(
+        b"OK TopMap[1]\n",
+        b"HELLO Leaf[1]\nkind=leaf\na=i:1\n.\n",
+        b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n",
+    )
+    with configure_run(endpoint, "PHYSICS") as handle:
+        with pytest.raises(ConnectionFailureError, match="unexpected response: 'HELLO Leaf"):
+            fetch_raw(handle, "a")
+        # Closed, so the next request fails as it is sent.
+        with pytest.raises(ConnectionFailureError, match="send failed"):
+            fetch_raw(handle, "a")
+
+
 def test_a_reset_mid_answer_gives_the_connection_up(scripted):
     endpoint = scripted(b"OK TopMap[1]\n", b"OK Leaf[1]\nkind=leaf\n", reset=True)
     with configure_run(endpoint, "PHYSICS") as handle:
@@ -470,11 +484,11 @@ def history(tmp_path, memo):
     gets = []
     for root in commit_generations(store, tree, leaves):
         for path, _ in walk_tree(store, root).entries:
-            frame = handle_request(store, f"GET {format_identity(root)} {path or '/'}\n")
-            status, _, rest = frame.partition("\n")
-            assert status.startswith("OK ") and rest.endswith("\n.\n")
+            frame = answer(store, f"GET {format_identity(root)} {path or '/'}\n")
+            status, _, rest = frame.partition(b"\n")
+            assert status.startswith(b"OK ") and rest.endswith(b"\n.\n")
             # (root, path, identity and payload bytes the server sends)
-            gets.append((root, path, parse_identity(status[3:]), rest[:-2].encode()))
+            gets.append((root, path, parse_identity(status[3:].decode()), rest[:-2]))
     yield store, gets
     store.close()
 
@@ -584,8 +598,8 @@ class _Direct:
         self.store = store
 
     def request(self, line, body=False):
-        status, _, rest = handle_request(self.store, line + "\n").partition("\n")
-        return status[3:], rest[:-2].encode()
+        status, _, rest = answer(self.store, line + "\n").partition(b"\n")
+        return status[3:].decode(), rest[:-2]
 
 
 def test_threads_share_one_small_memo(history, monkeypatch):

@@ -37,7 +37,7 @@ from confdb.model import (
 from confdb.service import BoundedCache, handle_request, start_server
 from confdb.store import RUNTYPES_CLASS, open_store
 from confdb.tree import walk_tree
-from helpers import NON_CANONICAL_LEAF_LOG, build_figure1, commit_generations
+from helpers import NON_CANONICAL_LEAF_LOG, answer, build_figure1, commit_generations
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -56,7 +56,7 @@ def verbs(monkeypatch):
     seen = []
     handle = service.handle_request
 
-    def counted(store, line, cache=None):
+    def counted(store, line, cache):
         seen.append(line.split(" ", 1)[0].strip())
         return handle(store, line, cache)
 
@@ -107,14 +107,14 @@ def _assert_same_answers(store, roots):
     server, endpoint = _serve(store)
     try:
         for root in roots:
-            manifest = handle_request(store, f"MANIFEST {root}\n")
-            lines = manifest.split("\n")[1:-2]
-            fetched = handle_request(store, f"FETCH {root}\n")
+            manifest = answer(store, f"MANIFEST {root}\n")
+            lines = manifest.decode().split("\n")[1:-2]
+            fetched = answer(store, f"FETCH {root}\n")
             entries = _frame_entries(fetched)
             assert [f"{path}\t{identity}" for path, identity, _ in entries] == lines
             for path, identity, payload in entries:
-                get = handle_request(store, f"GET {root} {path}\n")
-                assert f"OK {identity}\n".encode() + payload + b".\n" == get.encode()
+                get = answer(store, f"GET {root} {path}\n")
+                assert f"OK {identity}\n".encode() + payload + b".\n" == get
             with _handle(endpoint, root) as listed, _handle(endpoint, root) as unlisted:
                 assert fetch_manifest(listed) == lines
                 for path, _, payload in entries:
@@ -207,7 +207,7 @@ def test_a_tree_with_a_non_canonical_leaf_falls_back_to_gets(tmp_path, verbs, me
     (path / "objects.log").write_bytes(NON_CANONICAL_LEAF_LOG)
     root = parse_identity("M[1]")
     with open_store(path) as store:
-        assert handle_request(store, "FETCH M[1]\n") == "ERR 500 corrupt-log\n"
+        assert answer(store, "FETCH M[1]\n") == b"ERR 500 corrupt-log\n"
         server, endpoint = _serve(store)
         try:
             verbs.clear()
@@ -459,8 +459,8 @@ def test_the_frame_parser_reads_what_was_framed_and_refuses_any_change(entries, 
 def test_fetch_refuses_what_manifest_refuses(served):
     store, root = served
     for arg in (f"{root} x", f"{root} ", "junk", "TopMap[7]", "DchHV:sector3[1]"):
-        refused = handle_request(store, f"FETCH {arg}\n")
-        assert refused.startswith("ERR ") and refused == handle_request(store, f"MANIFEST {arg}\n")
+        refused = answer(store, f"FETCH {arg}\n")
+        assert refused.startswith(b"ERR ") and refused == answer(store, f"MANIFEST {arg}\n")
 
 
 def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monkeypatch):
@@ -468,7 +468,7 @@ def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monk
     cache = BoundedCache(service.FRAME_CACHE_BYTES)
     line = f"FETCH {root}\n"
     frame = handle_request(store, line, cache)
-    assert type(frame) is bytes and frame == handle_request(store, line)
+    assert type(frame) is bytes and frame == answer(store, line)
     assert cache.entries == {line: frame}
     assert cache.size == sys.getsizeof(line) + sys.getsizeof(frame)
 
@@ -511,7 +511,7 @@ def _tree_memo_size(memo) -> int:
 
 def _decoded_frame(store, root) -> dict:
     """Each path of a FETCH of ``root``, parsed and decoded here, without the client."""
-    frame = handle_request(store, f"FETCH {root}\n")
+    frame = answer(store, f"FETCH {root}\n")
     return {path: (parse_identity(identity), decode_payload(payload))
             for path, identity, payload in _frame_entries(frame)}
 

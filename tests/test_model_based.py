@@ -33,9 +33,9 @@ from confdb.cli import COMMANDS, Session, execute_command
 from confdb.commitproc import commit_alias_tree
 from confdb.errors import ConfdbError, DuplicateNameError, NameIsMapAliasError
 from confdb.model import ObjectIdentity, Payload, format_identity, parse_identity
-from confdb.service import handle_request
 from confdb.store import open_store
 from confdb.tree import activate, walk_tree
+from helpers import answer
 
 ALIAS = "golden"
 ROOT_CLASS = "Top"
@@ -155,12 +155,12 @@ class StoreMachine(RuleBasedStateMachine):
             self._activate(rebound)
         return root
 
-    def _expected_resolve(self, run_type) -> str:
+    def _expected_resolve(self, run_type) -> bytes:
         if self.bindings is None:
-            return "ERR 404 no-active-map\n"
+            return b"ERR 404 no-active-map\n"
         if run_type not in self.bindings:
-            return f"ERR 404 unknown-run-type {run_type}\n"
-        return f"OK {format_identity(self.bindings[run_type])}\n"
+            return f"ERR 404 unknown-run-type {run_type}\n".encode()
+        return f"OK {format_identity(self.bindings[run_type])}\n".encode()
 
     def _log_bytes(self) -> bytes:
         with open(os.path.join(self.directory, "objects.log"), "rb") as f:
@@ -291,7 +291,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.peer.refresh()
         self._check_versions(self.peer)
         for run_type in RUN_TYPES:
-            frame = handle_request(self.peer, f"RESOLVE {run_type}\n")
+            frame = answer(self.peer, f"RESOLVE {run_type}\n")
             assert frame == self._expected_resolve(run_type)
 
     # -- invariants ----------------------------------------------------------
@@ -307,7 +307,7 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def resolve_matches(self):
         for run_type in RUN_TYPES:
-            frame = handle_request(self.store, f"RESOLVE {run_type}\n")
+            frame = answer(self.store, f"RESOLVE {run_type}\n")
             assert frame == self._expected_resolve(run_type)
 
     @invariant()

@@ -13,8 +13,8 @@ import pytest
 from confdb import service
 from confdb import store as store_module
 from confdb.commitproc import commit_alias_tree
-from confdb.errors import ParseError
-from confdb.model import display_path, encode_payload, format_identity
+from confdb.errors import CorruptLogError, ParseError
+from confdb.model import ObjectIdentity, display_path, encode_payload, format_identity
 from confdb.service import (
     FRAME_CACHE_BYTES,
     MAX_REQUEST_LINE,
@@ -25,9 +25,10 @@ from confdb.service import (
     start_server,
 )
 from confdb.store import StoredObject, open_store
-from confdb.tree import resolve_run_type, walk_tree
+from confdb.tree import walk_tree
 from helpers import (
     NON_CANONICAL_LEAF_LOG,
+    answer,
     build_figure1,
     commit_generations,
     log_transaction,
@@ -52,50 +53,54 @@ def populated(store):
 
 
 def test_ping(store):
-    assert handle_request(store, "PING\n") == "OK pong\n"
+    assert answer(store, "PING\n") == b"OK pong\n"
 
 
 def test_resolve(populated):
     store, _, root = populated
-    assert handle_request(store, "RESOLVE PHYSICS\n") == f"OK {format_identity(root)}\n"
+    assert answer(store, "RESOLVE PHYSICS\n") == f"OK {format_identity(root)}\n".encode()
 
 
 def test_resolve_unknown(populated):
     store, _, _ = populated
-    assert handle_request(store, "RESOLVE CALIB\n") == "ERR 404 unknown-run-type CALIB\n"
+    assert answer(store, "RESOLVE CALIB\n") == b"ERR 404 unknown-run-type CALIB\n"
 
 
 def test_resolve_on_empty_store(store):
-    assert handle_request(store, "RESOLVE PHYSICS\n") == "ERR 404 no-active-map\n"
+    assert answer(store, "RESOLVE PHYSICS\n") == b"ERR 404 no-active-map\n"
+
+
+def test_resolve_requires_a_run_type(store):
+    assert answer(store, "RESOLVE\n") == b"ERR 400 malformed-request missing run type\n"
 
 
 def test_get_returns_identity_and_payload(populated):
     store, _, root = populated
-    response = handle_request(store, f"GET {format_identity(root)} dch/hv\n")
+    response = answer(store, f"GET {format_identity(root)} dch/hv\n")
     assert response == (
-        "OK DchHV:sector3[1]\n"
-        "kind=leaf\n"
-        "hv=f:0x1.c2p+10\n"
-        ".\n"
+        b"OK DchHV:sector3[1]\n"
+        b"kind=leaf\n"
+        b"hv=f:0x1.c2p+10\n"
+        b".\n"
     )
 
 
 def test_get_root_path(populated):
     store, _, root = populated
-    response = handle_request(store, f"GET {format_identity(root)} /\n")
-    assert response.startswith(f"OK {format_identity(root)}\nkind=map\n")
-    assert response.endswith(".\n")
+    response = answer(store, f"GET {format_identity(root)} /\n")
+    assert response.startswith(f"OK {format_identity(root)}\nkind=map\n".encode())
+    assert response.endswith(b".\n")
 
 
 def test_get_missing_link_reports_prefix(populated):
     store, _, root = populated
-    response = handle_request(store, f"GET {format_identity(root)} dch/nope\n")
-    assert response == "ERR 404 no-such-link dch\n"
+    response = answer(store, f"GET {format_identity(root)} dch/nope\n")
+    assert response == b"ERR 404 no-such-link dch\n"
 
 
 def test_get_requires_path(populated):
     store, _, root = populated
-    assert handle_request(store, f"GET {format_identity(root)}\n").startswith("ERR 400")
+    assert answer(store, f"GET {format_identity(root)}\n").startswith(b"ERR 400")
 
 
 def test_get_identity_with_spaces(store):
@@ -104,56 +109,58 @@ def test_get_identity_with_spaces(store):
         from confdb.model import Payload
 
         root = txn.create_object("Top Map", None, Payload.map({"the link": leaf}))
-    response = handle_request(store, "GET Top Map[1] the link\n")
-    assert response.startswith("OK HV set:s 1[1]\n")
+    response = answer(store, "GET Top Map[1] the link\n")
+    assert response.startswith(b"OK HV set:s 1[1]\n")
 
 
 def test_manifest_frame(populated):
     store, _, root = populated
-    response = handle_request(store, f"MANIFEST {format_identity(root)}\n")
+    response = answer(store, f"MANIFEST {format_identity(root)}\n")
     lines = response.splitlines()
-    assert lines[0] == "OK 6"
-    assert lines[1] == f"/\t{format_identity(root)}"
-    assert lines[-1] == "."
+    assert lines[0] == b"OK 6"
+    assert lines[1] == f"/\t{format_identity(root)}".encode()
+    assert lines[-1] == b"."
     assert len(lines) == 8  # status + 6 entries + dot
 
 
 def test_runtypes_frame(populated):
     store, _, root = populated
-    response = handle_request(store, "RUNTYPES\n")
-    assert response == f"OK 1\nPHYSICS\t{format_identity(root)}\n.\n"
+    response = answer(store, "RUNTYPES\n")
+    assert response == f"OK 1\nPHYSICS\t{format_identity(root)}\n.\n".encode()
 
 
 def test_runtypes_empty(store):
-    assert handle_request(store, "RUNTYPES\n") == "OK 0\n.\n"
+    assert answer(store, "RUNTYPES\n") == b"OK 0\n.\n"
 
 
 @pytest.mark.parametrize("verb", ["PING", "RUNTYPES", "MANIFEST TopMap[1]"])
 @pytest.mark.parametrize("tail", [" x", " "])
 def test_trailing_text_after_a_request_is_refused(populated, verb, tail):
     store, _, _ = populated
-    assert handle_request(store, f"{verb}{tail}\n") == "ERR 400 malformed-request trailing data\n"
+    assert answer(store, f"{verb}{tail}\n") == b"ERR 400 malformed-request trailing data\n"
 
 
 def test_unknown_verb(store):
-    assert handle_request(store, "FROB x\n") == "ERR 400 unknown-verb\n"
+    assert answer(store, "FROB x\n") == b"ERR 400 unknown-verb\n"
 
 
 def test_a_carriage_return_is_part_of_the_request(populated):
     """Lines end with LF alone: a CR before it is the last argument's, not the line end's."""
     store, _, root = populated
-    get = handle_request(store, f"GET {format_identity(root)} dch/hv\r\n")
-    assert get.startswith("ERR 400 invalid-name")
-    assert handle_request(store, "RESOLVE PHYSICS\r\n").startswith("ERR ")
-    assert handle_request(store, "PING\n") == "OK pong\n"
+    get = answer(store, f"GET {format_identity(root)} dch/hv\r\n")
+    assert get.startswith(b"ERR 400 invalid-name")
+    assert answer(store, "RESOLVE PHYSICS\r\n").startswith(b"ERR ")
+    assert answer(store, "PING\n") == b"OK pong\n"
 
 
 def test_malformed_identity_is_400(store):
-    assert handle_request(store, "MANIFEST junk\n").startswith("ERR 400 malformed-identity")
+    assert answer(store, "MANIFEST junk\n").startswith(b"ERR 400 malformed-identity")
+    # Text joined to an identity, with no space between them.
+    assert answer(store, "GET TopMap[1]x dch/hv\n") == b"ERR 400 malformed-identity\n"
 
 
 def test_manifest_of_absent_identity_is_404(store):
-    assert handle_request(store, "MANIFEST TopMap[7]\n").startswith("ERR 404 not-found")
+    assert answer(store, "MANIFEST TopMap[7]\n").startswith(b"ERR 404 not-found")
 
 
 def test_historical_trees_are_served(populated):
@@ -162,9 +169,41 @@ def test_historical_trees_are_served(populated):
     tree.set_object_alias("dch", "hv", hv2)
     commit_alias_tree(store, tree, ["PHYSICS"])
     # the superseded root still answers GET and MANIFEST
-    response = handle_request(store, f"GET {format_identity(root)} dch/hv\n")
-    assert "DchHV:sector3[1]" in response
-    assert handle_request(store, f"MANIFEST {format_identity(root)}\n").startswith("OK 6\n")
+    response = answer(store, f"GET {format_identity(root)} dch/hv\n")
+    assert b"DchHV:sector3[1]" in response
+    assert answer(store, f"MANIFEST {format_identity(root)}\n").startswith(b"OK 6\n")
+
+
+def test_every_answer_is_bytes(populated, monkeypatch):
+    store, _, root = populated
+    lines = [
+        "PING\n",
+        "RESOLVE PHYSICS\n",
+        "RUNTYPES\n",
+        f"GET {root} dch/hv\n",
+        f"MANIFEST {root}\n",
+        f"FETCH {root}\n",
+        "FROB x\n",  # unknown-verb
+        "PING x\n",  # trailing data after a verb
+        f"FETCH {root} x\n",  # trailing data after an identity
+        "RESOLVE\n",  # missing run type
+        f"GET {root}\n",  # missing path
+        "GET junk /\n",  # malformed-identity
+        "RESOLVE CALIB\n",  # unknown-run-type
+        f"GET {root} dch/nope\n",  # no-such-link
+        "MANIFEST TopMap[7]\n",  # not-found
+    ]
+    cache = BoundedCache(FRAME_CACHE_BYTES)
+    for _ in range(2):  # a miss, then a hit for each kept frame
+        for line in lines:
+            assert type(handle_request(store, line, cache)) is bytes, line
+    assert len(cache.entries) == 3
+
+    def broken():
+        raise RuntimeError("store handle went away")
+
+    monkeypatch.setattr(store, "refresh", broken)
+    assert handle_request(store, "PING\n", cache) == b"ERR 500 internal\n"
 
 
 def test_requests_never_write(populated):
@@ -180,7 +219,7 @@ def test_requests_never_write(populated):
         "RUNTYPES\n",
         "GARBAGE\n",
     ):
-        handle_request(store, line)
+        answer(store, line)
     assert store.log_size() == size
 
 
@@ -263,8 +302,8 @@ def test_internal_fault_is_logged_with_its_traceback(populated, monkeypatch, cap
 
     monkeypatch.setattr(store, "get_object", broken)
     with caplog.at_level(logging.ERROR, logger="confdb.service"):
-        response = handle_request(store, f"GET {format_identity(root)} dch/hv\n")
-    assert response == "ERR 500 internal\n"
+        response = answer(store, f"GET {format_identity(root)} dch/hv\n")
+    assert response == b"ERR 500 internal\n"
     [record] = [r for r in caplog.records if r.name == "confdb.service"]
     assert record.levelno == logging.ERROR
     assert record.exc_info[0] is RuntimeError
@@ -335,6 +374,19 @@ def test_any_other_handler_fault_still_reaches_handle_error(populated, handler_f
         server.server_close()
 
 
+def test_a_request_line_that_is_not_utf8_is_refused_and_the_connection_kept(store):
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"RESOLVE PHYS\xffICS\n")
+            assert reader.readline() == b"ERR 400 malformed-request not utf-8\n"
+            assert _request_lines(reader, sock, "PING") == "OK pong"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_over_long_request_line_is_refused_and_the_connection_kept(store):
     server = start_server(store, "127.0.0.1:0")
     try:
@@ -377,9 +429,9 @@ def test_cached_frames_are_byte_exact(store):
     cache = BoundedCache(FRAME_CACHE_BYTES)
     for _ in range(2):  # a first call, then a hit
         for line in lines:
-            assert handle_request(store, line, cache) == handle_request(store, line)
+            assert handle_request(store, line, cache) == answer(store, line)
     assert set(cache.entries) == set(lines)
-    assert all(frame.startswith("OK ") for frame in cache.entries.values())
+    assert all(frame.startswith(b"OK ") for frame in cache.entries.values())
 
 
 def test_uncommitted_root_is_404_until_its_commit(tmp_path):
@@ -389,23 +441,23 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
         tree, _ = build_figure1(writer)
         root = commit_alias_tree(writer, tree, ["PHYSICS"])
         cache = BoundedCache(FRAME_CACHE_BYTES)
-        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == f"OK {root}\n"
+        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == f"OK {root}\n".encode()
         # The next root the writer will commit: not there yet.
         get_next = "GET TopMap[2] dch/hv\n"
         manifest_next = "MANIFEST TopMap[2]\n"
-        assert handle_request(server_side, get_next, cache) == "ERR 404 not-found TopMap[2]\n"
-        assert handle_request(server_side, manifest_next, cache).startswith("ERR 404")
+        assert handle_request(server_side, get_next, cache) == b"ERR 404 not-found TopMap[2]\n"
+        assert handle_request(server_side, manifest_next, cache).startswith(b"ERR 404")
         assert cache.entries == {}
         hv2 = make_leaf(writer, "DchHV", "sector3", hv=1900.0)
         tree.set_object_alias("dch", "hv", hv2)
         assert format_identity(commit_alias_tree(writer, tree, ["PHYSICS"])) == "TopMap[2]"
         # The same lines now answer OK through the other handle's catch-up.
-        assert handle_request(server_side, get_next, cache).startswith(f"OK {hv2}\n")
-        assert handle_request(server_side, manifest_next, cache).startswith("OK 6\n")
+        assert handle_request(server_side, get_next, cache).startswith(f"OK {hv2}\n".encode())
+        assert handle_request(server_side, manifest_next, cache).startswith(b"OK 6\n")
         # RESOLVE and RUNTYPES follow the new activation; neither is kept.
-        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == "OK TopMap[2]\n"
-        assert handle_request(server_side, "RUNTYPES\n", cache) == "OK 1\nPHYSICS\tTopMap[2]\n.\n"
-        assert handle_request(server_side, "PING\n", cache) == "OK pong\n"
+        assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == b"OK TopMap[2]\n"
+        assert handle_request(server_side, "RUNTYPES\n", cache) == b"OK 1\nPHYSICS\tTopMap[2]\n.\n"
+        assert handle_request(server_side, "PING\n", cache) == b"OK pong\n"
         assert set(cache.entries) == {get_next, manifest_next}
     finally:
         writer.close()
@@ -426,7 +478,7 @@ def test_a_hit_never_reaches_the_store(populated, monkeypatch):
     for line in (get, manifest):
         assert handle_request(store, line, cache) == first[line]
     # A miss does reach the store, and is not kept.
-    assert handle_request(store, f"GET {root} dch/fee\n", cache) == "ERR 500 internal\n"
+    assert handle_request(store, f"GET {root} dch/fee\n", cache) == b"ERR 500 internal\n"
     assert set(cache.entries) == {get, manifest}
 
 
@@ -438,34 +490,14 @@ def test_a_hit_is_answered_beside_a_damaged_log(populated):
     with open(store.directory + "/objects.log", "ab") as f:
         f.write(b"\x00" * 16)  # not a record: damage, not a torn tail
     assert handle_request(store, get, cache) == frame
-    assert handle_request(store, f"GET {root} dch/fee\n", cache).startswith("ERR 500 corrupt-log")
-    assert handle_request(store, get).startswith("ERR 500 corrupt-log")
-
-
-def test_equal_frames_of_two_roots_share_one_string(store):
-    tree, leaves = build_figure1(store)
-    commit_generations(store, tree, leaves)
-    roots = [resolve_run_type(store, run_type) for run_type in ("PHYSICS", "COSMICS")]
-    assert roots[0] != roots[1]
-    lines = [f"GET {format_identity(root)} dch/hv\n" for root in roots]
-    cache = BoundedCache(FRAME_CACHE_BYTES)
-    frames = [handle_request(store, line, cache) for line in lines]
-    assert frames[0] == frames[1] and frames[0] is not frames[1]
-    assert cache.entries[lines[0]] is cache.entries[lines[1]]
-    # The budget still counts the shared frame once per line.
-    assert cache.size == sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in cache.entries.items())
-    # Emptying the cache lets go of every kept frame.
-    manifest = f"MANIFEST {format_identity(roots[0])}\n"
-    cache.budget = cache.size
-    handle_request(store, manifest, cache)
-    assert list(cache.entries) == [manifest]
-    assert list(cache._frames.values()) == [cache.entries[manifest]]
+    assert handle_request(store, f"GET {root} dch/fee\n", cache).startswith(b"ERR 500 corrupt-log")
+    assert answer(store, get).startswith(b"ERR 500 corrupt-log")
 
 
 def test_the_cache_stays_within_its_budget(store):
     tree, leaves = build_figure1(store)
     lines = _lines(store, commit_generations(store, tree, leaves))
-    expected = {line: handle_request(store, line) for line in lines}
+    expected = {line: answer(store, line) for line in lines}
     budget = 2_000
     cache = BoundedCache(budget)
     emptied = 0
@@ -489,7 +521,7 @@ def test_the_cache_stays_within_its_budget(store):
 def test_threads_share_one_small_cache(store):
     tree, leaves = build_figure1(store)
     lines = _lines(store, commit_generations(store, tree, leaves))
-    expected = {line: handle_request(store, line) for line in lines}
+    expected = {line: answer(store, line) for line in lines}
     cache = BoundedCache(3_000)
     wrong = []
 
@@ -531,7 +563,7 @@ def test_server_connections_share_one_cache(populated):
                 frames.append(b"".join(iter(reader.readline, b".\n")))
                 assert _request_lines(reader, sock, "RESOLVE PHYSICS") == f"OK {root}"
         assert frames[0] == frames[1]
-        assert frames[0].decode() + ".\n" == handle_request(store, line + "\n")
+        assert frames[0] + b".\n" == answer(store, line + "\n")
         assert list(server.cache.entries) == [line + "\n"]
     finally:
         server.shutdown()
@@ -556,10 +588,10 @@ def _decoded_frames(store, roots) -> dict:
     for root in roots:
         entries = list(_decoded_entries(store, root))
         body = "".join(f"{display_path(path)}\t{identity}\n" for path, identity, _ in entries)
-        frames[f"MANIFEST {root}\n"] = f"OK {len(entries)}\n{body}.\n"
+        frames[f"MANIFEST {root}\n"] = f"OK {len(entries)}\n{body}.\n".encode()
         for path, identity, obj in entries:
-            payload = encode_payload(obj.payload).decode("utf-8")
-            frames[f"GET {root} {display_path(path)}\n"] = f"OK {identity}\n{payload}.\n"
+            status = f"OK {identity}\n".encode()
+            frames[f"GET {root} {display_path(path)}\n"] = status + encode_payload(obj.payload) + b".\n"
     return frames
 
 
@@ -620,9 +652,9 @@ def test_a_get_through_a_leaf_decodes_no_leaf(tmp_path, monkeypatch):
         tree, _ = build_figure1(writer)
         root = format_identity(commit_alias_tree(writer, tree, ["PHYSICS"]))
     with open_store(tmp_path / "db") as s:
-        assert handle_request(s, f"GET {root} dch/hv/x\n") == "ERR 404 not-a-map dch/hv\n"
-        assert handle_request(s, "GET DchHV:sector3[1] a\n") == (
-            "ERR 404 not-a-map DchHV:sector3[1]\n"
+        assert answer(s, f"GET {root} dch/hv/x\n") == b"ERR 404 not-a-map dch/hv\n"
+        assert answer(s, "GET DchHV:sector3[1] a\n") == (
+            b"ERR 404 not-a-map DchHV:sector3[1]\n"
         )
         assert _decoded_leaves(s) == 0
         encodes = []
@@ -630,18 +662,18 @@ def test_a_get_through_a_leaf_decodes_no_leaf(tmp_path, monkeypatch):
         monkeypatch.setattr(
             store_module, "encode_payload", lambda payload: encodes.append(payload) or encode(payload)
         )
-        assert handle_request(s, f"GET {root} dch/hv\n") == (
-            "OK DchHV:sector3[1]\nkind=leaf\nhv=f:0x1.c2p+10\n.\n"
+        assert answer(s, f"GET {root} dch/hv\n") == (
+            b"OK DchHV:sector3[1]\nkind=leaf\nhv=f:0x1.c2p+10\n.\n"
         )
         assert encodes == []
 
 
 def _assert_the_non_canonical_leaf_is_listed_but_never_served(s):
-    assert handle_request(s, "MANIFEST M[1]\n") == "OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
+    assert answer(s, "MANIFEST M[1]\n") == b"OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
     for _ in range(2):
-        assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
-    assert handle_request(s, "GET M[1] c\n") == "OK C[1]\nkind=leaf\nc=i:3\n.\n"
-    assert handle_request(s, "GET M[1] /\n") == "OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
+        assert answer(s, "GET M[1] b\n") == b"ERR 500 corrupt-log\n"
+    assert answer(s, "GET M[1] c\n") == b"OK C[1]\nkind=leaf\nc=i:3\n.\n"
+    assert answer(s, "GET M[1] /\n") == b"OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
 
 
 def test_a_non_canonical_leaf_is_listed_but_never_served(tmp_path):
@@ -659,10 +691,10 @@ def test_a_non_canonical_leaf_a_catch_up_adds_is_listed_but_never_served(tmp_pat
         with open(path / "objects.log", "ab") as f:
             f.write(NON_CANONICAL_LEAF_LOG)
         # The catch-up applies the tail, so the server keeps answering.
-        assert handle_request(s, "PING\n") == "OK pong\n"
-        assert handle_request(s, "GET M[1] c\n") == "OK C[1]\nkind=leaf\nc=i:3\n.\n"
+        assert answer(s, "PING\n") == b"OK pong\n"
+        assert answer(s, "GET M[1] c\n") == b"OK C[1]\nkind=leaf\nc=i:3\n.\n"
         _assert_the_non_canonical_leaf_is_listed_but_never_served(s)
-        assert handle_request(s, "PING\n") == "OK pong\n"
+        assert answer(s, "PING\n") == b"OK pong\n"
 
 
 def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
@@ -671,14 +703,29 @@ def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
     leaf = log_transaction(("B[1]", b"kind=leaf\nb=i:2\n"))
     (path / "objects.log").write_bytes(leaf + log_transaction(("M[1]", b"kind=map\nb=B[1]\n")))
     with open_store(path) as s:
-        assert handle_request(s, "GET M[1] b\n") == "OK B[1]\nkind=leaf\nb=i:2\n.\n"
+        assert answer(s, "GET M[1] b\n") == b"OK B[1]\nkind=leaf\nb=i:2\n.\n"
         # Still canonical, so only the CRC tells the damage.
         with open(path / "objects.log", "r+b") as f:
             f.seek(leaf.index(b"b=i:2") + 4)
             f.write(b"3")
         for _ in range(2):
-            assert handle_request(s, "GET M[1] b\n") == "ERR 500 corrupt-log\n"
-        assert handle_request(s, "MANIFEST M[1]\n") == "OK 2\n/\tM[1]\nb\tB[1]\n.\n"
+            assert answer(s, "GET M[1] b\n") == b"ERR 500 corrupt-log\n"
+        assert answer(s, "MANIFEST M[1]\n") == b"OK 2\n/\tM[1]\nb\tB[1]\n.\n"
+
+
+def test_a_leaf_whose_length_runs_past_the_log_is_refused(tmp_path):
+    path = tmp_path / "db"
+    path.mkdir()
+    leaf = log_transaction(("B[1]", b"kind=leaf\nb=i:2\n"))
+    (path / "objects.log").write_bytes(leaf + log_transaction(("M[1]", b"kind=map\nb=B[1]\n")))
+    with open_store(path) as s:
+        # The 4-octet length after the record's magic and type, now 1 MiB.
+        with open(path / "objects.log", "r+b") as f:
+            f.seek(2)
+            f.write((2**20).to_bytes(4, "big"))
+        with pytest.raises(CorruptLogError, match="^record at offset 0 runs past the log$"):
+            s.get_object(ObjectIdentity("B", None, 1))
+        assert answer(s, "GET M[1] b\n") == b"ERR 500 corrupt-log\n"
 
 
 def _socket_buffer_max() -> int:
@@ -698,10 +745,10 @@ def test_a_client_that_stops_reading_ends_only_its_connection(
     monkeypatch.setattr(service, "SEND_TIMEOUT_S", 0.2)
     # More than the server's send buffer and the client's receive buffer hold.
     big = b"OK 0\n" + b"x" * (2 * _socket_buffer_max()) + b"\n.\n"
-    answer = service.handle_request
+    real = service.handle_request
     monkeypatch.setattr(
         service, "handle_request",
-        lambda store, line, cache: big if line == "BIG\n" else answer(store, line, cache),
+        lambda store, line, cache: big if line == "BIG\n" else real(store, line, cache),
     )
     server = start_server(store, "127.0.0.1:0")
     try:
@@ -731,10 +778,10 @@ def test_a_client_that_reads_too_slowly_ends_only_its_connection(
     monkeypatch.setattr(service, "SEND_TIMEOUT_S", 0.3)
     # More than the server's send buffer and the client's receive buffer hold.
     big = b"OK 0\n" + b"x" * (2 * _socket_buffer_max()) + b"\n.\n"
-    answer = service.handle_request
+    real = service.handle_request
     monkeypatch.setattr(
         service, "handle_request",
-        lambda store, line, cache: big if line == "BIG\n" else answer(store, line, cache),
+        lambda store, line, cache: big if line == "BIG\n" else real(store, line, cache),
     )
     server = start_server(store, "127.0.0.1:0")
     try:

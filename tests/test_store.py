@@ -22,11 +22,11 @@ from confdb.errors import (
 )
 from confdb.cli import main as cli_main
 from confdb.model import Array, ObjectIdentity, Payload, decode_payload, encode_payload
-from confdb.service import handle_request
 from confdb import store as store_module
 from confdb.store import RUNTYPES_CLASS, StoredObject, open_store
 from confdb.tree import walk_tree
 from helpers import (
+    answer,
     build_figure1,
     clone_store,
     commit_generations,
@@ -914,7 +914,7 @@ def test_a_reopened_handle_reads_what_the_writer_reads(tmp_path):
                     for path_text, _ in walk_tree(writer, root).entries
                 ]
                 for line in lines:
-                    assert handle_request(reopened, line) == handle_request(writer, line), line
+                    assert answer(reopened, line) == answer(writer, line), line
             assert _contents(reopened) == _contents(writer)
 
 
@@ -1124,6 +1124,28 @@ def test_fsck_reports_a_torn_tail_and_leaves_it(tmp_path, capsys):
     assert log.read_bytes() == torn
 
 
+def test_a_complete_last_record_whose_crc_fails_is_a_torn_tail(tmp_path, caplog):
+    path = tmp_path / "db"
+    path.mkdir()
+    committed = log_transaction(("A[1]", b"kind=leaf\nv=i:1\n"))
+    tail = bytearray(log_transaction(("B[1]", b"kind=leaf\nv=i:1\n")))
+    tail[-1] ^= 0xFF  # the last CRC byte of the commit record
+    log = path / "objects.log"
+    log.write_bytes(committed + tail)
+    assert len(committed) == len(tail) == 44
+    assert list(store_module.check_store(str(path))) == [
+        "torn tail: 44 bytes at offset 44, left in place",
+        "ok 1 objects, 88 bytes",
+    ]
+    assert log.stat().st_size == 88
+    with caplog.at_level(logging.WARNING, logger="confdb.store"):
+        with open_store(path) as s:
+            assert s.object_count() == 1
+    assert log.read_bytes() == committed
+    [record] = [r for r in caplog.records if r.name == "confdb.store"]
+    assert "offset 44" in record.getMessage() and "cutting 44 bytes" in record.getMessage()
+
+
 @pytest.mark.parametrize("payload, canonical, reason", NON_CANONICAL_RECORDS)
 def test_a_forged_hint_over_a_non_canonical_record_refuses_at_first_read(
     tmp_path, capsys, payload, canonical, reason
@@ -1188,6 +1210,16 @@ FSCK_FAILURES = {
         log_transaction(("A[1]", _LEAF), ("A[3]", _LEAF)),
         len(log_record(0x01, b"A[1]\n0\n" + _LEAF)),
         "A[3] at offset {at} breaks its key sequence after key 1",
+    ),
+    "self-link": (
+        _A1 + log_transaction(("M[1]", b"kind=map\nx=M[1]\n")),
+        len(_A1),
+        "M[1] at offset {at} links 'x' to missing M[1]",
+    ),
+    "link-forward-in-its-transaction": (
+        log_transaction(("M[1]", b"kind=map\nx=A[1]\n"), ("A[1]", _LEAF)),
+        0,
+        "M[1] at offset {at} links 'x' to missing A[1]",
     ),
 }
 
