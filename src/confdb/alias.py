@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .errors import (
     CannotRemoveRootError,
     DuplicateNameError,
+    InvalidNameError,
     NameIsMapAliasError,
     NoSuchAliasError,
     NoSuchNodeError,
@@ -89,6 +90,9 @@ class AliasTree:
     def __init__(self, alias_name: str, root_class: str):
         self.alias_name = validate_name(alias_name, "alias name")
         self.root_class = validate_name(root_class, "root class")
+        # The region's header ends at its last " root_class " (see _parse_header).
+        if " root_class " in " " + root_class:
+            raise InvalidNameError(f"root class may not hold ' root_class ': {root_class!r}")
         self._token = object()
         self.root = self._own(MapAlias())
 
@@ -207,11 +211,9 @@ def serialize_alias_tree(tree: AliasTree) -> str:
 
 
 def _parse_header(line: str, lineno: int) -> AliasTree:
-    if not line.startswith("alias "):
-        raise ParseError(f"alias line {lineno}: expected header, got {line!r}")
     rest = line[len("alias ") :]
-    # The class name is the part after the last separator; alias names may
-    # themselves contain spaces.
+    # The class name is the part after the last separator: alias names may
+    # hold spaces and the separator's word, root classes may not hold it.
     idx = rest.rfind(" root_class ")
     if idx < 0:
         raise ParseError(f"alias line {lineno}: missing root_class in {line!r}")

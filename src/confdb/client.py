@@ -30,14 +30,13 @@ the handle what each entry decodes to, through the memo below under the
 key its GET answer would have, so the parse, the decode and every error
 are a GET's, and :func:`fetch_raw` of a path of the frame is one lookup.
 A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
-one cut short also gives the connection up.  A ``FETCH`` answered with ``ERR`` on a
-connection still in step (an older server, or a tree with a leaf that a
-GET refuses) is followed by one ``MANIFEST``, and the handle GETs each
-path.  A transition on the benchmark's configure store is 2 requests,
-not 1,010; but the frame is 0.49 MB, where a MANIFEST is 31 KB, and
-takes 3.2 ms, where one GET takes 0.03 ms (single client, serve child on
-the same host).  So a handle that reads only a few leaves should GET
-them without :func:`fetch_manifest`.
+one cut short also gives the connection up.  A ``FETCH`` answered with
+``ERR`` raises as any request does, and the connection stays in step.
+A transition on the benchmark's configure store is 2 requests; but the
+frame is 0.49 MB, where a MANIFEST is 31 KB, and takes 3.2 ms, where
+one GET takes 0.03 ms (single client, serve child on the same host).
+So a handle that reads only a few leaves should GET them without
+:func:`fetch_manifest`.
 
 Each client process keeps one memo of GET answers, ``GET_MEMO``.  It
 maps the ``(status tail, payload bytes)`` pair of an answer to the
@@ -217,7 +216,7 @@ class _Connection:
 
 
 def _body_lines(body: bytes) -> list[str]:
-    """The lines of a MANIFEST or RUNTYPES body."""
+    """The lines of a RUNTYPES body."""
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError:
@@ -353,19 +352,11 @@ def fetch_manifest(handle: TreeHandle) -> list[str]:
     """The manifest lines of the handle's tree, read from one FETCH frame.
 
     The handle then answers each path of the frame without a request.
-    An ``ERR`` answer on a connection still in step is followed by one
-    MANIFEST, whose lines are returned, and a refused frame raises;
-    either way the handle GETs each path.  The lines are a new list on
-    every call.
+    An ``ERR`` answer or a refused frame raises, and the handle GETs each
+    path.  The lines are a new list on every call.
     """
     connection = handle._connection
-    root = format_identity(handle.root)
-    try:
-        key = connection.request(f"FETCH {root}", body=True)
-    except ConnectionFailureError:
-        raise
-    except ConfdbError:
-        return _body_lines(connection.request(f"MANIFEST {root}", body=True)[1])
+    key = connection.request(f"FETCH {format_identity(handle.root)}", body=True)
     kept = TREE_MEMO.entries.get(key)
     if kept is None:
         try:

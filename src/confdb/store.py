@@ -629,8 +629,8 @@ class Store:
                 )
 
     def refresh(self):
-        """Pick up transactions committed by other store handles."""
-        if os.fstat(self._log()).st_size > self._applied_len:
+        """Pick up other handles' commits; a log shorter than the applied part raises."""
+        if os.fstat(self._log()).st_size != self._applied_len:
             self._recover(truncate=False)
 
     # -- transactions --------------------------------------------------

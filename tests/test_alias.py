@@ -6,8 +6,11 @@ import random
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confdb.alias import (
+    AliasTree,
     MapAlias,
     ObjectAlias,
     edit_alias_tree,
@@ -402,6 +405,32 @@ def test_region_parse_errors():
         parse_alias_region("alias a root_class T\nobj hv DchHV[1]\n")
     with pytest.raises(ParseError):
         parse_alias_region("alias a_no_class\n")
+    with pytest.raises(ParseError, match="line 2: unrecognized node line"):
+        parse_alias_region("alias a root_class T\nlink x = A[1]\n")
+    with pytest.raises(ParseError, match="line 3: duplicate name 'x'"):
+        parse_alias_region("alias a root_class T\nobj x = A[1]\nmap x\n")
+
+
+# Names built from spaces and the header's separator word.
+_HEADER_WORDS = st.lists(st.sampled_from([" ", "root_class", "T"]), min_size=1, max_size=6).map(
+    "".join
+)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(_HEADER_WORDS, _HEADER_WORDS, max_size=4))
+@example({"g": "X root_class Y", "h": "root_class Z", "root_class T": "T root_class"})
+def test_a_region_round_trips_names_that_hold_the_header_separator(root_classes):
+    trees = {}
+    for alias_name, root_class in root_classes.items():
+        try:
+            trees[alias_name] = AliasTree(alias_name, root_class)
+        except InvalidNameError:
+            assert " root_class " in " " + root_class
+    parsed = parse_alias_region(serialize_alias_region(trees))
+    assert {name: tree.root_class for name, tree in parsed.items()} == {
+        name: tree.root_class for name, tree in trees.items()
+    }
 
 
 def test_region_round_trip_fuzz():

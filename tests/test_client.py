@@ -238,11 +238,11 @@ def test_a_failed_send_gives_the_connection_up(served):
 
 @pytest.fixture
 def scripted():
-    """A one-shot server: one connection, each request line answered by the next frame."""
+    """A scripted server: per call, one connection, each request line answered by the next frame."""
     listener = socket.create_server(("127.0.0.1", 0))
-    frames, threads = [], []
+    threads = []
 
-    def serve(reset, piece):
+    def serve(frames, reset, piece):
         conn, _ = listener.accept()
         # Each piece leaves in its own segment rather than waiting to join the next.
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -258,14 +258,16 @@ def scripted():
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
     def start(*script, reset=False, piece=None):
-        """Serve ``script``, each frame in sends of ``piece`` bytes (default whole).
+        """Serve ``script`` on the next connection, each frame in sends of ``piece`` bytes.
 
-        With ``reset``, reset the connection after its last frame; else
-        close it.
+        ``piece`` defaults to the whole frame.  With ``reset``, reset the
+        connection after its last frame; else close it.  A later call
+        serves the connection after this one's.
         """
-        frames.extend(script)
-        threads.append(threading.Thread(target=serve, args=(reset, piece), daemon=True))
-        threads[0].start()
+        threads.append(
+            threading.Thread(target=serve, args=(script, reset, piece), daemon=True)
+        )
+        threads[-1].start()
         host, port = listener.getsockname()
         return f"{host}:{port}"
 
@@ -280,8 +282,6 @@ def test_non_utf8_answers_raise_confdb_errors(scripted, memo):
         b"OK TopMap[1]\n",
         b"OK DchHV:sector3[1]\nkind=leaf\nname=s:\xff\n.\n",
         b"OK 1\n/\tTopMap[1]\xff\t0\n.\n",
-        b"ERR 400 unknown-verb\n",  # a server without FETCH: the MANIFEST below
-        b"OK 1\n/\tTopMap[1]\xff\n.\n",
         b"OK DchHV:sector3[1]\xff\nkind=leaf\nhv=i:1\n.\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
@@ -289,11 +289,13 @@ def test_non_utf8_answers_raise_confdb_errors(scripted, memo):
             fetch_raw(handle, "dch/hv")
         with pytest.raises(ConfdbError, match="not path, identity, length"):
             fetch_manifest(handle)
-        with pytest.raises(MalformedPayloadError):
-            fetch_manifest(handle)
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "dch/hv")
     assert memo.entries == {}
+    # A RUNTYPES body that is not UTF-8, on a connection of its own.
+    endpoint = scripted(b"OK 1\nPHYSICS\tTopMap[1]\xff\n.\n")
+    with pytest.raises(MalformedPayloadError, match="not valid UTF-8"):
+        active_run_types(endpoint)
 
 
 def test_a_refused_status_line_gives_the_connection_up(scripted):

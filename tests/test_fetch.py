@@ -3,8 +3,8 @@
 ``fetch_manifest`` must return exactly the server's MANIFEST lines, and
 a handle must then answer exactly what per-path GETs answer.  A
 transition sends RESOLVE and FETCH and nothing more; a FETCH answered
-with ERR falls back to one MANIFEST and GETs; a malformed frame is
-refused without keeping any of it.
+with ERR raises its own error and leaves the handle to GET each path;
+a malformed frame is refused without keeping any of it.
 """
 
 import os
@@ -201,7 +201,7 @@ def test_unlisted_paths_and_handles_still_get(served, verbs, memo):
         _stop(server)
 
 
-def test_a_tree_with_a_non_canonical_leaf_falls_back_to_gets(tmp_path, verbs, memo):
+def test_a_tree_with_a_non_canonical_leaf_refuses_its_fetch(tmp_path, verbs, memo, tree_memo):
     path = tmp_path / "db"
     path.mkdir()
     (path / "objects.log").write_bytes(NON_CANONICAL_LEAF_LOG)
@@ -212,15 +212,17 @@ def test_a_tree_with_a_non_canonical_leaf_falls_back_to_gets(tmp_path, verbs, me
         try:
             verbs.clear()
             with _handle(endpoint, root) as listed, _handle(endpoint, root) as unlisted:
-                # The FETCH is refused, so the lines come from one MANIFEST.
-                assert fetch_manifest(listed) == ["/\tM[1]", "b\tB[1]", "c\tC[1]"]
+                # The FETCH is refused with the leaf's own error; nothing is kept.
+                with pytest.raises(CorruptLogError):
+                    fetch_manifest(listed)
                 assert listed._answers == {}
+                assert tree_memo.entries == {}
                 for handle in (listed, unlisted):
                     assert fetch_raw(handle, "c") == _raw(b"kind=leaf\nc=i:3\n", "C[1]")
                     with pytest.raises(CorruptLogError):
                         fetch_raw(handle, "b")
                     assert fetch_raw(handle, "/")[0] == root
-            assert verbs == ["FETCH", "MANIFEST", "GET", "GET", "GET", "GET", "GET", "GET"]
+            assert verbs == ["FETCH"] + ["GET"] * 6
             assert f"FETCH {root}\n" not in server.cache.entries
         finally:
             _stop(server)
@@ -261,7 +263,6 @@ def scripted():
 
 _ROOT = b"kind=map\na=Leaf[1]\n"
 _A = b"kind=leaf\na=i:1\n"
-_MANIFEST = b"OK 2\n/\tTopMap[1]\na\tLeaf[1]\n.\n"
 _GET_A = b"OK Leaf[1]\n" + _A + b".\n"
 
 
@@ -279,16 +280,18 @@ def _raw(payload, identity="Leaf[1]"):
     return parse_identity(identity), decode_payload(payload)
 
 
-def test_a_server_without_fetch_is_answered_by_gets(scripted, memo):
+def test_a_server_without_fetch_refuses_the_listing_and_answers_gets(scripted, memo):
     endpoint, received = scripted(
-        b"OK TopMap[1]\n", b"ERR 400 unknown-verb\n", _MANIFEST, _GET_A,
+        b"OK TopMap[1]\n", b"ERR 400 unknown-verb\n", _GET_A,
         b"OK TopMap[1]\n" + _ROOT + b".\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
-        assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]"]
+        with pytest.raises(ConfdbError, match="unknown-verb"):
+            fetch_manifest(handle)
+        assert handle._answers == {}
         assert fetch_raw(handle, "a") == _raw(_A)
         assert fetch_raw(handle, "/") == _raw(_ROOT, "TopMap[1]")
-    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]", "MANIFEST TopMap[1]",
+    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]",
                         "GET TopMap[1] a", "GET TopMap[1] /"]
 
 

@@ -21,7 +21,14 @@ from confdb.errors import (
     TransactionClosedError,
 )
 from confdb.cli import main as cli_main
-from confdb.model import Array, ObjectIdentity, Payload, decode_payload, encode_payload
+from confdb.model import (
+    Array,
+    DecodeTables,
+    ObjectIdentity,
+    Payload,
+    decode_payload,
+    encode_payload,
+)
 from confdb import store as store_module
 from confdb.store import RUNTYPES_CLASS, StoredObject, open_store
 from confdb.tree import walk_tree
@@ -136,7 +143,10 @@ def test_reserved_class_policy(store):
             txn.create_object("TopMap", None, Payload.runtypes({}))
         with pytest.raises(InvalidPayloadError):
             txn.create_object("@runtypes", "sec", Payload.runtypes({}))
+        with pytest.raises(InvalidPayloadError, match="not a payload"):
+            txn.create_object("A", None, {"kind": "leaf", "v": 1})
         txn.abort()
+    assert store.object_count() == 0
 
 
 def test_runtypes_must_bind_maps(store):
@@ -475,6 +485,51 @@ def test_a_handle_reads_only_the_log_it_opened(tmp_path):
     finally:
         a.close()
         b.close()
+
+
+def _two_leaves_and_a_reader(path):
+    """Commit ``A[1]`` then ``B[1]``; a handle opened on the 88-byte log, nothing read."""
+    writer = open_store(path, clock=lambda: 0)
+    make_leaf(writer, "A", None, a=1)
+    make_leaf(writer, "B", None, b=2)
+    writer.close()
+    reader = open_store(path, clock=lambda: 0)
+    assert reader.log_size() == 88
+    return reader
+
+
+def test_a_catch_up_refuses_a_log_that_shrank(tmp_path):
+    path = tmp_path / "db"
+    reader = _two_leaves_and_a_reader(path)
+    try:
+        # Were the shrink not seen, a new B[1] committed by another handle
+        # would later fill the same 44 bytes and answer B[1] with other bytes.
+        os.truncate(path / "objects.log", 44)
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            reader.refresh()
+        # A request's catch-up refuses the same way, so a miss is refused.
+        assert answer(reader, "GET B[1] /\n") == b"ERR 500 corrupt-log\n"
+    finally:
+        reader.close()
+
+
+def test_a_read_past_an_outside_truncate_is_refused(tmp_path):
+    path = tmp_path / "db"
+    reader = _two_leaves_and_a_reader(path)
+    try:
+        os.truncate(path / "objects.log", 44)
+        b = ObjectIdentity("B", None, 1)
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            reader.get_object(b)
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            reader.payload_bytes(b)
+        # A scan read of a mapping's size meets the same end of the log.
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            list(store_module._scan_chunks(
+                reader._log_fd, 0, 200_000, DecodeTables(), decode=False
+            ))
+    finally:
+        reader.close()
 
 
 def test_a_failed_open_closes_every_descriptor_it_opened(tmp_path, monkeypatch):
