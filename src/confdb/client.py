@@ -16,6 +16,10 @@ request line with one ``sendall``, then receives until the buffer holds
 the status line and, for an answer with a body, the line that is a
 lone ``.``.  Each receive resumes the search where the last one stopped,
 and bytes past the answer stay in the buffer for the next request.  A
+body expected as ``kept`` is instead received into one buffer sized to
+it and compared span by span as it arrives: a full match returns
+``kept`` itself, unsearched, and a span that differs falls back to the
+search, so the answer and the bytes left are the search's either way.  A
 failed send, a status line that is not UTF-8 or not ``OK``/``ERR``, a
 failed or timed-out receive (``TIMEOUT_S``, the socket's own timeout)
 and an end of stream in mid-answer each give the connection up and
@@ -33,8 +37,9 @@ A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
 one cut short also gives the connection up.  A ``FETCH`` answered with
 ``ERR`` raises as any request does, and the connection stays in step.
 A transition on the benchmark's configure store is 2 requests; but the
-frame is 0.49 MB, where a MANIFEST is 31 KB, and takes 3.2 ms, where
-one GET takes 0.03 ms (single client, serve child on the same host).
+frame is 0.49 MB, where a MANIFEST is 31 KB: a FETCH of a frame the
+client holds takes 0.22 ms, a new one about 40 ms, and one GET 0.06 ms
+(single client, serve child on the same host).
 So a handle that reads only a few leaves should GET them without
 :func:`fetch_manifest`.
 
@@ -60,24 +65,30 @@ configure workload, the keys are 545 KB of text (69 KB of identities,
 to, about 5.3 times its key text; so a full memo holds about 11 MiB.
 
 A second memo, ``TREE_MEMO``, keeps each accepted FETCH answer, under
-its ``(count, body)``, as the frame's lines and its ``{path:
-(ObjectIdentity, Payload)}`` map, made through ``GET_MEMO`` so that
-equal answers share one decoded pair.  Both are pure functions of the
-key, so a hit, which checks and decodes nothing, answers exactly what a
-full check and decode would.  It shares the ``GET_MEMO_BYTES`` budget
-rule, each answer costing ``sys.getsizeof`` of its body, and is emptied
-whole as ``GET_MEMO`` is.  After one transition per run type on the
-seed-1 store, the memo holds 1.34 MB (``tracemalloc``) beyond
-``GET_MEMO``'s 3.16 MB, of which 0.98 MB are the two counted bodies; so
-a full memo holds about 2.9 MB.  Over 10 s of the benchmark's configure
-workload, 440 of its 442 FETCH answers (99.5%) repeated an earlier one
-byte for byte; the operator workload makes no client handle.
+its ``(count, body)``, as a :class:`_Tree` of the body, the frame's
+lines and its ``{path: (ObjectIdentity, Payload)}`` map, made through
+``GET_MEMO`` so that equal answers share one decoded pair.  The lines
+and the map are pure functions of the key, so a hit, which checks and
+decodes nothing, answers exactly what a full check and decode would.
+The memo shares the ``GET_MEMO_BYTES`` budget rule, each answer costing
+``sys.getsizeof`` of its body, and is emptied whole as ``GET_MEMO`` is.
+After one transition per run type on the seed-1 store, the memo holds
+1.34 MB (``tracemalloc``) beyond ``GET_MEMO``'s 3.16 MB, of which 0.98
+MB are the two counted bodies; so a full memo holds about 2.9 MB.
+``_TREE_BY_LINE`` maps each FETCH line weakly to its last accepted
+tree, so it holds only trees the memo holds, and :func:`fetch_manifest`
+expects that tree's body: a repeated frame is compared, not searched,
+and its memo lookup hashes nothing.  Over 10 s of the benchmark's
+configure workload (seed 1), 1,770 of its 1,772 FETCH answers (99.9%)
+repeated the kept one byte for byte; the operator workload makes no
+client handle.
 """
 
 from __future__ import annotations
 
 import socket
 import sys
+import weakref
 
 from .errors import (
     ConfdbError,
@@ -95,6 +106,8 @@ from .service import BoundedCache, parse_endpoint
 GET_MEMO_BYTES = 2 * 2**20
 GET_MEMO = BoundedCache(GET_MEMO_BYTES)
 TREE_MEMO = BoundedCache(GET_MEMO_BYTES)
+# FETCH line -> the last _Tree accepted for it, while TREE_MEMO holds that tree.
+_TREE_BY_LINE = weakref.WeakValueDictionary()
 RECV_BYTES = 65536
 TIMEOUT_S = 30.0  # for the connect, each whole request line's send and each receive
 
@@ -143,25 +156,32 @@ class _Connection:
         except OSError:
             pass
 
+    def _receive(self, into=None):
+        """One receive: new bytes, or the count received into the buffer ``into``.
+
+        A read failure or an end of stream leaves the rest of the answer
+        unread, so the connection is given up.
+        """
+        try:
+            got = self._sock.recv(RECV_BYTES) if into is None else self._sock.recv_into(into)
+        except OSError as exc:
+            self.close()
+            raise ConnectionFailureError(f"read failed: {exc}") from exc
+        if not got:
+            self.close()
+            raise ConnectionFailureError("connection closed by server")
+        return got
+
     def _find(self, buf, sep: bytes, start: int):
         """Receive into ``buf`` until ``sep`` occurs at or after ``start``; return both.
 
         Each receive resumes the search where the last one stopped, less
-        the length of a ``sep`` cut by the receive.  A read failure or an
-        end of stream leaves the rest of the answer unread, so the
-        connection is given up.
+        the length of a ``sep`` cut by the receive.
         """
         at = buf.find(sep, start)
         while at < 0:
             start = max(start, len(buf) - len(sep) + 1)
-            try:
-                chunk = self._sock.recv(RECV_BYTES)
-            except OSError as exc:
-                self.close()
-                raise ConnectionFailureError(f"read failed: {exc}") from exc
-            if not chunk:
-                self.close()
-                raise ConnectionFailureError("connection closed by server")
+            chunk = self._receive()
             if buf:
                 if type(buf) is bytes:
                     buf = bytearray(buf)  # grows in place from here on
@@ -171,11 +191,48 @@ class _Connection:
             at = buf.find(sep, start)
         return buf, at
 
-    def request(self, line: str, body: bool = False) -> tuple[str, bytes]:
+    def _receive_kept(self, buf, at: int, kept: bytes):
+        """Receive the answer at ``at`` while it repeats ``kept`` and its ``.`` line.
+
+        Returns the buffer and ``None`` after a full match, ``_buf`` then
+        set; else where the ``\n.\n`` search starts, two bytes before the
+        span that differs: ``kept`` came from that search, so no
+        terminator lies wholly in bytes that matched it.  Each span is
+        compared as it arrives, so a shorter answer is never waited for.
+        """
+        dot = at + len(kept)  # where the lone "." line starts
+        filled = len(buf)
+        if filled < dot + 2:
+            frame = bytearray(dot + 2 + RECV_BYTES)  # the answer, and one more receive
+            frame[:filled] = buf
+            buf = frame
+        expect = memoryview(kept)
+        checked = at
+        with memoryview(buf) as view:
+            while True:
+                # startswith with a view is one memcmp; comparing views is not.
+                upto = min(filled, dot)
+                if not buf.startswith(expect[checked - at : upto - at], checked):
+                    break
+                checked = upto
+                if not buf.startswith(b".\n"[: max(filled - dot, 0)], dot):
+                    break
+                if filled >= dot + 2:
+                    self._buf = bytes(view[dot + 2 : filled])
+                    return buf, None
+                filled += self._receive(view[filled:])
+        if type(buf) is bytearray:
+            del buf[filled:]
+        return buf, max(checked - 2, at - 1)
+
+    def request(
+        self, line: str, body: bool = False, kept: bytes | None = None
+    ) -> tuple[str, bytes]:
         """Send one request; return (ok_tail, body bytes before the lone ``.``).
 
         A line break in ``line`` would send two requests and read their
         answers out of step, so such a line is refused before it is sent.
+        A body equal to ``kept`` is returned as ``kept`` itself.
         """
         if "\n" in line:
             raise InvalidNameError(f"line break in request: {line!r}")
@@ -209,7 +266,12 @@ class _Connection:
             return tail, b""
         # The body ends at its first line that is a lone ".": the search
         # starts at the status line's LF, so an empty body is "\n.\n" too.
-        buf, end = self._find(buf, b"\n.\n", eol)
+        start = eol
+        if kept is not None:
+            buf, start = self._receive_kept(buf, eol + 1, kept)
+            if start is None:
+                return tail, kept  # its hash is cached, so a memo lookup hashes nothing
+        buf, end = self._find(buf, b"\n.\n", start)
         self._buf = bytes(buf[end + 3 :])
         # Through a view, a body is copied once: a bytearray's slice is a copy.
         return tail, bytes(memoryview(buf)[eol + 1 : end + 1])
@@ -279,6 +341,15 @@ def _memoised(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
         raw = _decoded(answer)
         GET_MEMO.put(answer, raw, _memo_cost(answer))
     return raw
+
+
+class _Tree:
+    """An accepted FETCH frame in ``TREE_MEMO``: its body, lines and answers by path."""
+
+    __slots__ = ("body", "lines", "answers", "__weakref__")
+
+    def __init__(self, body: bytes, lines: tuple[str, ...], answers: dict):
+        self.body, self.lines, self.answers = body, lines, answers
 
 
 def _frame_answers(
@@ -356,17 +427,21 @@ def fetch_manifest(handle: TreeHandle) -> list[str]:
     path.  The lines are a new list on every call.
     """
     connection = handle._connection
-    key = connection.request(f"FETCH {format_identity(handle.root)}", body=True)
+    line = f"FETCH {format_identity(handle.root)}"
+    known = _TREE_BY_LINE.get(line)
+    key = connection.request(line, body=True, kept=None if known is None else known.body)
     kept = TREE_MEMO.entries.get(key)
     if kept is None:
         try:
-            kept = _frame_answers(*key)
+            kept = _Tree(key[1], *_frame_answers(*key))
         except ConnectionFailureError:
             connection.close()
             raise
         TREE_MEMO.put(key, kept, sys.getsizeof(key[1]))
-    lines, handle._answers = kept
-    return list(lines)
+    if kept is not known:
+        _TREE_BY_LINE[line] = kept
+    handle._answers = kept.answers
+    return list(kept.lines)
 
 
 def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:

@@ -521,6 +521,9 @@ class Store:
         # identities, links and stamps.
         self._tables = DecodeTables()
         self._applied_len = 0
+        # Set once a catch-up finds the log shorter than the applied part:
+        # bytes appended later may differ, so the handle is refused until reopened.
+        self._shrank = False
         self._lock_fd = None
         self._log_fd = None
         try:
@@ -606,7 +609,8 @@ class Store:
         """
         with self._apply_lock:
             size = os.fstat(self._log_fd).st_size
-            if size < self._applied_len:
+            if self._shrank or size < self._applied_len:
+                self._shrank = True
                 raise CorruptLogError("log shrank outside recovery")
             if size == self._applied_len:
                 return
@@ -629,8 +633,8 @@ class Store:
                 )
 
     def refresh(self):
-        """Pick up other handles' commits; a log shorter than the applied part raises."""
-        if os.fstat(self._log()).st_size != self._applied_len:
+        """Pick up other handles' commits; a log once shorter than the applied part raises."""
+        if os.fstat(self._log()).st_size != self._applied_len or self._shrank:
             self._recover(truncate=False)
 
     # -- transactions --------------------------------------------------

@@ -4,13 +4,17 @@
 a handle must then answer exactly what per-path GETs answer.  A
 transition sends RESOLVE and FETCH and nothing more; a FETCH answered
 with ERR raises its own error and leaves the handle to GET each path;
-a malformed frame is refused without keeping any of it.
+a malformed frame is refused without keeping any of it.  A frame the
+client keeps is received by comparing it with the kept bytes, and reads
+exactly as the terminator search reads it.
 """
 
 import os
 import socket
 import sys
 import threading
+import time
+import weakref
 from unittest import mock
 
 import pytest
@@ -487,9 +491,10 @@ def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monk
 
 @pytest.fixture
 def tree_memo(monkeypatch):
-    """An empty tree memo for one test."""
+    """An empty tree memo, and an empty line index into it, for one test."""
     memo = BoundedCache(client.GET_MEMO_BYTES)
     monkeypatch.setattr(client, "TREE_MEMO", memo)
+    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
     return memo
 
 
@@ -544,6 +549,31 @@ def test_a_repeated_transition_decodes_and_checks_nothing(
         assert all(repeated[path] is got[path] for path in got)
         assert again._answers is first._answers
         assert len(tree_memo.entries) == 1
+    finally:
+        _stop(server)
+
+
+def test_a_repeated_frame_is_compared_and_never_searched(served, memo, tree_memo, monkeypatch):
+    store, root = served
+    searches = []
+    real = client._Connection._find
+
+    def find(self, buf, sep, start):
+        searches.append(sep)
+        return real(self, buf, sep, start)
+
+    monkeypatch.setattr(client._Connection, "_find", find)
+    server, endpoint = _serve(store)
+    try:
+        with configure_run(endpoint, "PHYSICS") as first:
+            got = _transition(first)
+        assert searches.count(b"\n.\n") == 1
+        searches.clear()
+        with configure_run(endpoint, "PHYSICS") as again:
+            assert _transition(again) == got
+        (key,) = tree_memo.entries
+        assert searches == [b"\n", b"\n"] and again._connection._buf == b""
+        assert client._TREE_BY_LINE[f"FETCH {root}"] is tree_memo.entries[key]
     finally:
         _stop(server)
 
@@ -705,3 +735,244 @@ def test_threads_transition_at_once_through_one_small_tree_memo(generations, mem
     assert wrong == []
     # A lost update of the size would break this.
     assert tree_memo.size == _tree_memo_size(tree_memo) <= budget
+
+
+def _lines_indexed_outside(memo) -> list:
+    """The lines of the client's line index whose frames ``memo`` does not hold."""
+    held = {id(tree) for tree in memo.entries.values()}
+    return [line for line, tree in client._TREE_BY_LINE.items() if id(tree) not in held]
+
+
+def test_the_line_index_holds_only_frames_the_tree_memo_holds(generations, memo, monkeypatch):
+    endpoint, expected = generations
+    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
+    tree_memo = BoundedCache(budget)
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
+    emptied = 0
+    for _ in range(3):
+        for root, want in expected.items():
+            before = len(tree_memo.entries)
+            with _handle(endpoint, root) as handle:
+                assert _transition(handle) == want
+            emptied += len(tree_memo.entries) < before
+            # A tree kept alive here would stay in the index: only lines are taken.
+            assert _lines_indexed_outside(tree_memo) == []
+            assert len(client._TREE_BY_LINE) == len(tree_memo.entries)
+    assert emptied > 0
+
+
+def test_threads_share_the_line_index_through_one_small_tree_memo(generations, memo, monkeypatch):
+    endpoint, expected = generations
+    tree_memo = BoundedCache(2 * max(_frame_size(endpoint, root) for root in expected))
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
+    roots = list(expected)
+    wrong = []
+
+    def transitions(offset):
+        for i in range(12):
+            root = roots[(offset + i // 3) % len(roots)]  # each root thrice in a row
+            with _handle(endpoint, root) as handle:
+                if _transition(handle) != expected[root]:
+                    wrong.append(root)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=transitions, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert _lines_indexed_outside(tree_memo) == []
+
+
+@pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
+def test_a_frame_one_byte_off_the_indexed_one_is_compared_then_checked_in_full(
+    scripted, memo, tree_memo, checks, monkeypatch, change
+):
+    handed = []
+    real = client._Connection._receive_kept
+
+    def receive_kept(self, buf, at, kept):
+        handed.append(kept)
+        return real(self, buf, at, kept)
+
+    monkeypatch.setattr(client._Connection, "_receive_kept", receive_kept)
+    second, _ = _kept_then(scripted, ONE_BYTE_CHANGED[change])
+    with second:
+        (tree,) = tree_memo.entries.values()
+        assert client._TREE_BY_LINE["FETCH TopMap[1]"] is tree
+        checks.clear()
+        try:
+            fetch_manifest(second)
+        except MalformedPayloadError:
+            assert change == "payload"
+        assert handed == [tree.body] and checks[0] == "_frame_answers"
+
+
+# -- receiving a frame the client keeps -----------------------------------------
+
+
+class _Sends:
+    """A socket whose every receive takes at most the rest of the next scripted send.
+
+    Past the last send, a receive meets the end of stream.  With sends of
+    at most ``RECV_BYTES``, a receive of that size and a larger one take
+    the same bytes, so the search and the compare leave the same ``_buf``.
+    """
+
+    def __init__(self, sends):
+        self.sends = [bytes(send) for send in sends if send]
+        self.closed = False
+
+    def sendall(self, data):
+        pass
+
+    def recv(self, size):
+        if not self.sends:
+            return b""
+        send = self.sends.pop(0)
+        if len(send) > size:
+            self.sends.insert(0, send[size:])
+        return send[:size]
+
+    def recv_into(self, buffer):
+        data = self.recv(len(buffer))
+        buffer[: len(data)] = data
+        return len(data)
+
+    def close(self):
+        self.closed = True
+
+
+def _read(sends, kept):
+    """A FETCH answer read from ``sends`` with ``kept`` as the expected body,
+    and the ``_buf`` it leaves; or the class of the error, and whether the
+    connection was given up."""
+    connection = client._Connection.__new__(client._Connection)
+    connection._sock, connection._buf = _Sends(sends), b""
+    try:
+        return connection.request("FETCH TopMap[1]", body=True, kept=kept), connection._buf
+    except ConfdbError as exc:
+        return type(exc), connection._sock.closed
+
+
+def _assert_read_as_searched(kept, sends):
+    got = _read(sends, kept)
+    assert got == _read(sends, None)
+    if type(got[0]) is tuple and got[0][1] == kept:
+        assert got[0][1] is kept
+    return got
+
+
+def _body_read_from(data: bytes) -> bytes:
+    """The body the search returns from a FETCH answer of ``data``, then a terminator."""
+    (_, body), _ = _read([b"OK 2\n" + data + b"\n.\n"], None)
+    return body
+
+
+# A body of several receives: 5,000 entries of 35 or 36 bytes.
+_KEPT_BODY = b"".join(_entry(f"p{i}", f"Leaf[{i + 1}]", _A) for i in range(5000))
+_KEPT_ANSWER = b"OK 5000\n" + _KEPT_BODY + b".\n"
+_STATUS = len(b"OK 5000\n")
+
+
+def _in_sends(answer, size=client.RECV_BYTES):
+    return [answer[at : at + size] for at in range(0, len(answer), size)]
+
+
+def _changed(answer, at):
+    return answer[:at] + (b"x" if answer[at : at + 1] != b"x" else b"y") + answer[at + 1 :]
+
+
+_KEPT_CASES = {
+    "the kept frame": _in_sends(_KEPT_ANSWER),
+    "the kept frame in sends of 1,000 bytes": _in_sends(_KEPT_ANSWER, 1000),
+    "differs at its first byte": _in_sends(_changed(_KEPT_ANSWER, _STATUS)),
+    "differs at its middle byte": _in_sends(_changed(_KEPT_ANSWER, len(_KEPT_ANSWER) // 2)),
+    **{
+        f"differs at byte {back} from the end": _in_sends(
+            _changed(_KEPT_ANSWER, len(_KEPT_ANSWER) - back))
+        for back in (1, 2, 3)
+    },
+    "shorter than the kept one": _in_sends(
+        b"OK 4999\n" + _KEPT_BODY[: _KEPT_BODY.rindex(b"p4999\t")] + b".\n"),
+    "longer than the kept one": _in_sends(
+        b"OK 5001\n" + _KEPT_BODY + _entry("q", "Leaf[1]", _A) + b".\n"),
+    "the kept frame and the next answer in one send": [
+        _KEPT_ANSWER[:-1000], _KEPT_ANSWER[-1000:] + _GET_A],
+    "the kept frame and part of the next answer": [_KEPT_ANSWER + _GET_A[:4]],
+    "a different count tail": _in_sends(b"OK 4\n" + _KEPT_BODY + b".\n"),
+    "an end of stream inside the kept bytes": _in_sends(_KEPT_ANSWER[: len(_KEPT_ANSWER) // 3]),
+    "an end of stream before the terminator's LF": _in_sends(_KEPT_ANSWER[:-1]),
+    "an ERR answer": [b"ERR 404 no-such-link a\n" + _GET_A],
+}
+
+
+@pytest.mark.parametrize("case", _KEPT_CASES)
+def test_a_kept_frame_is_read_as_the_search_reads_it(case):
+    got = _assert_read_as_searched(_KEPT_BODY, _KEPT_CASES[case])
+    if case.startswith("an end of stream"):
+        assert got == (ConnectionFailureError, True)
+
+
+def test_a_terminator_whose_lf_differs_at_the_start_of_a_receive_is_found():
+    # The kept body holds "\n.b"; the answer's "\n.\n" ends it there, and
+    # its last LF, the first byte that differs, starts the second receive.
+    kept = b"a\n.b\n"
+    got = _assert_read_as_searched(kept, [b"OK 2\na\n.", b"\n" + _GET_A])
+    assert got == (("2", b"a\n"), _GET_A)
+
+
+def test_a_kept_frame_sent_a_byte_at_a_time_is_read_as_the_search_reads_it():
+    kept = _FRAME[len(b"OK 1\n") : -2]
+    answer = _FRAME + _GET_A[:3]
+    sends = [answer[at : at + 1] for at in range(len(answer))]
+    (tail, body), rest = _assert_read_as_searched(kept, sends)
+    assert (tail, rest) == ("2", b"") and body is kept
+
+
+_WIRE_BYTE = st.sampled_from([b"a", b".", b"\n"])
+_WIRE_BYTES = st.lists(_WIRE_BYTE, max_size=30).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WIRE_BYTES, st.data())
+def test_any_answer_is_read_with_a_kept_body_as_the_search_reads_it(data_bytes, data):
+    kept = _body_read_from(data_bytes)
+    answer = b"OK 2\n" + kept + b".\n"
+    how = data.draw(st.sampled_from(["kept", "one byte", "cut", "other"]), label="answer")
+    if how == "one byte":
+        at = data.draw(st.integers(0, len(answer) - 1), label="changed byte")
+        answer = answer[:at] + data.draw(_WIRE_BYTE) + answer[at + 1 :]
+    elif how == "cut":
+        answer = answer[: data.draw(st.integers(0, len(answer)), label="cut at")]
+    elif how == "other":
+        status = data.draw(st.sampled_from([b"OK 2\n", b"OK 3\n", b"OK\n"]))
+        answer = status + data.draw(_WIRE_BYTES)
+    after = [b"", b".\n", _GET_A, b"\n.\n" + _GET_A[:5]]
+    answer += data.draw(st.sampled_from(after), label="after")
+    if data.draw(st.booleans(), label="a byte at a time"):
+        cuts = list(range(1, len(answer)))
+    else:
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(answer)), max_size=6), label="cuts"))
+    sends = [answer[a:b] for a, b in zip([0, *cuts], [*cuts, len(answer)])]
+    _assert_read_as_searched(kept, sends)
+
+
+def test_a_shorter_frame_on_a_connection_held_open_is_not_waited_for(scripted, memo, tree_memo):
+    # The server sends the shorter frame, then waits for the client's close.
+    shorter = _fetch_frame()
+    second, received = _kept_then(scripted, shorter)
+    with second:
+        started = time.perf_counter()
+        assert fetch_manifest(second) == []
+        assert time.perf_counter() - started < client.TIMEOUT_S / 10
+        assert fetch_raw(second, "a") == _raw(_A)  # a GET, in step
+        assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]

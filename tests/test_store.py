@@ -513,6 +513,25 @@ def test_a_catch_up_refuses_a_log_that_shrank(tmp_path):
         reader.close()
 
 
+def test_a_catch_up_that_found_the_log_shorter_keeps_refusing(tmp_path):
+    path = tmp_path / "db"
+    reader = _two_leaves_and_a_reader(path)
+    try:
+        os.truncate(path / "objects.log", 44)
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            reader.refresh()
+        # A fresh handle commits another B[1] into the same 44 bytes.
+        with open_store(path, clock=lambda: 0) as writer:
+            make_leaf(writer, "B", None, b=3)
+            assert writer.payload_bytes(ObjectIdentity("B", None, 1)) == b"kind=leaf\nb=i:3\n"
+        assert os.path.getsize(path / "objects.log") == 88
+        with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
+            reader.refresh()
+        assert answer(reader, "GET B[1] /\n") == b"ERR 500 corrupt-log\n"
+    finally:
+        reader.close()
+
+
 def test_a_read_past_an_outside_truncate_is_refused(tmp_path):
     path = tmp_path / "db"
     reader = _two_leaves_and_a_reader(path)
