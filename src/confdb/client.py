@@ -64,31 +64,32 @@ configure workload, the keys are 545 KB of text (69 KB of identities,
 475 KB of payloads) and the memo holds 2.9 MB with what they decode
 to, about 5.3 times its key text; so a full memo holds about 11 MiB.
 
-A second memo, ``TREE_MEMO``, keeps each accepted FETCH answer, under
-its ``(count, body)``, as a :class:`_Tree` of the body, the frame's
-lines and its ``{path: (ObjectIdentity, Payload)}`` map, made through
-``GET_MEMO`` so that equal answers share one decoded pair.  The lines
-and the map are pure functions of the key, so a hit, which checks and
-decodes nothing, answers exactly what a full check and decode would.
-The memo shares the ``GET_MEMO_BYTES`` budget rule, each answer costing
-``sys.getsizeof`` of its body, and is emptied whole as ``GET_MEMO`` is.
-After one transition per run type on the seed-1 store, the memo holds
-1.34 MB (``tracemalloc``) beyond ``GET_MEMO``'s 3.16 MB, of which 0.98
-MB are the two counted bodies; so a full memo holds about 2.9 MB.
-``_TREE_BY_LINE`` maps each FETCH line weakly to its last accepted
-tree, so it holds only trees the memo holds, and :func:`fetch_manifest`
-expects that tree's body: a repeated frame is compared, not searched,
-and its memo lookup hashes nothing.  Over 10 s of the benchmark's
-configure workload (seed 1), 1,770 of its 1,772 FETCH answers (99.9%)
-repeated the kept one byte for byte; the operator workload makes no
-client handle.
+A second memo, ``TREE_MEMO``, keeps the first accepted answer to each
+``FETCH <root>`` line under that line, as the tuple ``(count, body,
+lines, answers)``: the frame's manifest lines and its ``{path:
+(ObjectIdentity, Payload)}`` map, made through ``GET_MEMO`` so that
+equal answers share one decoded pair.  :func:`fetch_manifest` expects
+the kept body, and takes the kept tree only when the answer is that
+very body, recognised by ``is``, with the same count.  The lines and
+the map are pure functions of those two, so such a hit, which checks
+and decodes nothing, answers exactly what a full check would.  Any
+other answer is checked in full and used, but not kept, since its line
+is; that happens only when one client process reads two stores whose
+root identities share text.  The memo shares the ``GET_MEMO_BYTES``
+budget rule, each answer costing ``sys.getsizeof`` of its body, and is
+emptied whole as ``GET_MEMO`` is.  After one transition per run type on
+the seed-1 store, the memo holds 1.34 MB (``tracemalloc``) beyond
+``GET_MEMO``'s 3.16 MB, of which 0.98 MB are the two counted bodies; so
+a full memo holds about 2.9 MB.  Over 10 s of the benchmark's configure
+workload (seed 1), 1,770 of its 1,772 FETCH answers (99.9%) repeated
+the kept one byte for byte; the operator workload makes no client
+handle.
 """
 
 from __future__ import annotations
 
 import socket
 import sys
-import weakref
 
 from .errors import (
     ConfdbError,
@@ -100,14 +101,12 @@ from .errors import (
     error_for_code,
 )
 from .model import ObjectIdentity, Payload, canonical_int, decode_payload, format_identity
-from .model import parse_identity, validate_name
+from .model import is_valid_name, parse_identity, validate_name
 from .service import BoundedCache, parse_endpoint
 
 GET_MEMO_BYTES = 2 * 2**20
 GET_MEMO = BoundedCache(GET_MEMO_BYTES)
 TREE_MEMO = BoundedCache(GET_MEMO_BYTES)
-# FETCH line -> the last _Tree accepted for it, while TREE_MEMO holds that tree.
-_TREE_BY_LINE = weakref.WeakValueDictionary()
 RECV_BYTES = 65536
 TIMEOUT_S = 30.0  # for the connect, each whole request line's send and each receive
 
@@ -270,7 +269,7 @@ class _Connection:
         if kept is not None:
             buf, start = self._receive_kept(buf, eol + 1, kept)
             if start is None:
-                return tail, kept  # its hash is cached, so a memo lookup hashes nothing
+                return tail, kept  # the very object, so fetch_manifest recognises it by ``is``
         buf, end = self._find(buf, b"\n.\n", start)
         self._buf = bytes(buf[end + 3 :])
         # Through a view, a body is copied once: a bytearray's slice is a copy.
@@ -343,23 +342,15 @@ def _memoised(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
     return raw
 
 
-class _Tree:
-    """An accepted FETCH frame in ``TREE_MEMO``: its body, lines and answers by path."""
-
-    __slots__ = ("body", "lines", "answers", "__weakref__")
-
-    def __init__(self, body: bytes, lines: tuple[str, ...], answers: dict):
-        self.body, self.lines, self.answers = body, lines, answers
-
-
 def _frame_answers(
     count: str, body: bytes
 ) -> tuple[tuple[str, ...], dict[str, tuple[ObjectIdentity, Payload]]]:
     """A FETCH frame's manifest lines, and what its GET answers decode to by path.
 
     The count is canonical decimal and exactly that many entries follow,
-    each path once, each length plain ASCII decimal, and every payload
-    must parse and decode as a GET answer's would.  Answers ``GET_MEMO``
+    each path once and either ``/`` or valid names joined by ``/``, each
+    length plain ASCII decimal, and every payload must parse and decode
+    as a GET answer's would.  Answers ``GET_MEMO``
     lacks are decoded once each and put in it only once the whole frame
     is checked.  An entry that runs past the terminator raises
     :class:`ConnectionFailureError`: where the answer ends is unknown.
@@ -386,6 +377,8 @@ def _frame_answers(
             raise ConnectionFailureError(f"FETCH entry at byte {start} is cut short")
         if path in answers:
             raise ConfdbError(f"FETCH entry {path!r} repeats a path")
+        if path != "/" and not all(map(is_valid_name, path.split("/"))):
+            raise ConfdbError(f"FETCH entry path {path!r} is not / or names joined by /")
         answer = identity, body[start:at]
         raw = memo.get(answer) or new.get(answer)
         if raw is None:
@@ -428,30 +421,36 @@ def fetch_manifest(handle: TreeHandle) -> list[str]:
     """
     connection = handle._connection
     line = f"FETCH {format_identity(handle.root)}"
-    known = _TREE_BY_LINE.get(line)
-    key = connection.request(line, body=True, kept=None if known is None else known.body)
-    kept = TREE_MEMO.entries.get(key)
-    if kept is None:
+    kept = TREE_MEMO.entries.get(line)
+    tail, body = connection.request(line, body=True, kept=None if kept is None else kept[1])
+    if kept is None or body is not kept[1] or tail != kept[0]:
         try:
-            kept = _Tree(key[1], *_frame_answers(*key))
+            kept = (tail, body, *_frame_answers(tail, body))
         except ConnectionFailureError:
             connection.close()
             raise
-        TREE_MEMO.put(key, kept, sys.getsizeof(key[1]))
-    if kept is not known:
-        _TREE_BY_LINE[line] = kept
-    handle._answers = kept.answers
-    return list(kept.lines)
+        TREE_MEMO.put(line, kept, sys.getsizeof(body))
+    handle._answers = kept[3]
+    return list(kept[2])
 
 
 def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:
-    """RUNTYPES as a dict; a convenience for monitoring tools."""
+    """RUNTYPES as a dict; a convenience for monitoring tools.
+
+    The count of ``OK <count>`` is canonical decimal and equal to the
+    number of lines, and no run type is bound twice.
+    """
     connection = _Connection(endpoint)
     try:
-        _, body = connection.request("RUNTYPES", body=True)
+        count, body = connection.request("RUNTYPES", body=True)
+        lines = _body_lines(body)
+        if canonical_int(count) != len(lines):
+            raise ConfdbError(f"RUNTYPES count {count!r} does not count its {len(lines)} lines")
         bindings = {}
-        for line in _body_lines(body):
+        for line in lines:
             run_type, _, identity = line.partition("\t")
+            if run_type in bindings:
+                raise ConfdbError(f"RUNTYPES binds {run_type!r} twice")
             bindings[run_type] = parse_identity(identity)
         return bindings
     finally:

@@ -356,6 +356,28 @@ def test_a_malformed_identity_raises_on_every_fetch(scripted, memo):
     assert memo.entries == {} and memo.size == 0
 
 
+_TWO_PHYSICS = b"PHYSICS\tTopMap[1]\nPHYSICS\tTopMap[2]\n.\n"
+_ONE_EACH = b"PHYSICS\tTopMap[1]\nCOSMICS\tTopMap[2]\n.\n"
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [b"OK 5\n" + _TWO_PHYSICS, b"OK 3\n" + _ONE_EACH, b"OK 1\n" + _ONE_EACH,
+     b"OK 02\n" + _ONE_EACH, b"OK +2\n" + _ONE_EACH, b"OK\n" + _ONE_EACH],
+    ids=["5-for-2-repeated", "3-for-2", "1-for-2", "leading-zero", "plus-sign", "no-count"],
+)
+def test_a_runtypes_count_that_does_not_count_its_lines_is_refused(scripted, frame):
+    with pytest.raises(ConfdbError, match="RUNTYPES count"):
+        active_run_types(scripted(frame))
+
+
+def test_a_run_type_bound_twice_is_refused(scripted):
+    assert active_run_types(scripted(b"OK 2\n" + _ONE_EACH)) == {
+        "PHYSICS": parse_identity("TopMap[1]"), "COSMICS": parse_identity("TopMap[2]")}
+    with pytest.raises(ConfdbError, match="binds 'PHYSICS' twice"):
+        active_run_types(scripted(b"OK 2\n" + _TWO_PHYSICS))
+
+
 # -- reading answers out of the receive buffer ------------------------------------
 
 _LEAF = b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n"

@@ -14,7 +14,6 @@ import socket
 import sys
 import threading
 import time
-import weakref
 from unittest import mock
 
 import pytest
@@ -348,6 +347,11 @@ MALFORMED = {
     "count-leading-zero": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A), count="02"),
     "not-utf8-path": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A).replace(b"a", b"\xff", 1)),
     "malformed-identity": _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[01]", _A)),
+    "empty-path": _fetch_frame(_GOOD_ROOT, _entry("", "Leaf[1]", _A)),
+    "leading-slash": _fetch_frame(_GOOD_ROOT, _entry("/a", "Leaf[1]", _A)),
+    "trailing-slash": _fetch_frame(_GOOD_ROOT, _entry("a/", "Leaf[1]", _A)),
+    "empty-segment": _fetch_frame(_GOOD_ROOT, _entry("a//b", "Leaf[1]", _A)),
+    "reserved-char": _fetch_frame(_GOOD_ROOT, _entry("a=b", "Leaf[1]", _A)),
 }
 
 
@@ -491,10 +495,9 @@ def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monk
 
 @pytest.fixture
 def tree_memo(monkeypatch):
-    """An empty tree memo, and an empty line index into it, for one test."""
+    """An empty tree memo for one test."""
     memo = BoundedCache(client.GET_MEMO_BYTES)
     monkeypatch.setattr(client, "TREE_MEMO", memo)
-    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
     return memo
 
 
@@ -514,7 +517,7 @@ def checks(monkeypatch):
 
 
 def _tree_memo_size(memo) -> int:
-    return sum(sys.getsizeof(body) for _, body in memo.entries)
+    return sum(sys.getsizeof(body) for _, body, _, _ in memo.entries.values())
 
 
 def _decoded_frame(store, root) -> dict:
@@ -571,11 +574,41 @@ def test_a_repeated_frame_is_compared_and_never_searched(served, memo, tree_memo
         searches.clear()
         with configure_run(endpoint, "PHYSICS") as again:
             assert _transition(again) == got
-        (key,) = tree_memo.entries
         assert searches == [b"\n", b"\n"] and again._connection._buf == b""
-        assert client._TREE_BY_LINE[f"FETCH {root}"] is tree_memo.entries[key]
+        assert list(tree_memo.entries) == [f"FETCH {root}"]
     finally:
         _stop(server)
+
+
+def test_two_stores_that_share_a_root_identity_each_answer_their_own_tree(
+    tmp_path, memo, tree_memo, checks
+):
+    """One client, two servers whose ``TopMap[1]`` differ: the memo keeps
+    the first tree of the line, and the other is checked on every FETCH."""
+    stores = []
+    for name, extra in (("a", None), ("b", "fee")):
+        store = open_store(tmp_path / name, clock=lambda: 0)
+        tree, leaves = build_figure1(store)
+        if extra:
+            tree.set_object_alias("/", extra, leaves[extra])
+        stores.append((store, commit_alias_tree(store, tree, ["PHYSICS"])))
+    (a, root), (b, other) = stores
+    assert root == other and answer(a, f"GET {root} /\n") != answer(b, f"GET {root} /\n")
+    servers = [_serve(store) for store, _ in stores]
+    try:
+        # A first, B, then A again: only B's answer and A's first are checked.
+        for store, (_, endpoint), checked in zip((a, b, a), servers + servers[:1], (1, 1, 0)):
+            checks.clear()
+            with configure_run(endpoint, "PHYSICS") as handle:
+                assert _transition(handle) == _decoded_frame(store, root)
+            assert checks.count("_frame_answers") == checked
+            assert list(tree_memo.entries) == [f"FETCH {root}"]
+            assert tree_memo.entries[f"FETCH {root}"][3] == _decoded_frame(a, root)
+    finally:
+        for server, _ in servers:
+            _stop(server)
+        for store, _ in stores:
+            store.close()
 
 
 def test_fresh_lines_from_every_manifest(served, memo, tree_memo):
@@ -618,7 +651,8 @@ ONE_BYTE_CHANGED = {
 @pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
 def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, checks, change):
     """The kept frame never answers for it: it is checked in full, and
-    it answers its own entries or, with a bad payload, is refused."""
+    it answers its own entries or, with a bad payload, is refused.
+    Either way the memo keeps only the line's first tree."""
     frame = ONE_BYTE_CHANGED[change]
     assert len(frame) == len(_FRAME) and frame != _FRAME
     second, received = _kept_then(scripted, frame)
@@ -630,7 +664,6 @@ def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, c
             with pytest.raises(MalformedPayloadError):
                 fetch_manifest(second)
             assert second._answers == {}
-            assert tree_memo.entries == kept
             assert fetch_raw(second, "a") == _raw(_A)  # a GET
             assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
         else:
@@ -639,8 +672,8 @@ def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, c
             assert lines == [f"{path}\t{identity}" for path, identity, _ in entries]
             assert second._answers == {
                 path: _raw(payload, identity) for path, identity, payload in entries}
-            assert len(tree_memo.entries) == 2
             assert received[-1] == "FETCH TopMap[1]"
+        assert tree_memo.entries == kept
         assert checks[0] == "_frame_answers"
 
 
@@ -737,36 +770,10 @@ def test_threads_transition_at_once_through_one_small_tree_memo(generations, mem
     assert tree_memo.size == _tree_memo_size(tree_memo) <= budget
 
 
-def _lines_indexed_outside(memo) -> list:
-    """The lines of the client's line index whose frames ``memo`` does not hold."""
-    held = {id(tree) for tree in memo.entries.values()}
-    return [line for line, tree in client._TREE_BY_LINE.items() if id(tree) not in held]
-
-
-def test_the_line_index_holds_only_frames_the_tree_memo_holds(generations, memo, monkeypatch):
-    endpoint, expected = generations
-    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
-    tree_memo = BoundedCache(budget)
-    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
-    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
-    emptied = 0
-    for _ in range(3):
-        for root, want in expected.items():
-            before = len(tree_memo.entries)
-            with _handle(endpoint, root) as handle:
-                assert _transition(handle) == want
-            emptied += len(tree_memo.entries) < before
-            # A tree kept alive here would stay in the index: only lines are taken.
-            assert _lines_indexed_outside(tree_memo) == []
-            assert len(client._TREE_BY_LINE) == len(tree_memo.entries)
-    assert emptied > 0
-
-
-def test_threads_share_the_line_index_through_one_small_tree_memo(generations, memo, monkeypatch):
+def test_threads_repeating_each_root_share_one_small_tree_memo(generations, memo, monkeypatch):
     endpoint, expected = generations
     tree_memo = BoundedCache(2 * max(_frame_size(endpoint, root) for root in expected))
     monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
-    monkeypatch.setattr(client, "_TREE_BY_LINE", weakref.WeakValueDictionary())
     roots = list(expected)
     wrong = []
 
@@ -789,7 +796,6 @@ def test_threads_share_the_line_index_through_one_small_tree_memo(generations, m
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert _lines_indexed_outside(tree_memo) == []
 
 
 @pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
@@ -806,14 +812,13 @@ def test_a_frame_one_byte_off_the_indexed_one_is_compared_then_checked_in_full(
     monkeypatch.setattr(client._Connection, "_receive_kept", receive_kept)
     second, _ = _kept_then(scripted, ONE_BYTE_CHANGED[change])
     with second:
-        (tree,) = tree_memo.entries.values()
-        assert client._TREE_BY_LINE["FETCH TopMap[1]"] is tree
+        tree = tree_memo.entries["FETCH TopMap[1]"]
         checks.clear()
         try:
             fetch_manifest(second)
         except MalformedPayloadError:
             assert change == "payload"
-        assert handed == [tree.body] and checks[0] == "_frame_answers"
+        assert handed == [tree[1]] and checks[0] == "_frame_answers"
 
 
 # -- receiving a frame the client keeps -----------------------------------------
