@@ -11,20 +11,23 @@ whole lifetime.  Because objects are immutable, the handle stays valid
 forever: activations on the server never change what an existing handle
 reads.
 
-A connection reads each answer out of one receive buffer: it sends the
-request line with one ``sendall``, then receives until the buffer holds
+A connection reads each answer out of one receive buffer: it sends
+request lines with one ``sendall``, then receives until the buffer holds
 the status line and, for an answer with a body, the line that is a
 lone ``.``.  Each receive resumes the search where the last one stopped,
-and bytes past the answer stay in the buffer for the next request.  A
-body expected as ``kept`` is instead received into one buffer sized to
-it and compared span by span as it arrives: a full match returns
-``kept`` itself, unsearched, and a span that differs falls back to the
-search, so the answer and the bytes left are the search's either way.  A
+and bytes past the answer stay in the buffer for the next answer.  A
 failed send, a status line that is not UTF-8 or not ``OK``/``ERR``, a
 failed or timed-out receive (``TIMEOUT_S``, the socket's own timeout)
 and an end of stream in mid-answer each give the connection up and
 raise :class:`ConnectionFailureError`, as every later request on it
 then does at once.
+
+:func:`configure_run` sends ``RESOLVE`` and ``TOKEN`` in one
+``sendall`` and keeps the server's token on the handle, so learning it
+costs no round trip.  A token names one server for its whole life, and
+a server reads one store, so under one token a ``FETCH <root>`` answer
+never changes.  An older server answers ``TOKEN`` with ``ERR``; its
+handles get no token, and each of their FETCHes is sent and checked.
 
 A handle reads its tree whole.  :func:`fetch_manifest` sends one
 ``FETCH``, whose frame holds the GET answer of every path of the tree
@@ -36,10 +39,13 @@ are a GET's, and :func:`fetch_raw` of a path of the frame is one lookup.
 A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
 one cut short also gives the connection up.  A ``FETCH`` answered with
 ``ERR`` raises as any request does, and the connection stays in step.
-A transition on the benchmark's configure store is 2 requests; but the
-frame is 0.49 MB, where a MANIFEST is 31 KB: a FETCH of a frame the
-client holds takes 0.22 ms, a new one about 40 ms, and one GET 0.06 ms
-(single client, serve child on the same host).
+A first transition on the benchmark's configure store is 2 round trips;
+but the frame is 0.49 MB, where a MANIFEST is 31 KB: a new FETCH takes
+about 40 ms, and one GET 0.06 ms.  A repeated transition is one round
+trip, since the kept tree is taken with no FETCH: 0.58 ms in all, of
+which the connect, RESOLVE and TOKEN take 0.31 ms, the kept tree
+0.01 ms and 1,008 :func:`fetch_raw` 0.26 ms (medians of 300 seed-1
+transitions, one client, serve child on the same host).
 So a handle that reads only a few leaves should GET them without
 :func:`fetch_manifest`.
 
@@ -64,26 +70,22 @@ configure workload, the keys are 545 KB of text (69 KB of identities,
 475 KB of payloads) and the memo holds 2.9 MB with what they decode
 to, about 5.3 times its key text; so a full memo holds about 11 MiB.
 
-A second memo, ``TREE_MEMO``, keeps the first accepted answer to each
-``FETCH <root>`` line under that line, as the tuple ``(count, body,
-lines, answers)``: the frame's manifest lines and its ``{path:
+A second memo, ``TREE_MEMO``, keeps each tree accepted from a server
+with a token under the key ``(token, "FETCH <root>")``, as the pair
+``(lines, answers)``: the frame's manifest lines and its ``{path:
 (ObjectIdentity, Payload)}`` map, made through ``GET_MEMO`` so that
-equal answers share one decoded pair.  :func:`fetch_manifest` expects
-the kept body, and takes the kept tree only when the answer is that
-very body, recognised by ``is``, with the same count.  The lines and
-the map are pure functions of those two, so such a hit, which checks
-and decodes nothing, answers exactly what a full check would.  Any
-other answer is checked in full and used, but not kept, since its line
-is; that happens only when one client process reads two stores whose
-root identities share text.  The memo shares the ``GET_MEMO_BYTES``
-budget rule, each answer costing ``sys.getsizeof`` of its body, and is
-emptied whole as ``GET_MEMO`` is.  After one transition per run type on
-the seed-1 store, the memo holds 1.34 MB (``tracemalloc``) beyond
-``GET_MEMO``'s 3.16 MB, of which 0.98 MB are the two counted bodies; so
-a full memo holds about 2.9 MB.  Over 10 s of the benchmark's configure
-workload (seed 1), 1,770 of its 1,772 FETCH answers (99.9%) repeated
-the kept one byte for byte; the operator workload makes no client
-handle.
+equal answers share one decoded pair.  :func:`fetch_manifest` takes a
+kept tree and sends nothing; since the answer under that key never
+changes, the hit answers exactly what a FETCH and its full check would.
+A tree from a server without a token is never kept.  A restarted
+server has a new token, so each of its clients sends one FETCH per root
+again, and two stores whose root identities share text never share a
+tree.  The memo shares the ``GET_MEMO_BYTES`` budget rule, each tree
+costing ``sys.getsizeof`` of its frame body, and is emptied whole as
+``GET_MEMO`` is.  After one transition per run type on the seed-1
+store, the memo holds 0.36 MB (``tracemalloc``) beyond ``GET_MEMO``'s
+3.16 MB and counts 0.98 MB, so a full memo holds about 0.8 MB beside
+the decoded pairs it shares with ``GET_MEMO``.
 """
 
 from __future__ import annotations
@@ -155,14 +157,14 @@ class _Connection:
         except OSError:
             pass
 
-    def _receive(self, into=None):
-        """One receive: new bytes, or the count received into the buffer ``into``.
+    def _receive(self) -> bytes:
+        """One receive of new bytes.
 
         A read failure or an end of stream leaves the rest of the answer
         unread, so the connection is given up.
         """
         try:
-            got = self._sock.recv(RECV_BYTES) if into is None else self._sock.recv_into(into)
+            got = self._sock.recv(RECV_BYTES)
         except OSError as exc:
             self.close()
             raise ConnectionFailureError(f"read failed: {exc}") from exc
@@ -190,57 +192,17 @@ class _Connection:
             at = buf.find(sep, start)
         return buf, at
 
-    def _receive_kept(self, buf, at: int, kept: bytes):
-        """Receive the answer at ``at`` while it repeats ``kept`` and its ``.`` line.
-
-        Returns the buffer and ``None`` after a full match, ``_buf`` then
-        set; else where the ``\n.\n`` search starts, two bytes before the
-        span that differs: ``kept`` came from that search, so no
-        terminator lies wholly in bytes that matched it.  Each span is
-        compared as it arrives, so a shorter answer is never waited for.
-        """
-        dot = at + len(kept)  # where the lone "." line starts
-        filled = len(buf)
-        if filled < dot + 2:
-            frame = bytearray(dot + 2 + RECV_BYTES)  # the answer, and one more receive
-            frame[:filled] = buf
-            buf = frame
-        expect = memoryview(kept)
-        checked = at
-        with memoryview(buf) as view:
-            while True:
-                # startswith with a view is one memcmp; comparing views is not.
-                upto = min(filled, dot)
-                if not buf.startswith(expect[checked - at : upto - at], checked):
-                    break
-                checked = upto
-                if not buf.startswith(b".\n"[: max(filled - dot, 0)], dot):
-                    break
-                if filled >= dot + 2:
-                    self._buf = bytes(view[dot + 2 : filled])
-                    return buf, None
-                filled += self._receive(view[filled:])
-        if type(buf) is bytearray:
-            del buf[filled:]
-        return buf, max(checked - 2, at - 1)
-
-    def request(
-        self, line: str, body: bool = False, kept: bytes | None = None
-    ) -> tuple[str, bytes]:
-        """Send one request; return (ok_tail, body bytes before the lone ``.``).
-
-        A line break in ``line`` would send two requests and read their
-        answers out of step, so such a line is refused before it is sent.
-        A body equal to ``kept`` is returned as ``kept`` itself.
-        """
-        if "\n" in line:
-            raise InvalidNameError(f"line break in request: {line!r}")
+    def send(self, lines: str) -> None:
+        """Send request lines, each ending in LF, with one ``sendall``."""
         try:
-            self._sock.sendall((line + "\n").encode("utf-8"))
+            self._sock.sendall(lines.encode("utf-8"))
         except OSError as exc:
-            # Part of the line may have gone out: the next one would join it.
+            # Part of a line may have gone out: the next one would join it.
             self.close()
             raise ConnectionFailureError(f"send failed: {exc}") from exc
+
+    def receive(self, body: bool = False) -> tuple[str, bytes]:
+        """Read one answer: (ok_tail, body bytes before the lone ``.``)."""
         buf, eol = self._find(self._buf, b"\n", 0)
         # A refused status line leaves an answer of unknown length unread,
         # so the connection is given up rather than read out of step.
@@ -265,15 +227,25 @@ class _Connection:
             return tail, b""
         # The body ends at its first line that is a lone ".": the search
         # starts at the status line's LF, so an empty body is "\n.\n" too.
-        start = eol
-        if kept is not None:
-            buf, start = self._receive_kept(buf, eol + 1, kept)
-            if start is None:
-                return tail, kept  # the very object, so fetch_manifest recognises it by ``is``
-        buf, end = self._find(buf, b"\n.\n", start)
+        buf, end = self._find(buf, b"\n.\n", eol)
         self._buf = bytes(buf[end + 3 :])
         # Through a view, a body is copied once: a bytearray's slice is a copy.
         return tail, bytes(memoryview(buf)[eol + 1 : end + 1])
+
+    def request(self, line: str, body: bool = False) -> tuple[str, bytes]:
+        """Send one request line and read its answer, as :meth:`receive` returns it.
+
+        A line break in ``line`` would send two requests and read their
+        answers out of step, so such a line is refused before it is sent.
+        """
+        _refuse_line_break(line)
+        self.send(line + "\n")
+        return self.receive(body)
+
+
+def _refuse_line_break(text: str) -> None:
+    if "\n" in text:
+        raise InvalidNameError(f"line break in request: {text!r}")
 
 
 def _body_lines(body: bytes) -> list[str]:
@@ -288,14 +260,23 @@ def _body_lines(body: bytes) -> list[str]:
 class TreeHandle:
     """A resolved configuration tree; owns one connection.
 
-    ``_answers`` maps each path of the FETCH frame the handle last
-    accepted to what its GET answer decodes to, and is empty until then.
-    It may be shared with ``TREE_MEMO``, so it is never changed in place.
+    ``token`` is the server's TOKEN answer, or ``None`` for a server that
+    refused it.  ``_answers`` maps each path of the FETCH frame the handle
+    last accepted to what its GET answer decodes to, and is empty until
+    then.  It may be shared with ``TREE_MEMO``, so it is never changed in
+    place.
     """
 
-    def __init__(self, endpoint: str, root: ObjectIdentity, connection: _Connection):
+    def __init__(
+        self,
+        endpoint: str,
+        root: ObjectIdentity,
+        connection: _Connection,
+        token: str | None = None,
+    ):
         self.endpoint = endpoint
         self.root = root
+        self.token = token
         self._connection = connection
         self._get_prefix = f"GET {format_identity(root)} "
         self._answers: dict[str, tuple[ObjectIdentity, Payload]] = {}
@@ -311,15 +292,26 @@ class TreeHandle:
 
 
 def configure_run(endpoint: str, run_type: str) -> TreeHandle:
-    """RESOLVE the run type and pin the returned tree identity."""
+    """RESOLVE the run type and pin the returned tree identity.
+
+    RESOLVE and TOKEN go out in one ``sendall``.  A TOKEN answered with
+    ``ERR``, as an older server answers it, leaves the handle no token.
+    """
+    _refuse_line_break(run_type)
     connection = _Connection(endpoint)
     try:
-        tail, _ = connection.request(f"RESOLVE {run_type}")
-        root = parse_identity(tail)
+        connection.send(f"RESOLVE {run_type}\nTOKEN\n")
+        root = parse_identity(connection.receive()[0])
+        try:
+            token = connection.receive()[0] or None
+        except ConnectionFailureError:
+            raise
+        except ConfdbError:
+            token = None
     except BaseException:
         connection.close()
         raise
-    return TreeHandle(endpoint, root, connection)
+    return TreeHandle(endpoint, root, connection, token)
 
 
 def _decoded(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
@@ -359,6 +351,7 @@ def _frame_answers(
     if entries is None or entries < 0:
         raise ConfdbError(f"FETCH frame count {count!r} is not canonical")
     lines, answers, new, at = [], {}, {}, 0
+    names = set()  # path segments already found valid
     memo = GET_MEMO.entries
     for _ in range(entries):
         eol = body.find(b"\n", at)
@@ -377,8 +370,12 @@ def _frame_answers(
             raise ConnectionFailureError(f"FETCH entry at byte {start} is cut short")
         if path in answers:
             raise ConfdbError(f"FETCH entry {path!r} repeats a path")
-        if path != "/" and not all(map(is_valid_name, path.split("/"))):
-            raise ConfdbError(f"FETCH entry path {path!r} is not / or names joined by /")
+        if path != "/":
+            segments = path.split("/")
+            if not names.issuperset(segments):
+                if not all(map(is_valid_name, segments)):
+                    raise ConfdbError(f"FETCH entry path {path!r} is not / or names joined by /")
+                names.update(segments)
         answer = identity, body[start:at]
         raw = memo.get(answer) or new.get(answer)
         if raw is None:
@@ -415,23 +412,25 @@ def fetch_object(handle: TreeHandle, proxies: ProxyDictionary, path: str):
 def fetch_manifest(handle: TreeHandle) -> list[str]:
     """The manifest lines of the handle's tree, read from one FETCH frame.
 
-    The handle then answers each path of the frame without a request.
-    An ``ERR`` answer or a refused frame raises, and the handle GETs each
-    path.  The lines are a new list on every call.
+    A tree ``TREE_MEMO`` keeps for the handle's token is taken with no
+    request.  The handle then answers each path of the frame without a
+    request.  An ``ERR`` answer or a refused frame raises, and the handle
+    GETs each path.  The lines are a new list on every call.
     """
-    connection = handle._connection
-    line = f"FETCH {format_identity(handle.root)}"
-    kept = TREE_MEMO.entries.get(line)
-    tail, body = connection.request(line, body=True, kept=None if kept is None else kept[1])
-    if kept is None or body is not kept[1] or tail != kept[0]:
+    key = handle.token, f"FETCH {format_identity(handle.root)}"
+    kept = TREE_MEMO.entries.get(key)  # never kept under no token
+    if kept is None:
+        connection = handle._connection
+        tail, body = connection.request(key[1], body=True)
         try:
-            kept = (tail, body, *_frame_answers(tail, body))
+            kept = _frame_answers(tail, body)
         except ConnectionFailureError:
             connection.close()
             raise
-        TREE_MEMO.put(line, kept, sys.getsizeof(body))
-    handle._answers = kept[3]
-    return list(kept[2])
+        if handle.token:
+            TREE_MEMO.put(key, kept, sys.getsizeof(body))
+    lines, handle._answers = kept
+    return list(lines)
 
 
 def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:

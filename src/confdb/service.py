@@ -4,15 +4,25 @@ Line-oriented text protocol, UTF-8 with LF endings, one response frame
 per request line; multi-line bodies end with a lone ``.`` line::
 
     PING                     -> OK pong
+    TOKEN                    -> OK <token>
     RESOLVE <runtype>        -> OK <identity>
     GET <identity> <path|/>  -> OK <identity> + canonical payload + .
     MANIFEST <identity>      -> OK <count> + manifest lines + .
     FETCH <identity>         -> OK <count> + one entry per manifest line + .
     RUNTYPES                 -> OK <count> + <runtype>TAB<identity> lines + .
 
-``PING`` and ``RUNTYPES`` take no argument, and ``MANIFEST`` and
-``FETCH`` take only the identity: any text after it, a lone space
+``PING``, ``TOKEN`` and ``RUNTYPES`` take no argument, and ``MANIFEST``
+and ``FETCH`` take only the identity: any text after it, a lone space
 included, is refused with ``ERR 400 malformed-request trailing data``.
+
+A ``TOKEN`` answer names the server: 32 hex digits drawn from
+``os.urandom`` once per :class:`ConfigServer`, so the same on every
+connection and new after a restart.  A server reads one store, so under
+one token a FETCH answer never changes, and a client may keep trees by
+token and request line.  Random bytes, unlike a digest, need no
+``hashlib``, which would map OpenSSL into a serve child.  The answer
+needs no store, so it comes before any catch-up, and it never enters
+the frame cache, which keeps only frames that name committed objects.
 
 A FETCH answer carries a whole tree in one frame.  It has one entry per
 MANIFEST line, in MANIFEST order, maps included::
@@ -72,6 +82,7 @@ makes every handed-out identity permanently valid).
 
 from __future__ import annotations
 
+import os
 import socketserver
 import sys
 import threading
@@ -147,11 +158,19 @@ class BoundedCache:
             self.size += cost
 
 
-def handle_request(store: Store, line: str, cache: BoundedCache) -> bytes:
+class FrameCache(BoundedCache):
+    """A server's frame cache, and the random ``token`` that names the server."""
+
+    def __init__(self, budget: int):
+        super().__init__(budget)
+        self.token = os.urandom(16).hex()
+
+
+def handle_request(store: Store, line: str, cache: FrameCache) -> bytes:
     """Process one request line into one complete response frame.
 
     ``cache`` keeps finished ``OK`` frames by request line, and a repeated
-    GET, MANIFEST or FETCH is answered from it.
+    GET, MANIFEST or FETCH is answered from it; its token answers TOKEN.
     """
     frame = cache.entries.get(line)
     if frame is not None:
@@ -159,8 +178,10 @@ def handle_request(store: Store, line: str, cache: BoundedCache) -> bytes:
     key = line
     line = line.removesuffix("\n")
     verb, sep, rest = line.partition(" ")
-    if sep and verb in ("PING", "RUNTYPES"):
+    if sep and verb in ("PING", "TOKEN", "RUNTYPES"):
         return b"ERR 400 malformed-request trailing data\n"
+    if verb == "TOKEN":
+        return f"OK {cache.token}\n".encode()
     try:
         store.refresh()
         if verb == "PING":
@@ -269,7 +290,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class ConfigServer(socketserver.ThreadingTCPServer):
-    """One handler thread per connection; all share the store and one frame cache."""
+    """One handler thread per connection; all share the store, one frame cache and its token."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -277,7 +298,7 @@ class ConfigServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, store: Store, endpoint: str = DEFAULT_ENDPOINT):
         self.store = store
-        self.cache = BoundedCache(FRAME_CACHE_BYTES)
+        self.cache = FrameCache(FRAME_CACHE_BYTES)
         super().__init__(parse_endpoint(endpoint), _Handler)
 
     @property

@@ -22,7 +22,7 @@ from pathlib import Path
 import confdb
 from confdb.alias import AliasTree, MapAlias, ObjectAlias, new_alias_tree
 from confdb.model import ObjectIdentity, Payload
-from confdb.service import FRAME_CACHE_BYTES, BoundedCache, handle_request
+from confdb.service import FRAME_CACHE_BYTES, FrameCache, handle_request
 from confdb.store import Store, open_store
 from confdb.tree import active_trees
 
@@ -52,7 +52,7 @@ def child_env() -> dict:
 
 def answer(store: Store, line: str) -> bytes:
     """The frame a server answers ``line`` with as a miss: through a fresh frame cache."""
-    return handle_request(store, line, BoundedCache(FRAME_CACHE_BYTES))
+    return handle_request(store, line, FrameCache(FRAME_CACHE_BYTES))
 
 
 # ---------------------------------------------------------------------------

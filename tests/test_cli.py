@@ -570,6 +570,33 @@ def test_serve_listens_where_listen_says(workdir):
         proc.stdout.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps")
+def test_a_serve_child_answers_token_without_openssl(workdir):
+    """The token is random bytes, not a digest: no hashlib, so no OpenSSL, is mapped."""
+    import socket
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confdb", "--store", "s", "serve", "--listen", "127.0.0.1:0"],
+        cwd=workdir, env=child_env(), stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("listening on 127.0.0.1:")
+        port = int(banner.split(":")[-1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"TOKEN\nTOKEN\n")
+            with sock.makefile("rb") as reader:
+                first, second = reader.readline(), reader.readline()
+        assert first == second and len(first) == len(b"OK \n") + 32
+        with open(f"/proc/{proc.pid}/maps", encoding="utf-8") as maps:
+            mapped = [line for line in maps if "libcrypto" in line or "_hashlib" in line]
+        assert mapped == []
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
 def test_serve_stops_on_a_signal_even_if_started_with_sigint_ignored(workdir, signum):
     # A shell without job control starts background commands so.

@@ -235,6 +235,16 @@ def test_a_failed_send_gives_the_connection_up(served):
 
 # -- malformed answers ------------------------------------------------------------
 
+_TOKEN = b"OK t1\n"  # a scripted server's TOKEN answer
+
+
+@pytest.fixture(autouse=True)
+def tree_memo(monkeypatch):
+    """An empty tree memo for each test, so no tree kept under ``_TOKEN`` outlives it."""
+    memo = BoundedCache(client.GET_MEMO_BYTES)
+    monkeypatch.setattr(client, "TREE_MEMO", memo)
+    return memo
+
 
 @pytest.fixture
 def scripted():
@@ -280,6 +290,7 @@ def scripted():
 def test_non_utf8_answers_raise_confdb_errors(scripted, memo):
     endpoint = scripted(
         b"OK TopMap[1]\n",
+        _TOKEN,
         b"OK DchHV:sector3[1]\nkind=leaf\nname=s:\xff\n.\n",
         b"OK 1\n/\tTopMap[1]\xff\t0\n.\n",
         b"OK DchHV:sector3[1]\xff\nkind=leaf\nhv=i:1\n.\n",
@@ -303,6 +314,7 @@ def test_a_refused_status_line_gives_the_connection_up(scripted):
     # same connection would take that body for its own status line.
     endpoint = scripted(
         b"OK TopMap[1]\n",
+        _TOKEN,
         b"OK Leaf[1]\xff\nkind=leaf\na=i:1\n.\n",
         b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n",
     )
@@ -316,6 +328,7 @@ def test_a_refused_status_line_gives_the_connection_up(scripted):
 def test_a_status_line_neither_ok_nor_err_gives_the_connection_up(scripted):
     endpoint = scripted(
         b"OK TopMap[1]\n",
+        _TOKEN,
         b"HELLO Leaf[1]\nkind=leaf\na=i:1\n.\n",
         b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n",
     )
@@ -328,7 +341,7 @@ def test_a_status_line_neither_ok_nor_err_gives_the_connection_up(scripted):
 
 
 def test_a_reset_mid_answer_gives_the_connection_up(scripted):
-    endpoint = scripted(b"OK TopMap[1]\n", b"OK Leaf[1]\nkind=leaf\n", reset=True)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, b"OK Leaf[1]\nkind=leaf\n", reset=True)
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")
@@ -338,7 +351,7 @@ def test_a_reset_mid_answer_gives_the_connection_up(scripted):
 
 def test_a_non_canonical_payload_raises_on_every_fetch(scripted, memo):
     answer = b"OK Leaf[1]\nkind=leaf\na=i:01\n.\n"
-    endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, answer, answer, answer)
     with configure_run(endpoint, "PHYSICS") as handle:
         for _ in range(3):
             with pytest.raises(MalformedPayloadError):
@@ -348,7 +361,7 @@ def test_a_non_canonical_payload_raises_on_every_fetch(scripted, memo):
 
 def test_a_malformed_identity_raises_on_every_fetch(scripted, memo):
     answer = b"OK Leaf[01]\nkind=leaf\na=i:1\n.\n"
-    endpoint = scripted(b"OK TopMap[1]\n", answer, answer, answer)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, answer, answer, answer)
     with configure_run(endpoint, "PHYSICS") as handle:
         for _ in range(3):
             with pytest.raises(MalformedIdentityError):
@@ -399,6 +412,7 @@ def _manifest_lines(handle) -> list:
 def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
     endpoint = scripted(
         b"OK TopMap[1]\n",
+        _TOKEN,
         _LEAF,
         b"OK 3\n/\tTopMap[1]\n.a\tLeaf[1]\na.\tLeaf[2]\n.\n",
         b"OK 0\n.\n",
@@ -417,7 +431,7 @@ def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
 
 
 def test_two_answers_in_one_send_serve_two_requests(scripted):
-    endpoint = scripted(b"OK TopMap[1]\n", _LEAF + _DOT, b"")
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, _LEAF + _DOT, b"")
     with configure_run(endpoint, "PHYSICS") as handle:
         assert fetch_raw(handle, "a") == _raw(_LEAF)
         # The second answer is already in the buffer when its request goes out.
@@ -425,7 +439,7 @@ def test_two_answers_in_one_send_serve_two_requests(scripted):
 
 
 def test_an_empty_body_reads_as_no_lines(scripted):
-    endpoint = scripted(b"OK TopMap[1]\n", b"OK 0\n.\n", _LEAF)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, b"OK 0\n.\n", _LEAF)
     with configure_run(endpoint, "PHYSICS") as handle:
         assert fetch_manifest(handle) == []
         assert fetch_raw(handle, "a") == _raw(_LEAF)
@@ -434,7 +448,7 @@ def test_an_empty_body_reads_as_no_lines(scripted):
 def test_an_err_answer_leaves_the_connection_in_step(scripted):
     err = b"ERR 404 no-such-link b\n"
     # The first ERR arrives together with the answer that follows it.
-    endpoint = scripted(b"OK TopMap[1]\n", err + _LEAF, b"", err, _DOT)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, err + _LEAF, b"", err, _DOT)
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(NoSuchLinkError):
             fetch_raw(handle, "b")
@@ -445,7 +459,7 @@ def test_an_err_answer_leaves_the_connection_in_step(scripted):
 
 
 def test_an_end_of_stream_mid_answer_gives_the_connection_up(scripted):
-    endpoint = scripted(b"OK TopMap[1]\n", b"OK Leaf[1]\nkind=leaf\n")
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, b"OK Leaf[1]\nkind=leaf\n")
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(ConnectionFailureError, match="closed by server"):
             fetch_raw(handle, "a")
@@ -463,7 +477,8 @@ def test_a_silent_server_times_the_request_out(monkeypatch):
         conn, _ = listener.accept()
         with conn, conn.makefile("rb") as reader:
             reader.readline()
-            conn.sendall(b"OK TopMap[1]\n")
+            conn.sendall(b"OK TopMap[1]\n" + _TOKEN)
+            reader.readline()
             reader.readline()
             done.wait(10)  # the GET is never answered
 
@@ -491,7 +506,7 @@ def test_a_large_body_in_small_pieces_is_read_exactly(scripted):
     lines[0] = "x" * ((2 - len(frame)) % 4096) + lines[0]
     frame = f"OK {len(lines)}\n" + "".join(line + "\n" for line in lines) + ".\n"
     assert len(frame) % 4096 == 2 and len(frame) > 2**20
-    endpoint = scripted(b"OK TopMap[1]\n", frame.encode(), _LEAF, piece=4096)
+    endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, frame.encode(), _LEAF, piece=4096)
     with configure_run(endpoint, "PHYSICS") as handle:
         assert _manifest_lines(handle) == lines
         assert fetch_raw(handle, "a") == _raw(_LEAF)

@@ -1,12 +1,13 @@
 """FETCH: a handle lists and reads its tree from one frame.
 
 ``fetch_manifest`` must return exactly the server's MANIFEST lines, and
-a handle must then answer exactly what per-path GETs answer.  A
-transition sends RESOLVE and FETCH and nothing more; a FETCH answered
-with ERR raises its own error and leaves the handle to GET each path;
-a malformed frame is refused without keeping any of it.  A frame the
-client keeps is received by comparing it with the kept bytes, and reads
-exactly as the terminator search reads it.
+a handle must then answer exactly what per-path GETs answer.  A first
+transition sends RESOLVE, TOKEN and FETCH and nothing more, and a
+repeated one RESOLVE and TOKEN only: the tree kept under the server's
+token answers it.  A FETCH answered with ERR raises its own error and
+leaves the handle to GET each path; a malformed frame is refused
+without keeping any of it.  A server without TOKEN, or with another
+token, has each FETCH sent and checked in full.
 """
 
 import os
@@ -27,12 +28,14 @@ from confdb.errors import (
     ConfdbError,
     ConnectionFailureError,
     CorruptLogError,
+    InvalidNameError,
     MalformedPayloadError,
 )
 from confdb.model import (
     ObjectIdentity,
     Payload,
     decode_payload,
+    display_path,
     encode_payload,
     format_identity,
     parse_identity,
@@ -78,8 +81,9 @@ def _stop(server):
 
 
 def _handle(endpoint, root):
-    """A handle pinned to ``root``, which need not be active."""
-    return TreeHandle(endpoint, root, client._Connection(endpoint))
+    """A handle pinned to ``root``, which need not be active, with the server's token."""
+    connection = client._Connection(endpoint)
+    return TreeHandle(endpoint, root, connection, connection.request("TOKEN")[0])
 
 
 def _activated_roots(store) -> list:
@@ -174,14 +178,13 @@ def test_a_listed_transition_is_two_requests(served, verbs, memo):
                 for path in paths:
                     fetch_raw(handle, path)
             fetch_raw(handle, "")  # the root, spelt as the empty path
-        assert verbs == ["RESOLVE", "FETCH"]
-        # Each handle sends its own FETCH, once; the server answers the
-        # second from its frame cache.
+        assert verbs == ["RESOLVE", "TOKEN", "FETCH"]
+        # A second handle takes the tree kept under the server's token.
         with configure_run(endpoint, "PHYSICS") as handle:
             fetch_manifest(handle)
             fetch_raw(handle, "dch/hv")
             fetch_raw(handle, "dch/fee")
-        assert verbs == ["RESOLVE", "FETCH"] * 2
+        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE", "TOKEN"]
         assert type(server.cache.entries[f"FETCH {root}\n"]) is bytes
     finally:
         _stop(server)
@@ -199,7 +202,7 @@ def test_unlisted_paths_and_handles_still_get(served, verbs, memo):
                 with pytest.raises(ConfdbError):
                     fetch_raw(handle, path)
             fetch_raw(handle, "emc/hv")
-        assert verbs == ["RESOLVE", "GET", "FETCH", "GET", "GET", "GET"]
+        assert verbs == ["RESOLVE", "TOKEN", "GET", "FETCH", "GET", "GET", "GET"]
     finally:
         _stop(server)
 
@@ -225,7 +228,7 @@ def test_a_tree_with_a_non_canonical_leaf_refuses_its_fetch(tmp_path, verbs, mem
                     with pytest.raises(CorruptLogError):
                         fetch_raw(handle, "b")
                     assert fetch_raw(handle, "/")[0] == root
-            assert verbs == ["FETCH"] + ["GET"] * 6
+            assert verbs == ["TOKEN", "TOKEN", "FETCH"] + ["GET"] * 6
             assert f"FETCH {root}\n" not in server.cache.entries
         finally:
             _stop(server)
@@ -264,6 +267,7 @@ def scripted():
         t.join(timeout=10)
 
 
+_TOKEN = b"OK t1\n"  # the scripted server's TOKEN answer
 _ROOT = b"kind=map\na=Leaf[1]\n"
 _A = b"kind=leaf\na=i:1\n"
 _GET_A = b"OK Leaf[1]\n" + _A + b".\n"
@@ -285,7 +289,7 @@ def _raw(payload, identity="Leaf[1]"):
 
 def test_a_server_without_fetch_refuses_the_listing_and_answers_gets(scripted, memo):
     endpoint, received = scripted(
-        b"OK TopMap[1]\n", b"ERR 400 unknown-verb\n", _GET_A,
+        b"OK TopMap[1]\n", _TOKEN, b"ERR 400 unknown-verb\n", _GET_A,
         b"OK TopMap[1]\n" + _ROOT + b".\n",
     )
     with configure_run(endpoint, "PHYSICS") as handle:
@@ -294,19 +298,19 @@ def test_a_server_without_fetch_refuses_the_listing_and_answers_gets(scripted, m
         assert handle._answers == {}
         assert fetch_raw(handle, "a") == _raw(_A)
         assert fetch_raw(handle, "/") == _raw(_ROOT, "TopMap[1]")
-    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]",
+    assert received == ["RESOLVE PHYSICS", "TOKEN", "FETCH TopMap[1]",
                         "GET TopMap[1] a", "GET TopMap[1] /"]
 
 
 def test_a_well_formed_frame_answers_every_listed_path(scripted, memo):
     frame = _fetch_frame(_entry("/", "TopMap[1]", _ROOT), _entry("a", "Leaf[1]", _A))
-    endpoint, received = scripted(b"OK TopMap[1]\n", frame)
+    endpoint, received = scripted(b"OK TopMap[1]\n", _TOKEN, frame)
     with configure_run(endpoint, "PHYSICS") as handle:
         assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]"]
         for _ in range(2):
             assert fetch_raw(handle, "a") == _raw(_A)
             assert fetch_raw(handle, "") == _raw(_ROOT, "TopMap[1]")
-    assert received == ["RESOLVE PHYSICS", "FETCH TopMap[1]"]
+    assert received == ["RESOLVE PHYSICS", "TOKEN", "FETCH TopMap[1]"]
     # Kept under the keys GET answers have.
     assert set(memo.entries) == {("Leaf[1]", _A), ("TopMap[1]", _ROOT)}
 
@@ -318,7 +322,7 @@ def test_a_frame_decodes_each_answer_once(scripted, monkeypatch, tree_memo, chec
     frame = _fetch_frame(
         _entry("/", "TopMap[1]", root), _entry("a", "Leaf[1]", _A), _entry("b", "Leaf[1]", _A)
     )
-    endpoint, _ = scripted(b"OK TopMap[1]\n", frame)
+    endpoint, _ = scripted(b"OK TopMap[1]\n", _TOKEN, frame)
     with configure_run(endpoint, "PHYSICS") as handle:
         assert fetch_manifest(handle) == ["/\tTopMap[1]", "a\tLeaf[1]", "b\tLeaf[1]"]
         assert fetch_raw(handle, "a") is fetch_raw(handle, "b")
@@ -352,12 +356,17 @@ MALFORMED = {
     "trailing-slash": _fetch_frame(_GOOD_ROOT, _entry("a/", "Leaf[1]", _A)),
     "empty-segment": _fetch_frame(_GOOD_ROOT, _entry("a//b", "Leaf[1]", _A)),
     "reserved-char": _fetch_frame(_GOOD_ROOT, _entry("a=b", "Leaf[1]", _A)),
+    # A segment already found valid does not vouch for the one beside it.
+    "valid-segment-beside-reserved-char": _fetch_frame(
+        _GOOD_ROOT, _entry("a", "Leaf[1]", _A), _entry("a/b=c", "Leaf[1]", _A)),
+    "valid-segment-beside-empty-segment": _fetch_frame(
+        _GOOD_ROOT, _entry("a", "Leaf[1]", _A), _entry("a//a", "Leaf[1]", _A)),
 }
 
 
 @pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
 def test_a_malformed_frame_is_refused_and_nothing_kept(scripted, memo, tree_memo, frame):
-    endpoint, received = scripted(b"OK TopMap[1]\n", frame, _GET_A)
+    endpoint, received = scripted(b"OK TopMap[1]\n", _TOKEN, frame, _GET_A)
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(ConfdbError) as refused:
             fetch_manifest(handle)
@@ -367,13 +376,13 @@ def test_a_malformed_frame_is_refused_and_nothing_kept(scripted, memo, tree_memo
         assert handle._answers == {}
         # The connection is still in step, and the handle GETs from now on.
         assert fetch_raw(handle, "a") == _raw(_A)
-    assert received[1:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
+    assert received[2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
 
 
 def test_a_non_canonical_payload_raises_as_a_get_would(scripted, memo):
     bad = b"kind=leaf\na=i:01\n"
     endpoint, _ = scripted(
-        b"OK TopMap[1]\n", _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", bad)),
+        b"OK TopMap[1]\n", _TOKEN, _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", bad)),
     )
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(MalformedPayloadError):
@@ -392,14 +401,14 @@ CUT_SHORT = {
 
 @pytest.mark.parametrize("frame", CUT_SHORT.values(), ids=CUT_SHORT.keys())
 def test_entries_past_the_terminator_give_the_connection_up(scripted, memo, tree_memo, frame):
-    endpoint, received = scripted(b"OK TopMap[1]\n", frame, _GET_A)
+    endpoint, received = scripted(b"OK TopMap[1]\n", _TOKEN, frame, _GET_A)
     with configure_run(endpoint, "PHYSICS") as handle:
         with pytest.raises(ConnectionFailureError, match="cut short"):
             fetch_manifest(handle)
         assert memo.entries == {} and tree_memo.entries == {}
         with pytest.raises(ConnectionFailureError):
             fetch_raw(handle, "a")
-    assert received[1:] == ["FETCH TopMap[1]"]
+    assert received[2:] == ["FETCH TopMap[1]"]
 
 
 # -- the frame parser, by property ---------------------------------------------
@@ -493,9 +502,9 @@ def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monk
 # -- the tree memo --------------------------------------------------------------
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def tree_memo(monkeypatch):
-    """An empty tree memo for one test."""
+    """An empty tree memo for each test, so no tree kept under ``_TOKEN`` outlives it."""
     memo = BoundedCache(client.GET_MEMO_BYTES)
     monkeypatch.setattr(client, "TREE_MEMO", memo)
     return memo
@@ -516,8 +525,9 @@ def checks(monkeypatch):
     return calls
 
 
-def _tree_memo_size(memo) -> int:
-    return sum(sys.getsizeof(body) for _, body, _, _ in memo.entries.values())
+def _tree_memo_size(memo, costs) -> int:
+    """What ``TREE_MEMO`` counts for the trees it keeps, given each FETCH line's cost."""
+    return sum(costs[line] for _, line in memo.entries)
 
 
 def _decoded_frame(store, root) -> dict:
@@ -547,44 +557,47 @@ def test_a_repeated_transition_decodes_and_checks_nothing(
         with configure_run(endpoint, "PHYSICS") as again:
             repeated = _transition(again)
         assert checks == []
-        assert verbs == ["RESOLVE", "FETCH"] * 2
+        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE", "TOKEN"]
         assert repeated.keys() == got.keys()
         assert all(repeated[path] is got[path] for path in got)
         assert again._answers is first._answers
-        assert len(tree_memo.entries) == 1
+        assert list(tree_memo.entries) == [(server.cache.token, f"FETCH {root}")]
     finally:
         _stop(server)
 
 
-def test_a_repeated_frame_is_compared_and_never_searched(served, memo, tree_memo, monkeypatch):
+def test_a_repeated_transition_sends_resolve_and_token_only(served, memo, monkeypatch):
+    """The frames a server returns for it total under 1 KB and less than the FETCH frame."""
     store, root = served
-    searches = []
-    real = client._Connection._find
+    sent = []
+    real = service.handle_request
 
-    def find(self, buf, sep, start):
-        searches.append(sep)
-        return real(self, buf, sep, start)
+    def counted(store, line, cache):
+        frame = real(store, line, cache)
+        sent.append((line.split(" ", 1)[0].strip(), len(frame)))
+        return frame
 
-    monkeypatch.setattr(client._Connection, "_find", find)
+    monkeypatch.setattr(service, "handle_request", counted)
     server, endpoint = _serve(store)
     try:
-        with configure_run(endpoint, "PHYSICS") as first:
-            got = _transition(first)
-        assert searches.count(b"\n.\n") == 1
-        searches.clear()
-        with configure_run(endpoint, "PHYSICS") as again:
-            assert _transition(again) == got
-        assert searches == [b"\n", b"\n"] and again._connection._buf == b""
-        assert list(tree_memo.entries) == [f"FETCH {root}"]
+        answers, requests = [], []
+        for _ in range(3):
+            sent.clear()
+            with configure_run(endpoint, "PHYSICS") as handle:
+                answers.append(_transition(handle))
+            requests.append(list(sent))
     finally:
         _stop(server)
+    fetched = len(answer(store, f"FETCH {root}\n"))
+    assert requests[0][0][0] == "RESOLVE" and requests[0][1:] == [("TOKEN", 36), ("FETCH", fetched)]
+    for repeated in requests[1:]:
+        assert [verb for verb, _ in repeated] == ["RESOLVE", "TOKEN"]
+        assert sum(size for _, size in repeated) < min(1024, fetched)
+    assert answers == [_decoded_frame(store, root)] * 3
 
 
-def test_two_stores_that_share_a_root_identity_each_answer_their_own_tree(
-    tmp_path, memo, tree_memo, checks
-):
-    """One client, two servers whose ``TopMap[1]`` differ: the memo keeps
-    the first tree of the line, and the other is checked on every FETCH."""
+def _two_stores(tmp_path) -> list:
+    """Two stores whose ``TopMap[1]``, each bound to PHYSICS, differ; each with that root."""
     stores = []
     for name, extra in (("a", None), ("b", "fee")):
         store = open_store(tmp_path / name, clock=lambda: 0)
@@ -594,21 +607,105 @@ def test_two_stores_that_share_a_root_identity_each_answer_their_own_tree(
         stores.append((store, commit_alias_tree(store, tree, ["PHYSICS"])))
     (a, root), (b, other) = stores
     assert root == other and answer(a, f"GET {root} /\n") != answer(b, f"GET {root} /\n")
+    return stores
+
+
+def test_two_stores_that_share_a_root_identity_each_answer_their_own_tree(
+    tmp_path, memo, tree_memo, checks
+):
+    """One client, two servers whose ``TopMap[1]`` differ: each tree is
+    kept under its own server's token, and neither answers for the other."""
+    stores = _two_stores(tmp_path)
+    (a, root), (b, _) = stores
     servers = [_serve(store) for store, _ in stores]
     try:
         # A first, B, then A again: only B's answer and A's first are checked.
-        for store, (_, endpoint), checked in zip((a, b, a), servers + servers[:1], (1, 1, 0)):
+        for store, (server, endpoint), checked in zip((a, b, a), servers + servers[:1], (1, 1, 0)):
             checks.clear()
             with configure_run(endpoint, "PHYSICS") as handle:
                 assert _transition(handle) == _decoded_frame(store, root)
             assert checks.count("_frame_answers") == checked
-            assert list(tree_memo.entries) == [f"FETCH {root}"]
-            assert tree_memo.entries[f"FETCH {root}"][3] == _decoded_frame(a, root)
+            key = (server.cache.token, f"FETCH {root}")
+            assert tree_memo.entries[key][1] == _decoded_frame(store, root)
+        assert len(tree_memo.entries) == 2
     finally:
         for server, _ in servers:
             _stop(server)
         for store, _ in stores:
             store.close()
+
+
+def test_a_server_restarted_on_another_store_answers_that_store_s_tree(
+    tmp_path, memo, tree_memo, checks
+):
+    """Same port, same root identity text: the new server's token misses the kept tree."""
+    stores = _two_stores(tmp_path)
+    (a, root), (b, _) = stores
+    try:
+        server, endpoint = _serve(a)
+        try:
+            with configure_run(endpoint, "PHYSICS") as handle:
+                assert _transition(handle) == _decoded_frame(a, root)
+        finally:
+            _stop(server)
+        server = start_server(b, endpoint)
+        try:
+            checks.clear()
+            with configure_run(endpoint, "PHYSICS") as handle:
+                assert handle.root == root
+                lines = fetch_manifest(handle)
+                got = {line.split("\t")[0]: fetch_raw(handle, line.split("\t")[0]) for line in lines}
+        finally:
+            _stop(server)
+        walked = walk_tree(b, root).entries
+        assert lines == [f"{display_path(path)}\t{target}" for path, target in walked]
+        assert got == {display_path(path): (target, b.get_object(target).payload)
+                       for path, target in walked}
+        assert checks.count("_frame_answers") == 1
+    finally:
+        for store, _ in stores:
+            store.close()
+
+
+def test_a_server_without_token_has_every_fetch_sent_and_checked(
+    served, memo, tree_memo, checks, monkeypatch
+):
+    """An older server answers TOKEN with ``ERR 400 unknown-verb``."""
+    store, root = served
+    verbs = []
+    real = service.handle_request
+
+    def older(store, line, cache):
+        verbs.append(line.split(" ", 1)[0].strip())
+        return b"ERR 400 unknown-verb\n" if verbs[-1] == "TOKEN" else real(store, line, cache)
+
+    monkeypatch.setattr(service, "handle_request", older)
+    server, endpoint = _serve(store)
+    try:
+        answers = []
+        for _ in range(3):
+            with configure_run(endpoint, "PHYSICS") as handle:
+                assert handle.token is None
+                answers.append(_transition(handle))
+    finally:
+        _stop(server)
+    assert answers == [_decoded_frame(store, root)] * 3
+    assert verbs == ["RESOLVE", "TOKEN", "FETCH"] * 3
+    assert checks.count("_frame_answers") == 3
+    assert tree_memo.entries == {} and tree_memo.size == 0
+
+
+def test_a_run_type_with_a_line_break_is_refused_before_anything_is_sent(scripted):
+    endpoint, received = scripted(b"OK TopMap[1]\n")
+    with pytest.raises(InvalidNameError):
+        configure_run(endpoint, "PHYSICS\nPING")
+    # The scripted server answers the first connection it accepts: had the
+    # client connected, it would be the client's, and the probe's never.
+    host, port = endpoint.split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as probe:
+        probe.sendall(b"PROBE\n")
+        assert probe.recv(64) == b"OK TopMap[1]\n"
+    assert received == ["PROBE"]
 
 
 def test_fresh_lines_from_every_manifest(served, memo, tree_memo):
@@ -631,14 +728,15 @@ def test_fresh_lines_from_every_manifest(served, memo, tree_memo):
 _FRAME = _fetch_frame(_GOOD_ROOT, _entry("a", "Leaf[1]", _A))
 
 
-def _kept_then(scripted, frame):
-    """A handle that keeps ``_FRAME``, then one on its connection that is
-    sent ``frame``; the second handle, its fetch_manifest not yet called."""
-    endpoint, received = scripted(b"OK TopMap[1]\n", _FRAME, frame, _GET_A)
+def _kept_then(scripted, *frames):
+    """A handle that keeps ``_FRAME`` under the token ``t1``, then one on its
+    connection with the token ``t2``, as from another server, its FETCH
+    answered by ``frames``; the second handle, its fetch_manifest not yet called."""
+    endpoint, received = scripted(b"OK TopMap[1]\n", _TOKEN, _FRAME, *frames)
     first = configure_run(endpoint, "PHYSICS")
     fetch_manifest(first)
     assert fetch_raw(first, "a") == _raw(_A)
-    return TreeHandle(endpoint, first.root, first._connection), received
+    return TreeHandle(endpoint, first.root, first._connection, "t2"), received
 
 
 ONE_BYTE_CHANGED = {
@@ -650,31 +748,31 @@ ONE_BYTE_CHANGED = {
 
 @pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
 def test_a_frame_one_byte_off_a_kept_one_is_refused(scripted, memo, tree_memo, checks, change):
-    """The kept frame never answers for it: it is checked in full, and
-    it answers its own entries or, with a bad payload, is refused.
-    Either way the memo keeps only the line's first tree."""
+    """The kept frame never answers for another token, or for none: the
+    frame is checked in full, and it answers its own entries or, with a
+    bad payload, is refused.  The tree kept under ``t1`` stays as it was."""
     frame = ONE_BYTE_CHANGED[change]
     assert len(frame) == len(_FRAME) and frame != _FRAME
-    second, received = _kept_then(scripted, frame)
+    second, received = _kept_then(scripted, frame, frame)
+    untokened = TreeHandle(second.endpoint, second.root, second._connection)
     with second:
-        kept = dict(tree_memo.entries)
-        assert len(kept) == 1
-        checks.clear()
-        if change == "payload":
-            with pytest.raises(MalformedPayloadError):
-                fetch_manifest(second)
-            assert second._answers == {}
-            assert fetch_raw(second, "a") == _raw(_A)  # a GET
-            assert received[-2:] == ["FETCH TopMap[1]", "GET TopMap[1] a"]
-        else:
-            lines = fetch_manifest(second)
-            entries = _frame_entries(frame)
-            assert lines == [f"{path}\t{identity}" for path, identity, _ in entries]
-            assert second._answers == {
-                path: _raw(payload, identity) for path, identity, payload in entries}
-            assert received[-1] == "FETCH TopMap[1]"
-        assert tree_memo.entries == kept
-        assert checks[0] == "_frame_answers"
+        kept = tree_memo.entries[("t1", "FETCH TopMap[1]")]
+        for handle in (second, untokened):
+            checks.clear()
+            if change == "payload":
+                with pytest.raises(MalformedPayloadError):
+                    fetch_manifest(handle)
+                assert handle._answers == {}
+            else:
+                lines = fetch_manifest(handle)
+                entries = _frame_entries(frame)
+                assert lines == [f"{path}\t{identity}" for path, identity, _ in entries]
+                assert handle._answers == {
+                    path: _raw(payload, identity) for path, identity, payload in entries}
+            assert checks[0] == "_frame_answers"
+        assert received[-2:] == ["FETCH TopMap[1]", "FETCH TopMap[1]"]
+        assert tree_memo.entries[("t1", "FETCH TopMap[1]")] is kept
+        assert len(tree_memo.entries) == 1 + (change != "payload")
 
 
 def test_a_hit_answers_exactly_with_a_tiny_get_memo(served, tree_memo, monkeypatch, checks):
@@ -707,18 +805,22 @@ def generations(tmp_path):
     store.close()
 
 
-def _frame_size(endpoint, root) -> int:
-    """What ``TREE_MEMO`` counts for the FETCH answer of ``root``."""
+def _frame_costs(endpoint, roots) -> dict:
+    """What ``TREE_MEMO`` counts for the FETCH answer of each root, by FETCH line."""
     connection = client._Connection(endpoint)
     try:
-        return sys.getsizeof(connection.request(f"FETCH {root}", body=True)[1])
+        return {
+            line: sys.getsizeof(connection.request(line, body=True)[1])
+            for line in (f"FETCH {root}" for root in roots)
+        }
     finally:
         connection.close()
 
 
 def test_the_tree_memo_stays_within_its_budget(generations, memo, monkeypatch):
     endpoint, expected = generations
-    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
+    costs = _frame_costs(endpoint, expected)
+    budget = 2 * max(costs.values())
     tree_memo = BoundedCache(budget)
     monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
     emptied = 0
@@ -728,10 +830,10 @@ def test_the_tree_memo_stays_within_its_budget(generations, memo, monkeypatch):
             with _handle(endpoint, root) as handle:
                 assert _transition(handle) == want
             emptied += len(tree_memo.entries) < before
-            assert tree_memo.size == _tree_memo_size(tree_memo) <= budget
+            assert tree_memo.size == _tree_memo_size(tree_memo, costs) <= budget
     assert emptied > 0
     # An answer over the whole budget is never kept.
-    tree_memo = BoundedCache(min(_frame_size(endpoint, root) for root in expected) // 2)
+    tree_memo = BoundedCache(min(costs.values()) // 2)
     monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
     for root, want in expected.items():
         with _handle(endpoint, root) as handle:
@@ -741,7 +843,8 @@ def test_the_tree_memo_stays_within_its_budget(generations, memo, monkeypatch):
 
 def test_threads_transition_at_once_through_one_small_tree_memo(generations, memo, monkeypatch):
     endpoint, expected = generations
-    budget = 2 * max(_frame_size(endpoint, root) for root in expected)
+    costs = _frame_costs(endpoint, expected)
+    budget = 2 * max(costs.values())
     tree_memo = BoundedCache(budget)
     monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
     roots = list(expected)
@@ -767,12 +870,12 @@ def test_threads_transition_at_once_through_one_small_tree_memo(generations, mem
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     # A lost update of the size would break this.
-    assert tree_memo.size == _tree_memo_size(tree_memo) <= budget
+    assert tree_memo.size == _tree_memo_size(tree_memo, costs) <= budget
 
 
 def test_threads_repeating_each_root_share_one_small_tree_memo(generations, memo, monkeypatch):
     endpoint, expected = generations
-    tree_memo = BoundedCache(2 * max(_frame_size(endpoint, root) for root in expected))
+    tree_memo = BoundedCache(2 * max(_frame_costs(endpoint, expected).values()))
     monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
     roots = list(expected)
     wrong = []
@@ -798,38 +901,17 @@ def test_threads_repeating_each_root_share_one_small_tree_memo(generations, memo
     assert wrong == []
 
 
-@pytest.mark.parametrize("change", ONE_BYTE_CHANGED)
-def test_a_frame_one_byte_off_the_indexed_one_is_compared_then_checked_in_full(
-    scripted, memo, tree_memo, checks, monkeypatch, change
-):
-    handed = []
-    real = client._Connection._receive_kept
-
-    def receive_kept(self, buf, at, kept):
-        handed.append(kept)
-        return real(self, buf, at, kept)
-
-    monkeypatch.setattr(client._Connection, "_receive_kept", receive_kept)
-    second, _ = _kept_then(scripted, ONE_BYTE_CHANGED[change])
-    with second:
-        tree = tree_memo.entries["FETCH TopMap[1]"]
-        checks.clear()
-        try:
-            fetch_manifest(second)
-        except MalformedPayloadError:
-            assert change == "payload"
-        assert handed == [tree[1]] and checks[0] == "_frame_answers"
-
-
-# -- receiving a frame the client keeps -----------------------------------------
+# -- receiving an answer in pieces ----------------------------------------------
+#
+# However the server's sends cut an answer, it is read as the same bytes
+# sent whole are read: the same answer or refusal, and the same bytes left
+# for the next answer.  The frame called kept below is one read before.
 
 
 class _Sends:
     """A socket whose every receive takes at most the rest of the next scripted send.
 
-    Past the last send, a receive meets the end of stream.  With sends of
-    at most ``RECV_BYTES``, a receive of that size and a larger one take
-    the same bytes, so the search and the compare leave the same ``_buf``.
+    Past the last send, a receive meets the end of stream.
     """
 
     def __init__(self, sends):
@@ -847,38 +929,34 @@ class _Sends:
             self.sends.insert(0, send[size:])
         return send[:size]
 
-    def recv_into(self, buffer):
-        data = self.recv(len(buffer))
-        buffer[: len(data)] = data
-        return len(data)
-
     def close(self):
         self.closed = True
 
 
-def _read(sends, kept):
-    """A FETCH answer read from ``sends`` with ``kept`` as the expected body,
-    and the ``_buf`` it leaves; or the class of the error, and whether the
+def _read(sends):
+    """A FETCH answer read from ``sends``, and the bytes left after it,
+    received or not; or the class of the error, and whether the
     connection was given up."""
     connection = client._Connection.__new__(client._Connection)
-    connection._sock, connection._buf = _Sends(sends), b""
+    sock = connection._sock = _Sends(sends)
+    connection._buf = b""
     try:
-        return connection.request("FETCH TopMap[1]", body=True, kept=kept), connection._buf
+        got = connection.request("FETCH TopMap[1]", body=True)
     except ConfdbError as exc:
-        return type(exc), connection._sock.closed
+        return type(exc), sock.closed
+    return got, connection._buf + b"".join(sock.sends)
 
 
-def _assert_read_as_searched(kept, sends):
-    got = _read(sends, kept)
-    assert got == _read(sends, None)
-    if type(got[0]) is tuple and got[0][1] == kept:
-        assert got[0][1] is kept
+def _assert_read_as_searched(sends):
+    """``sends`` read as the search reads the same bytes sent whole."""
+    got = _read(sends)
+    assert got == _read([b"".join(sends)])
     return got
 
 
 def _body_read_from(data: bytes) -> bytes:
     """The body the search returns from a FETCH answer of ``data``, then a terminator."""
-    (_, body), _ = _read([b"OK 2\n" + data + b"\n.\n"], None)
+    (_, body), _ = _read([b"OK 2\n" + data + b"\n.\n"])
     return body
 
 
@@ -922,25 +1000,27 @@ _KEPT_CASES = {
 
 @pytest.mark.parametrize("case", _KEPT_CASES)
 def test_a_kept_frame_is_read_as_the_search_reads_it(case):
-    got = _assert_read_as_searched(_KEPT_BODY, _KEPT_CASES[case])
+    got = _assert_read_as_searched(_KEPT_CASES[case])
+    if case.startswith("the kept frame"):
+        assert got[0] == ("5000", _KEPT_BODY)
     if case.startswith("an end of stream"):
         assert got == (ConnectionFailureError, True)
 
 
 def test_a_terminator_whose_lf_differs_at_the_start_of_a_receive_is_found():
-    # The kept body holds "\n.b"; the answer's "\n.\n" ends it there, and
-    # its last LF, the first byte that differs, starts the second receive.
-    kept = b"a\n.b\n"
-    got = _assert_read_as_searched(kept, [b"OK 2\na\n.", b"\n" + _GET_A])
+    # The answer's "\n.\n" is cut before its last LF, which starts the
+    # second receive; the "\n.b" of a body that goes on is no terminator.
+    assert _body_read_from(b"a\n.b") == b"a\n.b\n"
+    got = _assert_read_as_searched([b"OK 2\na\n.", b"\n" + _GET_A])
     assert got == (("2", b"a\n"), _GET_A)
 
 
 def test_a_kept_frame_sent_a_byte_at_a_time_is_read_as_the_search_reads_it():
-    kept = _FRAME[len(b"OK 1\n") : -2]
+    kept = _FRAME[len(b"OK 2\n") : -2]
     answer = _FRAME + _GET_A[:3]
     sends = [answer[at : at + 1] for at in range(len(answer))]
-    (tail, body), rest = _assert_read_as_searched(kept, sends)
-    assert (tail, rest) == ("2", b"") and body is kept
+    (tail, body), rest = _assert_read_as_searched(sends)
+    assert (tail, body, rest) == ("2", kept, _GET_A[:3])
 
 
 _WIRE_BYTE = st.sampled_from([b"a", b".", b"\n"])
@@ -968,13 +1048,14 @@ def test_any_answer_is_read_with_a_kept_body_as_the_search_reads_it(data_bytes, 
     else:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(answer)), max_size=6), label="cuts"))
     sends = [answer[a:b] for a, b in zip([0, *cuts], [*cuts, len(answer)])]
-    _assert_read_as_searched(kept, sends)
+    got = _assert_read_as_searched(sends)
+    if how == "kept" and type(got[0]) is tuple:
+        assert got[0] == ("2", kept)
 
 
 def test_a_shorter_frame_on_a_connection_held_open_is_not_waited_for(scripted, memo, tree_memo):
     # The server sends the shorter frame, then waits for the client's close.
-    shorter = _fetch_frame()
-    second, received = _kept_then(scripted, shorter)
+    second, received = _kept_then(scripted, _fetch_frame(), _GET_A)
     with second:
         started = time.perf_counter()
         assert fetch_manifest(second) == []

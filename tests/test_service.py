@@ -20,6 +20,7 @@ from confdb.service import (
     MAX_REQUEST_LINE,
     BoundedCache,
     ConfigServer,
+    FrameCache,
     handle_request,
     parse_endpoint,
     start_server,
@@ -133,7 +134,7 @@ def test_runtypes_empty(store):
     assert answer(store, "RUNTYPES\n") == b"OK 0\n.\n"
 
 
-@pytest.mark.parametrize("verb", ["PING", "RUNTYPES", "MANIFEST TopMap[1]"])
+@pytest.mark.parametrize("verb", ["PING", "TOKEN", "RUNTYPES", "MANIFEST TopMap[1]"])
 @pytest.mark.parametrize("tail", [" x", " "])
 def test_trailing_text_after_a_request_is_refused(populated, verb, tail):
     store, _, _ = populated
@@ -184,7 +185,9 @@ def test_every_answer_is_bytes(populated, monkeypatch):
         f"MANIFEST {root}\n",
         f"FETCH {root}\n",
         "FROB x\n",  # unknown-verb
+        "TOKEN\n",
         "PING x\n",  # trailing data after a verb
+        "TOKEN x\n",
         f"FETCH {root} x\n",  # trailing data after an identity
         "RESOLVE\n",  # missing run type
         f"GET {root}\n",  # missing path
@@ -193,7 +196,7 @@ def test_every_answer_is_bytes(populated, monkeypatch):
         f"GET {root} dch/nope\n",  # no-such-link
         "MANIFEST TopMap[7]\n",  # not-found
     ]
-    cache = BoundedCache(FRAME_CACHE_BYTES)
+    cache = FrameCache(FRAME_CACHE_BYTES)
     for _ in range(2):  # a miss, then a hit for each kept frame
         for line in lines:
             assert type(handle_request(store, line, cache)) is bytes, line
@@ -261,6 +264,39 @@ def test_server_persistent_connection(populated):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_token_is_answered_before_any_catch_up_and_never_kept(populated, monkeypatch):
+    store, _, _ = populated
+    cache = FrameCache(FRAME_CACHE_BYTES)
+    assert len(cache.token) == 32 and int(cache.token, 16) >= 0
+
+    def unreachable():
+        raise RuntimeError("the store was asked")
+
+    monkeypatch.setattr(store, "refresh", unreachable)
+    for _ in range(2):
+        assert handle_request(store, "TOKEN\n", cache) == f"OK {cache.token}\n".encode()
+    assert cache.entries == {} and cache.size == 0
+
+
+def test_each_server_has_its_own_token_on_every_connection(populated):
+    store, _, _ = populated
+    servers = [start_server(store, "127.0.0.1:0") for _ in range(2)]
+    try:
+        tokens = []
+        for server in servers:
+            for _ in range(2):
+                with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+                    reader = sock.makefile("rb")
+                    tokens.append(_request_lines(reader, sock, "TOKEN"))
+                    reader.close()
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    assert tokens == [f"OK {server.cache.token}" for server in servers for _ in range(2)]
+    assert servers[0].cache.token != servers[1].cache.token
 
 
 def test_concurrent_clients_smoke(populated):
