@@ -22,12 +22,32 @@ and an end of stream in mid-answer each give the connection up and
 raise :class:`ConnectionFailureError`, as every later request on it
 then does at once.
 
-:func:`configure_run` sends ``RESOLVE`` and ``TOKEN`` in one
-``sendall`` and keeps the server's token on the handle, so learning it
-costs no round trip.  A token names one server for its whole life, and
-a server reads one store, so under one token a ``FETCH <root>`` answer
-never changes.  An older server answers ``TOKEN`` with ``ERR``; its
-handles get no token, and each of their FETCHes is sent and checked.
+A connection outlives its handle.  :meth:`TreeHandle.close` gives it
+back to ``POOL``, the process's idle connections by endpoint, if it is
+in step: every request sent on it has had its whole answer read,
+nothing past them was received, no answer was ``ERR``, and it was never
+given up.  Counters set as each whole answer is read say so; the
+socket is never asked, so an interrupt in mid-receive keeps nothing.
+An endpoint keeps at most ``IDLE_PER_ENDPOINT`` idle connections, and
+one more is closed.  A forked child starts with none, so parent and
+child never read each other's answers off one socket.  A server closes
+a connection idle for its ``IDLE_TIMEOUT_S`` (300 s) with a warning,
+and the next take finds the end of stream and passes the connection
+over.
+
+:func:`configure_run` takes an idle connection to its endpoint if a
+zero-timeout poll finds no byte and no end of stream waiting on it,
+and else connects.  A TCP connection reaches one server for its whole
+life, so the connection keeps the server's token: a new one sends
+``RESOLVE`` and ``TOKEN`` in one ``sendall``, and a kept one sends
+``RESOLVE`` alone.  If the server ended a kept connection before any
+byte of the answer came, the RESOLVE is sent once more on a new
+connection; both verbs are read-only.  A timeout is never retried.  A
+token names one server for its whole life, and a server reads one
+store, so under one token a ``FETCH <root>`` answer never changes.  An
+older server answers ``TOKEN`` with ``ERR``; its handles get no token,
+each of their FETCHes is sent and checked, and their connections are
+not kept.
 
 A handle reads its tree whole.  :func:`fetch_manifest` sends one
 ``FETCH``, whose frame holds the GET answer of every path of the tree
@@ -38,14 +58,20 @@ key its GET answer would have, so the parse, the decode and every error
 are a GET's, and :func:`fetch_raw` of a path of the frame is one lookup.
 A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
 one cut short also gives the connection up.  A ``FETCH`` answered with
-``ERR`` raises as any request does, and the connection stays in step.
+``ERR`` raises as any request does; the connection stays in step for
+the handle's later requests, but is not kept once the handle closes.
 A first transition on the benchmark's configure store is 2 round trips;
 but the frame is 0.49 MB, where a MANIFEST is 31 KB: a new FETCH takes
-about 40 ms, and one GET 0.06 ms.  A repeated transition is one round
-trip, since the kept tree is taken with no FETCH: 0.58 ms in all, of
-which the connect, RESOLVE and TOKEN take 0.31 ms, the kept tree
-0.01 ms and 1,008 :func:`fetch_raw` 0.26 ms (medians of 300 seed-1
-transitions, one client, serve child on the same host).
+about 40 ms, and one GET 0.06 ms.  A repeated transition is one
+RESOLVE on a kept connection, since the kept tree is taken with no
+FETCH: 0.20 to 0.23 ms in all, of which :func:`configure_run` takes
+0.07 to 0.08 ms (0.42 to 0.45 ms when each transition connected and
+sent TOKEN), the kept tree 0.01 ms and 1,008 :func:`fetch_raw` 0.11
+to 0.14 ms; the server spends 0.05 to 0.07 ms of CPU on it, against
+0.43 to 0.45 ms when each transition had its own connection and handler
+thread (medians of 600 seed-1 transitions in each of two runs, one
+client, serve child on the same host, server CPU from
+``/proc/<pid>/stat``).
 So a handle that reads only a few leaves should GET them without
 :func:`fetch_manifest`.
 
@@ -80,18 +106,22 @@ changes, the hit answers exactly what a FETCH and its full check would.
 A tree from a server without a token is never kept.  A restarted
 server has a new token, so each of its clients sends one FETCH per root
 again, and two stores whose root identities share text never share a
-tree.  The memo shares the ``GET_MEMO_BYTES`` budget rule, each tree
-costing ``sys.getsizeof`` of its frame body, and is emptied whole as
-``GET_MEMO`` is.  After one transition per run type on the seed-1
-store, the memo holds 0.36 MB (``tracemalloc``) beyond ``GET_MEMO``'s
-3.16 MB and counts 0.98 MB, so a full memo holds about 0.8 MB beside
-the decoded pairs it shares with ``GET_MEMO``.
+tree.  The memo shares the ``GET_MEMO_BYTES`` budget rule and is
+emptied whole as ``GET_MEMO`` is.  Each tree costs what it keeps beyond
+the decoded pairs it shares with ``GET_MEMO`` (see :func:`_tree_cost`):
+its manifest lines and path keys, with their tuple and dict.  After one
+transition per run type on the seed-1 store, with ``GET_MEMO`` already
+warm, ``tracemalloc`` finds the memo holding 0.359 MB, and it counts
+0.358 MB; so a full memo keeps about 11 benchmark trees.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import socket
 import sys
+import threading
 
 from .errors import (
     ConfdbError,
@@ -111,6 +141,7 @@ GET_MEMO = BoundedCache(GET_MEMO_BYTES)
 TREE_MEMO = BoundedCache(GET_MEMO_BYTES)
 RECV_BYTES = 65536
 TIMEOUT_S = 30.0  # for the connect, each whole request line's send and each receive
+IDLE_PER_ENDPOINT = 4  # idle connections kept for each endpoint; one more is closed
 
 
 class ProxyDictionary:
@@ -136,12 +167,26 @@ def register_proxy(proxies: ProxyDictionary, class_name: str, decoder) -> None:
     proxies.register(class_name, decoder)
 
 
+class _Ended(ConnectionFailureError):
+    """The server ended the connection, by an end of stream or a reset,
+    before any byte of the answer came."""
+
+
 class _Connection:
     """One line-oriented protocol connection with its own receive buffer.
 
     ``_buf`` holds what was received past the last answer read, so an
     answer that arrives with the end of the one before it is not lost.
+    ``token`` is the server's TOKEN answer once this connection has
+    learned it: a TCP connection reaches one server for its whole life.
+    ``_owed`` counts the requests sent whose answers are not yet read
+    whole, and ``_clean`` is false once an ``ERR`` answer was read or the
+    connection was given up.  These are the class's defaults.
     """
+
+    token = None
+    _owed = 0
+    _clean = True
 
     def __init__(self, endpoint: str):
         host, port = parse_endpoint(endpoint)
@@ -149,28 +194,42 @@ class _Connection:
             self._sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
         except OSError as exc:
             raise ConnectionFailureError(f"cannot connect to {endpoint}: {exc}") from exc
+        self.endpoint = endpoint
         self._buf = b""
 
     def close(self):
+        self._clean = False
         try:
             self._sock.close()
         except OSError:
             pass
 
-    def _receive(self) -> bytes:
-        """One receive of new bytes.
+    def in_step(self) -> bool:
+        """Every answer read whole, nothing received past them, and never given up."""
+        return self._clean and not self._owed and not self._buf
+
+    def quiet(self) -> bool:
+        """No byte and no end of stream waits to be read: a zero-timeout poll."""
+        poll = select.poll()
+        poll.register(self._sock, select.POLLIN)
+        return not poll.poll(0)
+
+    def _receive(self, fresh: bool) -> bytes:
+        """One receive of new bytes; ``fresh`` while no byte of the answer has come.
 
         A read failure or an end of stream leaves the rest of the answer
-        unread, so the connection is given up.
+        unread, so the connection is given up.  An end of stream or a
+        reset while ``fresh`` raises :class:`_Ended`.
         """
         try:
             got = self._sock.recv(RECV_BYTES)
         except OSError as exc:
             self.close()
-            raise ConnectionFailureError(f"read failed: {exc}") from exc
+            ended = fresh and isinstance(exc, ConnectionError)
+            raise (_Ended if ended else ConnectionFailureError)(f"read failed: {exc}") from exc
         if not got:
             self.close()
-            raise ConnectionFailureError("connection closed by server")
+            raise (_Ended if fresh else ConnectionFailureError)("connection closed by server")
         return got
 
     def _find(self, buf, sep: bytes, start: int):
@@ -182,7 +241,7 @@ class _Connection:
         at = buf.find(sep, start)
         while at < 0:
             start = max(start, len(buf) - len(sep) + 1)
-            chunk = self._receive()
+            chunk = self._receive(not buf)
             if buf:
                 if type(buf) is bytes:
                     buf = bytearray(buf)  # grows in place from here on
@@ -194,12 +253,14 @@ class _Connection:
 
     def send(self, lines: str) -> None:
         """Send request lines, each ending in LF, with one ``sendall``."""
+        self._owed += lines.count("\n")
         try:
             self._sock.sendall(lines.encode("utf-8"))
         except OSError as exc:
             # Part of a line may have gone out: the next one would join it.
             self.close()
-            raise ConnectionFailureError(f"send failed: {exc}") from exc
+            ended = isinstance(exc, ConnectionError)
+            raise (_Ended if ended else ConnectionFailureError)(f"send failed: {exc}") from exc
 
     def receive(self, body: bool = False) -> tuple[str, bytes]:
         """Read one answer: (ok_tail, body bytes before the lone ``.``)."""
@@ -215,6 +276,8 @@ class _Connection:
             ) from None
         if status.startswith("ERR "):
             self._buf = bytes(buf[eol + 1 :])
+            self._owed -= 1
+            self._clean = False
             parts = status.split(" ", 2)
             code_name = parts[2].split(" ", 1)[0] if len(parts) > 2 else "error"
             raise error_for_code(code_name, status)
@@ -224,11 +287,13 @@ class _Connection:
         tail = status[3:] if status.startswith("OK ") else ""
         if not body:
             self._buf = bytes(buf[eol + 1 :])
+            self._owed -= 1
             return tail, b""
         # The body ends at its first line that is a lone ".": the search
         # starts at the status line's LF, so an empty body is "\n.\n" too.
         buf, end = self._find(buf, b"\n.\n", eol)
         self._buf = bytes(buf[end + 3 :])
+        self._owed -= 1
         # Through a view, a body is copied once: a bytearray's slice is a copy.
         return tail, bytes(memoryview(buf)[eol + 1 : end + 1])
 
@@ -241,6 +306,71 @@ class _Connection:
         _refuse_line_break(line)
         self.send(line + "\n")
         return self.receive(body)
+
+
+class _Pool:
+    """Idle connections in step, by endpoint, each taken by one handle at a time.
+
+    Taking and giving back hold one lock, so no two handles ever share a
+    connection.
+    """
+
+    def __init__(self):
+        self.idle: dict[str, list[_Connection]] = {}
+        self.lock = threading.Lock()
+
+    def take(self, endpoint: str) -> _Connection | None:
+        """An idle connection to ``endpoint``, or ``None``.
+
+        One that has bytes or an end of stream waiting, as when the
+        server closed it, is closed and passed over.
+        """
+        while True:
+            with self.lock:
+                idle = self.idle.get(endpoint)
+                if not idle:
+                    return None
+                connection = idle.pop()
+            if connection.quiet():
+                return connection
+            connection.close()
+
+    def give(self, connection: _Connection) -> None:
+        """Keep ``connection`` idle if it is in step and its endpoint has room; else close it."""
+        with self.lock:
+            idle = self.idle.setdefault(connection.endpoint, [])
+            if connection.in_step() and len(idle) < IDLE_PER_ENDPOINT:
+                idle.append(connection)
+                return
+        connection.close()
+
+    def clear(self) -> None:
+        """Close every idle connection."""
+        with self.lock:
+            idle, self.idle = self.idle, {}
+        for connections in idle.values():
+            for connection in connections:
+                connection.close()
+
+    def _after_fork_in_child(self) -> None:
+        # A thread the child lacks may have held the lock, and the child
+        # must not read the parent's answers off a shared socket.
+        self.lock = threading.Lock()
+        self.clear()
+
+
+POOL = _Pool()
+os.register_at_fork(after_in_child=POOL._after_fork_in_child)
+
+
+class _Closed:
+    """What a closed handle holds in place of its connection."""
+
+    def request(self, line: str, body: bool = False):
+        raise ConnectionFailureError("the handle is closed")
+
+
+_CLOSED = _Closed()
 
 
 def _refuse_line_break(text: str) -> None:
@@ -258,7 +388,7 @@ def _body_lines(body: bytes) -> list[str]:
 
 
 class TreeHandle:
-    """A resolved configuration tree; owns one connection.
+    """A resolved configuration tree; holds one connection until it closes.
 
     ``token`` is the server's TOKEN answer, or ``None`` for a server that
     refused it.  ``_answers`` maps each path of the FETCH frame the handle
@@ -282,7 +412,10 @@ class TreeHandle:
         self._answers: dict[str, tuple[ObjectIdentity, Payload]] = {}
 
     def close(self):
-        self._connection.close()
+        """Give the connection back to ``POOL``; the handle then sends nothing."""
+        connection, self._connection = self._connection, _CLOSED
+        if connection is not _CLOSED:
+            POOL.give(connection)
 
     def __enter__(self) -> "TreeHandle":
         return self
@@ -294,24 +427,42 @@ class TreeHandle:
 def configure_run(endpoint: str, run_type: str) -> TreeHandle:
     """RESOLVE the run type and pin the returned tree identity.
 
-    RESOLVE and TOKEN go out in one ``sendall``.  A TOKEN answered with
-    ``ERR``, as an older server answers it, leaves the handle no token.
+    An idle connection from ``POOL`` is taken if there is one.  If the
+    server ended it before any byte of the answer came, the RESOLVE is
+    sent once more on a new connection; both verbs are read-only.
     """
     _refuse_line_break(run_type)
-    connection = _Connection(endpoint)
-    try:
-        connection.send(f"RESOLVE {run_type}\nTOKEN\n")
-        root = parse_identity(connection.receive()[0])
+    connection = POOL.take(endpoint)
+    if connection is not None:
         try:
-            token = connection.receive()[0] or None
-        except ConnectionFailureError:
-            raise
-        except ConfdbError:
-            token = None
+            return _resolve(endpoint, run_type, connection)
+        except _Ended:
+            pass
+    return _resolve(endpoint, run_type, _Connection(endpoint))
+
+
+def _resolve(endpoint: str, run_type: str, connection: _Connection) -> TreeHandle:
+    """A handle on ``connection`` for the root RESOLVE answers; any fault closes it.
+
+    A connection that has not learned its token sends RESOLVE and TOKEN
+    in one ``sendall``.  A TOKEN answered with ``ERR``, as an older
+    server answers it, leaves the handle no token.
+    """
+    learn = connection.token is None
+    try:
+        connection.send(f"RESOLVE {run_type}\nTOKEN\n" if learn else f"RESOLVE {run_type}\n")
+        root = parse_identity(connection.receive()[0])
+        if learn:
+            try:
+                connection.token = connection.receive()[0] or None
+            except ConnectionFailureError:
+                raise
+            except ConfdbError:
+                pass
     except BaseException:
         connection.close()
         raise
-    return TreeHandle(endpoint, root, connection, token)
+    return TreeHandle(endpoint, root, connection, connection.token)
 
 
 def _decoded(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
@@ -332,6 +483,16 @@ def _memoised(answer: tuple[str, bytes]) -> tuple[ObjectIdentity, Payload]:
         raw = _decoded(answer)
         GET_MEMO.put(answer, raw, _memo_cost(answer))
     return raw
+
+
+def _tree_cost(lines: tuple[str, ...], answers: dict) -> int:
+    """What ``TREE_MEMO`` counts for a kept tree: its manifest lines and
+    path keys, with the tuple and dict that hold them, ``sys.getsizeof``
+    each.  The decoded pairs are ``GET_MEMO``'s, and are not counted."""
+    return (
+        sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        + sys.getsizeof(answers) + sum(map(sys.getsizeof, answers))
+    )
 
 
 def _frame_answers(
@@ -428,7 +589,7 @@ def fetch_manifest(handle: TreeHandle) -> list[str]:
             connection.close()
             raise
         if handle.token:
-            TREE_MEMO.put(key, kept, sys.getsizeof(body))
+            TREE_MEMO.put(key, kept, _tree_cost(*kept))
     lines, handle._answers = kept
     return list(lines)
 

@@ -59,6 +59,14 @@ of a request for ``IDLE_TIMEOUT_S``: both are the socket's own timeout,
 set before each reply and each read of a request line.  Any other fault
 in a connection's handler still reaches ``ConfigServer.handle_error``.
 
+A connection may carry any number of requests, and a client may send
+several before reading their answers.  Nagle's algorithm is off on
+every connection, so an answer that follows one not yet acknowledged
+leaves at once rather than with the client's delayed ACK, which held
+it for about 40 ms.  ``ConfigServer.server_close`` shuts every live
+connection down, so a connection opened before a stop reads an end of
+stream after it and never an answer from the stopped server's store.
+
 Every frame is ``bytes``, built once and sent as it is kept.  A server
 answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from one frame
 cache shared by all its connections: request line to finished response
@@ -83,6 +91,7 @@ makes every handed-out identity permanently valid).
 from __future__ import annotations
 
 import os
+import socket
 import socketserver
 import sys
 import threading
@@ -241,6 +250,18 @@ def handle_request(store: Store, line: str, cache: FrameCache) -> bytes:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # Two answers in a row, as to a RESOLVE and a TOKEN sent together,
+    # would otherwise wait for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        self.server.track(self.connection, True)
+
+    def finish(self):
+        self.server.track(self.connection, False)
+        super().finish()
+
     def handle(self):
         try:
             self._serve()
@@ -299,12 +320,47 @@ class ConfigServer(socketserver.ThreadingTCPServer):
     def __init__(self, store: Store, endpoint: str = DEFAULT_ENDPOINT):
         self.store = store
         self.cache = FrameCache(FRAME_CACHE_BYTES)
+        self._live: set | None = set()  # each connection's socket; None once closed
+        self._live_lock = threading.Lock()
         super().__init__(parse_endpoint(endpoint), _Handler)
+
+    def track(self, sock, live: bool) -> None:
+        """Add a connection's socket to the live set, or remove it.
+
+        One added after :meth:`server_close` is shut down at once.
+        """
+        with self._live_lock:
+            if self._live is None:
+                if live:
+                    _shut(sock)
+            elif live:
+                self._live.add(sock)
+            else:
+                self._live.discard(sock)
+
+    def server_close(self):
+        """Close the listening socket, and shut every live connection down.
+
+        Each handler then reads an end of stream and ends, and each
+        client reads one, so no connection answers after the stop.
+        """
+        super().server_close()
+        with self._live_lock:
+            live, self._live = self._live or (), None
+            for sock in live:
+                _shut(sock)
 
     @property
     def endpoint(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
+
+
+def _shut(sock) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # the client already closed its end
+        pass
 
 
 def start_server(store: Store, endpoint: str = DEFAULT_ENDPOINT) -> ConfigServer:

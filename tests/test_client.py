@@ -1,5 +1,7 @@
 """Client library tests: proxy dictionary, handles, end-to-end fetches."""
 
+import os
+import select
 import socket
 import struct
 import sys
@@ -8,7 +10,7 @@ import time
 
 import pytest
 
-from confdb import client
+from confdb import client, service
 from confdb.client import (
     ProxyDictionary,
     TreeHandle,
@@ -282,6 +284,7 @@ def scripted():
         return f"{host}:{port}"
 
     yield start
+    client.POOL.clear()  # a kept connection would hold its thread
     listener.close()
     for t in threads:
         t.join(timeout=10)
@@ -710,3 +713,185 @@ def test_threads_share_one_small_identity_memo(history, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert memo.size == _size_of(memo) <= budget
+
+
+# -- idle connections -------------------------------------------------------------
+
+
+@pytest.fixture
+def accepts(monkeypatch):
+    """The client address of each connection any server's handler sets up."""
+    seen = []
+    setup = service._Handler.setup
+
+    def counted(handler):
+        seen.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(service._Handler, "setup", counted)
+    return seen
+
+
+def _answers(endpoint, run_type="PHYSICS"):
+    """One transition's root, token and what each path of its tree answers."""
+    with configure_run(endpoint, run_type) as handle:
+        paths = [line.split("\t")[0] for line in fetch_manifest(handle)]
+        return handle.root, handle.token, {path: fetch_raw(handle, path) for path in paths}
+
+
+def _readable(connection):
+    """Wait until bytes or an end of stream from the server wait on ``connection``."""
+    poll = select.poll()
+    poll.register(connection._sock, select.POLLIN)
+    assert poll.poll(10_000), "nothing came from the server"
+
+
+def test_sequential_transitions_share_one_connection(served, accepts):
+    _, _, root, endpoint = served
+    first = _answers(endpoint)
+    assert first[0] == root and _answers(endpoint) == first
+    assert len(accepts) == 1
+    assert len(client.POOL.idle[endpoint]) == 1
+
+
+def test_an_endpoint_keeps_at_most_its_bound_of_idle_connections(served, accepts, monkeypatch):
+    _, _, _, endpoint = served
+    monkeypatch.setattr(client, "IDLE_PER_ENDPOINT", 1)
+    handles = [configure_run(endpoint, "PHYSICS") for _ in range(3)]
+    connections = [handle._connection for handle in handles]
+    for handle in handles:
+        handle.close()
+        handle.close()  # a second close gives nothing back
+    assert len(accepts) == 3
+    assert client.POOL.idle[endpoint] == connections[:1]
+    assert [connection._sock.fileno() for connection in connections[1:]] == [-1, -1]
+    with pytest.raises(ConnectionFailureError, match="closed"):
+        fetch_raw(handles[0], "dch/hv")
+
+
+def test_a_connection_refused_or_cut_off_is_not_kept(served):
+    _, _, _, endpoint = served
+    refused = configure_run(endpoint, "PHYSICS")
+    refused.root = parse_identity("TopMap[99]")  # no such object
+    with pytest.raises(ConfdbError):
+        fetch_manifest(refused)
+    # An interrupt in mid-answer leaves the rest of the frame unread.
+    cut = configure_run(endpoint, "PHYSICS")
+    receive = cut._connection._receive
+
+    def interrupted(fresh):
+        receive(fresh)
+        raise KeyboardInterrupt
+
+    cut._connection._receive = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        fetch_manifest(cut)
+    connections = [refused._connection, cut._connection]
+    refused.close()
+    cut.close()
+    assert client.POOL.idle.get(endpoint, []) == []
+    assert [connection._sock.fileno() for connection in connections] == [-1, -1]
+
+
+def test_a_kept_connection_with_bytes_waiting_is_passed_over(served, accepts):
+    _, _, _, endpoint = served
+    first = _answers(endpoint)
+    (kept,) = client.POOL.idle[endpoint]
+    kept._sock.sendall(b"PING\n")  # its answer would be read as the RESOLVE's
+    _readable(kept)
+    assert _answers(endpoint) == first
+    assert len(accepts) == 2 and kept._sock.fileno() == -1
+
+
+def test_a_connection_the_server_closed_while_idle_is_replaced(served, accepts, monkeypatch):
+    _, _, _, endpoint = served
+    monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    first = _answers(endpoint)
+    _readable(client.POOL.idle[endpoint][0])
+    assert _answers(endpoint) == first
+    assert len(accepts) == 2
+    # Closed after the take's poll: the RESOLVE meets the end of stream
+    # before any byte of its answer, and is sent again on a new connection.
+    _readable(client.POOL.idle[endpoint][0])
+    monkeypatch.setattr(client._Connection, "quiet", lambda connection: True)
+    assert _answers(endpoint) == first
+    assert len(accepts) == 3
+
+
+def test_a_server_restarted_on_the_same_port_is_met_with_its_new_token(served, accepts):
+    store, _, _, _ = served
+    server = start_server(store, "127.0.0.1:0")
+    endpoint = server.endpoint
+    try:
+        first = _answers(endpoint)
+    finally:
+        server.shutdown()
+        server.server_close()
+    server = start_server(store, endpoint)
+    try:
+        again = _answers(endpoint)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert first[1] != again[1] == server.cache.token
+    assert again[0] == first[0] and again[2] == first[2]
+    assert len(accepts) == 2
+
+
+def test_two_threads_never_hold_one_connection_at_once(served, accepts):
+    _, _, root, endpoint = served
+    held, shared, wrong = set(), [], []
+    lock = threading.Lock()
+
+    def transitions():
+        for _ in range(100):
+            try:
+                with configure_run(endpoint, "PHYSICS") as handle:
+                    connection = handle._connection
+                    with lock:
+                        if connection in held:
+                            shared.append(connection)
+                        held.add(connection)
+                    if handle.root != root or fetch_raw(handle, "dch/hv")[0].secondary_key != "sector3":
+                        wrong.append(handle.root)
+                    with lock:
+                        held.discard(connection)
+            except Exception as exc:  # noqa: BLE001 - answers read out of step
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=transitions) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert shared == [] and wrong == []
+    # No connection is closed, so no more are opened than are held at once.
+    assert len(accepts) <= 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_starts_with_no_idle_connection(served, accepts):
+    _, _, _, endpoint = served
+    first = _answers(endpoint)
+    (kept,) = client.POOL.idle[endpoint]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, f"{len(client.POOL.idle)} {kept._sock.fileno()}".encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as reader:
+        seen = reader.read()
+    os.waitpid(pid, 0)
+    assert seen == b"0 -1"
+    # The child closed only its own copy: the parent's connection still answers.
+    assert _answers(endpoint) == first and len(accepts) == 1

@@ -10,11 +10,13 @@ without keeping any of it.  A server without TOKEN, or with another
 token, has each FETCH sent and checked in full.
 """
 
+import gc
 import os
 import socket
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -179,12 +181,13 @@ def test_a_listed_transition_is_two_requests(served, verbs, memo):
                     fetch_raw(handle, path)
             fetch_raw(handle, "")  # the root, spelt as the empty path
         assert verbs == ["RESOLVE", "TOKEN", "FETCH"]
-        # A second handle takes the tree kept under the server's token.
+        # A second handle takes the first one's connection, which knows the
+        # server's token, and the tree kept under that token.
         with configure_run(endpoint, "PHYSICS") as handle:
             fetch_manifest(handle)
             fetch_raw(handle, "dch/hv")
             fetch_raw(handle, "dch/fee")
-        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE", "TOKEN"]
+        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE"]
         assert type(server.cache.entries[f"FETCH {root}\n"]) is bytes
     finally:
         _stop(server)
@@ -262,6 +265,7 @@ def scripted():
         return f"{host}:{port}", received
 
     yield start
+    client.POOL.clear()  # a kept connection would hold its thread
     listener.close()
     for t in threads:
         t.join(timeout=10)
@@ -557,7 +561,7 @@ def test_a_repeated_transition_decodes_and_checks_nothing(
         with configure_run(endpoint, "PHYSICS") as again:
             repeated = _transition(again)
         assert checks == []
-        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE", "TOKEN"]
+        assert verbs == ["RESOLVE", "TOKEN", "FETCH", "RESOLVE"]
         assert repeated.keys() == got.keys()
         assert all(repeated[path] is got[path] for path in got)
         assert again._answers is first._answers
@@ -566,8 +570,9 @@ def test_a_repeated_transition_decodes_and_checks_nothing(
         _stop(server)
 
 
-def test_a_repeated_transition_sends_resolve_and_token_only(served, memo, monkeypatch):
-    """The frames a server returns for it total under 1 KB and less than the FETCH frame."""
+def test_a_repeated_transition_sends_resolve_only(served, memo, monkeypatch):
+    """On a kept connection, which knows the server's token: the frames a
+    server returns for it total under 1 KB and less than the FETCH frame."""
     store, root = served
     sent = []
     real = service.handle_request
@@ -591,7 +596,7 @@ def test_a_repeated_transition_sends_resolve_and_token_only(served, memo, monkey
     fetched = len(answer(store, f"FETCH {root}\n"))
     assert requests[0][0][0] == "RESOLVE" and requests[0][1:] == [("TOKEN", 36), ("FETCH", fetched)]
     for repeated in requests[1:]:
-        assert [verb for verb, _ in repeated] == ["RESOLVE", "TOKEN"]
+        assert [verb for verb, _ in repeated] == ["RESOLVE"]
         assert sum(size for _, size in repeated) < min(1024, fetched)
     assert answers == [_decoded_frame(store, root)] * 3
 
@@ -805,12 +810,37 @@ def generations(tmp_path):
     store.close()
 
 
+def test_the_tree_memo_charges_what_it_keeps(generations, memo, monkeypatch):
+    """After one transition per run type, what ``TREE_MEMO`` counts is within
+    2x of what ``tracemalloc`` finds it keeps beyond ``GET_MEMO``."""
+    endpoint, _ = generations
+
+    def transitions():
+        for run_type in ("PHYSICS", "COSMICS"):
+            with configure_run(endpoint, run_type) as handle:
+                fetch_manifest(handle)
+
+    transitions()  # GET_MEMO now holds every answer, and a connection is kept
+    tree_memo = BoundedCache(client.GET_MEMO_BYTES)
+    monkeypatch.setattr(client, "TREE_MEMO", tree_memo)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        transitions()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tree_memo.entries) == 2
+    assert kept / 2 <= tree_memo.size <= kept * 2, (tree_memo.size, kept)
+
+
 def _frame_costs(endpoint, roots) -> dict:
     """What ``TREE_MEMO`` counts for the FETCH answer of each root, by FETCH line."""
     connection = client._Connection(endpoint)
     try:
         return {
-            line: sys.getsizeof(connection.request(line, body=True)[1])
+            line: client._tree_cost(*client._frame_answers(*connection.request(line, body=True)))
             for line in (f"FETCH {root}" for root in roots)
         }
     finally:

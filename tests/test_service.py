@@ -266,6 +266,46 @@ def test_server_persistent_connection(populated):
         server.server_close()
 
 
+def test_two_answers_in_a_row_on_a_kept_connection_are_not_held_back(populated):
+    """Nagle's algorithm is off: an answer that follows another not yet
+    acknowledged leaves at once, rather than with the client's delayed ACK."""
+    store, _, root = populated
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            assert _request_lines(reader, sock, "PING") == "OK pong"
+            answers = []
+            start = time.perf_counter()
+            for _ in range(10):
+                sock.sendall(b"RESOLVE PHYSICS\nTOKEN\n")
+                answers += [reader.readline(), reader.readline()]
+            elapsed = time.perf_counter() - start
+            reader.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    resolved, token = f"OK {format_identity(root)}\n", f"OK {server.cache.token}\n"
+    assert answers == [resolved.encode(), token.encode()] * 10
+    assert elapsed < 0.2, elapsed
+
+
+def test_a_stopped_server_answers_no_connection_opened_before(populated):
+    store, _, root = populated
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            assert _request_lines(reader, sock, "RESOLVE PHYSICS") == f"OK {format_identity(root)}"
+            server.shutdown()
+            server.server_close()
+            assert reader.readline() == b""
+            reader.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_a_token_is_answered_before_any_catch_up_and_never_kept(populated, monkeypatch):
     store, _, _ = populated
     cache = FrameCache(FRAME_CACHE_BYTES)
