@@ -31,7 +31,7 @@ socket is never asked, so an interrupt in mid-receive keeps nothing.
 An endpoint keeps at most ``IDLE_PER_ENDPOINT`` idle connections, and
 one more is closed.  A forked child starts with none, so parent and
 child never read each other's answers off one socket.  A server closes
-a connection idle for its ``IDLE_TIMEOUT_S`` (300 s) with a warning,
+a connection idle for its ``IDLE_TIMEOUT_S`` (300 s), logged at INFO,
 and the next take finds the end of stream and passes the connection
 over.
 
@@ -51,20 +51,21 @@ not kept.
 
 A handle reads its tree whole.  :func:`fetch_manifest` sends one
 ``FETCH``, whose frame holds the GET answer of every path of the tree
-under the path and identity of its MANIFEST line, and returns the lines
-read from those entry heads.  It checks the whole frame and keeps on
-the handle what each entry decodes to, through the memo below under the
-key its GET answer would have, so the parse, the decode and every error
-are a GET's, and :func:`fetch_raw` of a path of the frame is one lookup.
-A refused frame (see :func:`_frame_answers`) raises and keeps nothing;
-one cut short also gives the connection up.  A ``FETCH`` answered with
-``ERR`` raises as any request does; the connection stays in step for
-the handle's later requests, but is not kept once the handle closes.
-A first transition on the benchmark's configure store is 2 round trips;
-but the frame is 0.49 MB, where a MANIFEST is 31 KB: a new FETCH takes
-about 40 ms, and one GET 0.06 ms.  A repeated transition is one
-RESOLVE on a kept connection, since the kept tree is taken with no
-FETCH: 0.20 to 0.23 ms in all, of which :func:`configure_run` takes
+under the path and identity that head its entry, and returns the
+``path TAB identity`` lines of those heads, in the server's
+:func:`~confdb.tree.walk_tree` order.  It checks the whole frame and
+keeps on the handle what each entry decodes to, through the memo below
+under the key its GET answer would have, so the parse, the decode and
+every error are a GET's, and :func:`fetch_raw` of a path of the frame
+is one lookup.  A refused frame (see :func:`_frame_answers`) raises and
+keeps nothing; one cut short also gives the connection up.  A ``FETCH``
+answered with ``ERR`` raises as any request does; the connection stays
+in step for the handle's later requests, but is not kept once the
+handle closes.  A first transition on the benchmark's configure store
+is 2 round trips; but the frame is 0.49 MB: a new FETCH takes about
+40 ms, and one GET 0.06 ms.  A repeated transition is one RESOLVE on a
+kept connection, since the kept tree is taken with no FETCH: 0.20 to
+0.23 ms in all, of which :func:`configure_run` takes
 0.07 to 0.08 ms (0.42 to 0.45 ms when each transition connected and
 sent TOKEN), the kept tree 0.01 ms and 1,008 :func:`fetch_raw` 0.11
 to 0.14 ms; the server spends 0.05 to 0.07 ms of CPU on it, against

@@ -7,13 +7,13 @@ per request line; multi-line bodies end with a lone ``.`` line::
     TOKEN                    -> OK <token>
     RESOLVE <runtype>        -> OK <identity>
     GET <identity> <path|/>  -> OK <identity> + canonical payload + .
-    MANIFEST <identity>      -> OK <count> + manifest lines + .
-    FETCH <identity>         -> OK <count> + one entry per manifest line + .
+    FETCH <identity>         -> OK <count> + one entry per path of the tree + .
     RUNTYPES                 -> OK <count> + <runtype>TAB<identity> lines + .
 
-``PING``, ``TOKEN`` and ``RUNTYPES`` take no argument, and ``MANIFEST``
-and ``FETCH`` take only the identity: any text after it, a lone space
-included, is refused with ``ERR 400 malformed-request trailing data``.
+``PING``, ``TOKEN`` and ``RUNTYPES`` take no argument, and ``FETCH``
+takes only the identity: any text after it, a lone space included, is
+refused with ``ERR 400 malformed-request trailing data``.  Any other
+verb, ``MANIFEST`` among them, gets ``ERR 400 unknown-verb``.
 
 A ``TOKEN`` answer names the server: 32 hex digits drawn from
 ``os.urandom`` once per :class:`ConfigServer`, so the same on every
@@ -24,8 +24,10 @@ token and request line.  Random bytes, unlike a digest, need no
 needs no store, so it comes before any catch-up, and it never enters
 the frame cache, which keeps only frames that name committed objects.
 
-A FETCH answer carries a whole tree in one frame.  It has one entry per
-MANIFEST line, in MANIFEST order, maps included::
+A FETCH answer carries a whole tree in one frame; no other answer lists
+a tree.  It has one entry per path, maps included, in the depth-first
+order of :func:`~confdb.tree.walk_tree`: ``/`` first, then each link in
+its map's sorted order, all of a link's sub-tree before the next link::
 
     <path> TAB <identity> TAB <byte length> LF <payload bytes>
 
@@ -39,10 +41,12 @@ A GET answer's payload is the object's record payload, byte for byte:
 the path is resolved through its maps once, and a leaf is answered
 from its own CRC-checked log bytes, decoded only to check them and
 never kept (``Store.payload_bytes``), whether the open or a catch-up
-framed it.  A MANIFEST walk reads maps only.  So a server keeps no
-decoded leaf, and a CRC-valid leaf that is not canonical is listed by
-a MANIFEST while a GET of it answers ``ERR 500``; the requests around
-it are answered as before.
+framed it.  So a server keeps no decoded leaf, and a CRC-valid leaf
+that is not canonical answers ``ERR 500`` to a GET of it and to a FETCH
+of any tree that holds it, on every try; the requests around them are
+answered as before.  The wire lists a tree only when it serves all of
+it: the offline ``confdb manifest`` and ``confdb fsck`` list and check
+a damaged one.
 
 Errors are ``ERR <status> <code> [<detail>]`` and never drop the
 connection.  The status is 400 for a malformed request, 404 for a
@@ -52,12 +56,14 @@ logged with its traceback on the ``confdb.service`` logger.  A request
 line longer than ``MAX_REQUEST_LINE`` bytes (its LF included) gets
 ``ERR 400 line-too-long``; the rest of it is read and dropped.  A
 client that resets or closes its connection mid-answer ends only that
-connection, quietly.  So, with one warning on ``confdb.service``, do a
-client that does not take a whole answer within ``SEND_TIMEOUT_S`` (a
-0.49 MB FETCH needs about 16 KB/s or more) and one that sends no bytes
-of a request for ``IDLE_TIMEOUT_S``: both are the socket's own timeout,
-set before each reply and each read of a request line.  Any other fault
-in a connection's handler still reaches ``ConfigServer.handle_error``.
+connection, quietly.  So does a client that does not take a whole
+answer within ``SEND_TIMEOUT_S`` (a 0.49 MB FETCH needs about 16 KB/s
+or more), with a warning on ``confdb.service``, and one that sends no
+bytes of a request for ``IDLE_TIMEOUT_S``, with an info record there,
+since a client's kept connection idles between transitions.  Both are
+the socket's own timeout, set before each reply and each read of a
+request line.  Any other fault in a connection's handler still reaches
+``ConfigServer.handle_error``.
 
 A connection may carry any number of requests, and a client may send
 several before reading their answers.  Nagle's algorithm is off on
@@ -68,19 +74,19 @@ connection down, so a connection opened before a stop reads an end of
 stream after it and never an answer from the stopped server's store.
 
 Every frame is ``bytes``, built once and sent as it is kept.  A server
-answers repeated ``GET``, ``MANIFEST`` and ``FETCH`` lines from one frame
-cache shared by all its connections: request line to finished response
-frame.  A committed object never changes, so the ``OK`` frame of a GET,
-MANIFEST or FETCH naming it is the same for ever, whatever is activated
-later.  Only those frames are kept.  ``PING``, ``RESOLVE`` and
-``RUNTYPES`` depend on the current generation, and an ``ERR`` frame can
-turn into ``OK`` (a root that is committed later), so none of them is
-kept.  A hit skips the catch-up, the parse, the lookup and the build;
-it is answered even while a damaged log tail would make a miss answer
-``ERR 500``, because the kept frame is still the committed answer, byte
-for byte.  The cache holds at most ``FRAME_CACHE_BYTES`` (8 MiB),
-``sys.getsizeof`` of each line and frame; when the next frame would go
-over, the cache is emptied first.
+answers repeated ``GET`` and ``FETCH`` lines from one frame cache shared
+by all its connections: request line to finished response frame.  A
+committed object never changes, so the ``OK`` frame of a GET or FETCH
+naming it is the same for ever, whatever is activated later.  Only
+those frames are kept.  ``PING``, ``RESOLVE`` and ``RUNTYPES`` depend on
+the current generation, and an ``ERR`` frame can turn into ``OK`` (a
+root that is committed later), so none of them is kept.  A hit skips
+the catch-up, the parse, the lookup and the build; it is answered even
+while a damaged log tail would make a miss answer ``ERR 500``, because
+the kept frame is still the committed answer, byte for byte.  The cache
+holds at most ``FRAME_CACHE_BYTES`` (8 MiB), ``sys.getsizeof`` of each
+line and frame; when the next frame would go over, the cache is emptied
+first.
 
 The server performs no writes; activations land through the CLI or
 library on the store host and become visible here immediately, while
@@ -179,7 +185,7 @@ def handle_request(store: Store, line: str, cache: FrameCache) -> bytes:
     """Process one request line into one complete response frame.
 
     ``cache`` keeps finished ``OK`` frames by request line, and a repeated
-    GET, MANIFEST or FETCH is answered from it; its token answers TOKEN.
+    GET or FETCH is answered from it; its token answers TOKEN.
     """
     frame = cache.entries.get(line)
     if frame is not None:
@@ -207,25 +213,21 @@ def handle_request(store: Store, line: str, cache: FrameCache) -> bytes:
             target = resolve_path(store, identity, path)
             status = f"OK {format_identity(target)}\n".encode("utf-8")
             frame = status + store.payload_bytes(target) + b".\n"
-        elif verb in ("MANIFEST", "FETCH"):
+        elif verb == "FETCH":
             identity, tail = _split_identity_arg(rest)
             if tail is not None:
                 return b"ERR 400 malformed-request trailing data\n"
-            manifest = walk_tree(store, identity)
-            status = f"OK {len(manifest.entries)}\n"
-            if verb == "MANIFEST":
-                frame = f"{status}{manifest.to_text()}.\n".encode("utf-8")
-            else:
-                # Each payload is dropped once appended, so the build holds
-                # no more than the frame and its one copy into ``bytes``.
-                buf = bytearray(status.encode())
-                for path, target in manifest.entries:
-                    payload = store.payload_bytes(target)
-                    head = f"{display_path(path)}\t{format_identity(target)}\t{len(payload)}\n"
-                    buf += head.encode("utf-8")
-                    buf += payload
-                buf += b".\n"
-                frame = bytes(buf)
+            entries = walk_tree(store, identity).entries
+            # Each payload is dropped once appended, so the build holds
+            # no more than the frame and its one copy into ``bytes``.
+            buf = bytearray(f"OK {len(entries)}\n".encode())
+            for path, target in entries:
+                payload = store.payload_bytes(target)
+                head = f"{display_path(path)}\t{format_identity(target)}\t{len(payload)}\n"
+                buf += head.encode("utf-8")
+                buf += payload
+            buf += b".\n"
+            frame = bytes(buf)
         elif verb == "RUNTYPES":
             bindings = active_trees(store)
             lines = [
@@ -236,8 +238,8 @@ def handle_request(store: Store, line: str, cache: FrameCache) -> bytes:
             return f"OK {len(lines)}\n{body}.\n".encode("utf-8")
         else:
             return b"ERR 400 unknown-verb\n"
-        # Only the OK frames of GET, MANIFEST and FETCH get here: they
-        # name committed objects, so they hold for ever.
+        # Only the OK frames of GET and FETCH get here: they name
+        # committed objects, so they hold for ever.
         cache.put(key, frame, sys.getsizeof(key) + sys.getsizeof(frame))
         return frame
     except ConfdbError as exc:
@@ -273,20 +275,21 @@ class _Handler(socketserver.StreamRequestHandler):
             # A bound ran out: only this connection ends, and its thread.
             import logging  # on first use, as in Store._recover
 
-            what, seconds = self._waiting
-            logging.getLogger(__name__).warning(
+            level, what, seconds = self._waiting
+            getattr(logging.getLogger(__name__), level)(
                 "closed %s: " + what, self.client_address, seconds
             )
 
-    def _bound(self, what: str, seconds: float):
-        """Bound the next wait on this connection; ``what`` is logged if it runs out."""
-        self._waiting = what, seconds
+    def _bound(self, level: str, what: str, seconds: float):
+        """Bound the next wait on this connection; if it runs out, log ``what`` at ``level``."""
+        self._waiting = level, what, seconds
         self.connection.settimeout(seconds)
 
     def _serve(self):
         dropping = False  # reading the rest of an over-long line
         while True:
-            self._bound("no request came for %g s", IDLE_TIMEOUT_S)
+            # A pooled client's connection idles here: its close is no fault.
+            self._bound("info", "no request came for %g s", IDLE_TIMEOUT_S)
             raw = self.rfile.readline(MAX_REQUEST_LINE + 1)
             if not raw:
                 return
@@ -306,7 +309,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _reply(self, frame: bytes):
         # One deadline for the whole answer, however slowly it is read.
-        self._bound("an answer was not read within %g s", SEND_TIMEOUT_S)
+        self._bound("warning", "an answer was not read within %g s", SEND_TIMEOUT_S)
         self.wfile.write(frame)
 
 

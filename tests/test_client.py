@@ -1,5 +1,6 @@
 """Client library tests: proxy dictionary, handles, end-to-end fetches."""
 
+import logging
 import os
 import select
 import socket
@@ -406,9 +407,9 @@ def _raw(answer):
     return parse_identity(status[3:].decode()), decode_payload(rest[:-2])
 
 
-def _manifest_lines(handle) -> list:
-    """The lines of a MANIFEST of the handle's root, read on its connection."""
-    _, body = handle._connection.request(f"MANIFEST {format_identity(handle.root)}", body=True)
+def _body_lines(handle) -> list:
+    """The body lines of a RUNTYPES answer, read on the handle's connection as they came."""
+    _, body = handle._connection.request("RUNTYPES", body=True)
     return client._body_lines(body)
 
 
@@ -426,8 +427,8 @@ def test_answers_sent_a_byte_at_a_time_are_read_whole(scripted):
     with configure_run(endpoint, "PHYSICS") as handle:
         assert handle.root == parse_identity("TopMap[1]")
         assert fetch_raw(handle, "a") == _raw(_LEAF)
-        assert _manifest_lines(handle) == ["/\tTopMap[1]", ".a\tLeaf[1]", "a.\tLeaf[2]"]
-        assert _manifest_lines(handle) == []
+        assert _body_lines(handle) == ["/\tTopMap[1]", ".a\tLeaf[1]", "a.\tLeaf[2]"]
+        assert _body_lines(handle) == []
         with pytest.raises(NoSuchLinkError):
             fetch_raw(handle, "b")
         assert fetch_raw(handle, "c") == _raw(_DOT)
@@ -511,7 +512,7 @@ def test_a_large_body_in_small_pieces_is_read_exactly(scripted):
     assert len(frame) % 4096 == 2 and len(frame) > 2**20
     endpoint = scripted(b"OK TopMap[1]\n", _TOKEN, frame.encode(), _LEAF, piece=4096)
     with configure_run(endpoint, "PHYSICS") as handle:
-        assert _manifest_lines(handle) == lines
+        assert _body_lines(handle) == lines
         assert fetch_raw(handle, "a") == _raw(_LEAF)
 
 
@@ -803,9 +804,12 @@ def test_a_kept_connection_with_bytes_waiting_is_passed_over(served, accepts):
     assert len(accepts) == 2 and kept._sock.fileno() == -1
 
 
-def test_a_connection_the_server_closed_while_idle_is_replaced(served, accepts, monkeypatch):
+def test_a_connection_the_server_closed_while_idle_is_replaced(
+    served, accepts, monkeypatch, caplog
+):
     _, _, _, endpoint = served
     monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.2)
+    caplog.set_level(logging.INFO, logger="confdb.service")
     first = _answers(endpoint)
     _readable(client.POOL.idle[endpoint][0])
     assert _answers(endpoint) == first
@@ -816,6 +820,10 @@ def test_a_connection_the_server_closed_while_idle_is_replaced(served, accepts, 
     monkeypatch.setattr(client._Connection, "quiet", lambda connection: True)
     assert _answers(endpoint) == first
     assert len(accepts) == 3
+    # The server logged each idle close, and none of them as a warning.
+    records = [r for r in caplog.records if r.name == "confdb.service"]
+    assert len(records) >= 2 and all("0.2 s" in r.getMessage() for r in records)
+    assert [r for r in records if r.levelno >= logging.WARNING] == []
 
 
 def test_a_server_restarted_on_the_same_port_is_met_with_its_new_token(served, accepts):

@@ -1,13 +1,16 @@
 """FETCH: a handle lists and reads its tree from one frame.
 
-``fetch_manifest`` must return exactly the server's MANIFEST lines, and
-a handle must then answer exactly what per-path GETs answer.  A first
-transition sends RESOLVE, TOKEN and FETCH and nothing more, and a
-repeated one RESOLVE and TOKEN only: the tree kept under the server's
-token answers it.  A FETCH answered with ERR raises its own error and
-leaves the handle to GET each path; a malformed frame is refused
-without keeping any of it.  A server without TOKEN, or with another
-token, has each FETCH sent and checked in full.
+FETCH is the wire's one listing of a tree: its entry heads are the
+lines of ``walk_tree``'s manifest of the root, in that order, and each
+entry's payload is what a GET of its path answers.  ``fetch_manifest``
+must return exactly those lines, and a handle must then answer exactly
+what per-path GETs answer.  A first transition sends RESOLVE, TOKEN and
+FETCH and nothing more, and a repeated one RESOLVE only, on the kept
+connection: the tree kept under the server's token answers it.  A
+FETCH answered with ERR raises its own error and leaves the handle to
+GET each path; a malformed frame is refused without keeping any of it.
+A server without TOKEN, or with another token, has each FETCH sent and
+checked in full.
 """
 
 import gc
@@ -116,8 +119,7 @@ def _assert_same_answers(store, roots):
     server, endpoint = _serve(store)
     try:
         for root in roots:
-            manifest = answer(store, f"MANIFEST {root}\n")
-            lines = manifest.decode().split("\n")[1:-2]
+            lines = walk_tree(store, root).to_text().splitlines()
             fetched = answer(store, f"FETCH {root}\n")
             entries = _frame_entries(fetched)
             assert [f"{path}\t{identity}" for path, identity, _ in entries] == lines
@@ -481,10 +483,13 @@ def test_the_frame_parser_reads_what_was_framed_and_refuses_any_change(entries, 
 
 
 def test_fetch_refuses_what_manifest_refuses(served):
+    """Text after the identity, and any root whose walk a GET of ``/`` refuses."""
     store, root = served
-    for arg in (f"{root} x", f"{root} ", "junk", "TopMap[7]", "DchHV:sector3[1]"):
+    for arg in (f"{root} x", f"{root} "):
+        assert answer(store, f"FETCH {arg}\n") == b"ERR 400 malformed-request trailing data\n"
+    for arg in ("junk", "TopMap[7]", "DchHV:sector3[1]"):
         refused = answer(store, f"FETCH {arg}\n")
-        assert refused.startswith(b"ERR ") and refused == answer(store, f"MANIFEST {arg}\n")
+        assert refused.startswith(b"ERR ") and refused == answer(store, f"GET {arg} /\n")
 
 
 def test_a_fetch_frame_is_kept_as_bytes_and_answered_from_the_cache(served, monkeypatch):

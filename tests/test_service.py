@@ -114,16 +114,6 @@ def test_get_identity_with_spaces(store):
     assert response.startswith(b"OK HV set:s 1[1]\n")
 
 
-def test_manifest_frame(populated):
-    store, _, root = populated
-    response = answer(store, f"MANIFEST {format_identity(root)}\n")
-    lines = response.splitlines()
-    assert lines[0] == b"OK 6"
-    assert lines[1] == f"/\t{format_identity(root)}".encode()
-    assert lines[-1] == b"."
-    assert len(lines) == 8  # status + 6 entries + dot
-
-
 def test_runtypes_frame(populated):
     store, _, root = populated
     response = answer(store, "RUNTYPES\n")
@@ -134,7 +124,7 @@ def test_runtypes_empty(store):
     assert answer(store, "RUNTYPES\n") == b"OK 0\n.\n"
 
 
-@pytest.mark.parametrize("verb", ["PING", "TOKEN", "RUNTYPES", "MANIFEST TopMap[1]"])
+@pytest.mark.parametrize("verb", ["PING", "TOKEN", "RUNTYPES", "FETCH TopMap[1]"])
 @pytest.mark.parametrize("tail", [" x", " "])
 def test_trailing_text_after_a_request_is_refused(populated, verb, tail):
     store, _, _ = populated
@@ -155,13 +145,9 @@ def test_a_carriage_return_is_part_of_the_request(populated):
 
 
 def test_malformed_identity_is_400(store):
-    assert answer(store, "MANIFEST junk\n").startswith(b"ERR 400 malformed-identity")
+    assert answer(store, "FETCH junk\n").startswith(b"ERR 400 malformed-identity")
     # Text joined to an identity, with no space between them.
     assert answer(store, "GET TopMap[1]x dch/hv\n") == b"ERR 400 malformed-identity\n"
-
-
-def test_manifest_of_absent_identity_is_404(store):
-    assert answer(store, "MANIFEST TopMap[7]\n").startswith(b"ERR 404 not-found")
 
 
 def test_historical_trees_are_served(populated):
@@ -169,10 +155,10 @@ def test_historical_trees_are_served(populated):
     hv2 = make_leaf(store, "DchHV", "sector3", hv=1900.0)
     tree.set_object_alias("dch", "hv", hv2)
     commit_alias_tree(store, tree, ["PHYSICS"])
-    # the superseded root still answers GET and MANIFEST
+    # the superseded root still answers GET and FETCH
     response = answer(store, f"GET {format_identity(root)} dch/hv\n")
     assert b"DchHV:sector3[1]" in response
-    assert answer(store, f"MANIFEST {format_identity(root)}\n").startswith(b"OK 6\n")
+    assert answer(store, f"FETCH {format_identity(root)}\n").startswith(b"OK 6\n")
 
 
 def test_every_answer_is_bytes(populated, monkeypatch):
@@ -182,7 +168,7 @@ def test_every_answer_is_bytes(populated, monkeypatch):
         "RESOLVE PHYSICS\n",
         "RUNTYPES\n",
         f"GET {root} dch/hv\n",
-        f"MANIFEST {root}\n",
+        f"GET {root} /\n",
         f"FETCH {root}\n",
         "FROB x\n",  # unknown-verb
         "TOKEN\n",
@@ -194,7 +180,7 @@ def test_every_answer_is_bytes(populated, monkeypatch):
         "GET junk /\n",  # malformed-identity
         "RESOLVE CALIB\n",  # unknown-run-type
         f"GET {root} dch/nope\n",  # no-such-link
-        "MANIFEST TopMap[7]\n",  # not-found
+        "FETCH TopMap[7]\n",  # not-found
     ]
     cache = FrameCache(FRAME_CACHE_BYTES)
     for _ in range(2):  # a miss, then a hit for each kept frame
@@ -218,7 +204,7 @@ def test_requests_never_write(populated):
         "RESOLVE NOPE\n",
         f"GET {format_identity(root)} dch/hv\n",
         f"GET {format_identity(root)} bad/path\n",
-        f"MANIFEST {format_identity(root)}\n",
+        f"FETCH {format_identity(root)}\n",
         "RUNTYPES\n",
         "GARBAGE\n",
     ):
@@ -261,6 +247,27 @@ def test_server_persistent_connection(populated):
             # a bad request does not drop the connection
             assert _request_lines(reader, sock, "NOPE").startswith("ERR 400")
             assert _request_lines(reader, sock, "PING") == "OK pong"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_manifest_is_an_unknown_verb_and_the_connection_still_fetches(populated):
+    """The wire lists a tree only in a FETCH, which serves all of it."""
+    store, _, root = populated
+    server = start_server(store, "127.0.0.1:0")
+    try:
+        with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
+            reader = sock.makefile("rb")
+            assert _request_lines(reader, sock, f"MANIFEST {root}") == "ERR 400 unknown-verb"
+            assert server.cache.entries == {}
+            fetch = f"FETCH {root}\n"
+            sock.sendall(fetch.encode())
+            expected = handle_request(store, fetch, FrameCache(FRAME_CACHE_BYTES))
+            assert expected.startswith(b"OK 6\n")
+            assert reader.read(len(expected)) == expected
+            assert list(server.cache.entries) == [fetch]
+            reader.close()
     finally:
         server.shutdown()
         server.server_close()
@@ -420,7 +427,7 @@ def test_a_client_reset_mid_answer_ends_only_its_connection_quietly(populated, h
         with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
             # Linger 0: close sends a reset, not a FIN.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            sock.sendall(f"MANIFEST {root}\n".encode() * 50)
+            sock.sendall(f"FETCH {root}\n".encode() * 50)
         _wait_for(lambda: len(closed) == 1)
         with socket.create_connection(parse_endpoint(server.endpoint), timeout=5) as sock:
             assert _request_lines(sock.makefile("rb"), sock, "PING") == "OK pong"
@@ -489,10 +496,10 @@ def test_over_long_request_line_is_refused_and_the_connection_kept(store):
 
 
 def _lines(store, roots):
-    """A MANIFEST and a GET of every manifest path, for every root."""
+    """A FETCH and a GET of every path of the tree, for every root."""
     lines = []
     for root in roots:
-        lines.append(f"MANIFEST {format_identity(root)}\n")
+        lines.append(f"FETCH {format_identity(root)}\n")
         for path, _ in walk_tree(store, root).entries:
             lines.append(f"GET {format_identity(root)} {path or '/'}\n")
     return lines
@@ -520,21 +527,21 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
         assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == f"OK {root}\n".encode()
         # The next root the writer will commit: not there yet.
         get_next = "GET TopMap[2] dch/hv\n"
-        manifest_next = "MANIFEST TopMap[2]\n"
+        fetch_next = "FETCH TopMap[2]\n"
         assert handle_request(server_side, get_next, cache) == b"ERR 404 not-found TopMap[2]\n"
-        assert handle_request(server_side, manifest_next, cache).startswith(b"ERR 404")
+        assert handle_request(server_side, fetch_next, cache).startswith(b"ERR 404")
         assert cache.entries == {}
         hv2 = make_leaf(writer, "DchHV", "sector3", hv=1900.0)
         tree.set_object_alias("dch", "hv", hv2)
         assert format_identity(commit_alias_tree(writer, tree, ["PHYSICS"])) == "TopMap[2]"
         # The same lines now answer OK through the other handle's catch-up.
         assert handle_request(server_side, get_next, cache).startswith(f"OK {hv2}\n".encode())
-        assert handle_request(server_side, manifest_next, cache).startswith(b"OK 6\n")
+        assert handle_request(server_side, fetch_next, cache).startswith(b"OK 6\n")
         # RESOLVE and RUNTYPES follow the new activation; neither is kept.
         assert handle_request(server_side, "RESOLVE PHYSICS\n", cache) == b"OK TopMap[2]\n"
         assert handle_request(server_side, "RUNTYPES\n", cache) == b"OK 1\nPHYSICS\tTopMap[2]\n.\n"
         assert handle_request(server_side, "PING\n", cache) == b"OK pong\n"
-        assert set(cache.entries) == {get_next, manifest_next}
+        assert set(cache.entries) == {get_next, fetch_next}
     finally:
         writer.close()
         server_side.close()
@@ -543,19 +550,19 @@ def test_uncommitted_root_is_404_until_its_commit(tmp_path):
 def test_a_hit_never_reaches_the_store(populated, monkeypatch):
     store, _, root = populated
     cache = BoundedCache(FRAME_CACHE_BYTES)
-    get, manifest = f"GET {root} dch/hv\n", f"MANIFEST {root}\n"
-    first = {line: handle_request(store, line, cache) for line in (get, manifest)}
+    get, fetch = f"GET {root} dch/hv\n", f"FETCH {root}\n"
+    first = {line: handle_request(store, line, cache) for line in (get, fetch)}
 
     def unreachable(*args):
         raise RuntimeError("the store was asked")
 
     monkeypatch.setattr(store, "get_object", unreachable)
     monkeypatch.setattr(store, "refresh", unreachable)
-    for line in (get, manifest):
+    for line in (get, fetch):
         assert handle_request(store, line, cache) == first[line]
     # A miss does reach the store, and is not kept.
     assert handle_request(store, f"GET {root} dch/fee\n", cache) == b"ERR 500 internal\n"
-    assert set(cache.entries) == {get, manifest}
+    assert set(cache.entries) == {get, fetch}
 
 
 def test_a_hit_is_answered_beside_a_damaged_log(populated):
@@ -588,9 +595,9 @@ def test_the_cache_stays_within_its_budget(store):
             assert cache.size <= budget
     assert emptied > 0
     # A frame over the whole budget is never kept.
-    manifest = [line for line in lines if line.startswith("MANIFEST")][-1]
-    cache = BoundedCache(sys.getsizeof(expected[manifest]))
-    assert handle_request(store, manifest, cache) == expected[manifest]
+    fetch = [line for line in lines if line.startswith("FETCH")][-1]
+    cache = BoundedCache(sys.getsizeof(expected[fetch]))
+    assert handle_request(store, fetch, cache) == expected[fetch]
     assert cache.entries == {} and cache.size == 0
 
 
@@ -646,7 +653,7 @@ def test_server_connections_share_one_cache(populated):
         server.server_close()
 
 
-# -- GET answers from record bytes, MANIFEST walks over maps ---------------------
+# -- GET and FETCH answer from record bytes -------------------------------------
 
 
 def _decoded_entries(store, identity, segments=()):
@@ -659,15 +666,17 @@ def _decoded_entries(store, identity, segments=()):
 
 
 def _decoded_frames(store, roots) -> dict:
-    """Each root's MANIFEST and GET lines, answered from a full decode plus encode_payload."""
+    """Each root's FETCH and GET lines, answered from a full decode plus encode_payload."""
     frames = {}
     for root in roots:
         entries = list(_decoded_entries(store, root))
-        body = "".join(f"{display_path(path)}\t{identity}\n" for path, identity, _ in entries)
-        frames[f"MANIFEST {root}\n"] = f"OK {len(entries)}\n{body}.\n".encode()
+        body = b""
         for path, identity, obj in entries:
+            payload = encode_payload(obj.payload)
+            body += f"{display_path(path)}\t{identity}\t{len(payload)}\n".encode() + payload
             status = f"OK {identity}\n".encode()
-            frames[f"GET {root} {display_path(path)}\n"] = status + encode_payload(obj.payload) + b".\n"
+            frames[f"GET {root} {display_path(path)}\n"] = status + payload + b".\n"
+        frames[f"FETCH {root}\n"] = f"OK {len(entries)}\n".encode() + body + b".\n"
     return frames
 
 
@@ -680,7 +689,7 @@ def _decoded_leaves(store) -> int:
 
 
 def _assert_frames_match_a_full_decode(s, roots):
-    """Every MANIFEST and GET frame of ``roots`` from the handle ``s`` equals a full decode."""
+    """Every FETCH and GET frame of ``roots`` from the handle ``s`` equals a full decode."""
     with open_store(s.directory) as oracle:
         frames = _decoded_frames(oracle, roots)
     cache = BoundedCache(FRAME_CACHE_BYTES)
@@ -744,23 +753,26 @@ def test_a_get_through_a_leaf_decodes_no_leaf(tmp_path, monkeypatch):
         assert encodes == []
 
 
-def _assert_the_non_canonical_leaf_is_listed_but_never_served(s):
-    assert answer(s, "MANIFEST M[1]\n") == b"OK 3\n/\tM[1]\nb\tB[1]\nc\tC[1]\n.\n"
+def _assert_the_non_canonical_leaf_is_never_served(s):
+    # A FETCH of its tree answers the GET's own refusal, every time.
+    cache = BoundedCache(FRAME_CACHE_BYTES)
     for _ in range(2):
-        assert answer(s, "GET M[1] b\n") == b"ERR 500 corrupt-log\n"
+        assert handle_request(s, "GET M[1] b\n", cache) == b"ERR 500 corrupt-log\n"
+        assert handle_request(s, "FETCH M[1]\n", cache) == b"ERR 500 corrupt-log\n"
+    assert cache.entries == {}
     assert answer(s, "GET M[1] c\n") == b"OK C[1]\nkind=leaf\nc=i:3\n.\n"
     assert answer(s, "GET M[1] /\n") == b"OK M[1]\nkind=map\nb=B[1]\nc=C[1]\n.\n"
 
 
-def test_a_non_canonical_leaf_is_listed_but_never_served(tmp_path):
+def test_a_non_canonical_leaf_is_never_served(tmp_path):
     path = tmp_path / "db"
     path.mkdir()
     (path / "objects.log").write_bytes(NON_CANONICAL_LEAF_LOG)
     with open_store(path) as s:
-        _assert_the_non_canonical_leaf_is_listed_but_never_served(s)
+        _assert_the_non_canonical_leaf_is_never_served(s)
 
 
-def test_a_non_canonical_leaf_a_catch_up_adds_is_listed_but_never_served(tmp_path):
+def test_a_non_canonical_leaf_a_catch_up_adds_is_never_served(tmp_path):
     path = tmp_path / "db"
     with open_store(path, clock=lambda: 0) as s:
         make_leaf(s, "A", None, a=1)
@@ -769,7 +781,7 @@ def test_a_non_canonical_leaf_a_catch_up_adds_is_listed_but_never_served(tmp_pat
         # The catch-up applies the tail, so the server keeps answering.
         assert answer(s, "PING\n") == b"OK pong\n"
         assert answer(s, "GET M[1] c\n") == b"OK C[1]\nkind=leaf\nc=i:3\n.\n"
-        _assert_the_non_canonical_leaf_is_listed_but_never_served(s)
+        _assert_the_non_canonical_leaf_is_never_served(s)
         assert answer(s, "PING\n") == b"OK pong\n"
 
 
@@ -786,7 +798,8 @@ def test_a_leaf_damaged_after_the_open_is_refused_on_every_get(tmp_path):
             f.write(b"3")
         for _ in range(2):
             assert answer(s, "GET M[1] b\n") == b"ERR 500 corrupt-log\n"
-        assert answer(s, "MANIFEST M[1]\n") == b"OK 2\n/\tM[1]\nb\tB[1]\n.\n"
+            assert answer(s, "FETCH M[1]\n") == b"ERR 500 corrupt-log\n"
+        assert answer(s, "GET M[1] /\n") == b"OK M[1]\nkind=map\nb=B[1]\n.\n"
 
 
 def test_a_leaf_whose_length_runs_past_the_log_is_refused(tmp_path):
@@ -902,7 +915,7 @@ def test_an_idle_connection_ends_only_itself(populated, handler_faults, monkeypa
     server = start_server(store, "127.0.0.1:0")
     endpoint = parse_endpoint(server.endpoint)
     try:
-        with caplog.at_level(logging.WARNING, logger="confdb.service"):
+        with caplog.at_level(logging.INFO, logger="confdb.service"):
             with socket.create_connection(endpoint, timeout=5) as idle, \
                     socket.create_connection(endpoint, timeout=5) as busy:
                 reader = busy.makefile("rb")
@@ -922,7 +935,8 @@ def test_an_idle_connection_ends_only_itself(populated, handler_faults, monkeypa
                 reader.close()
         assert faults == []
         [record] = [r for r in caplog.records if r.name == "confdb.service"]
-        assert record.levelno == logging.WARNING and "0.2 s" in record.getMessage()
+        # A kept client connection idles by design: its close is no warning.
+        assert record.levelno == logging.INFO and "0.2 s" in record.getMessage()
     finally:
         server.shutdown()
         server.server_close()

@@ -983,7 +983,7 @@ def test_a_reopened_handle_reads_what_the_writer_reads(tmp_path):
             assert len(_leaf_identities(writer)) == 5
             assert _framed(reopened) == reopened.object_count()
             for root in roots:
-                lines = [f"MANIFEST {root}\n"] + [
+                lines = [f"FETCH {root}\n"] + [
                     f"GET {root} {path_text or '/'}\n"
                     for path_text, _ in walk_tree(writer, root).entries
                 ]
