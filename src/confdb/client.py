@@ -599,7 +599,8 @@ def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:
     """RUNTYPES as a dict; a convenience for monitoring tools.
 
     The count of ``OK <count>`` is canonical decimal and equal to the
-    number of lines, and no run type is bound twice.
+    number of lines, each run type is a valid name, and no run type is
+    bound twice.
     """
     connection = _Connection(endpoint)
     try:
@@ -610,6 +611,8 @@ def active_run_types(endpoint: str) -> dict[str, ObjectIdentity]:
         bindings = {}
         for line in lines:
             run_type, _, identity = line.partition("\t")
+            if not is_valid_name(run_type):
+                raise ConfdbError(f"RUNTYPES binds {run_type!r}, which is not a name")
             if run_type in bindings:
                 raise ConfdbError(f"RUNTYPES binds {run_type!r} twice")
             bindings[run_type] = parse_identity(identity)

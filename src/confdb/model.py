@@ -188,7 +188,8 @@ class DecodeTables:
     lifetime and reads every log record through it: the open and every
     catch-up, which frame each record, check its pair and stamp through
     ``pairs`` and ``stamps``; a record's first read decodes it whole.
-    ``confdb fsck`` keeps one set for its check.
+    ``confdb fsck`` reads the log through one set the same way, and
+    empties ``identities`` and ``links`` after each read of a chunk.
     """
 
     __slots__ = ("names", "identities", "links", "stamps", "pairs")

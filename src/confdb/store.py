@@ -25,21 +25,21 @@ One walk, ``_scan_log``, reads the log for the open, every catch-up and
 none of them holds a copy of the whole log; a record cut by the end of
 one read is read whole by the next.  It checks the framing and the CRC
 of every record and its structure (magic, type, lengths, commit counts,
-identities and stamps).  The open and every catch-up only frame the
-records: each (class name, secondary key) pair is parsed and validated
-once, through a table keyed by the identity's prefix bytes, and the
-scan notes whether the payload's first line is ``kind=map``.  A handle
-keeps no copy of the records.  It reads each one through its descriptor
-on its first read, CRC-checked again and decoded, canonical check
-included, so a record that is not canonical, or was damaged after it
-was framed, refuses at that read and every later one.  ``confdb fsck``
-decodes every record it reaches.  A handle decodes every record through
-its one set of intern tables, so the objects it decodes share their
-identities and names: every link it decodes to an object holds one
-identity per identity text, and each distinct name is one string.  The
-maps a handle commits link the identities their transaction was given,
-so a later first read of a leaf the handle committed itself makes a
-second, equal identity.
+identities and stamps), and only frames the records: each (class name,
+secondary key) pair is parsed and validated once, through a table keyed
+by the identity's prefix bytes, and the scan notes whether the payload's
+first line is ``kind=map``.  A handle keeps no copy of the records.  It
+reads each one through its descriptor on its first read, CRC-checked
+again and decoded, canonical check included, so a record that is not
+canonical, or was damaged after it was framed, refuses at that read and
+every later one.  ``confdb fsck`` is an open and a first read of every
+committed record, through the same functions.  A handle decodes every
+record through its one set of intern tables, so the objects it decodes
+share their identities and names: every link it decodes to an object
+holds one identity per identity text, and each distinct name is one
+string.  The maps a handle commits link the identities their
+transaction was given, so a later first read of a leaf the handle
+committed itself makes a second, equal identity.
 
 A handle's index is one dense table: per (class name, secondary key)
 pair, a list whose slot k-1 holds key k's framed slot (the log offset,
@@ -80,6 +80,7 @@ import time
 import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     ConfdbError,
@@ -243,33 +244,43 @@ def _check_keys(records: list, index: dict) -> None:
         highs[pair] = key
 
 
-def _scan_log(buf: bytes, tables: DecodeTables, base: int, pending: list, *, decode: bool):
-    """Walk one read of the log into committed records; the store's one log walk.
+def _publish(index: dict, records: list) -> None:
+    """Append the slot of each ``(pair, key, slot, log offset)`` record to its pair's list.
+
+    Every key is checked first, so a refused batch publishes nothing.
+    """
+    _check_keys(records, index)
+    for pair, _, value, _ in records:
+        slots = index.get(pair)
+        if slots is None:
+            index[pair] = [value]
+        else:
+            slots.append(value)
+
+
+def _scan_log(buf: bytes, tables: DecodeTables, base: int, pending: list):
+    """Frame one read of the log into committed records; the store's one log walk.
 
     ``buf`` holds the log bytes from offset ``base``.  Each object record
-    becomes ``(pair, key, value, log offset)``, the value being the
-    framed slot of :func:`_frame_record`, or with ``decode`` (only
-    ``check_store`` asks for it) the decoded ``StoredObject``, canonical
-    check included.  ``pending`` holds the records of a transaction begun
-    before ``buf``, and is left holding those of one ``buf`` does not
-    commit.
+    becomes ``(pair, key, slot, log offset)``, the slot being that of
+    :func:`_frame_record`.  ``pending`` holds the records of a
+    transaction begun before ``buf``, and is left holding those of one
+    ``buf`` does not commit.
 
-    Returns ``(transactions, framed, committed_end, stop)``: the records
-    committed in ``buf``, with ``decode`` one list per transaction in
-    ``transactions``, else all in ``framed``.  ``committed_end`` is the
-    offset in ``buf`` just past its last commit record, 0 if there is
-    none; ``stop`` is the offset of the first record ``buf`` does not
-    hold whole.  A last record whose CRC fails is left unread like a cut
-    one: where the log ends there, it is a torn tail.  Damage before that
-    raises ``CorruptLogError`` naming the log offset of the bad record.
+    Returns ``(transactions, committed_end, stop)``: one list of records
+    per transaction committed in ``buf``; the offset in ``buf`` just past
+    its last commit record, 0 if there is none; and the offset of the
+    first record ``buf`` does not hold whole.  A last record whose CRC
+    fails is left unread like a cut one: where the log ends there, it is
+    a torn tail.  Damage before that raises ``CorruptLogError`` naming
+    the log offset of the bad record.
 
     Every record is CRC-checked and gets the structural checks: magic,
-    type, lengths, commit counts, identity and stamp.  Records are read
-    through ``tables``, so the objects share one identity per identity
-    text, one ``(name, identity)`` pair per link line, one string per
-    name, one tuple per pair and one int per creation stamp.
+    type, lengths, commit counts, identity and stamp.  No payload is
+    decoded.  Pairs and stamps are read through ``tables``, so the
+    records share one tuple per pair and one int per creation stamp.
     """
-    transactions, framed = [], []
+    transactions = []
     committed_end = offset = 0
     size = len(buf)
     while offset < size:
@@ -283,23 +294,14 @@ def _scan_log(buf: bytes, tables: DecodeTables, base: int, pending: list, *, dec
                 break  # torn, if no more of the log follows
             raise CorruptLogError(f"CRC mismatch at offset {at}")
         if buf[offset + 1] == REC_OBJECT:
-            if decode:
-                obj = _decode_record(body, tables, at)
-                identity = obj.identity
-                pair = (identity.class_name, identity.secondary_key)
-                pending.append((pair, identity.config_key, obj, at))
-            else:
-                pending.append((*_frame_record(body, tables, at), at))
+            pending.append((*_frame_record(body, tables, at), at))
         else:
             _check_commit(body, at, len(pending))
-            if decode:
-                transactions.append(pending[:])
-            else:
-                framed += pending
+            transactions.append(pending[:])
             pending.clear()
             committed_end = end
         offset = end
-    return transactions, framed, committed_end, offset
+    return transactions, committed_end, offset
 
 
 def _read_exact(fd: int, offset: int, end: int) -> bytes:
@@ -314,6 +316,23 @@ def _read_exact(fd: int, offset: int, end: int) -> bytes:
         chunks.append(chunk)
         offset += len(chunk)
     return b"".join(chunks)
+
+
+def _read_body(read, offset: int, bound: int) -> bytes:
+    """The body of the framed record at ``offset``, read again by ``read(start, end)``.
+
+    Only the record's own bytes are read, and their CRC checked.  It must
+    end by ``bound``, so a length damaged in place never reads past it.
+    """
+    head = read(offset, offset + _HEADER_LEN)
+    end = _record_end(head, 0, bound - offset, offset)
+    if end is None:
+        raise CorruptLogError(f"record at offset {offset} runs past the log")
+    rest = read(offset + _HEADER_LEN, offset + end)
+    body = rest[:-4]
+    if int.from_bytes(rest[-4:], "big") != zlib.crc32(body):
+        raise CorruptLogError(f"CRC mismatch at offset {offset}")
+    return body
 
 
 @contextmanager
@@ -341,17 +360,17 @@ def _read_chunk(fd: int, offset: int, end: int):
         yield buf
 
 
-def _scan_chunks(fd: int, start: int, size: int, tables: DecodeTables, *, decode: bool):
+def _scan_chunks(fd: int, start: int, size: int, tables: DecodeTables):
     """Scan the log bytes ``[start, size)`` through ``fd``, one bounded read at a time.
 
     A read holds at most ``CHUNK_BYTES``, or twice the one before when
     that held no whole record.  Each read starts at the first record the
     one before did not hold whole, so a record cut by a read's end is
-    read again, whole, by the next.  Yields ``(transactions, framed,
-    committed_end)`` per read, as :func:`_scan_log` returns them, with
-    ``committed_end`` the log offset just past the last complete
-    transaction so far; what lies past it at the end is a torn or
-    uncommitted tail.
+    read again, whole, by the next.  Yields ``(transactions,
+    committed_end)`` per read, ``transactions`` as :func:`_scan_log`
+    returns them and ``committed_end`` the log offset just past the last
+    complete transaction so far; what lies past it at the end is a torn
+    or uncommitted tail.
     """
     pending = []
     committed_end = pos = start
@@ -359,11 +378,10 @@ def _scan_chunks(fd: int, start: int, size: int, tables: DecodeTables, *, decode
     while pos < size:
         end = min(size, pos + length)
         with _read_chunk(fd, pos, end) as buf:
-            result = _scan_log(buf, tables, pos, pending, decode=decode)
-        transactions, framed, committed, stop = result
+            transactions, committed, stop = _scan_log(buf, tables, pos, pending)
         if committed:
             committed_end = pos + committed
-        yield transactions, framed, committed_end
+        yield transactions, committed_end
         if end == size:
             return
         length = CHUNK_BYTES if stop else 2 * length
@@ -582,19 +600,8 @@ class Store:
         os.fsync(self._log_fd)
 
     def _apply_transactions(self, batch: list, applied_len: int):
-        """Publish ``(pair, key, object or framed slot, log offset)`` records, then ``applied_len``.
-
-        Every key is checked before anything is published, so a refused
-        batch applies nothing.
-        """
-        index = self._index
-        _check_keys(batch, index)
-        for pair, _, value, _ in batch:
-            slots = index.get(pair)
-            if slots is None:
-                index[pair] = [value]
-            else:
-                slots.append(value)
+        """Publish ``(pair, key, object or framed slot, log offset)`` records, then ``applied_len``."""
+        _publish(self._index, batch)
         self._applied_len = applied_len
 
     def _recover(self, truncate: bool):
@@ -615,10 +622,11 @@ class Store:
             if size == self._applied_len:
                 return
             batch = []
-            for _, framed, boundary in _scan_chunks(
-                self._log_fd, self._applied_len, size, self._tables, decode=False
+            for transactions, boundary in _scan_chunks(
+                self._log_fd, self._applied_len, size, self._tables
             ):
-                batch += framed
+                for records in transactions:
+                    batch += records
             self._apply_transactions(batch, boundary)
             if truncate and boundary < size:
                 self._truncate_log(boundary)
@@ -724,24 +732,6 @@ class Store:
             obj = self._first_read(slots, i)
         return obj
 
-    def _read_body(self, offset: int) -> bytes:
-        """The body of the framed record at ``offset``, read again and CRC-checked.
-
-        The record's own bytes are read through this handle's descriptor,
-        so damage done to them after the open refuses here.
-        """
-        head = self._read_log(offset, offset + _HEADER_LEN)
-        # Bounded by the applied log, so a length damaged in place never
-        # asks for more bytes than the log holds.
-        end = _record_end(head, 0, self._applied_len - offset, offset)
-        if end is None:
-            raise CorruptLogError(f"record at offset {offset} runs past the log")
-        rest = self._read_log(offset + _HEADER_LEN, offset + end)
-        body = rest[:-4]
-        if int.from_bytes(rest[-4:], "big") != zlib.crc32(body):
-            raise CorruptLogError(f"CRC mismatch at offset {offset}")
-        return body
-
     def _first_read(self, slots: list, i: int) -> StoredObject:
         """Read, check and decode a framed record, once per handle.
 
@@ -753,7 +743,8 @@ class Store:
             obj = slots[i]
             if type(obj) is not StoredObject:
                 offset = obj if obj >= 0 else ~obj
-                obj = slots[i] = _decode_record(self._read_body(offset), self._tables, offset)
+                body = _read_body(self._read_log, offset, self._applied_len)
+                obj = slots[i] = _decode_record(body, self._tables, offset)
         return obj
 
     def is_map(self, identity: ObjectIdentity) -> bool:
@@ -779,7 +770,7 @@ class Store:
             return encode_payload(slot.payload)
         if slot < 0:  # a map, decoded and kept as every map read is
             return encode_payload(self._first_read(slots, i).payload)
-        body = self._read_body(slot)
+        body = _read_body(self._read_log, slot, self._applied_len)
         _decode_record(body, DecodeTables(), slot)
         return body[body.index(b"\n", body.index(b"\n") + 1) + 1 :]
 
@@ -850,49 +841,51 @@ def open_store(directory: str, *, clock=time.time) -> Store:
 def check_store(directory: str):
     """Check a store's whole log offline; yield one line per finding.
 
-    Read-only: it takes no lock and never truncates.  It scans the log
-    from offset 0 in bounded chunks and decodes every record (CRCs,
-    canonical decode, commit counts), then checks, in log order, that
-    each identity is new, that each pair's keys count up from 1 without a
-    gap, and that every map link and run-type binding names an object
-    earlier in the log, a map for a binding.  Of each object it keeps only
-    its kind, one list per pair.  It yields any torn tail (left in place),
-    and last ``ok <objects> objects, <bytes> bytes``.  The first failure
-    raises ``CorruptLogError`` naming its log offset.
+    Read-only: it takes no lock and never truncates.  It is an open and a
+    first read of every committed record, through the store's own scan,
+    publish step and record read, in bounded chunks from offset 0; then
+    every map link and run-type binding must name an object earlier in
+    the log, a map for a binding.  It keeps each object's framed slot, as
+    an open does.  Within a chunk, a fault the scan finds is named before
+    a decode or link fault of an earlier record.  It yields any torn tail
+    (left in place), and last ``ok <objects> objects, <bytes> bytes``.
+    The first failure raises ``CorruptLogError`` naming its log offset.
     """
     tables = DecodeTables()
-    kinds: dict[tuple, list] = {}  # pair -> the kind of each key's object
+    index: dict[tuple, list] = {}  # pair -> one framed slot per key, as a handle's
     committed_end = 0
     with open(os.path.join(directory, LOG_NAME), "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        for transactions, _, committed_end in _scan_chunks(
-            f.fileno(), 0, size, tables, decode=True
-        ):
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
+        read = partial(_read_exact, fd)
+        for transactions, committed_end in _scan_chunks(fd, 0, size, tables):
             for records in transactions:
-                _check_keys(records, kinds)
-                for pair, _, obj, at in records:
+                _publish(index, records)
+                for *_, at in records:
+                    obj = _decode_record(_read_body(read, at, committed_end), tables, at)
                     if obj.kind != KIND_LEAF:
-                        _check_links(obj, at, kinds)
-                    kinds.setdefault(pair, []).append(obj.kind)
+                        _check_links(obj, at, index)
             # Identities and link lines are shared within a chunk only.
             tables.identities.clear()
             tables.links.clear()
     if committed_end < size:
         yield (f"torn tail: {size - committed_end} bytes at offset {committed_end},"
                " left in place")
-    yield f"ok {sum(map(len, kinds.values()))} objects, {size} bytes"
+    yield f"ok {sum(map(len, index.values()))} objects, {size} bytes"
 
 
-def _check_links(obj: StoredObject, at: int, kinds: dict) -> None:
+def _check_links(obj: StoredObject, at: int, index: dict) -> None:
     """Refuse a link to an object not earlier in the log, or a binding to a non-map."""
     for name, target in obj.payload.entries:
-        linked = kinds.get((target.class_name, target.secondary_key), ())
-        if len(linked) < target.config_key:
+        slots = index.get((target.class_name, target.secondary_key), ())
+        slot = slots[target.config_key - 1] if target.config_key <= len(slots) else None
+        # A framed slot is the record's log offset, inverted for a map.
+        if slot is None or (slot if slot >= 0 else ~slot) >= at:
             raise CorruptLogError(
                 f"{format_identity(obj.identity)} at offset {at} links {name!r}"
                 f" to missing {format_identity(target)}"
             )
-        if obj.kind == KIND_RUNTYPES and linked[target.config_key - 1] != KIND_MAP:
+        if obj.kind == KIND_RUNTYPES and slot >= 0:
             raise CorruptLogError(
                 f"{format_identity(obj.identity)} at offset {at} binds {name!r}"
                 f" to {format_identity(target)}, which is not a map"

@@ -395,6 +395,14 @@ def test_a_run_type_bound_twice_is_refused(scripted):
         active_run_types(scripted(b"OK 2\n" + _TWO_PHYSICS))
 
 
+@pytest.mark.parametrize(
+    "line", [b"\tTopMap[1]", b"a=b\tTopMap[1]"], ids=["empty-name", "reserved-char"]
+)
+def test_a_run_type_that_is_not_a_name_is_refused(scripted, line):
+    with pytest.raises(ConfdbError, match="which is not a name"):
+        active_run_types(scripted(b"OK 1\n" + line + b"\n.\n"))
+
+
 # -- reading answers out of the receive buffer ------------------------------------
 
 _LEAF = b"OK Leaf[1]\nkind=leaf\na=i:1\n.\n"

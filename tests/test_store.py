@@ -544,9 +544,7 @@ def test_a_read_past_an_outside_truncate_is_refused(tmp_path):
             reader.payload_bytes(b)
         # A scan read of a mapping's size meets the same end of the log.
         with pytest.raises(CorruptLogError, match="log shrank outside recovery"):
-            list(store_module._scan_chunks(
-                reader._log_fd, 0, 200_000, DecodeTables(), decode=False
-            ))
+            list(store_module._scan_chunks(reader._log_fd, 0, 200_000, DecodeTables()))
     finally:
         reader.close()
 
@@ -1351,6 +1349,82 @@ def test_fsck_reads_the_log_in_bounded_chunks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(store_module, "CHUNK_BYTES", 4)
     assert _fsck(path, capsys)[:2] == (0, expected)
     assert len(reads) < 9 * len(_record_spans((path / "objects.log").read_bytes()))
+
+
+def _offset(error: Exception) -> int:
+    return int(re.search(r"offset (\d+)", str(error)).group(1))
+
+
+def _fsck_verdict(path) -> tuple:
+    """``("ok", object count)`` from ``check_store``, or ``("refused", offset)``."""
+    try:
+        *_, last = store_module.check_store(str(path))
+    except CorruptLogError as refused:
+        return "refused", _offset(refused)
+    return "ok", int(last.split()[1])
+
+
+def _open_verdict(path) -> tuple:
+    """The same from an open and a first read of every object, in log order."""
+    try:
+        with open_store(path) as s:
+            for identity, _ in sorted(_slots(s), key=lambda item: max(item[1], ~item[1])):
+                s.get_object(identity)
+            return "ok", s.object_count()
+    except CorruptLogError as refused:
+        return "refused", _offset(refused)
+
+
+_C1 = log_transaction(("C[1]", b"kind=leaf\nc=i:3\n"))
+_D1 = log_transaction(("D[1]", b"kind=leaf\nd=i:4\n"))
+_Z1 = log_transaction(("Z[1]", b"kind=leaf\nz=i:1\n"))
+_Z1_CRC_FAILS = _Z1[:-1] + bytes([_Z1[-1] ^ 0xFF])
+_NON_CANONICAL_B1 = log_transaction(("B[1]", NON_CANONICAL_RECORDS[0][0]))
+
+# (log, offset both name, or None where both accept it).  Only fsck checks
+# links, so the link faults of FSCK_FAILURES are left out.
+FSCK_AND_OPEN = {
+    **{name: FSCK_FAILURES[name][:2] for name in KEY_GAPS},
+    **{name: (_A1 + _C1 + damage + _D1, len(_A1 + _C1) + at)
+       for name, (damage, at, _) in MID_LOG_DAMAGE.items()},
+    **{f"non-canonical-{i}": (_A1 + log_transaction(("B[1]", payload)) + _C1, len(_A1))
+       for i, (payload, _, _) in enumerate(NON_CANONICAL_RECORDS, 1)},
+    "torn-header": (_A1 + _Z1[:3], None),
+    "torn-body": (_A1 + _Z1[:20], None),
+    "torn-commit": (_A1 + _Z1[:-3], None),
+    "torn-crc": (_A1 + _Z1_CRC_FAILS, None),
+    "non-canonical-in-a-torn-tail": (_A1 + _NON_CANONICAL_B1[:-3], None),
+    # Two faults in one read: the structural one is named, though later.
+    "non-canonical-then-bad-magic": (
+        _A1 + _NON_CANONICAL_B1 + b"\xc6" + _C1[1:], len(_A1 + _NON_CANONICAL_B1)
+    ),
+}
+
+
+@pytest.mark.parametrize("log, at", FSCK_AND_OPEN.values(), ids=FSCK_AND_OPEN.keys())
+def test_fsck_agrees_with_an_open_that_reads_every_object(tmp_path, log, at):
+    for name in ("checked", "opened"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "objects.log").write_bytes(log)
+    verdict = _fsck_verdict(tmp_path / "checked")
+    assert verdict == _open_verdict(tmp_path / "opened")
+    assert verdict == (("ok", 1) if at is None else ("refused", at))
+
+
+def test_fsck_leaves_a_non_canonical_record_in_a_torn_tail(tmp_path, capsys):
+    # Only committed records are read, as an open reads them.
+    path = tmp_path / "db"
+    path.mkdir()
+    tail = _NON_CANONICAL_B1[:-3]
+    log = _A1 + tail
+    (path / "objects.log").write_bytes(log)
+    code, out, _ = _fsck(path, capsys)
+    assert code == 0
+    assert out == (
+        f"torn tail: {len(tail)} bytes at offset {len(_A1)}, left in place\n"
+        f"ok 1 objects, {len(log)} bytes\n"
+    )
+    assert (path / "objects.log").read_bytes() == log
 
 
 # -- the dense index: keys in sequence, and the chunked open ------------------
